@@ -38,7 +38,7 @@ pub mod resilience;
 
 pub use error::MarkError;
 pub use flaky::{Fault, FaultProfile, FlakyControl, FlakyModule};
-pub use manager::{MarkAudit, MarkManager, MarkStats, RefreshReport};
+pub use manager::{MarkAudit, MarkCheckpoint, MarkManager, MarkStats, RefreshReport};
 pub use mark::{Mark, MarkAddress, MarkId, WrapAddress};
 pub use module::{AppModule, MarkModule, Resolution, ResolutionStyle};
 pub use resilience::{

@@ -124,6 +124,13 @@ impl fmt::Display for RefreshReport {
     }
 }
 
+/// A point [`MarkManager::rollback_to`] returns the mark store to,
+/// taken by [`MarkManager::checkpoint`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MarkCheckpoint {
+    next_id: u64,
+}
+
 /// The Mark Manager (paper Figure 7).
 ///
 /// "Since the specific addressing scheme of the base-layer information is
@@ -140,6 +147,11 @@ pub struct MarkManager {
     /// `(mark id, module name)` pairs, in resolution order — the audit
     /// trail of Figure 7's arrows.
     resolution_log: Vec<(MarkId, String)>,
+    /// Undo journal of the open checkpoint: `(mark, its value before the
+    /// change)` for every change since [`MarkManager::checkpoint`], in
+    /// order. `None` until a checkpoint is taken, so callers that never
+    /// take one record nothing.
+    journal: Option<Vec<(MarkId, Option<Mark>)>>,
 }
 
 impl MarkManager {
@@ -239,6 +251,7 @@ impl MarkManager {
     fn store(&mut self, address: MarkAddress, excerpt: String) -> MarkId {
         let mark_id = format!("mark:{}", self.next_id);
         self.next_id += 1;
+        self.record(&mark_id);
         self.marks.insert(mark_id.clone(), Mark { mark_id: mark_id.clone(), address, excerpt });
         mark_id
     }
@@ -269,6 +282,7 @@ impl MarkManager {
 
     /// Remove a mark, returning it.
     pub fn remove(&mut self, mark_id: &str) -> Result<Mark, MarkError> {
+        self.record(mark_id);
         self.marks
             .remove(mark_id)
             .ok_or_else(|| MarkError::UnknownMark { mark_id: mark_id.to_string() })
@@ -314,6 +328,7 @@ impl MarkManager {
     /// excerpt is kept — a re-bind targets the address that still holds
     /// it. Returns the old address.
     pub fn rebind(&mut self, mark_id: &str, address: MarkAddress) -> Result<MarkAddress, MarkError> {
+        self.record(mark_id);
         let mark = self
             .marks
             .get_mut(mark_id)
@@ -324,6 +339,50 @@ impl MarkManager {
     /// The resolution audit trail.
     pub fn resolution_log(&self) -> &[(MarkId, String)] {
         &self.resolution_log
+    }
+
+    // ---- checkpoints ------------------------------------------------------------
+
+    /// Open a checkpoint: from now on every change to the mark store is
+    /// journaled so [`MarkManager::rollback_to`] can undo it. The journal
+    /// holds one checkpoint's changes only; a new checkpoint forgets the
+    /// previous one.
+    pub fn checkpoint(&mut self) -> MarkCheckpoint {
+        self.journal = Some(Vec::new());
+        MarkCheckpoint { next_id: self.next_id }
+    }
+
+    /// Undo every change since `checkpoint`, which must be the most
+    /// recent one. Cannot fail: the journal holds the prior values
+    /// themselves. The checkpoint stays open.
+    pub fn rollback_to(&mut self, checkpoint: MarkCheckpoint) {
+        let undone = self.journal.replace(Vec::new()).unwrap_or_default();
+        for (mark_id, prior) in undone.into_iter().rev() {
+            match prior {
+                Some(mark) => self.marks.insert(mark_id, mark),
+                None => self.marks.remove(&mark_id),
+            };
+        }
+        self.next_id = checkpoint.next_id;
+    }
+
+    /// Journal `mark_id`'s current value (or absence) before it changes.
+    fn record(&mut self, mark_id: &str) {
+        if let Some(journal) = &mut self.journal {
+            journal.push((mark_id.to_string(), self.marks.get(mark_id).cloned()));
+        }
+    }
+
+    /// Replace the whole store (loading), journaling what it replaces.
+    fn install(&mut self, marks: BTreeMap<MarkId, Mark>, next_id: u64) {
+        if let Some(journal) = &mut self.journal {
+            journal.extend(self.marks.iter().map(|(id, m)| (id.clone(), Some(m.clone()))));
+            journal.extend(
+                marks.keys().filter(|id| !self.marks.contains_key(*id)).map(|id| (id.clone(), None)),
+            );
+        }
+        self.marks = marks;
+        self.next_id = next_id;
     }
 
     // ---- audit and stats ----------------------------------------------------
@@ -351,6 +410,7 @@ impl MarkManager {
         let address = self.get(mark_id)?.address.clone();
         let module = self.default_module(address.kind())?;
         let current = module.extract(&address)?;
+        self.record(mark_id);
         let mark = self
             .marks
             .get_mut(mark_id)
@@ -444,8 +504,7 @@ impl MarkManager {
             let mark = read_mark(m)?;
             marks.insert(mark.mark_id.clone(), mark);
         }
-        self.marks = marks;
-        self.next_id = next_id;
+        self.install(marks, next_id);
         Ok(())
     }
 
@@ -511,8 +570,7 @@ impl MarkManager {
                 floor
             }
         };
-        self.marks = marks;
-        self.next_id = next_id;
+        self.install(marks, next_id);
         Ok(recovered)
     }
 
@@ -821,6 +879,55 @@ mod tests {
         assert_eq!(mgr.get(&id).unwrap().address, new_addr);
         assert_eq!(mgr.get(&id).unwrap().excerpt, "Lasix", "rebind must not touch the excerpt");
         assert!(mgr.rebind("mark:99", new_addr).is_err());
+    }
+
+    #[test]
+    fn rollback_to_restores_the_checkpointed_store_byte_for_byte() {
+        let (mut mgr, sheet_app, xml_app) = manager_with_apps();
+        let mut addresses = Vec::new();
+        for cell in ["A1", "B1"] {
+            sheet_app.borrow_mut().select("meds.xls", "Sheet1", cell).unwrap();
+            let id = mgr.create_mark(DocKind::Spreadsheet).unwrap();
+            addresses.push(mgr.get(&id).unwrap().address.clone());
+        }
+        for path in ["/labs/na", "/labs/k"] {
+            xml_app.borrow_mut().select_by_path("labs.xml", path).unwrap();
+            let id = mgr.create_mark(DocKind::Xml).unwrap();
+            addresses.push(mgr.get(&id).unwrap().address.clone());
+        }
+        assert!(mgr.journal.is_none(), "no checkpoint taken, nothing recorded");
+        // Drift one cell so refresh_excerpt really changes an excerpt.
+        sheet_app
+            .borrow_mut()
+            .workbook_mut("meds.xls")
+            .unwrap()
+            .sheet_mut("Sheet1")
+            .unwrap()
+            .set_a1("A1", "Torsemide")
+            .unwrap();
+
+        let mut changed = 0;
+        for seed in 0..64u64 {
+            let before = mgr.to_xml();
+            let checkpoint = mgr.checkpoint();
+            for step in 0..12u64 {
+                let r = crate::resilience::mix64(seed, step);
+                let ids: Vec<MarkId> = mgr.marks().map(|m| m.mark_id.clone()).collect();
+                let id = ids.get((r >> 4) as usize % ids.len().max(1)).cloned().unwrap_or_default();
+                let address = addresses[(r >> 12) as usize % addresses.len()].clone();
+                let _ = match r % 4 {
+                    0 => mgr.create_mark_at(address).map(drop),
+                    1 => mgr.rebind(&id, address).map(drop),
+                    2 => mgr.remove(&id).map(drop),
+                    _ => mgr.refresh_excerpt(&id).map(drop),
+                };
+            }
+            changed += usize::from(mgr.to_xml() != before);
+            mgr.rollback_to(checkpoint);
+            assert_eq!(mgr.to_xml(), before, "seed {seed}: rollback must restore the store");
+        }
+        assert!(changed > 48, "the sequences must actually change the store ({changed}/64)");
+        assert_eq!(mgr.journal.as_ref().map(Vec::len), Some(0));
     }
 
     #[test]

@@ -25,9 +25,8 @@ use crate::ops::{PadServeOp, ANNOTATIONS, NAMES};
 use marks::resilience::{BreakerConfig, MockClock};
 use marks::{FaultProfile, FlakyControl, RetryPolicy};
 use slimio::{FaultConfig, FaultMode, FaultOp, FaultVfs, MemVfs, Vfs};
-use slimpad::PadEngine;
 use slimserve::{
-    ward_doc, ward_factory, ward_mirror, PadConfig, PadMachine, PadOp, PadService,
+    ward_doc, ward_factory, ward_mirror, ward_reopen, PadConfig, PadMachine, PadOp, PadService,
     PadSessionHandle, ServeError, WARD_PARAGRAPHS,
 };
 use std::path::Path;
@@ -235,18 +234,7 @@ fn mark_op(doc: usize, paragraph: usize, label: usize, pos: (i64, i64), bundle: 
 /// Digest of the durable on-disk state (snapshot + WAL + marks sidecar)
 /// through a cold reopen into a fresh engine.
 fn reopen_digest(disk: &dyn Vfs) -> u64 {
-    let mut factory = ward_factory(
-        MockClock::new(),
-        FaultProfile::healthy(),
-        FlakyControl::new(0),
-        RetryPolicy::default(),
-        BreakerConfig::default(),
-        3,
-    );
-    let parts = factory().expect("ward universe builds");
-    let (engine, _report) = PadEngine::open_logged(disk, Path::new(PAD), parts.manager)
-        .expect("post-shutdown pad must reopen from disk");
-    PadMachine::new(engine, parts.search).digest()
+    ward_reopen(disk, Path::new(PAD)).expect("post-shutdown pad must reopen from disk").digest()
 }
 
 #[cfg(test)]

@@ -1,49 +1,65 @@
-//! Seeded chaos soak for the concurrent session service.
+//! Seeded chaos soak for the supervised services, written once and run
+//! against either machine through a small [`Target`]: [`Triples`] for
+//! the triple-level [`slimserve::Service`], [`Pads`] for the pad-level
+//! [`slimserve::PadService`] (marks, excerpts, bundles, undo).
 //!
-//! Drives N interleaved sessions of trace-derived traffic through a
-//! [`slimserve::Service`] while injecting every fault class the
-//! supervisor claims to contain:
+//! N interleaved sessions of trace-derived traffic go through the
+//! service while every fault class the supervisor claims to contain is
+//! injected:
 //!
-//! * **worker panics** — [`ServeOp::ChaosPanic`] ops spliced into each
-//!   session's script on a seeded schedule;
+//! * **worker panics** — panic ops spliced into each session's script on
+//!   a seeded schedule;
 //! * **I/O faults** — one-shot [`FaultVfs`] append failures armed
 //!   mid-traffic, plus a halting *torn-append* fault that plays a full
 //!   crash (service aborted, disk reopened, WAL salvaged);
 //! * **slow-clock stalls** — a thread yanking the shared [`MockClock`]
 //!   forward so queued ops age past their deadlines;
-//! * **deterministic drills** — a parked writer to force `Overloaded`
-//!   shedding and `Timeout` expiry, and a serially-panicking session to
-//!   force quarantine, independent of scheduling luck.
+//! * **deterministic drills** — a serially-panicking session to force
+//!   quarantine, and a parked writer to force `Overloaded` shedding
+//!   (with its retry hint) and `Timeout` expiry, independent of
+//!   scheduling luck;
+//! * for pads, a **base-layer storm** — a [`FlakyModule`] (transient
+//!   errors, latency, dangling documents, content drift) armed through
+//!   its shared [`FlakyControl`] — and a quarantine-and-repair drill.
 //!
-//! The oracle is differential: every acknowledged op is recorded with
-//! its writer-assigned serialization order, replayed in `(epoch,
-//! order)` order into a fresh **single-session** [`TripleStore`], and
-//! the model's snapshot digest must equal both the live service's final
-//! snapshot and a from-disk reopen. Refusals are checked the other way
-//! around — refused drill markers must be absent, and the stats ledger
-//! must balance: every submission ends in exactly one typed bucket,
-//! nothing is silently dropped.
+//! The oracle is differential and three-way: every acknowledged op is
+//! recorded with its writer-assigned serialization order, replayed in
+//! `(epoch, order)` order into a fresh **single-session** machine, and
+//! the replay's digest must equal both the live service's final view and
+//! a from-disk reopen. Refusals are checked the other way around: the
+//! drills' refused markers must leave the view untouched, and the
+//! ledger must balance — every submission ends in exactly one typed
+//! bucket, nothing is silently dropped.
+//!
+//! [`FlakyModule`]: superimposed::marks::FlakyModule
 
+use std::fmt::Debug;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use slimio::{FaultConfig, FaultMode, FaultOp, FaultVfs, MemVfs};
-use slimserve::{Gate, ServeConfig, ServeError, ServeOp, ServeStats, Service, SessionHandle};
+use slimio::{FaultConfig, FaultMode, FaultOp, FaultVfs, MemVfs, Vfs};
+use slimserve::{
+    ward_doc, ward_factory, ward_mirror, ward_reopen, Gate, LivePad, LiveStore, Machine, PadOp,
+    PadOutcome, PadService, ServeConfig, ServeError, ServeOp, ServeStats, Service, Session,
+    Supervisor, WARD_PARAGRAPHS,
+};
 use superimposed::marks::resilience::{mix64, BreakerConfig, MockClock};
-use superimposed::trim::{SnapTriple, SnapValue, SnapshotPublisher, TripleStore};
+use superimposed::marks::{FaultProfile, FlakyControl, RetryPolicy};
+use superimposed::trim::{SnapTriple, SnapValue, Snapshot, SnapshotPublisher, TripleStore};
 
 use crate::trace::{self, Mix, TraceOp};
 use crate::Profile;
 
 /// Where the chaos service's snapshot + log live on the in-memory VFS.
 const STORE_PATH: &str = "chaos/store.xml";
+const PAD_PATH: &str = "chaos/pad.xml";
 
 /// Tuning for one chaos run. Everything observable is a pure function
-/// of this config — re-running with the same seed replays the same
-/// per-session scripts and fault schedules.
+/// of this config and the target — re-running with the same seed
+/// replays the same per-session scripts and fault schedules.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Concurrent session threads per epoch.
@@ -59,14 +75,27 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Profile-scaled defaults (crash on, mixed traffic).
-    pub fn new(profile: Profile, seed: u64) -> Self {
-        let (sessions, ops_per_session) = match profile {
-            Profile::Smoke => (4, 48),
-            Profile::Quick => (8, 160),
-            Profile::Full => (16, 512),
-        };
+    /// Profile-scaled defaults for target `T` (crash on, mixed traffic).
+    pub fn new<T: Target>(profile: Profile, seed: u64) -> Self {
+        let (sessions, ops_per_session) = T::size(profile);
         ChaosConfig { sessions, ops_per_session, seed, crash: true, mix: Mix::Mixed }
+    }
+}
+
+/// The supervisor tuning both soaks run under.
+fn serve_config() -> ServeConfig {
+    ServeConfig {
+        queue_capacity: 64,
+        max_batch: 16,
+        op_deadline_ms: 1_000,
+        breaker: BreakerConfig {
+            failure_threshold: 3,
+            cooldown_ms: 5_000,
+            probe_budget: 3,
+            probe_successes: 1,
+        },
+        // Small enough that the soak exercises compaction repeatedly.
+        compact_threshold: 1 << 15,
     }
 }
 
@@ -74,6 +103,8 @@ impl ChaosConfig {
 /// the CI job gates on.
 #[derive(Debug)]
 pub struct ChaosReport {
+    /// Which soak ran ([`Target::NAME`]).
+    pub target: &'static str,
     /// The seed that replays this run.
     pub seed: u64,
     /// Session threads per epoch.
@@ -82,16 +113,17 @@ pub struct ChaosReport {
     pub ops_per_session: usize,
     /// Whether the torn-append crash was injected.
     pub crash: bool,
-    /// Write submissions the harness made (reads not counted).
+    /// Write submissions the harness made (soak traffic + drills).
     pub attempts: u64,
-    /// Service counters summed across both incarnations.
+    /// Service counters summed across every incarnation and drill rig.
     pub stats: ServeStats,
-    /// The WAL's recovery summary after the injected crash.
+    /// The WAL's recovery summary after the injected crash, when the
+    /// service reports one.
     pub recovery: Option<String>,
-    /// Final snapshot digest of the live service.
-    pub service_digest: u64,
-    /// Digest of the serialized single-session model replay.
-    pub model_digest: u64,
+    /// Final view digest of the live service.
+    pub live_digest: u64,
+    /// Digest of the serialized single-session replay of every acked op.
+    pub replay_digest: u64,
     /// Digest of a fresh from-disk reopen after shutdown.
     pub disk_digest: u64,
     /// Every invariant violation observed; empty means PASS.
@@ -106,46 +138,95 @@ impl ChaosReport {
 }
 
 /// One step of a session's script.
-enum Action {
+pub enum Action<O> {
     /// Submit a write op and record its verdict.
-    Write(ServeOp),
-    /// Take a snapshot and scan a subject — readers under a hot writer.
-    Read { subject: String },
+    Write(O),
+    /// Read the published view — readers under a hot writer.
+    Read {
+        /// What to look up in the view.
+        subject: String,
+    },
 }
 
-/// What one session thread observed.
-struct Outcome {
-    /// Acknowledged ops with their writer serialization order.
-    acked: Vec<(u64, ServeOp)>,
-    /// Write submissions made.
-    attempts: u64,
-    /// Invariant violations (read-your-writes, unexpected verdicts).
-    divergences: Vec<String>,
+type Op<T> = <<T as Target>::M as Machine>::Op;
+type View<T> = <<T as Target>::M as Machine>::View;
+
+/// What differs between the two soaks: the machine, its traffic, its
+/// oracles, and its extra drills.
+pub trait Target: Sized {
+    /// The supervised machine.
+    type M: Machine<Op: Clone + Debug, Outcome: Debug>;
+    /// The report's label.
+    const NAME: &'static str;
+    /// Acks to wait for before tearing the disk.
+    const CRASH_AFTER_ACKS: u64;
+
+    /// Fault-injection state for one run.
+    fn new(seed: u64) -> Self;
+    /// `(sessions, ops per session)` at a profile.
+    fn size(profile: Profile) -> (usize, usize);
+    /// Open (or recover) the service on `disk`; the recovery summary
+    /// when the machine reports one.
+    fn open(
+        &self,
+        disk: &Arc<FaultVfs<MemVfs>>,
+        clock: &Arc<MockClock>,
+    ) -> Result<(Supervisor<Self::M>, Option<String>), ServeError>;
+    /// Map one trace verb onto the machine's ops.
+    fn translate(sess: u64, epoch: u64, i: u64, op: &TraceOp) -> Action<Op<Self>>;
+    /// The op spliced in at `sel`'s slot, if any (panics, and so on).
+    fn splice(sess: u64, epoch: u64, i: u64, sel: u64) -> Option<Op<Self>>;
+    /// A panicking op.
+    fn panic_op(detail: String) -> Op<Self>;
+    /// An op that parks the writer on `gate`.
+    fn park_op(gate: Gate) -> Op<Self>;
+    /// A visible mutation tagged `name`, for drills that expect refusal.
+    fn marker_op(name: &str) -> Op<Self>;
+    /// Serve a [`Action::Read`] from the session's view.
+    fn read(_: &Session<Self::M>, _: &str) {}
+    /// Read-your-writes: false when an acked op is missing from the
+    /// session's next view.
+    fn visible(_: &Session<Self::M>, _: &Op<Self>) -> bool {
+        true
+    }
+    /// A view's digest.
+    fn digest(view: &View<Self>) -> u64;
+    /// Digest of a fresh single-session machine after replaying `ops` in
+    /// order. An op the replay refuses is a divergence: its ack promised
+    /// it applied.
+    fn replay(ops: &[&(u64, u64, Op<Self>)], divergences: &mut Vec<String>) -> u64;
+    /// Digest of the durable on-disk state.
+    fn disk_digest(disk: &dyn Vfs, divergences: &mut Vec<String>) -> u64;
+    /// Stop injecting machine-level faults before the drills.
+    fn calm(&self) {}
+    /// Machine-specific drills on rigs of their own.
+    fn drills(&self, _seed: u64, _books: &mut Books) {}
+    /// Machine-specific fault classes that must have been observed.
+    fn observed(_stats: &ServeStats, _divergences: &mut Vec<String>) {}
+}
+
+/// Counts every drill and epoch adds to.
+#[derive(Debug, Default)]
+pub struct Books {
+    /// Submissions made.
+    pub attempts: u64,
+    /// Acks from drill rigs, whose ops stay out of the replay.
+    pub drill_acks: u64,
+    /// Ledgers of every service incarnation and rig.
+    pub stats: ServeStats,
+    /// Invariant violations.
+    pub divergences: Vec<String>,
 }
 
 /// Run the chaos soak to completion and report.
-pub fn run(config: &ChaosConfig) -> ChaosReport {
+pub fn run<T: Target>(config: &ChaosConfig) -> ChaosReport {
+    let target = T::new(config.seed);
     let disk = Arc::new(FaultVfs::unarmed(MemVfs::new()));
     let clock = Arc::new(MockClock::new());
-    let path = Path::new(STORE_PATH);
-    let serve_config = ServeConfig {
-        queue_capacity: 64,
-        max_batch: 16,
-        op_deadline_ms: 1_000,
-        breaker: BreakerConfig {
-            failure_threshold: 3,
-            cooldown_ms: 5_000,
-            probe_budget: 3,
-            probe_successes: 1,
-        },
-        // Small enough that the soak exercises compaction repeatedly.
-        compact_threshold: 1 << 15,
-    };
+    let serve_config = serve_config();
 
-    let mut divergences: Vec<String> = Vec::new();
-    let mut acked: Vec<(u64, u64, ServeOp)> = Vec::new();
-    let mut attempts = 0u64;
-    let mut stats = ServeStats::default();
+    let mut books = Books::default();
+    let mut acked: Vec<(u64, u64, Op<T>)> = Vec::new();
     let mut recovery = None;
 
     // Slow-clock chaos: stalls big enough that ops queued across a few
@@ -164,34 +245,32 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
     };
 
     // ---- Epoch 1: traffic, then (optionally) a torn-append crash ----
-    let (service, _) = Service::open(disk.clone(), path, serve_config.clone(), clock.clone())
-        .expect("fresh chaos store opens");
-    let epoch1 = spawn_epoch(&service, config, 1);
+    let (service, _) = target.open(&disk, &clock).expect("fresh chaos service opens");
+    let epoch1 = spawn_epoch::<T>(&service, config, 1);
     if config.crash {
         // Let some traffic commit, then tear an append mid-frame and
         // halt the disk: every later commit fails with a typed Io
         // refusal until the "machine" reboots.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while service.stats().acked < 20 && Instant::now() < deadline {
+        while service.stats().acked < T::CRASH_AFTER_ACKS && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
         disk.rearm(FaultConfig::new(FaultOp::Append, FaultMode::Torn, 0, config.seed).halting());
     }
-    join_epoch(epoch1, 1, &mut acked, &mut attempts, &mut divergences);
+    join_epoch::<T>(epoch1, 1, &mut acked, &mut books);
 
     let service = if config.crash {
-        stats += service.abort(); // the crash: queued work refused, writer gone
+        books.stats += service.abort(); // the crash: queued work refused, writer gone
         disk.disarm();
-        let epoch1_model = model_digest(&acked);
+        let epoch1_replay = replay::<T>(&acked, &mut books.divergences);
         let (service, report) =
-            Service::open(disk.clone(), path, serve_config.clone(), clock.clone())
-                .expect("chaos store recovers after torn-append crash");
-        recovery = Some(report.to_string());
-        let recovered = service.snapshot().digest();
-        if recovered != epoch1_model {
-            divergences.push(format!(
-                "post-crash recovery digest {recovered:#018x} != epoch-1 acked model \
-                 {epoch1_model:#018x} — an acked commit was lost or a refused op survived"
+            target.open(&disk, &clock).expect("chaos service recovers after torn-append crash");
+        recovery = report;
+        let recovered = T::digest(&service.view());
+        if recovered != epoch1_replay {
+            books.divergences.push(format!(
+                "post-crash recovery digest {recovered:#018x} != epoch-1 acked replay \
+                 {epoch1_replay:#018x} — an acked commit was lost or a refused op survived"
             ));
         }
         service
@@ -200,7 +279,7 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
     };
 
     // ---- Epoch 2: traffic with one-shot I/O faults sprinkled in ----
-    let epoch2 = spawn_epoch(&service, config, 2);
+    let epoch2 = spawn_epoch::<T>(&service, config, 2);
     for burst in 0..3u64 {
         std::thread::sleep(Duration::from_millis(2));
         disk.rearm(FaultConfig::new(
@@ -210,57 +289,57 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
             mix64(config.seed, burst),
         ));
     }
-    join_epoch(epoch2, 2, &mut acked, &mut attempts, &mut divergences);
+    join_epoch::<T>(epoch2, 2, &mut acked, &mut books);
 
-    // The drills below need a working disk and a frozen clock.
+    // The drills below need a working disk, a frozen clock, and no
+    // machine-level fault storm.
     disk.disarm();
+    target.calm();
     stop_stall.store(true, Ordering::Relaxed);
     stall.join().expect("stall thread exits");
+    let before_drills = T::digest(&service.view());
 
     // ---- Drill: repeated panics must land a session in quarantine ----
+    let divergences = &mut books.divergences;
     let bad = service.session();
     for k in 0..serve_config.breaker.failure_threshold {
-        attempts += 1;
-        let verdict = bad.submit(ServeOp::ChaosPanic { detail: format!("drill panic {k}") });
+        books.attempts += 1;
+        let verdict = bad.submit(T::panic_op(format!("drill panic {k}")));
         if !matches!(verdict, Err(ServeError::Panicked { .. })) {
             divergences.push(format!("quarantine drill: panic {k} got {verdict:?}"));
         }
     }
-    attempts += 1;
-    match bad.submit(ServeOp::insert("drill:quarantined", "p", "v")) {
+    books.attempts += 1;
+    match bad.submit(T::marker_op("drill:quarantined")) {
         Err(ServeError::Quarantined { .. }) => {}
-        other => {
-            divergences.push(format!("quarantine drill: expected Quarantined, got {other:?}"))
-        }
+        other => divergences.push(format!("quarantine drill: expected Quarantined, got {other:?}")),
     }
 
     // ---- Drill: a parked writer must shed and expire, loudly --------
     let driller = service.session();
     let gate = Gate::new();
-    attempts += 1;
-    let park = driller
-        .enqueue(ServeOp::ChaosPark(gate.clone()))
-        .expect("park admits into an empty queue");
+    books.attempts += 1;
+    let park = driller.enqueue(T::park_op(gate.clone())).expect("park admits into an empty queue");
     gate.wait_arrived(); // the writer is parked; the queue is all ours
     let mut fills = Vec::new();
     for k in 0..serve_config.queue_capacity {
-        attempts += 1;
-        match driller.enqueue(ServeOp::insert(&format!("drill:fill{k}"), "p", "v")) {
+        books.attempts += 1;
+        match driller.enqueue(T::marker_op(&format!("drill:fill{k}"))) {
             Ok(ticket) => fills.push(ticket),
             Err(e) => divergences.push(format!("backpressure drill: fill {k} refused: {e}")),
         }
     }
-    attempts += 1;
-    match driller.enqueue(ServeOp::insert("drill:overflow", "p", "v")) {
-        Err(ServeError::Overloaded { .. }) => {}
-        other => {
-            divergences.push(format!("backpressure drill: expected Overloaded, got {other:?}"))
-        }
+    books.attempts += 1;
+    match driller.enqueue(T::marker_op("drill:overflow")) {
+        Err(ServeError::Overloaded { retry_after_ms, .. }) if retry_after_ms > 0 => {}
+        other => divergences.push(format!(
+            "backpressure drill: expected Overloaded with a retry hint, got {other:?}"
+        )),
     }
     clock.advance(serve_config.op_deadline_ms + 1); // age the queue past its deadlines
     gate.open();
     match park.wait() {
-        Ok(ack) => acked.push((2, ack.order, ServeOp::ChaosPark(gate.clone()))),
+        Ok(ack) => acked.push((2, ack.order, T::park_op(gate.clone()))),
         Err(e) => divergences.push(format!("park op refused: {e}")),
     }
     for (k, ticket) in fills.into_iter().enumerate() {
@@ -271,50 +350,56 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
             }
         }
     }
-
     // Refused markers must be observably absent — shed is loud, not lossy.
-    let snap = service.snapshot();
-    for subject in ["drill:quarantined", "drill:overflow", "drill:fill0", "drill:fill63"] {
-        if snap.scan_subject(subject).next().is_some() {
-            divergences.push(format!("refused op {subject:?} leaked into the store"));
-        }
+    if T::digest(&service.view()) != before_drills {
+        divergences.push("refused drill markers leaked into the published view".into());
     }
 
-    // ---- Final differential: service == model == disk ---------------
-    let service_digest = service.snapshot().digest();
-    let model = model_digest(&acked);
-    if service_digest != model {
-        divergences.push(format!(
-            "final service digest {service_digest:#018x} != serialized model {model:#018x}"
+    target.drills(config.seed, &mut books);
+
+    // ---- Final differential: live == replay == disk -----------------
+    let live_digest = T::digest(&service.view());
+    let replay_digest = replay::<T>(&acked, &mut books.divergences);
+    if live_digest != replay_digest {
+        books.divergences.push(format!(
+            "final live digest {live_digest:#018x} != serialized replay {replay_digest:#018x}"
         ));
     }
-    stats += service.shutdown();
-    let (mut store, _, _) =
-        TripleStore::open_logged(&disk, path).expect("post-shutdown reopen succeeds");
-    let disk_digest = SnapshotPublisher::new(&mut store).publish(&mut store).0.digest();
-    if disk_digest != model {
-        divergences.push(format!(
-            "from-disk digest {disk_digest:#018x} != serialized model {model:#018x}"
+    books.stats += service.shutdown();
+    let disk_digest = T::disk_digest(&*disk, &mut books.divergences);
+    if disk_digest != replay_digest {
+        books.divergences.push(format!(
+            "from-disk digest {disk_digest:#018x} != serialized replay {replay_digest:#018x}"
         ));
     }
 
     // ---- The books must balance: every attempt, one typed verdict ---
+    let stats = books.stats;
+    let divergences = &mut books.divergences;
     let buckets = stats.acked
         + stats.shed
         + stats.timed_out
         + stats.panicked
+        + stats.engine_refusals
         + stats.quarantine_rejections
         + stats.io_refusals
         + stats.closed_refusals;
-    if attempts != buckets {
+    if books.attempts != buckets {
         divergences.push(format!(
-            "ledger imbalance: {attempts} submissions vs {buckets} accounted verdicts"
+            "ledger imbalance: {} submissions vs {buckets} accounted verdicts",
+            books.attempts
         ));
     }
-    if acked.len() as u64 != stats.acked {
+    if stats.unaccounted() != 0 {
+        divergences.push(format!(
+            "queue ledger imbalance: {} enqueued ops unaccounted",
+            stats.unaccounted()
+        ));
+    }
+    if acked.len() as u64 + books.drill_acks != stats.acked {
         divergences.push(format!(
             "ack mismatch: harness observed {} acks, service counted {}",
-            acked.len(),
+            acked.len() as u64 + books.drill_acks,
             stats.acked
         ));
     }
@@ -327,8 +412,8 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
     if stats.quarantine_rejections == 0 {
         divergences.push("no session was ever quarantined".into());
     }
-    if stats.shed == 0 {
-        divergences.push("overload never shed".into());
+    if stats.shed == 0 || stats.shed_backoff_ms == 0 {
+        divergences.push("overload never shed with a retry hint".into());
     }
     if stats.timed_out < serve_config.queue_capacity as u64 {
         divergences.push("expired deadlines were not all refused as Timeout".into());
@@ -336,232 +421,607 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
     if stats.commits == 0 {
         divergences.push("nothing was ever group-committed".into());
     }
+    T::observed(&stats, divergences);
 
     ChaosReport {
+        target: T::NAME,
         seed: config.seed,
         sessions: config.sessions,
         ops_per_session: config.ops_per_session,
         crash: config.crash,
-        attempts,
+        attempts: books.attempts,
         stats,
         recovery,
-        service_digest,
-        model_digest: model,
+        live_digest,
+        replay_digest,
         disk_digest,
-        divergences,
+        divergences: books.divergences,
     }
 }
 
-/// Spawn one epoch's session threads. The caller keeps the `Service`
-/// and may inject faults while they run.
-fn spawn_epoch(
-    service: &Service,
+/// What one session thread observed.
+struct Outcome<O> {
+    /// Acknowledged ops with their writer serialization order.
+    acked: Vec<(u64, O)>,
+    /// Write submissions made.
+    attempts: u64,
+    /// Invariant violations (read-your-writes).
+    divergences: Vec<String>,
+}
+
+/// Spawn one epoch's session threads. The caller keeps the service and
+/// may inject faults while they run.
+fn spawn_epoch<T: Target>(
+    service: &Supervisor<T::M>,
     config: &ChaosConfig,
     epoch: u64,
-) -> Vec<JoinHandle<Outcome>> {
+) -> Vec<JoinHandle<Outcome<Op<T>>>> {
     (0..config.sessions)
         .map(|s| {
             let session = service.session();
-            let script = session_script(config, s as u64, epoch);
+            let script = session_script::<T>(config, s as u64, epoch);
             let tag = format!("session {s} epoch {epoch}");
-            std::thread::spawn(move || drive(session, script, tag))
+            std::thread::spawn(move || drive::<T>(session, script, tag))
         })
         .collect()
 }
 
-fn join_epoch(
-    threads: Vec<JoinHandle<Outcome>>,
+fn join_epoch<T: Target>(
+    threads: Vec<JoinHandle<Outcome<Op<T>>>>,
     epoch: u64,
-    acked: &mut Vec<(u64, u64, ServeOp)>,
-    attempts: &mut u64,
-    divergences: &mut Vec<String>,
+    acked: &mut Vec<(u64, u64, Op<T>)>,
+    books: &mut Books,
 ) {
     for t in threads {
         let out = t.join().expect("session threads never panic");
-        *attempts += out.attempts;
-        divergences.extend(out.divergences);
+        books.attempts += out.attempts;
+        books.divergences.extend(out.divergences);
         acked.extend(out.acked.into_iter().map(|(order, op)| (epoch, order, op)));
     }
 }
 
-/// One session's whole workload: the hospital trace translated to
-/// store-level service ops, with seeded panic injections spliced in.
-fn session_script(config: &ChaosConfig, sess: u64, epoch: u64) -> Vec<Action> {
+/// One session's whole workload: the hospital trace translated to the
+/// machine's ops, with the target's seeded injections spliced in.
+fn session_script<T: Target>(config: &ChaosConfig, sess: u64, epoch: u64) -> Vec<Action<Op<T>>> {
     let trace =
         trace::generate(mix64(config.seed, sess * 2 + epoch), config.ops_per_session, config.mix);
     trace
         .iter()
         .enumerate()
         .map(|(i, op)| {
-            let sel = mix64(config.seed ^ sess.rotate_left(17), epoch << 32 | i as u64);
-            if sel.is_multiple_of(13) {
-                return Action::Write(ServeOp::ChaosPanic {
-                    detail: format!("chaos panic s{sess} e{epoch} i{i}"),
-                });
+            let i = i as u64;
+            let sel = mix64(config.seed ^ sess.rotate_left(17), epoch << 32 | i);
+            match T::splice(sess, epoch, i, sel) {
+                Some(op) => Action::Write(op),
+                None => T::translate(sess, epoch, i, op),
             }
-            translate(sess, epoch, i as u64, op)
         })
         .collect()
 }
 
-/// Map one trace verb onto the service alphabet. Subjects are scoped
-/// `c{sess}e{epoch}:*` so every session's writes are attributable, plus
-/// a small shared `hot:doc*` set so sessions genuinely contend.
-fn translate(sess: u64, epoch: u64, i: u64, op: &TraceOp) -> Action {
-    let bundle = |j: u64| format!("c{sess}e{epoch}:b{j}");
-    let scrap = |j: u64| format!("c{sess}e{epoch}:s{j}");
-    let hot = |j: u64| format!("hot:doc{}", j % 8);
-    match op {
-        TraceOp::BeginOp => Action::Write(ServeOp::insert(
-            &format!("c{sess}e{epoch}:journal"),
-            "checkpoint",
-            &i.to_string(),
-        )),
-        TraceOp::CreateBundle { parent } => Action::Write(ServeOp::Insert {
-            subject: bundle(i),
-            property: "bundleName".into(),
-            object: SnapValue::Literal(format!("bundle {sess}/{epoch}/{i} under {parent}")),
-        }),
-        TraceOp::PlaceMark { mark, bundle: b } => Action::Write(ServeOp::Insert {
-            subject: bundle(b % (i + 1)),
-            property: "containsScrap".into(),
-            object: SnapValue::Resource(scrap(mark % (i + 1))),
-        }),
-        TraceOp::Annotate { scrap: s, note } => Action::Write(ServeOp::Insert {
-            subject: scrap(s % (i + 1)),
-            property: "annotation".into(),
-            object: SnapValue::Literal(format!("note {note} @{i}")),
-        }),
-        TraceOp::Link { from, to } => Action::Write(ServeOp::Insert {
-            subject: scrap(from % (i + 1)),
-            property: "linksTo".into(),
-            object: SnapValue::Resource(hot(*to)),
-        }),
-        TraceOp::DeleteScrap { scrap: s } => Action::Write(ServeOp::Remove {
-            subject: bundle(s % (i + 1)),
-            property: "containsScrap".into(),
-            object: SnapValue::Resource(scrap(s % (i + 1))),
-        }),
-        TraceOp::Undo => Action::Write(ServeOp::SetUnique {
-            subject: hot(i),
-            property: "lastEditor".into(),
-            object: SnapValue::Literal(format!("c{sess} @e{epoch}i{i}")),
-        }),
-        TraceOp::Extract { scrap: s } => Action::Read { subject: scrap(s % (i + 1)) },
-        TraceOp::Query { needle } => Action::Read { subject: hot(*needle) },
-        TraceOp::Commit => Action::Read { subject: format!("c{sess}e{epoch}:journal") },
-    }
-}
-
 /// Run one session's script to completion, tolerating every typed
 /// refusal (that is the point) but recording invariant violations.
-fn drive(session: SessionHandle, script: Vec<Action>, tag: String) -> Outcome {
+fn drive<T: Target>(
+    session: Session<T::M>,
+    script: Vec<Action<Op<T>>>,
+    tag: String,
+) -> Outcome<Op<T>> {
     let mut out = Outcome { acked: Vec::new(), attempts: 0, divergences: Vec::new() };
     for (i, action) in script.into_iter().enumerate() {
-        match action {
+        let op = match action {
             Action::Read { subject } => {
-                // Readers never block: clone the snapshot, scan freely.
-                let snap = session.snapshot();
-                let _ = snap.scan_subject(&subject).count();
+                T::read(&session, &subject);
+                continue;
             }
-            Action::Write(op) => {
-                out.attempts += 1;
-                match session.submit(op.clone()) {
-                    Ok(ack) => {
-                        // Read-your-writes: an ack implies a published
-                        // snapshot at least as new as the op. Annotation
-                        // triples are never removed, so they must be
-                        // visible from here on.
-                        if let ServeOp::Insert { subject, property, object } = &op {
-                            if property == "annotation" {
-                                let t = SnapTriple {
-                                    subject: subject.clone(),
-                                    property: property.clone(),
-                                    object: object.clone(),
-                                };
-                                if !session.snapshot().contains(&t) {
-                                    out.divergences.push(format!(
-                                        "{tag}: acked op {i} invisible in the next snapshot"
-                                    ));
-                                }
-                            }
-                        }
-                        out.acked.push((ack.order, op));
-                    }
-                    // Every refusal is typed and guarantees the op was
-                    // not applied; the model replay below proves it.
-                    Err(ServeError::Overloaded { .. })
-                    | Err(ServeError::Timeout { .. })
-                    | Err(ServeError::Quarantined { .. })
-                    | Err(ServeError::Panicked { .. })
-                    | Err(ServeError::Io { .. })
-                    | Err(ServeError::Engine { .. })
-                    | Err(ServeError::Closed) => {}
-                }
-            }
+            Action::Write(op) => op,
+        };
+        out.attempts += 1;
+        // Every refusal is typed and guarantees the op was not applied;
+        // the replay proves it.
+        let Ok(ack) = session.submit(op.clone()) else { continue };
+        if !T::visible(&session, &op) {
+            out.divergences.push(format!("{tag}: acked op {i} invisible in the next view"));
         }
+        out.acked.push((ack.order, op));
     }
     out
 }
 
-/// The serialized single-session oracle: replay every acknowledged op
-/// in `(epoch, order)` order into a fresh store and digest it.
-fn model_digest(acked: &[(u64, u64, ServeOp)]) -> u64 {
-    let mut ordered: Vec<&(u64, u64, ServeOp)> = acked.iter().collect();
+/// The serialized single-session oracle: replay every acknowledged op in
+/// `(epoch, order)` order into a fresh machine and digest it.
+fn replay<T: Target>(acked: &[(u64, u64, Op<T>)], divergences: &mut Vec<String>) -> u64 {
+    let mut ordered: Vec<&(u64, u64, Op<T>)> = acked.iter().collect();
     ordered.sort_by_key(|(epoch, order, _)| (*epoch, *order));
-    let mut model = TripleStore::new();
-    for (_, _, op) in ordered {
-        op.apply_to(&mut model);
+    T::replay(&ordered, divergences)
+}
+
+// ---------------------------------------------------------------------
+// Triples: the triple-level service
+// ---------------------------------------------------------------------
+
+/// The triple-level soak: [`slimserve::Service`] over a logged
+/// [`TripleStore`], replayed into a fresh store.
+pub struct Triples;
+
+impl Target for Triples {
+    type M = LiveStore;
+    const NAME: &'static str = "chaos";
+    const CRASH_AFTER_ACKS: u64 = 20;
+
+    fn new(_seed: u64) -> Self {
+        Triples
     }
-    SnapshotPublisher::new(&mut model).publish(&mut model).0.digest()
+
+    fn size(profile: Profile) -> (usize, usize) {
+        match profile {
+            Profile::Smoke => (4, 48),
+            Profile::Quick => (8, 160),
+            Profile::Full => (16, 512),
+        }
+    }
+
+    fn open(
+        &self,
+        disk: &Arc<FaultVfs<MemVfs>>,
+        clock: &Arc<MockClock>,
+    ) -> Result<(Service, Option<String>), ServeError> {
+        let (service, report) =
+            Service::open(disk.clone(), Path::new(STORE_PATH), serve_config(), clock.clone())?;
+        Ok((service, Some(report.to_string())))
+    }
+
+    /// Subjects are scoped `c{sess}e{epoch}:*` so every session's writes
+    /// are attributable, plus a small shared `hot:doc*` set so sessions
+    /// genuinely contend.
+    fn translate(sess: u64, epoch: u64, i: u64, op: &TraceOp) -> Action<ServeOp> {
+        let bundle = |j: u64| format!("c{sess}e{epoch}:b{j}");
+        let scrap = |j: u64| format!("c{sess}e{epoch}:s{j}");
+        let hot = |j: u64| format!("hot:doc{}", j % 8);
+        match op {
+            TraceOp::BeginOp => Action::Write(ServeOp::insert(
+                &format!("c{sess}e{epoch}:journal"),
+                "checkpoint",
+                &i.to_string(),
+            )),
+            TraceOp::CreateBundle { parent } => Action::Write(ServeOp::Insert {
+                subject: bundle(i),
+                property: "bundleName".into(),
+                object: SnapValue::Literal(format!("bundle {sess}/{epoch}/{i} under {parent}")),
+            }),
+            TraceOp::PlaceMark { mark, bundle: b } => Action::Write(ServeOp::Insert {
+                subject: bundle(b % (i + 1)),
+                property: "containsScrap".into(),
+                object: SnapValue::Resource(scrap(mark % (i + 1))),
+            }),
+            TraceOp::Annotate { scrap: s, note } => Action::Write(ServeOp::Insert {
+                subject: scrap(s % (i + 1)),
+                property: "annotation".into(),
+                object: SnapValue::Literal(format!("note {note} @{i}")),
+            }),
+            TraceOp::Link { from, to } => Action::Write(ServeOp::Insert {
+                subject: scrap(from % (i + 1)),
+                property: "linksTo".into(),
+                object: SnapValue::Resource(hot(*to)),
+            }),
+            TraceOp::DeleteScrap { scrap: s } => Action::Write(ServeOp::Remove {
+                subject: bundle(s % (i + 1)),
+                property: "containsScrap".into(),
+                object: SnapValue::Resource(scrap(s % (i + 1))),
+            }),
+            TraceOp::Undo => Action::Write(ServeOp::SetUnique {
+                subject: hot(i),
+                property: "lastEditor".into(),
+                object: SnapValue::Literal(format!("c{sess} @e{epoch}i{i}")),
+            }),
+            TraceOp::Extract { scrap: s } => Action::Read { subject: scrap(s % (i + 1)) },
+            TraceOp::Query { needle } => Action::Read { subject: hot(*needle) },
+            TraceOp::Commit => Action::Read { subject: format!("c{sess}e{epoch}:journal") },
+        }
+    }
+
+    fn splice(sess: u64, epoch: u64, i: u64, sel: u64) -> Option<ServeOp> {
+        sel.is_multiple_of(13)
+            .then(|| Self::panic_op(format!("chaos panic s{sess} e{epoch} i{i}")))
+    }
+
+    fn panic_op(detail: String) -> ServeOp {
+        ServeOp::ChaosPanic { detail }
+    }
+
+    fn park_op(gate: Gate) -> ServeOp {
+        ServeOp::ChaosPark(gate)
+    }
+
+    fn marker_op(name: &str) -> ServeOp {
+        ServeOp::insert(name, "p", "v")
+    }
+
+    /// Readers never block: clone the snapshot, scan freely.
+    fn read(session: &Session<LiveStore>, subject: &str) {
+        let _ = session.snapshot().scan_subject(subject).count();
+    }
+
+    /// An ack implies a published snapshot at least as new as the op.
+    /// Annotation triples are never removed, so they must be visible
+    /// from here on.
+    fn visible(session: &Session<LiveStore>, op: &ServeOp) -> bool {
+        match op {
+            ServeOp::Insert { subject, property, object } if property == "annotation" => {
+                let t = SnapTriple {
+                    subject: subject.clone(),
+                    property: property.clone(),
+                    object: object.clone(),
+                };
+                session.snapshot().contains(&t)
+            }
+            _ => true,
+        }
+    }
+
+    fn digest(view: &Snapshot) -> u64 {
+        view.digest()
+    }
+
+    fn replay(ops: &[&(u64, u64, ServeOp)], _: &mut Vec<String>) -> u64 {
+        let mut model = TripleStore::new();
+        for (_, _, op) in ops {
+            op.apply_to(&mut model);
+        }
+        SnapshotPublisher::new(&mut model).publish(&mut model).0.digest()
+    }
+
+    fn disk_digest(disk: &dyn Vfs, divergences: &mut Vec<String>) -> u64 {
+        match TripleStore::open_logged(disk, Path::new(STORE_PATH)) {
+            Ok((mut store, _, _)) => {
+                SnapshotPublisher::new(&mut store).publish(&mut store).0.digest()
+            }
+            Err(e) => {
+                divergences.push(format!("reopen: post-shutdown store failed to open: {e}"));
+                0
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Pads: the pad-level service
+// ---------------------------------------------------------------------
+
+/// The pad-level soak: [`PadService`] over the ward universe, with
+/// every text resolution routed through a [`FlakyControl`]-governed
+/// storm, replayed into a fresh [`PadMachine`] mirror. Injected faults
+/// may only touch what the pad digest deliberately excludes (excerpts,
+/// resolver bookkeeping) — structure, mark identity, and addresses must
+/// come out exactly equal.
+pub struct Pads {
+    control: FlakyControl,
+}
+
+/// The storm profile the soak arms: every fault kind, biased towards
+/// the retryable ones so the resolver's whole state machine cycles.
+fn storm() -> FaultProfile {
+    FaultProfile { transient_pct: 20, latency_pct: 8, gone_pct: 6, drift_pct: 6, latency_ms: 150 }
+}
+
+fn resolver_policy() -> RetryPolicy {
+    RetryPolicy {
+        max_attempts: 3,
+        base_backoff_ms: 1,
+        max_backoff_ms: 8,
+        deadline_ms: 120,
+        jitter_seed: 0x9ad,
+    }
+}
+
+fn module_breaker() -> BreakerConfig {
+    BreakerConfig { failure_threshold: 4, cooldown_ms: 400, probe_budget: 2, probe_successes: 1 }
+}
+
+/// Open a pad service over `disk` with the ward universe and the given
+/// flaky-control handle.
+fn open_pad(
+    disk: &Arc<FaultVfs<MemVfs>>,
+    clock: &Arc<MockClock>,
+    control: &FlakyControl,
+    profile: FaultProfile,
+) -> Result<PadService, ServeError> {
+    let factory = ward_factory(
+        (**clock).clone(),
+        profile,
+        control.clone(),
+        resolver_policy(),
+        module_breaker(),
+        2,
+    );
+    PadService::open(disk.clone(), Path::new(PAD_PATH), serve_config(), clock.clone(), factory)
+}
+
+impl Target for Pads {
+    type M = LivePad;
+    const NAME: &'static str = "chaos-pad";
+    const CRASH_AFTER_ACKS: u64 = 10;
+
+    fn new(seed: u64) -> Self {
+        Pads { control: FlakyControl::new(seed) }
+    }
+
+    fn size(profile: Profile) -> (usize, usize) {
+        match profile {
+            Profile::Smoke => (4, 40),
+            Profile::Quick => (8, 120),
+            Profile::Full => (16, 400),
+        }
+    }
+
+    fn open(
+        &self,
+        disk: &Arc<FaultVfs<MemVfs>>,
+        clock: &Arc<MockClock>,
+    ) -> Result<(PadService, Option<String>), ServeError> {
+        Ok((open_pad(disk, clock, &self.control, storm())?, None))
+    }
+
+    /// Names and labels carry `(session, epoch, index)` so every acked
+    /// mutation is attributable in the digest; selectors stay raw (the
+    /// service resolves them modulo the live population, and the mirror
+    /// replays that resolution exactly).
+    fn translate(sess: u64, epoch: u64, i: u64, op: &TraceOp) -> Action<PadOp> {
+        Action::Write(match op {
+            TraceOp::BeginOp => {
+                if i.is_multiple_of(3) {
+                    PadOp::Compact
+                } else {
+                    PadOp::Inspect
+                }
+            }
+            TraceOp::CreateBundle { parent } => PadOp::CreateBundle {
+                name: format!("bundle s{sess}e{epoch}i{i}"),
+                pos: ((i as i64 % 40) * 12, (sess as i64 % 8) * 18),
+                width: 160,
+                height: 120,
+                parent: Some(*parent),
+            },
+            TraceOp::PlaceMark { mark, bundle } => PadOp::CreateMark {
+                doc: ward_doc(*mark),
+                paragraph: mark % WARD_PARAGRAPHS as u64,
+                start: (mark % 4) * 5,
+                len: 6 + mark % 12,
+                label: format!("mark s{sess}e{epoch}i{i}"),
+                pos: ((i as i64 % 50) * 9, ((mark % 16) as i64) * 11),
+                bundle: Some(*bundle),
+            },
+            TraceOp::Annotate { scrap, note } => PadOp::Annotate {
+                scrap: *scrap,
+                text: format!("note {note} s{sess}e{epoch}i{i}"),
+            },
+            TraceOp::Link { from, to } => PadOp::Link { from: *from, to: *to },
+            // The pad service has no destructive delete; the closest
+            // churn is re-pointing the scrap's mark at a fresh address.
+            TraceOp::DeleteScrap { scrap } => PadOp::Rebind {
+                scrap: *scrap,
+                doc: ward_doc(scrap ^ i),
+                paragraph: (scrap ^ i) % WARD_PARAGRAPHS as u64,
+                start: 0,
+                len: 10,
+            },
+            TraceOp::Undo => PadOp::Undo,
+            TraceOp::Extract { scrap } => PadOp::Extract { scrap: *scrap },
+            TraceOp::Query { needle } => PadOp::Resolve { scrap: *needle },
+            TraceOp::Commit => PadOp::Commit,
+        })
+    }
+
+    fn splice(sess: u64, epoch: u64, i: u64, sel: u64) -> Option<PadOp> {
+        match sel % 13 {
+            0 => Some(Self::panic_op(format!("chaos panic s{sess} e{epoch} i{i}"))),
+            1 => Some(PadOp::Redo),
+            _ => None,
+        }
+    }
+
+    fn panic_op(detail: String) -> PadOp {
+        PadOp::ChaosPanic { detail }
+    }
+
+    fn park_op(gate: Gate) -> PadOp {
+        PadOp::ChaosPark(gate)
+    }
+
+    fn marker_op(name: &str) -> PadOp {
+        PadOp::CreateBundle { name: name.into(), pos: (0, 0), width: 10, height: 10, parent: None }
+    }
+
+    fn digest(view: &u64) -> u64 {
+        *view
+    }
+
+    fn replay(ops: &[&(u64, u64, PadOp)], divergences: &mut Vec<String>) -> u64 {
+        let mut mirror = ward_mirror();
+        for (epoch, order, op) in ops {
+            if let Err(e) = mirror.apply(op) {
+                divergences.push(format!(
+                    "acked op (epoch {epoch}, order {order}) {op:?} refused in mirror replay: {e}"
+                ));
+            }
+        }
+        mirror.digest()
+    }
+
+    fn disk_digest(disk: &dyn Vfs, divergences: &mut Vec<String>) -> u64 {
+        ward_reopen(disk, Path::new(PAD_PATH)).map_or_else(
+            |e| {
+                divergences.push(format!("reopen: post-shutdown pad failed to open: {e}"));
+                0
+            },
+            |machine| machine.digest(),
+        )
+    }
+
+    fn calm(&self) {
+        self.control.disarm();
+    }
+
+    /// Quarantine-and-repair, deterministically, on a rig of its own
+    /// (repair re-derives addresses from quarantine state, which
+    /// injected faults steer — it must stay out of the differential
+    /// soak): empty-journal undo is a typed refusal; a mark is created
+    /// against live text (capturing its excerpt); its resolutions are
+    /// faulted with `DocumentGone` until the resolver quarantines it;
+    /// the storm is disarmed; and an online [`PadOp::Repair`] must find
+    /// the excerpt in the base layer and re-bind the mark.
+    fn drills(&self, seed: u64, books: &mut Books) {
+        let disk = Arc::new(FaultVfs::unarmed(MemVfs::new()));
+        let clock = Arc::new(MockClock::new());
+        let control = FlakyControl::new(seed);
+        control.disarm();
+        let gone =
+            FaultProfile { transient_pct: 0, latency_pct: 0, gone_pct: 100, drift_pct: 0, latency_ms: 0 };
+        let service = open_pad(&disk, &clock, &control, gone).expect("repair drill pad opens");
+        let session = service.session();
+        let submit = |op: PadOp, what: &str, books: &mut Books| -> Option<PadOutcome> {
+            books.attempts += 1;
+            match session.submit(op) {
+                Ok(ack) => {
+                    books.drill_acks += 1;
+                    Some(ack.outcome)
+                }
+                Err(e) => {
+                    books.divergences.push(format!("repair drill: {what} refused: {e}"));
+                    None
+                }
+            }
+        };
+        books.attempts += 1;
+        match service.session().submit(PadOp::Undo) {
+            Err(ServeError::Engine { .. }) => {}
+            other => books.divergences.push(format!("repair drill: empty undo got {other:?}")),
+        }
+        let target = "Ward 1 paragraph 2";
+        let create = PadOp::CreateMark {
+            doc: ward_doc(1),
+            paragraph: 2,
+            start: 0,
+            len: target.len() as u64,
+            label: "drill mark".into(),
+            pos: (0, 0),
+            bundle: None,
+        };
+        submit(create, "create", books);
+        control.arm(); // every base-layer drive now reports DocumentGone
+        let mut quarantined = false;
+        for k in 0..3 {
+            match submit(PadOp::Resolve { scrap: 0 }, "faulted resolve", books) {
+                Some(PadOutcome::Resolved { degraded: true, quarantined: q, .. }) => quarantined = q,
+                Some(other) => books
+                    .divergences
+                    .push(format!("repair drill: resolve {k} not degraded: {other:?}")),
+                None => {}
+            }
+        }
+        if !quarantined {
+            books.divergences.push("repair drill: dangling mark never quarantined".into());
+        }
+        control.disarm();
+        match submit(PadOp::Repair, "repair", books) {
+            Some(PadOutcome::Repaired { rebound: 1, still_quarantined: 0 }) => {}
+            Some(other) => {
+                books.divergences.push(format!("repair drill: unexpected repair {other:?}"))
+            }
+            None => {}
+        }
+        match submit(PadOp::Resolve { scrap: 0 }, "post-repair resolve", books) {
+            Some(PadOutcome::Resolved { degraded: false, quarantined: false, display })
+                if !display.contains(target) =>
+            {
+                books.divergences.push(format!("repair drill: repaired mark resolves to {display:?}"))
+            }
+            Some(PadOutcome::Resolved { degraded: false, quarantined: false, .. }) => {}
+            Some(other) => {
+                books.divergences.push(format!("repair drill: post-repair resolve {other:?}"))
+            }
+            None => {}
+        }
+        books.stats += service.shutdown();
+    }
+
+    fn observed(stats: &ServeStats, divergences: &mut Vec<String>) {
+        if stats.degraded_resolutions == 0 {
+            divergences.push("the storm never produced a degraded resolution".into());
+        }
+        if stats.repairs == 0 {
+            divergences.push("the repair drill never re-bound a quarantined mark".into());
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn assert_clean<T: Target>(config: &ChaosConfig) -> ChaosReport {
+        let report = run::<T>(config);
+        assert!(
+            report.passed(),
+            "{} divergences: {:#?}\nstats: {:?}",
+            report.target,
+            report.divergences,
+            report.stats
+        );
+        assert_eq!(report.live_digest, report.replay_digest);
+        assert_eq!(report.disk_digest, report.replay_digest);
+        report
+    }
+
     /// The tier-1 chaos gate: a smoke-profile run with the full fault
     /// menu (panics, I/O faults, clock stalls, torn-append crash) must
     /// come out differentially clean.
     #[test]
     fn smoke_chaos_soak_passes() {
-        let config = ChaosConfig::new(Profile::Smoke, 0xC0FFEE);
-        let report = run(&config);
-        assert!(
-            report.passed(),
-            "chaos divergences: {:#?}\nstats: {:?}",
-            report.divergences,
-            report.stats
-        );
+        let report = assert_clean::<Triples>(&ChaosConfig::new::<Triples>(Profile::Smoke, 0xC0FFEE));
         assert!(report.recovery.is_some(), "the crash leg must actually run");
-        assert_eq!(report.service_digest, report.model_digest);
-        assert_eq!(report.disk_digest, report.model_digest);
     }
 
     /// Crash-free variant: one service incarnation end to end.
     #[test]
     fn chaos_soak_without_crash_passes() {
-        let mut config = ChaosConfig::new(Profile::Smoke, 0xFEED);
+        let mut config = ChaosConfig::new::<Triples>(Profile::Smoke, 0xFEED);
         config.crash = false;
-        let report = run(&config);
-        assert!(report.passed(), "chaos divergences: {:#?}", report.divergences);
+        let report = assert_clean::<Triples>(&config);
         assert!(report.recovery.is_none());
     }
 
+    /// The same gate one layer up, with the base-layer storm and the
+    /// repair drill on top.
+    #[test]
+    fn smoke_chaos_pad_soak_passes() {
+        assert_clean::<Pads>(&ChaosConfig::new::<Pads>(Profile::Smoke, 0xC0FFEE));
+    }
+
+    #[test]
+    fn chaos_pad_soak_without_crash_passes() {
+        let mut config = ChaosConfig::new::<Pads>(Profile::Smoke, 0xFEED);
+        config.crash = false;
+        assert_clean::<Pads>(&config);
+    }
+
     /// Two runs with one seed must make identical scripts (the report
-    /// depends on thread interleaving, the workload must not).
+    /// depends on thread interleaving, the workload must not), and
+    /// epochs get distinct ones.
     #[test]
     fn scripts_are_seed_deterministic() {
-        let config = ChaosConfig::new(Profile::Smoke, 7);
-        let a = session_script(&config, 3, 1);
-        let b = session_script(&config, 3, 1);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            match (x, y) {
-                (Action::Write(p), Action::Write(q)) => assert_eq!(p, q),
-                (Action::Read { subject: p }, Action::Read { subject: q }) => assert_eq!(p, q),
-                _ => panic!("schedules diverged in shape"),
-            }
+        fn writes<T: Target>(config: &ChaosConfig, epoch: u64) -> Vec<String> {
+            session_script::<T>(config, 3, epoch)
+                .iter()
+                .map(|a| match a {
+                    Action::Write(op) => format!("{op:?}"),
+                    Action::Read { subject } => format!("read {subject}"),
+                })
+                .collect()
         }
+        let config = ChaosConfig::new::<Triples>(Profile::Smoke, 7);
+        assert_eq!(writes::<Triples>(&config, 1), writes::<Triples>(&config, 1));
+        let config = ChaosConfig::new::<Pads>(Profile::Smoke, 7);
+        assert_eq!(writes::<Pads>(&config, 1), writes::<Pads>(&config, 1));
+        assert_ne!(writes::<Pads>(&config, 1), writes::<Pads>(&config, 2));
     }
 }

@@ -17,15 +17,12 @@
 //!   generated corpus with invariant checkpoints (metamodel conformance
 //!   plus the count oracle) and a mid-run crash/recovery through the
 //!   fault-injecting VFS.
-//! * [`chaos`] — the concurrent-service chaos soak: N interleaved
-//!   sessions of trace traffic through `slimserve` with injected
-//!   panics, I/O faults, clock stalls, and a mid-run crash,
-//!   differentially checked against a serialized single-session model.
-//! * [`chaos_pad`] — the same discipline one layer up: pad-level
-//!   sessions (marks, excerpts, undo, repair) through
-//!   `slimserve::PadService` with a base-layer fault storm on top of
-//!   the full menu, verdict = live pad digest == serialized replay of
-//!   acked pad ops == post-crash on-disk state.
+//! * [`chaos`] — the supervised-service chaos soak, once for both
+//!   services: N interleaved sessions of trace traffic through
+//!   `slimserve` with injected panics, I/O faults, clock stalls, and a
+//!   mid-run crash, verdict = live view == serialized single-session
+//!   replay of the acked ops == post-crash on-disk state. The pad target
+//!   adds a base-layer fault storm and a quarantine-and-repair drill.
 //!
 //! Everything is a pure function of `(profile, seed)`: the same pair
 //! reproduces the same corpus XML byte for byte and the same trace
@@ -35,7 +32,6 @@
 //! 0x…`.
 
 pub mod chaos;
-pub mod chaos_pad;
 pub mod corpus;
 pub mod seed_ops;
 pub mod soak;

@@ -3,18 +3,17 @@
 //! ```text
 //! slimgen --digest --profile quick --seed 0xC0FFEE   # corpus + trace digests
 //! slimgen --soak   --profile quick --seed 0xC0FFEE   # checkpointed soak + crash
-//! slimgen --chaos  --profile quick --seed 0xC0FFEE   # concurrent service chaos
+//! slimgen --chaos  --profile quick --seed 0xC0FFEE   # triple-level service chaos
 //! slimgen --chaos-pad --profile quick --seed 0xC0FFEE # pad-level service chaos
 //! ```
 //!
-//! `--soak` and `--chaos` exit non-zero on any oracle divergence — that
-//! exit code is the CI soak jobs' verdict. All modes print the seed so
-//! any report can be replayed verbatim.
+//! `--soak`, `--chaos` and `--chaos-pad` exit non-zero on any oracle
+//! divergence — that exit code is the CI soak jobs' verdict. All modes
+//! print the seed so any report can be replayed verbatim.
 
 use std::process::ExitCode;
 
-use slimgen::chaos::{self, ChaosConfig};
-use slimgen::chaos_pad::{self, ChaosPadConfig};
+use slimgen::chaos::{self, ChaosConfig, Pads, Triples};
 use slimgen::soak::{self, SoakConfig};
 use slimgen::trace::{self, Mix};
 use slimgen::{corpus, Profile};
@@ -87,12 +86,20 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.mode == Mode::ChaosPad {
-        let mut config = ChaosPadConfig::new(args.profile, args.seed);
+    if args.mode == Mode::Chaos || args.mode == Mode::ChaosPad {
+        let mut config = if args.mode == Mode::Chaos {
+            ChaosConfig::new::<Triples>(args.profile, args.seed)
+        } else {
+            ChaosConfig::new::<Pads>(args.profile, args.seed)
+        };
         config.mix = args.mix;
         config.crash = !args.no_crash;
-        let report = chaos_pad::run(&config);
-        println!("slimgen chaos-pad  seed={:#x}  mix={}", args.seed, args.mix.name());
+        let report = if args.mode == Mode::Chaos {
+            chaos::run::<Triples>(&config)
+        } else {
+            chaos::run::<Pads>(&config)
+        };
+        println!("slimgen {}  seed={:#x}  mix={}", report.target, args.seed, args.mix.name());
         println!(
             "  {} sessions x {} ops x 2 epochs, crash: {}",
             report.sessions, report.ops_per_session, report.crash
@@ -112,57 +119,21 @@ fn main() -> ExitCode {
             s.closed_refusals
         );
         println!(
-            "  {} commits, {} compactions, {} degraded resolutions, {} repairs",
-            s.commits, s.compactions, s.degraded_resolutions, s.repairs
-        );
-        println!(
-            "  digests: live {:#018x}  replay {:#018x}  disk {:#018x}",
-            report.live_digest, report.replay_digest, report.disk_digest
-        );
-        return if report.passed() {
-            println!("  PASS: zero divergences");
-            ExitCode::SUCCESS
-        } else {
-            for d in &report.divergences {
-                eprintln!("  DIVERGENCE: {d}");
-            }
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.mode == Mode::Chaos {
-        let mut config = ChaosConfig::new(args.profile, args.seed);
-        config.mix = args.mix;
-        config.crash = !args.no_crash;
-        let report = chaos::run(&config);
-        println!("slimgen chaos  seed={:#x}  mix={}", args.seed, args.mix.name());
-        println!(
-            "  {} sessions x {} ops x 2 epochs, crash: {}",
-            report.sessions, report.ops_per_session, report.crash
-        );
-        let s = &report.stats;
-        println!(
-            "  {} attempts: {} acked, {} shed, {} timed out, {} panicked, {} quarantined, \
-             {} io-refused, {} closed",
-            report.attempts,
-            s.acked,
-            s.shed,
-            s.timed_out,
-            s.panicked,
-            s.quarantine_rejections,
-            s.io_refusals,
-            s.closed_refusals
-        );
-        println!(
-            "  {} commits, {} compactions, {} snapshots ({} rebuilt)",
-            s.commits, s.compactions, s.snapshots_published, s.snapshot_rebuilds
+            "  {} commits, {} compactions, {} views published ({} rebuilt), \
+             {} degraded resolutions, {} repairs",
+            s.commits,
+            s.compactions,
+            s.snapshots_published,
+            s.snapshot_rebuilds,
+            s.degraded_resolutions,
+            s.repairs
         );
         if let Some(recovery) = &report.recovery {
             println!("  recovery: {recovery}");
         }
         println!(
-            "  digests: service {:#018x}  model {:#018x}  disk {:#018x}",
-            report.service_digest, report.model_digest, report.disk_digest
+            "  digests: live {:#018x}  replay {:#018x}  disk {:#018x}",
+            report.live_digest, report.replay_digest, report.disk_digest
         );
         return if report.passed() {
             println!("  PASS: zero divergences");

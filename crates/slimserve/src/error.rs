@@ -47,9 +47,9 @@ pub enum ServeError {
         /// The panic payload, when it was a string.
         detail: String,
     },
-    /// The durable commit failed (I/O). The whole batch was rolled
-    /// back to the last committed revision; the log self-repairs on
-    /// the next append.
+    /// The durable commit (or an op's rollback) failed. Every op the
+    /// batch had applied was refused and the machine repaired to its
+    /// last durable state.
     Io {
         /// The underlying error, rendered.
         detail: String,

@@ -7,7 +7,7 @@
 
 use std::sync::{Arc, Condvar, Mutex};
 
-use trim::{Revision, SnapValue, Triple, TripleStore, Value};
+use trim::{SnapValue, Triple, TripleStore, Value};
 
 use crate::error::ServeError;
 
@@ -82,8 +82,8 @@ impl ServeOp {
     /// [`ServeOp::ChaosPanic`] panics (that is its whole point — the
     /// writer contains it; a model replay never sees one because a
     /// panicking op is never acknowledged). [`ServeOp::ChaosPark`] is a
-    /// store no-op: the writer handles the parking itself, outside the
-    /// supervised apply.
+    /// store no-op: the writer's machine parks on the gate before
+    /// calling this.
     pub fn apply_to(&self, store: &mut TripleStore) {
         match self {
             ServeOp::Insert { subject, property, object } => {
@@ -137,23 +137,21 @@ fn value_of(store: &mut TripleStore, v: &SnapValue) -> Value {
 /// Sent only after the op's batch was group-committed through the WAL
 /// (or proved a no-op against already-durable state). `order` is the
 /// writer's serialization order: replaying every acknowledged op of a
-/// run in ascending `order` into a fresh single-session store yields
+/// run in ascending `order` into a fresh single-session machine yields
 /// exactly the service's final state — the invariant the chaos harness
 /// checks differentially.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ack {
+pub struct Ack<O = ()> {
     /// Writer-assigned position in the global serialization.
     pub order: u64,
-    /// Store revision after this op's batch was applied.
-    pub revision: Revision,
     /// WAL frame that made the batch durable; `None` when the batch
     /// turned out to be a no-op (nothing needed writing).
     pub durable_seq: Option<u64>,
+    /// What the op did (`()` for triple ops).
+    pub outcome: O,
 }
 
-/// A write submission's verdict mailbox, generic over the ack type so
-/// the triple-level service ([`Ack`]) and the pad service share one
-/// mechanism.
+/// A write submission's verdict mailbox.
 #[derive(Debug)]
 pub(crate) struct Slot<A> {
     result: Mutex<Option<Result<A, ServeError>>>,

@@ -1,58 +1,54 @@
-//! The pad service: many user-facing pad sessions over one supervised
-//! pad engine.
+//! The pad-level [`Machine`]: many user-facing pad sessions over one
+//! supervised pad engine.
 //!
-//! PR 8's [`crate::Service`] fronts the bare [`trim::TripleStore`]; the
-//! paper's clinicians work a level up — marks, excerpts, bundles, undo.
-//! `PadService` lifts the same supervision discipline to that layer:
+//! [`crate::Service`] fronts the bare [`trim::TripleStore`]; the paper's
+//! clinicians work a level up — marks, excerpts, bundles, undo.
+//! [`LivePad`] puts that layer under the same [`crate::Supervisor`]:
 //!
 //! * **One writer owns the pad.** A [`slimpad::PadEngine`] (store +
-//!   marks + resolver + WAL) lives on a single writer thread; sessions
-//!   submit typed [`PadOp`]s through a bounded queue and get back a
-//!   [`PadAck`] carrying the op's [`PadOutcome`].
-//! * **Every op is contained.** The writer applies each op under
-//!   `catch_unwind` with a journal checkpoint and a mark-store snapshot:
-//!   a panicking or erroring op is rolled back to its pre-op state and
-//!   refused with a typed [`ServeError`] — the pad, the batch's other
-//!   ops, and the writer survive. Deadlines, overload shedding (with
-//!   the retry hint), and per-session breakers work exactly as in the
-//!   triple-level service.
-//! * **Ack ⇒ durable.** The writer group-commits the engine (store
-//!   delta + marks sidecar, one WAL frame, one sync) after every batch
-//!   and acknowledges only afterwards, so replaying the acknowledged
-//!   [`PadOp`]s of a run into a fresh [`PadMachine`] reproduces the
-//!   live pad exactly — and so does reopening the on-disk state after a
-//!   crash. That three-way equality is the `slimgen --chaos-pad`
-//!   verdict.
+//!   marks + resolver + WAL) is built and lives on the writer thread
+//!   (its resolver is `!Send`); sessions submit typed [`PadOp`]s and get
+//!   back a [`PadAck`] carrying the op's [`PadOutcome`].
+//! * **Rollback is in place.** A refused or panicking op is undone
+//!   through the store journal and the mark manager's undo journal
+//!   ([`marks::MarkManager::rollback_to`]), and the undo/redo op
+//!   journals are truncated to their pre-op depth.
+//! * **Repair reopens from disk.** A failed commit truncates the log's
+//!   suspect tail and rebuilds the machine from the durable snapshot,
+//!   WAL and marks sidecar through the [`PadPartsFactory`].
+//! * **The view is a digest.** Readers see the pad's logical digest,
+//!   published after every durable batch; replaying the acknowledged
+//!   [`PadOp`]s of a run into a fresh [`PadMachine`] reproduces it
+//!   exactly — and so does reopening the on-disk state after a crash.
+//!   That three-way equality is the `slimgen --chaos-pad` verdict.
 //! * **Mark resolution degrades, never hangs.** Resolution runs through
-//!   the PR 3 [`marks::ResilientResolver`] (deadlines, per-module
-//!   breakers, quarantine); a [`marks::FlakyModule`] can be armed
-//!   through its shared [`marks::FlakyControl`] from any thread, and
-//!   readers observe `DegradedExcerpt` fallbacks in the ack rather than
-//!   a hang or a panic.
+//!   the [`marks::ResilientResolver`] (deadlines, per-module breakers,
+//!   quarantine); a [`marks::FlakyModule`] can be armed through its
+//!   shared [`marks::FlakyControl`] from any thread, and readers observe
+//!   `DegradedExcerpt` fallbacks in the ack rather than a hang or a
+//!   panic.
 //!
-//! The digest the differential verdict compares is *logical*: bundle
-//! and scrap content keyed by canonical position, mark identities and
-//! addresses — never minted resource ids (which legitimately diverge
-//! across rolled-back ops and crash recoveries) and never excerpts
-//! (which legitimately diverge under injected base-layer faults).
+//! The digest is *logical*: bundle and scrap content keyed by canonical
+//! position, mark identities and addresses — never minted resource ids
+//! (which legitimately diverge across rolled-back ops and crash
+//! recoveries) and never excerpts (which legitimately diverge under
+//! injected base-layer faults).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use basedocs::textdoc::TextTarget;
 use basedocs::{DocKind, Span, TextAddress};
-use marks::resilience::{Admit, Breaker, BreakerConfig, BreakerState, Clock};
-use marks::{MarkAddress, MarkManager, ResilientResolver};
+use marks::resilience::{BreakerConfig, Clock};
+use marks::{MarkAddress, MarkCheckpoint, MarkManager, ResilientResolver};
 use slimio::Vfs;
 use slimpad::{PadEngine, PadError};
 use slimstore::{BundleHandle, ScrapHandle};
 
-use crate::error::{suggested_backoff_ms, ServeError};
-use crate::op::{lock, wait, Gate, Slot, Ticket};
-use crate::service::quiet_catch_unwind;
+use crate::error::ServeError;
+use crate::op::{Ack, Gate};
+use crate::service::{Durable, Ledger, Machine, ServeConfig, ServeStats, Session, Supervisor};
 
 impl From<PadError> for ServeError {
     /// A typed domain refusal from the pad engine: the op was rolled
@@ -141,161 +137,13 @@ pub enum PadOutcome {
 }
 
 /// Acknowledgement of a durably committed pad op.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PadAck {
-    /// Writer-assigned position in the pad's global serialization.
-    pub order: u64,
-    /// WAL frame that made the op's batch durable; `None` when the
-    /// batch was clean (nothing needed writing).
-    pub durable_seq: Option<u64>,
-    /// What the op did.
-    pub outcome: PadOutcome,
-}
+pub type PadAck = Ack<PadOutcome>;
 
-/// Tuning for a [`PadService`].
-#[derive(Debug, Clone)]
-pub struct PadConfig {
-    /// Op-queue bound; submissions beyond it are shed with
-    /// [`ServeError::Overloaded`] (and its retry hint).
-    pub queue_capacity: usize,
-    /// Most ops the writer applies per group commit.
-    pub max_batch: usize,
-    /// Deadline stamped on each op at submission.
-    pub op_deadline_ms: u64,
-    /// Per-session circuit-breaker tuning.
-    pub breaker: BreakerConfig,
-    /// Log size (bytes) past which the engine compacts.
-    pub compact_threshold: u64,
-}
+/// Tuning for a [`PadService`] — the one service config.
+pub type PadConfig = ServeConfig;
 
-impl Default for PadConfig {
-    fn default() -> Self {
-        PadConfig {
-            queue_capacity: 256,
-            max_batch: 32,
-            op_deadline_ms: 1_000,
-            breaker: BreakerConfig::default(),
-            compact_threshold: 1 << 20,
-        }
-    }
-}
-
-/// Monotonic counters for everything the pad service did. Every
-/// submission lands in exactly one of `acked`, `shed`, `timed_out`,
-/// `panicked`, `engine_refusals`, `quarantine_rejections`,
-/// `io_refusals`, or `closed_refusals` — the ledger the chaos harness
-/// balances (zero silent drops).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PadServeStats {
-    /// Ops accepted into the queue.
-    pub submitted: u64,
-    /// Ops durably committed and acknowledged.
-    pub acked: u64,
-    /// Ops shed at admission (queue full).
-    pub shed: u64,
-    /// Sum of the [`ServeError::Overloaded`] retry hints handed out.
-    pub shed_backoff_ms: u64,
-    /// Ops refused because their deadline passed in the queue.
-    pub timed_out: u64,
-    /// Ops that panicked and were rolled back.
-    pub panicked: u64,
-    /// Ops the engine refused with a typed domain error (rolled back).
-    pub engine_refusals: u64,
-    /// Submissions refused because the session was quarantined.
-    pub quarantine_rejections: u64,
-    /// Ops refused because their batch's commit failed.
-    pub io_refusals: u64,
-    /// Ops refused because the service was closing.
-    pub closed_refusals: u64,
-    /// Durable group commits.
-    pub commits: u64,
-    /// Log compactions.
-    pub compactions: u64,
-    /// Acked resolutions that fell back to the stored excerpt.
-    pub degraded_resolutions: u64,
-    /// Quarantined marks re-bound by repair passes.
-    pub repairs: u64,
-}
-
-impl std::ops::AddAssign for PadServeStats {
-    /// Field-wise sum, for merging counters across crash incarnations.
-    fn add_assign(&mut self, rhs: PadServeStats) {
-        self.submitted += rhs.submitted;
-        self.acked += rhs.acked;
-        self.shed += rhs.shed;
-        self.shed_backoff_ms += rhs.shed_backoff_ms;
-        self.timed_out += rhs.timed_out;
-        self.panicked += rhs.panicked;
-        self.engine_refusals += rhs.engine_refusals;
-        self.quarantine_rejections += rhs.quarantine_rejections;
-        self.io_refusals += rhs.io_refusals;
-        self.closed_refusals += rhs.closed_refusals;
-        self.commits += rhs.commits;
-        self.compactions += rhs.compactions;
-        self.degraded_resolutions += rhs.degraded_resolutions;
-        self.repairs += rhs.repairs;
-    }
-}
-
-impl PadServeStats {
-    /// Submissions minus every accounted verdict — zero when no op was
-    /// silently dropped. Admission refusals (shed, quarantine, closed)
-    /// never enter `submitted`, so the balance is over the queue only.
-    pub fn unaccounted(&self) -> i64 {
-        self.submitted as i64
-            - (self.acked + self.timed_out + self.panicked + self.engine_refusals
-                + self.io_refusals
-                + self.closed_refusals) as i64
-    }
-}
-
-#[derive(Default)]
-struct AtomicPadStats {
-    submitted: AtomicU64,
-    acked: AtomicU64,
-    shed: AtomicU64,
-    shed_backoff_ms: AtomicU64,
-    timed_out: AtomicU64,
-    panicked: AtomicU64,
-    engine_refusals: AtomicU64,
-    quarantine_rejections: AtomicU64,
-    io_refusals: AtomicU64,
-    closed_refusals: AtomicU64,
-    commits: AtomicU64,
-    compactions: AtomicU64,
-    degraded_resolutions: AtomicU64,
-    repairs: AtomicU64,
-}
-
-impl AtomicPadStats {
-    fn bump(field: &AtomicU64) {
-        field.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn add(field: &AtomicU64, amount: u64) {
-        field.fetch_add(amount, Ordering::Relaxed);
-    }
-
-    fn read(&self) -> PadServeStats {
-        let get = |f: &AtomicU64| f.load(Ordering::Relaxed);
-        PadServeStats {
-            submitted: get(&self.submitted),
-            acked: get(&self.acked),
-            shed: get(&self.shed),
-            shed_backoff_ms: get(&self.shed_backoff_ms),
-            timed_out: get(&self.timed_out),
-            panicked: get(&self.panicked),
-            engine_refusals: get(&self.engine_refusals),
-            quarantine_rejections: get(&self.quarantine_rejections),
-            io_refusals: get(&self.io_refusals),
-            closed_refusals: get(&self.closed_refusals),
-            commits: get(&self.commits),
-            compactions: get(&self.compactions),
-            degraded_resolutions: get(&self.degraded_resolutions),
-            repairs: get(&self.repairs),
-        }
-    }
-}
+/// A [`PadService`]'s ledger — the one service ledger.
+pub type PadServeStats = ServeStats;
 
 // ---------------------------------------------------------------------
 // PadMachine: the deterministic core shared by writer and replay
@@ -319,6 +167,15 @@ pub struct PadParts {
 /// Search the base layer for addresses whose current content equals the
 /// needle exactly — the repair pass's candidate discovery.
 pub type ExcerptSearch = Box<dyn FnMut(&str) -> Vec<MarkAddress>>;
+
+/// A pre-op state of a [`PadMachine`], taken by
+/// [`PadMachine::checkpoint`].
+pub struct PadCheckpoint {
+    revision: trim::Revision,
+    marks: MarkCheckpoint,
+    undo: usize,
+    redo: usize,
+}
 
 /// The deterministic pad state machine: a [`PadEngine`] plus the undo /
 /// redo op journals. The live writer drives one under supervision; a
@@ -349,22 +206,28 @@ impl PadMachine {
         &mut self.engine
     }
 
-    /// Number of ops currently undoable / redoable.
-    pub fn undo_len(&self) -> usize {
-        self.undo_ops.len()
+    /// Mark the pre-op state for [`PadMachine::rollback`]. Opens a
+    /// mark-manager checkpoint, so only the live writer takes these; a
+    /// replay mirror never does and its marks journal records nothing.
+    pub(crate) fn checkpoint(&mut self) -> PadCheckpoint {
+        PadCheckpoint {
+            revision: self.engine.dmi().checkpoint(),
+            marks: self.engine.marks_mut().checkpoint(),
+            undo: self.undo_ops.len(),
+            redo: self.redo_ops.len(),
+        }
     }
 
-    /// See [`PadMachine::undo_len`].
-    pub fn redo_len(&self) -> usize {
-        self.redo_ops.len()
-    }
-
-    /// Drop journal entries above the given lengths — the supervisor's
-    /// resync after a contained fault (nothing an op pushed survives
-    /// its refusal).
-    pub fn resync_journals(&mut self, undo_len: usize, redo_len: usize) {
-        self.undo_ops.truncate(undo_len);
-        self.redo_ops.truncate(redo_len);
+    /// Return to `checkpoint` after a refused or panicking op: marks
+    /// through the mark journal, the undo/redo op journals by
+    /// truncation (nothing an op pushed survives its refusal), triples
+    /// through the store journal — the one step that can fail.
+    pub(crate) fn rollback(&mut self, checkpoint: PadCheckpoint) -> Result<(), PadError> {
+        self.engine.marks_mut().rollback_to(checkpoint.marks);
+        self.undo_ops.truncate(checkpoint.undo);
+        self.redo_ops.truncate(checkpoint.redo);
+        self.engine.dmi_mut().rollback(checkpoint.revision)?;
+        Ok(())
     }
 
     /// Live bundles in canonical (creation) order — selector space for
@@ -710,248 +573,25 @@ impl Fnv {
 }
 
 // ---------------------------------------------------------------------
-// The service
+// The live machine and the service
 // ---------------------------------------------------------------------
 
-/// A write submission waiting for its verdict.
-struct PendingPad {
-    session: u64,
-    op: PadOp,
-    deadline_ms: u64,
-    slot: Arc<Slot<PadAck>>,
-}
-
-struct PadQueue {
-    items: VecDeque<PendingPad>,
-    closed: bool,
-    aborted: bool,
-}
-
-struct PadShared {
-    queue: Mutex<PadQueue>,
-    not_empty: Condvar,
-    sessions: Mutex<BTreeMap<u64, Breaker>>,
-    next_session: AtomicU64,
-    stats: AtomicPadStats,
-    clock: Arc<dyn Clock + Send + Sync>,
-    config: PadConfig,
-    writer_gone: AtomicBool,
-    /// Last published logical digest (readers never block on the
-    /// writer; this is the pad-level analogue of the snapshot mutex).
-    digest: AtomicU64,
-}
-
 /// The factory the writer calls to (re)build its mark layer: once at
-/// startup and again after an I/O refusal forces a reopen from disk.
+/// startup and again after a failed commit forces a reopen from disk.
 /// Runs on the writer thread, so the parts it returns may be `!Send`.
 pub type PadPartsFactory = Box<dyn FnMut() -> Result<PadParts, PadError> + Send>;
 
-/// A supervised, concurrent, crash-recoverable pad session service.
-///
-/// Created with [`PadService::open`]; handed out as
-/// [`PadSessionHandle`]s. Dropping (or [`PadService::shutdown`]) drains
-/// the queue gracefully; [`PadService::abort`] refuses everything still
-/// queued — the durable state is whatever was last committed, exactly
-/// like a crash.
-pub struct PadService {
-    shared: Arc<PadShared>,
-    writer: Option<JoinHandle<()>>,
+/// The pad-level [`Machine`]: a [`PadMachine`] over a logged pad file,
+/// plus what it takes to reopen that file.
+pub struct LivePad {
+    machine: PadMachine,
+    vfs: Arc<dyn Vfs + Send + Sync>,
+    path: PathBuf,
+    factory: PadPartsFactory,
+    compact_threshold: u64,
+    /// An applied [`PadOp::Compact`] asks the batch's commit to compact.
+    compact_requested: bool,
 }
-
-impl PadService {
-    /// Open (or create) the logged pad at `path` on `vfs` and start the
-    /// pad writer thread. `factory` builds the mark manager, resolver,
-    /// and repair search — it is called on the writer thread at startup
-    /// and again if a commit failure forces a reopen from disk.
-    pub fn open(
-        vfs: Arc<dyn Vfs + Send + Sync>,
-        path: &Path,
-        config: PadConfig,
-        clock: Arc<dyn Clock + Send + Sync>,
-        factory: PadPartsFactory,
-    ) -> Result<PadService, ServeError> {
-        let shared = Arc::new(PadShared {
-            queue: Mutex::new(PadQueue {
-                items: VecDeque::new(),
-                closed: false,
-                aborted: false,
-            }),
-            not_empty: Condvar::new(),
-            sessions: Mutex::new(BTreeMap::new()),
-            next_session: AtomicU64::new(0),
-            stats: AtomicPadStats::default(),
-            clock,
-            config,
-            writer_gone: AtomicBool::new(false),
-            digest: AtomicU64::new(0),
-        });
-        // The engine is !Send (its resolver holds an Rc clock), so it
-        // is born, lives, and dies on the writer thread; the opener
-        // only learns whether construction worked.
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<Result<(), String>>();
-        let writer_shared = Arc::clone(&shared);
-        let path = path.to_path_buf();
-        let writer = std::thread::Builder::new()
-            .name("slimserve-pad-writer".into())
-            .spawn(move || pad_writer_loop(writer_shared, vfs, path, factory, ready_tx))
-            .map_err(|e| ServeError::Io { detail: format!("spawn pad writer: {e}") })?;
-        match ready_rx.recv() {
-            Ok(Ok(())) => Ok(PadService { shared, writer: Some(writer) }),
-            Ok(Err(detail)) => {
-                let _ = writer.join();
-                Err(ServeError::Io { detail })
-            }
-            Err(_) => {
-                let _ = writer.join();
-                Err(ServeError::Io { detail: "pad writer died during startup".into() })
-            }
-        }
-    }
-
-    /// Register a new session and hand back its submission handle.
-    pub fn session(&self) -> PadSessionHandle {
-        let id = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
-        lock(&self.shared.sessions)
-            .insert(id, Breaker::new(self.shared.config.breaker.clone()));
-        PadSessionHandle { shared: Arc::clone(&self.shared), id }
-    }
-
-    /// The most recently published logical pad digest (updated after
-    /// every batch; readers never block on the writer).
-    pub fn digest(&self) -> u64 {
-        self.shared.digest.load(Ordering::Acquire)
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> PadServeStats {
-        self.shared.stats.read()
-    }
-
-    /// Stop accepting work, let the writer drain and durably commit
-    /// everything already queued, and join it.
-    pub fn shutdown(mut self) -> PadServeStats {
-        self.close(false);
-        self.join_writer();
-        self.shared.stats.read()
-    }
-
-    /// Stop immediately: everything still queued is refused with
-    /// [`ServeError::Closed`]. Durable state = last committed batch,
-    /// exactly like a crash.
-    pub fn abort(mut self) -> PadServeStats {
-        self.close(true);
-        self.join_writer();
-        self.shared.stats.read()
-    }
-
-    fn close(&self, abort: bool) {
-        let mut q = lock(&self.shared.queue);
-        q.closed = true;
-        if abort {
-            q.aborted = true;
-        }
-        self.shared.not_empty.notify_all();
-    }
-
-    fn join_writer(&mut self) {
-        if let Some(handle) = self.writer.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for PadService {
-    fn drop(&mut self) {
-        if self.writer.is_some() {
-            self.close(false);
-            self.join_writer();
-        }
-    }
-}
-
-/// One session's capability to submit pad ops.
-pub struct PadSessionHandle {
-    shared: Arc<PadShared>,
-    id: u64,
-}
-
-impl PadSessionHandle {
-    /// This session's id (stable for its lifetime).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Submit an op and wait for its verdict.
-    pub fn submit(&self, op: PadOp) -> Result<PadAck, ServeError> {
-        self.enqueue(op)?.wait()
-    }
-
-    /// Submit an op without waiting. Admission refusals (quarantine,
-    /// overload, closed) surface immediately; the returned ticket
-    /// carries the rest.
-    pub fn enqueue(&self, op: PadOp) -> Result<Ticket<PadAck>, ServeError> {
-        let shared = &self.shared;
-        let now = shared.clock.now_ms();
-        {
-            let mut sessions = lock(&shared.sessions);
-            let breaker =
-                sessions.get_mut(&self.id).expect("session is registered for its lifetime");
-            if let Admit::ShortCircuit { open_until } = breaker.admit(now) {
-                AtomicPadStats::bump(&shared.stats.quarantine_rejections);
-                return Err(ServeError::Quarantined {
-                    session: self.id,
-                    open_until_ms: open_until,
-                });
-            }
-        }
-        let mut q = lock(&shared.queue);
-        if q.closed || shared.writer_gone.load(Ordering::Acquire) {
-            AtomicPadStats::bump(&shared.stats.closed_refusals);
-            return Err(ServeError::Closed);
-        }
-        if q.items.len() >= shared.config.queue_capacity {
-            let retry_after_ms = suggested_backoff_ms(
-                q.items.len(),
-                shared.config.queue_capacity,
-                shared.config.op_deadline_ms,
-            );
-            AtomicPadStats::bump(&shared.stats.shed);
-            AtomicPadStats::add(&shared.stats.shed_backoff_ms, retry_after_ms);
-            return Err(ServeError::Overloaded {
-                queue_len: q.items.len(),
-                capacity: shared.config.queue_capacity,
-                retry_after_ms,
-            });
-        }
-        let slot = Arc::new(Slot::default());
-        q.items.push_back(PendingPad {
-            session: self.id,
-            op,
-            deadline_ms: now.saturating_add(shared.config.op_deadline_ms),
-            slot: Arc::clone(&slot),
-        });
-        AtomicPadStats::bump(&shared.stats.submitted);
-        shared.not_empty.notify_one();
-        Ok(Ticket::new(slot))
-    }
-
-    /// The most recently published logical pad digest.
-    pub fn digest(&self) -> u64 {
-        self.shared.digest.load(Ordering::Acquire)
-    }
-
-    /// This session's breaker state (quarantine observability).
-    pub fn breaker_state(&self) -> BreakerState {
-        lock(&self.shared.sessions)
-            .get(&self.id)
-            .expect("session is registered for its lifetime")
-            .state()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Pad writer thread
-// ---------------------------------------------------------------------
 
 /// Build (or reopen) the machine from disk. A missing file means a
 /// brand-new pad: create, register the factory's mark layer, enable
@@ -960,6 +600,7 @@ fn build_machine(
     vfs: &Arc<dyn Vfs + Send + Sync>,
     path: &Path,
     factory: &mut PadPartsFactory,
+    compact_threshold: u64,
 ) -> Result<PadMachine, PadError> {
     let parts = factory()?;
     let mut engine = if vfs.exists(path) {
@@ -971,221 +612,121 @@ fn build_machine(
         engine.enable_logging(&**vfs, path)?;
         engine
     };
+    engine.set_compact_threshold(compact_threshold);
     engine.set_resolver(parts.resolver);
     Ok(PadMachine::new(engine, parts.search))
 }
 
-fn pad_writer_loop(
-    shared: Arc<PadShared>,
-    vfs: Arc<dyn Vfs + Send + Sync>,
-    path: PathBuf,
-    mut factory: PadPartsFactory,
-    ready_tx: std::sync::mpsc::Sender<Result<(), String>>,
-) {
-    let mut machine = match build_machine(&vfs, &path, &mut factory) {
-        Ok(machine) => {
-            shared.digest.store(machine.digest(), Ordering::Release);
-            let _ = ready_tx.send(Ok(()));
-            Some(machine)
+impl Machine for LivePad {
+    type Op = PadOp;
+    type Outcome = PadOutcome;
+    type View = u64;
+    type Checkpoint = PadCheckpoint;
+
+    fn checkpoint(&mut self) -> PadCheckpoint {
+        self.machine.checkpoint()
+    }
+
+    fn apply(&mut self, op: &PadOp, ledger: &Ledger) -> Result<PadOutcome, ServeError> {
+        match op {
+            // Parking is the writer's own affair; the machine treats it
+            // as a no-op.
+            PadOp::ChaosPark(gate) => gate.pass(),
+            PadOp::Compact => self.compact_requested = true,
+            _ => {}
         }
-        Err(e) => {
-            let _ = ready_tx.send(Err(e.to_string()));
-            shared.writer_gone.store(true, Ordering::Release);
-            return;
+        let outcome = self.machine.apply(op)?;
+        match &outcome {
+            PadOutcome::Resolved { degraded: true, .. } => {
+                ledger.count(|s| s.degraded_resolutions += 1)
+            }
+            PadOutcome::Repaired { rebound, .. } => ledger.count(|s| s.repairs += *rebound as u64),
+            _ => {}
         }
-    };
-    let mut next_order: u64 = 0;
-    loop {
-        let batch = {
-            let mut q = lock(&shared.queue);
-            while q.items.is_empty() && !q.closed {
-                q = wait(&shared.not_empty, q);
-            }
-            if q.aborted {
-                let leftovers: Vec<PendingPad> = q.items.drain(..).collect();
-                drop(q);
-                for p in leftovers {
-                    AtomicPadStats::bump(&shared.stats.closed_refusals);
-                    p.slot.resolve(Err(ServeError::Closed));
-                }
-                break;
-            }
-            if q.items.is_empty() {
-                break; // closed and drained: graceful end
-            }
-            let take = q.items.len().min(shared.config.max_batch);
-            q.items.drain(..take).collect::<Vec<PendingPad>>()
+        Ok(outcome)
+    }
+
+    fn rollback(&mut self, checkpoint: PadCheckpoint) -> Result<(), String> {
+        self.machine.rollback(checkpoint).map_err(|e| e.to_string())
+    }
+
+    /// One frame for the whole batch: store delta plus marks sidecar,
+    /// one sync. Compaction — asked for by an applied [`PadOp::Compact`]
+    /// or due past the threshold — runs only after that commit, never
+    /// mid-batch, so a failed commit refuses a batch none of whose
+    /// effects are on disk. A failed compaction refuses nothing: the
+    /// log just stays long.
+    fn commit(&mut self) -> Result<Durable, String> {
+        let vfs = &*self.vfs;
+        let engine = self.machine.engine_mut();
+        let seq = match engine.commit(vfs).map_err(|e| e.to_string())? {
+            trim::CommitOutcome::Committed { seq, .. } => Some(seq),
+            _ => None,
         };
-        machine = process_pad_batch(
-            &shared,
-            &vfs,
-            &path,
-            &mut factory,
-            machine,
-            &mut next_order,
-            batch,
-        );
-    }
-    shared.writer_gone.store(true, Ordering::Release);
-}
-
-/// True when the op can mutate the mark store, so containment must
-/// snapshot it for restore-on-refusal (the TRIM journal only rolls back
-/// triples).
-fn touches_marks(op: &PadOp) -> bool {
-    matches!(op, PadOp::CreateMark { .. } | PadOp::Rebind { .. } | PadOp::Repair)
-}
-
-fn process_pad_batch(
-    shared: &PadShared,
-    vfs: &Arc<dyn Vfs + Send + Sync>,
-    path: &Path,
-    factory: &mut PadPartsFactory,
-    machine: Option<PadMachine>,
-    next_order: &mut u64,
-    batch: Vec<PendingPad>,
-) -> Option<PadMachine> {
-    let Some(mut machine) = machine else {
-        // Dead store: a reopen after a commit failure also failed.
-        // Every op is refused loudly until the service is restarted.
-        for p in batch {
-            AtomicPadStats::bump(&shared.stats.io_refusals);
-            p.slot.resolve(Err(ServeError::Io {
-                detail: "pad store is unavailable (reopen after commit failure failed)".into(),
-            }));
-        }
-        return None;
-    };
-
-    // Phase 1: apply each op under the supervisor's containment.
-    let mut applied: Vec<(PendingPad, PadOutcome)> = Vec::with_capacity(batch.len());
-    for p in batch {
-        let now = shared.clock.now_ms();
-        if now > p.deadline_ms {
-            AtomicPadStats::bump(&shared.stats.timed_out);
-            p.slot.resolve(Err(ServeError::Timeout { deadline_ms: p.deadline_ms, now_ms: now }));
-            continue;
-        }
-        // Parking is the writer's own affair, outside the supervised
-        // apply (which treats the op as a no-op).
-        if let PadOp::ChaosPark(gate) = &p.op {
-            gate.pass();
-        }
-        let checkpoint = machine.engine().dmi().checkpoint();
-        let marks_before = touches_marks(&p.op).then(|| machine.engine().marks().to_xml());
-        let undo_len = machine.undo_len();
-        let redo_len = machine.redo_len();
-        let verdict = quiet_catch_unwind(|| machine.apply(&p.op));
-        match verdict {
-            Ok(Ok(outcome)) => {
-                if let PadOutcome::Resolved { degraded: true, .. } = &outcome {
-                    AtomicPadStats::bump(&shared.stats.degraded_resolutions);
-                }
-                if let PadOutcome::Repaired { rebound, .. } = &outcome {
-                    AtomicPadStats::add(&shared.stats.repairs, *rebound as u64);
-                }
-                applied.push((p, outcome));
-            }
-            Ok(Err(e)) => {
-                contain(&mut machine, checkpoint, marks_before, undo_len, redo_len);
-                note_pad_failure(shared, p.session);
-                AtomicPadStats::bump(&shared.stats.engine_refusals);
-                p.slot.resolve(Err(ServeError::from(e)));
-            }
-            Err(detail) => {
-                contain(&mut machine, checkpoint, marks_before, undo_len, redo_len);
-                note_pad_failure(shared, p.session);
-                AtomicPadStats::bump(&shared.stats.panicked);
-                p.slot.resolve(Err(ServeError::Panicked { detail }));
-            }
-        }
-    }
-    if applied.is_empty() {
-        return Some(machine);
+        let due = std::mem::take(&mut self.compact_requested) || engine.should_compact();
+        let compacted = due && engine.compact(vfs).is_ok();
+        Ok(Durable { seq, compacted })
     }
 
-    // Phase 2: one durable group commit for the whole batch (store
-    // delta + marks sidecar, one frame, one sync). Explicit Commit ops
-    // ride this commit; explicit Compact ops are honoured just after it
-    // — never mid-batch, so a failed group commit refuses a batch whose
-    // effects are guaranteed to not be on disk.
-    let wants_compact = applied.iter().any(|(p, _)| matches!(p.op, PadOp::Compact));
-    let durable_seq = match machine.engine_mut().commit(&**vfs) {
-        Ok(trim::CommitOutcome::Committed { seq, .. }) => {
-            AtomicPadStats::bump(&shared.stats.commits);
-            Some(seq)
-        }
-        Ok(_) => None,
-        Err(e) => {
-            // The batch's effects cannot be made durable. Truncate the
-            // suspect log tail first — a torn append can land the
-            // doomed frame fully readable, and both the reopen below
-            // and any future cold start would adopt the refused batch
-            // as committed history. Best effort: if the repair itself
-            // fails the reopen still runs against whatever is durable.
-            let detail = e.to_string();
-            let _ = machine.engine_mut().repair_log(&**vfs);
-            // Fall back to the last durable state by reopening from
-            // disk, and publish its digest *before* resolving the
-            // refusals, so a submitter that has seen its Io error
-            // already reads a digest consistent with the rollback.
-            let reopened = build_machine(vfs, path, factory).ok();
-            if let Some(m) = &reopened {
-                shared.digest.store(m.digest(), Ordering::Release);
-            }
-            for (p, _) in applied {
-                AtomicPadStats::bump(&shared.stats.io_refusals);
-                p.slot.resolve(Err(ServeError::Io { detail: detail.clone() }));
-            }
-            return reopened;
-        }
-    };
-    if (wants_compact || machine.engine().should_compact())
-        && machine.engine_mut().compact(&**vfs).is_ok()
-    {
-        AtomicPadStats::bump(&shared.stats.compactions);
+    /// Truncate the suspect log tail first — a torn append can land the
+    /// doomed frame fully readable, and both the reopen below and any
+    /// future cold start would adopt the refused batch as committed
+    /// history. Best effort: if the truncation fails, the reopen still
+    /// runs against whatever is durable.
+    fn repair(&mut self) -> Result<(), String> {
+        let _ = self.machine.engine_mut().repair_log(&*self.vfs);
+        self.machine =
+            build_machine(&self.vfs, &self.path, &mut self.factory, self.compact_threshold)
+                .map_err(|e| e.to_string())?;
+        self.compact_requested = false;
+        Ok(())
     }
 
-    // Phase 3: publish the digest, then acknowledge — an ack implies a
-    // published digest at least as new as the op, and durability.
-    shared.digest.store(machine.digest(), Ordering::Release);
-    for (p, outcome) in applied {
-        let ack = PadAck { order: *next_order, durable_seq, outcome };
-        *next_order += 1;
-        note_pad_success(shared, p.session);
-        AtomicPadStats::bump(&shared.stats.acked);
-        p.slot.resolve(Ok(ack));
-    }
-    Some(machine)
-}
-
-/// Containment: restore the machine to its pre-op state after a typed
-/// engine error or a panic — triples via the journal, marks via the
-/// XML snapshot, journals via truncation.
-fn contain(
-    machine: &mut PadMachine,
-    checkpoint: trim::Revision,
-    marks_before: Option<String>,
-    undo_len: usize,
-    redo_len: usize,
-) {
-    let _ = machine.engine_mut().dmi_mut().rollback(checkpoint);
-    if let Some(xml) = marks_before {
-        let _ = machine.engine_mut().marks_mut().load_xml(&xml);
-    }
-    machine.resync_journals(undo_len, redo_len);
-}
-
-fn note_pad_failure(shared: &PadShared, session: u64) {
-    let now = shared.clock.now_ms();
-    if let Some(breaker) = lock(&shared.sessions).get_mut(&session) {
-        breaker.on_failure(now);
+    fn publish(&mut self, _: &Ledger) -> u64 {
+        self.machine.digest()
     }
 }
 
-fn note_pad_success(shared: &PadShared, session: u64) {
-    if let Some(breaker) = lock(&shared.sessions).get_mut(&session) {
-        breaker.on_success();
+/// A supervised, concurrent, crash-recoverable pad session service.
+pub type PadService = Supervisor<LivePad>;
+
+/// One session's capability to submit pad ops.
+pub type PadSessionHandle = Session<LivePad>;
+
+impl PadService {
+    /// Open (or create) the logged pad at `path` on `vfs` and start the
+    /// writer thread. `factory` builds the mark manager, resolver, and
+    /// repair search — it is called on the writer thread at startup and
+    /// again if a commit failure forces a reopen from disk.
+    pub fn open(
+        vfs: Arc<dyn Vfs + Send + Sync>,
+        path: &Path,
+        config: PadConfig,
+        clock: Arc<dyn Clock + Send + Sync>,
+        mut factory: PadPartsFactory,
+    ) -> Result<PadService, ServeError> {
+        let path = path.to_path_buf();
+        let (service, ()) = Supervisor::start(config, clock, move |config| {
+            let compact_threshold = config.compact_threshold;
+            let machine = build_machine(&vfs, &path, &mut factory, compact_threshold)
+                .map_err(|e| ServeError::Io { detail: e.to_string() })?;
+            let pad = LivePad { machine, vfs, path, factory, compact_threshold, compact_requested: false };
+            Ok((pad, ()))
+        })?;
+        Ok(service)
+    }
+
+    /// The most recently published logical pad digest (updated after
+    /// every batch; readers never block on the writer).
+    pub fn digest(&self) -> u64 {
+        self.view()
+    }
+}
+
+impl PadSessionHandle {
+    /// The most recently published logical pad digest.
+    pub fn digest(&self) -> u64 {
+        self.view()
     }
 }
 
@@ -1263,10 +804,8 @@ pub fn ward_factory(
     })
 }
 
-/// A replay mirror over the same ward universe: a fresh unlogged
-/// [`PadMachine`] (clean modules, mock-clock resolver) ready to replay
-/// acknowledged [`PadOp`]s in order. Commit/compact replay as no-ops.
-pub fn ward_mirror() -> PadMachine {
+/// The ward universe with healthy modules and a mock-clock resolver.
+fn ward_parts() -> PadParts {
     let mut factory = ward_factory(
         marks::MockClock::new(),
         marks::FaultProfile::healthy(),
@@ -1275,11 +814,27 @@ pub fn ward_mirror() -> PadMachine {
         BreakerConfig::default(),
         3,
     );
-    let parts = factory().expect("ward universe construction is infallible");
+    factory().expect("ward universe construction is infallible")
+}
+
+/// A replay mirror over the same ward universe: a fresh unlogged
+/// [`PadMachine`] (clean modules, mock-clock resolver) ready to replay
+/// acknowledged [`PadOp`]s in order. Commit/compact replay as no-ops.
+pub fn ward_mirror() -> PadMachine {
+    let parts = ward_parts();
     let mut engine = PadEngine::new("service-pad").expect("fresh pad");
     *engine.marks_mut() = parts.manager;
     engine.set_resolver(parts.resolver);
     PadMachine::new(engine, parts.search)
+}
+
+/// Reopen the durable pad at `path` — snapshot, WAL and marks sidecar —
+/// into a fresh machine over the ward universe: the from-disk leg of the
+/// differential verdicts.
+pub fn ward_reopen(vfs: &dyn Vfs, path: &Path) -> Result<PadMachine, PadError> {
+    let parts = ward_parts();
+    let (engine, _report) = PadEngine::open_logged(vfs, path, parts.manager)?;
+    Ok(PadMachine::new(engine, parts.search))
 }
 
 #[cfg(test)]
@@ -1400,16 +955,7 @@ mod tests {
 
         // On-disk state: shut down, reopen a fresh machine from disk.
         drop(rig.service);
-        let mut factory = ward_factory(
-            MockClock::new(),
-            FaultProfile::healthy(),
-            FlakyControl::new(0),
-            quick_policy(),
-            small_breaker(),
-            2,
-        );
-        let vfs: Arc<dyn Vfs + Send + Sync> = rig.vfs;
-        let reopened = build_machine(&vfs, Path::new(PAD), &mut factory).unwrap();
+        let reopened = ward_reopen(&*rig.vfs, Path::new(PAD)).unwrap();
         assert_eq!(live, reopened.digest(), "live == post-shutdown on-disk digest");
     }
 
@@ -1447,6 +993,26 @@ mod tests {
         assert_eq!(rig.service.digest(), digest);
         session.submit(create_mark_op(1)).unwrap();
         assert_ne!(rig.service.digest(), digest, "writer still serving after the panic");
+    }
+
+    #[test]
+    fn rollback_undoes_marks_triples_and_op_journals() {
+        let mut machine = ward_mirror();
+        machine.apply(&create_mark_op(0)).unwrap();
+        let digest = machine.digest();
+        let marks = machine.engine().marks().to_xml();
+        let checkpoint = machine.checkpoint();
+        machine.apply(&create_mark_op(1)).unwrap();
+        let rebind = PadOp::Rebind { scrap: 0, doc: ward_doc(3), paragraph: 2, start: 1, len: 5 };
+        machine.apply(&rebind).unwrap();
+        machine.apply(&PadOp::Annotate { scrap: 1, text: "gone".into() }).unwrap();
+        machine.rollback(checkpoint).unwrap();
+        assert_eq!(machine.digest(), digest);
+        assert_eq!(machine.engine().marks().to_xml(), marks, "marks restored byte for byte");
+        // The undo journal is back to one entry: the first scrap's.
+        machine.apply(&PadOp::Undo).unwrap();
+        assert!(machine.scraps().is_empty());
+        assert!(machine.apply(&PadOp::Undo).is_err());
     }
 
     #[test]
@@ -1561,75 +1127,6 @@ mod tests {
         assert_eq!(merged.degraded_resolutions, 3);
         assert_eq!(merged.unaccounted(), 0, "the merged ledger balances");
         assert_eq!(live, replay_digest(&acked), "recovered pad == replay across incarnations");
-    }
-
-    #[test]
-    fn overload_shedding_carries_the_retry_hint() {
-        let rig = open_rig(
-            FaultProfile::healthy(),
-            PadConfig { queue_capacity: 2, max_batch: 1, op_deadline_ms: 100, ..PadConfig::default() },
-        );
-        let session = rig.service.session();
-        let gate = Gate::new();
-        let park = session.enqueue(PadOp::ChaosPark(gate.clone())).unwrap();
-        gate.wait_arrived();
-        let t1 = session.enqueue(PadOp::Inspect).unwrap();
-        let t2 = session.enqueue(PadOp::Inspect).unwrap();
-        let err = session.enqueue(PadOp::Inspect).unwrap_err();
-        match err {
-            ServeError::Overloaded { queue_len: 2, capacity: 2, retry_after_ms } => {
-                assert_eq!(retry_after_ms, 100);
-            }
-            other => panic!("expected overload, got {other:?}"),
-        }
-        gate.open();
-        park.wait().unwrap();
-        t1.wait().unwrap();
-        t2.wait().unwrap();
-        let stats = rig.service.stats();
-        assert_eq!(stats.shed, 1);
-        assert_eq!(stats.shed_backoff_ms, 100);
-    }
-
-    #[test]
-    fn expired_deadlines_refuse_without_applying() {
-        let rig = open_rig(
-            FaultProfile::healthy(),
-            PadConfig { op_deadline_ms: 100, ..PadConfig::default() },
-        );
-        let session = rig.service.session();
-        let gate = Gate::new();
-        let park = session.enqueue(PadOp::ChaosPark(gate.clone())).unwrap();
-        gate.wait_arrived();
-        let doomed = session.enqueue(create_mark_op(0)).unwrap();
-        rig.clock.advance(101);
-        gate.open();
-        park.wait().unwrap();
-        assert!(matches!(doomed.wait(), Err(ServeError::Timeout { .. })));
-        let ack = session.submit(PadOp::Inspect).unwrap();
-        assert!(matches!(
-            ack.outcome,
-            PadOutcome::Inspected { scraps: 0, .. }
-        ));
-    }
-
-    #[test]
-    fn repeated_faults_quarantine_the_session_until_cooldown() {
-        let rig = open_rig(
-            FaultProfile::healthy(),
-            PadConfig { breaker: small_breaker(), ..PadConfig::default() },
-        );
-        let bad = rig.service.session();
-        let good = rig.service.session();
-        for _ in 0..2 {
-            let _ = bad.submit(PadOp::ChaosPanic { detail: "boom".into() }).unwrap_err();
-        }
-        let err = bad.submit(PadOp::Inspect).unwrap_err();
-        assert!(matches!(err, ServeError::Quarantined { .. }), "{err:?}");
-        good.submit(create_mark_op(0)).unwrap();
-        rig.clock.advance(500);
-        bad.submit(PadOp::Inspect).unwrap();
-        assert!(matches!(bad.breaker_state(), BreakerState::Closed { .. }));
     }
 
     #[test]
