@@ -1,151 +1,48 @@
-//! Seeded chaos soak for the pad-level session service.
+//! The pad-level [`Target`] of the [`chaos`](crate::chaos) soak:
+//! [`slimserve::PadService`] (marks, excerpts, bundles, undo) under the
+//! same scripts, seeds, sizes, crash points and verdict as the
+//! triple-level soak, plus what only a pad has — a base-layer
+//! [`FlakyModule`] storm armed through its shared [`FlakyControl`], and
+//! a deterministic quarantine-and-repair drill.
 //!
-//! The sibling [`crate::chaos`] soak batters the *triple-level*
-//! [`slimserve::Service`]; this one drives the full application stack —
-//! marks, excerpts, bundles, undo — through a
-//! [`slimserve::PadService`], with every fault class the pad supervisor
-//! claims to contain:
+//! Run it with `cargo run -p slimgen -- --chaos-pad --profile quick
+//! --seed 0x…`.
 //!
-//! * **worker panics** — [`PadOp::ChaosPanic`] spliced into each
-//!   session's script on a seeded schedule;
-//! * **base-layer faults** — a [`FlakyModule`] storm (transient errors,
-//!   latency, dangling documents, content drift) armed through its
-//!   shared [`FlakyControl`] while the module itself lives inside the
-//!   writer-owned mark manager;
-//! * **I/O faults** — one-shot append failures plus a halting
-//!   *torn-append* fault that plays a full crash (service aborted, disk
-//!   reopened, WAL + marks sidecar recovered);
-//! * **slow-clock stalls** — a thread yanking the shared [`MockClock`]
-//!   forward so queued ops age past their deadlines;
-//! * **deterministic drills** — quarantine-and-repair of dangling
-//!   marks, a parked writer forcing `Overloaded` shedding (with its
-//!   retry hint) and `Timeout` expiry, and a serially-panicking session
-//!   forcing session quarantine.
-//!
-//! The oracle is differential and three-way: every acknowledged op is
-//! recorded with its writer-assigned serialization order, replayed in
-//! `(epoch, order)` order into a fresh single-threaded
-//! [`PadMachine`] mirror, and the mirror's *logical* digest must equal
-//! both the live service's final published digest and the digest of a
-//! from-disk reopen. Injected faults may only touch what the digest
-//! deliberately excludes (excerpts, resolver bookkeeping) — structure,
-//! mark identity, and addresses must come out exactly equal. The stats
-//! ledger must balance: every submission ends in exactly one typed
-//! bucket, nothing is silently dropped.
+//! [`FlakyModule`]: superimposed::marks::FlakyModule
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
-use slimio::{FaultConfig, FaultMode, FaultOp, FaultVfs, MemVfs, Vfs};
+use slimio::{FaultVfs, MemVfs, Vfs};
 use slimserve::{
-    ward_doc, ward_factory, ward_mirror, Gate, PadConfig, PadOp, PadOutcome, PadService,
-    PadServeStats, PadSessionHandle, ServeError, WARD_PARAGRAPHS,
+    ward_doc, ward_factory, ward_mirror, ward_reopen, Gate, LivePad, PadOp, PadOutcome,
+    PadService, ServeError, ServeStats, WARD_PARAGRAPHS,
 };
-use superimposed::marks::resilience::{mix64, BreakerConfig, MockClock};
+use superimposed::marks::resilience::{BreakerConfig, MockClock};
 use superimposed::marks::{FaultProfile, FlakyControl, RetryPolicy};
-use superimposed::slimpad::PadEngine;
 
-use crate::trace::{self, Mix, TraceOp};
+use crate::chaos::{serve_config, Action, Books, Target};
+use crate::trace::TraceOp;
 use crate::Profile;
 
-/// Where the pad service's snapshot + log live on the in-memory VFS.
+/// Where the chaos pad's snapshot, log and marks sidecar live on the
+/// in-memory VFS.
 const PAD_PATH: &str = "chaos/pad.xml";
 
-/// Tuning for one chaos-pad run. Everything observable is a pure
-/// function of this config — re-running with the same seed replays the
-/// same per-session scripts and fault schedules.
-#[derive(Debug, Clone)]
-pub struct ChaosPadConfig {
-    /// Concurrent session threads per epoch.
-    pub sessions: usize,
-    /// Pad ops per session per epoch.
-    pub ops_per_session: usize,
-    /// Master seed; fans out per session and per fault schedule.
-    pub seed: u64,
-    /// Inject the mid-run torn-append crash + recovery.
-    pub crash: bool,
-    /// Traffic mix for the underlying trace generator.
-    pub mix: Mix,
-}
-
-impl ChaosPadConfig {
-    /// Profile-scaled defaults (crash on, mixed traffic).
-    pub fn new(profile: Profile, seed: u64) -> Self {
-        let (sessions, ops_per_session) = match profile {
-            Profile::Smoke => (4, 40),
-            Profile::Quick => (8, 120),
-            Profile::Full => (16, 400),
-        };
-        ChaosPadConfig { sessions, ops_per_session, seed, crash: true, mix: Mix::Mixed }
-    }
-}
-
-/// What a chaos-pad run observed. [`ChaosPadReport::passed`] is the
-/// verdict the CI job gates on.
-#[derive(Debug)]
-pub struct ChaosPadReport {
-    /// The seed that replays this run.
-    pub seed: u64,
-    /// Session threads per epoch.
-    pub sessions: usize,
-    /// Pad ops per session per epoch.
-    pub ops_per_session: usize,
-    /// Whether the torn-append crash was injected.
-    pub crash: bool,
-    /// Submissions the harness made (soak traffic + drills).
-    pub attempts: u64,
-    /// Service counters summed across every incarnation and drill rig.
-    pub stats: PadServeStats,
-    /// The live service's final published logical digest.
-    pub live_digest: u64,
-    /// Digest of the serialized mirror replay of every acked op.
-    pub replay_digest: u64,
-    /// Digest of a fresh from-disk reopen after shutdown.
-    pub disk_digest: u64,
-    /// Every invariant violation observed; empty means PASS.
-    pub divergences: Vec<String>,
-}
-
-impl ChaosPadReport {
-    /// True when every invariant held.
-    pub fn passed(&self) -> bool {
-        self.divergences.is_empty()
-    }
-}
-
-/// What one session thread observed.
-struct Outcome {
-    /// Acknowledged ops with their writer serialization order.
-    acked: Vec<(u64, PadOp)>,
-    /// Submissions made.
-    attempts: u64,
-    /// Invariant violations (unexpected verdict shapes).
-    divergences: Vec<String>,
+/// The pad-level soak: [`PadService`] over the ward universe, with
+/// every text resolution routed through a [`FlakyControl`]-governed
+/// storm, replayed into a fresh [`slimserve::PadMachine`] mirror.
+/// Injected faults may only touch what the pad digest deliberately
+/// excludes (excerpts, resolver bookkeeping) — structure, mark identity,
+/// and addresses must come out exactly equal.
+pub struct Pads {
+    control: FlakyControl,
 }
 
 /// The storm profile the soak arms: every fault kind, biased towards
 /// the retryable ones so the resolver's whole state machine cycles.
 fn storm() -> FaultProfile {
     FaultProfile { transient_pct: 20, latency_pct: 8, gone_pct: 6, drift_pct: 6, latency_ms: 150 }
-}
-
-fn pad_config() -> PadConfig {
-    PadConfig {
-        queue_capacity: 64,
-        max_batch: 16,
-        op_deadline_ms: 1_000,
-        breaker: BreakerConfig {
-            failure_threshold: 3,
-            cooldown_ms: 5_000,
-            probe_budget: 3,
-            probe_successes: 1,
-        },
-        // Small enough that the soak exercises compaction repeatedly.
-        compact_threshold: 1 << 15,
-    }
 }
 
 fn resolver_policy() -> RetryPolicy {
@@ -164,12 +61,11 @@ fn module_breaker() -> BreakerConfig {
 
 /// Open a pad service over `disk` with the ward universe and the given
 /// flaky-control handle.
-fn open_service(
+fn open_pad(
     disk: &Arc<FaultVfs<MemVfs>>,
     clock: &Arc<MockClock>,
     control: &FlakyControl,
     profile: FaultProfile,
-    config: PadConfig,
 ) -> Result<PadService, ServeError> {
     let factory = ward_factory(
         (**clock).clone(),
@@ -179,232 +75,171 @@ fn open_service(
         module_breaker(),
         2,
     );
-    PadService::open(disk.clone(), Path::new(PAD_PATH), config, clock.clone(), factory)
+    PadService::open(disk.clone(), Path::new(PAD_PATH), serve_config(), clock.clone(), factory)
 }
 
-/// Run the chaos-pad soak to completion and report.
-pub fn run(config: &ChaosPadConfig) -> ChaosPadReport {
-    let disk = Arc::new(FaultVfs::unarmed(MemVfs::new()));
-    let clock = Arc::new(MockClock::new());
-    let control = FlakyControl::new(config.seed);
-    let serve_config = pad_config();
+impl Target for Pads {
+    type M = LivePad;
+    const NAME: &'static str = "chaos-pad";
+    const CRASH_AFTER_ACKS: u64 = 10;
 
-    let mut divergences: Vec<String> = Vec::new();
-    let mut acked: Vec<(u64, u64, PadOp)> = Vec::new();
-    let mut attempts = 0u64;
-    let mut stats = PadServeStats::default();
-    let mut drill_acks = 0u64;
+    fn new(seed: u64) -> Self {
+        Pads { control: FlakyControl::new(seed) }
+    }
 
-    // Slow-clock chaos: stalls big enough that ops queued across a few
-    // ticks blow their deadlines, small enough that breaker cooldowns
-    // still elapse.
-    let stop_stall = Arc::new(AtomicBool::new(false));
-    let stall = {
-        let clock = Arc::clone(&clock);
-        let stop = Arc::clone(&stop_stall);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                clock.advance(700);
-                std::thread::sleep(Duration::from_millis(1));
+    fn size(profile: Profile) -> (usize, usize) {
+        match profile {
+            Profile::Smoke => (4, 40),
+            Profile::Quick => (8, 120),
+            Profile::Full => (16, 400),
+        }
+    }
+
+    fn open(
+        &self,
+        disk: &Arc<FaultVfs<MemVfs>>,
+        clock: &Arc<MockClock>,
+    ) -> Result<(PadService, Option<String>), ServeError> {
+        Ok((open_pad(disk, clock, &self.control, storm())?, None))
+    }
+
+    /// Names and labels carry `(session, epoch, index)` so every acked
+    /// mutation is attributable in the digest; selectors stay raw (the
+    /// service resolves them modulo the live population, and the mirror
+    /// replays that resolution exactly).
+    fn translate(sess: u64, epoch: u64, i: u64, op: &TraceOp) -> Action<PadOp> {
+        Action::Write(match op {
+            TraceOp::BeginOp => {
+                if i.is_multiple_of(3) {
+                    PadOp::Compact
+                } else {
+                    PadOp::Inspect
+                }
             }
+            TraceOp::CreateBundle { parent } => PadOp::CreateBundle {
+                name: format!("bundle s{sess}e{epoch}i{i}"),
+                pos: ((i as i64 % 40) * 12, (sess as i64 % 8) * 18),
+                width: 160,
+                height: 120,
+                parent: Some(*parent),
+            },
+            TraceOp::PlaceMark { mark, bundle } => PadOp::CreateMark {
+                doc: ward_doc(*mark),
+                paragraph: mark % WARD_PARAGRAPHS as u64,
+                start: (mark % 4) * 5,
+                len: 6 + mark % 12,
+                label: format!("mark s{sess}e{epoch}i{i}"),
+                pos: ((i as i64 % 50) * 9, ((mark % 16) as i64) * 11),
+                bundle: Some(*bundle),
+            },
+            TraceOp::Annotate { scrap, note } => PadOp::Annotate {
+                scrap: *scrap,
+                text: format!("note {note} s{sess}e{epoch}i{i}"),
+            },
+            TraceOp::Link { from, to } => PadOp::Link { from: *from, to: *to },
+            // The pad service has no destructive delete; the closest
+            // churn is re-pointing the scrap's mark at a fresh address.
+            TraceOp::DeleteScrap { scrap } => PadOp::Rebind {
+                scrap: *scrap,
+                doc: ward_doc(scrap ^ i),
+                paragraph: (scrap ^ i) % WARD_PARAGRAPHS as u64,
+                start: 0,
+                len: 10,
+            },
+            TraceOp::Undo => PadOp::Undo,
+            TraceOp::Extract { scrap } => PadOp::Extract { scrap: *scrap },
+            TraceOp::Query { needle } => PadOp::Resolve { scrap: *needle },
+            TraceOp::Commit => PadOp::Commit,
         })
-    };
+    }
 
-    // ---- Epoch 1: storm traffic, then (optionally) a torn crash -----
-    let service = open_service(&disk, &clock, &control, storm(), serve_config.clone())
-        .expect("fresh chaos pad opens");
-    let epoch1 = spawn_epoch(&service, config, 1);
-    if config.crash {
-        // Let some traffic commit, then tear an append mid-frame and
-        // halt the disk: every later commit fails with a typed Io
-        // refusal until the "machine" reboots.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while service.stats().acked < 10 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+    fn splice(sess: u64, epoch: u64, i: u64, sel: u64) -> Option<PadOp> {
+        match sel % 13 {
+            0 => Some(Self::panic_op(format!("chaos panic s{sess} e{epoch} i{i}"))),
+            1 => Some(PadOp::Redo),
+            _ => None,
         }
-        disk.rearm(FaultConfig::new(FaultOp::Append, FaultMode::Torn, 0, config.seed).halting());
-    }
-    join_epoch(epoch1, 1, &mut acked, &mut attempts, &mut divergences);
-
-    let service = if config.crash {
-        stats += service.abort(); // the crash: queued work refused, writer gone
-        disk.disarm();
-        let epoch1_replay = replay_digest(&acked, &mut divergences);
-        let service = open_service(&disk, &clock, &control, storm(), serve_config.clone())
-            .expect("chaos pad recovers after torn-append crash");
-        let recovered = service.digest();
-        if recovered != epoch1_replay {
-            divergences.push(format!(
-                "post-crash pad digest {recovered:#018x} != epoch-1 acked replay \
-                 {epoch1_replay:#018x} — an acked pad op was lost or a refused one survived"
-            ));
-        }
-        service
-    } else {
-        service
-    };
-
-    // ---- Epoch 2: traffic with one-shot I/O faults sprinkled in -----
-    let epoch2 = spawn_epoch(&service, config, 2);
-    for burst in 0..3u64 {
-        std::thread::sleep(Duration::from_millis(2));
-        disk.rearm(FaultConfig::new(
-            FaultOp::Append,
-            FaultMode::Fail,
-            burst,
-            mix64(config.seed, burst),
-        ));
-    }
-    join_epoch(epoch2, 2, &mut acked, &mut attempts, &mut divergences);
-
-    // The drills below need a working disk, a frozen clock, and a
-    // disarmed storm.
-    disk.disarm();
-    control.disarm();
-    stop_stall.store(true, Ordering::Relaxed);
-    stall.join().expect("stall thread exits");
-
-    // ---- Drill: dangling marks quarantine, then repair online -------
-    // (On its own rig: repair re-derives addresses from quarantine
-    // state, which injected faults steer — it must stay out of the
-    // differential soak above.)
-    run_repair_drill(
-        config.seed,
-        &mut attempts,
-        &mut drill_acks,
-        &mut stats,
-        &mut divergences,
-    );
-
-    // ---- Drill: panics quarantine a session; shed + expiry are loud -
-    run_containment_drill(&mut attempts, &mut drill_acks, &mut stats, &mut divergences);
-
-    // ---- Final differential: live == replay == disk -----------------
-    let live_digest = service.digest();
-    let replay = replay_digest(&acked, &mut divergences);
-    if live_digest != replay {
-        divergences.push(format!(
-            "final live digest {live_digest:#018x} != serialized replay {replay:#018x}"
-        ));
-    }
-    stats += service.shutdown();
-    let disk_digest = reopen_digest(&*disk, &mut divergences);
-    if disk_digest != replay {
-        divergences.push(format!(
-            "from-disk digest {disk_digest:#018x} != serialized replay {replay:#018x}"
-        ));
     }
 
-    // ---- The books must balance: every attempt, one typed verdict ---
-    let buckets = stats.acked
-        + stats.shed
-        + stats.timed_out
-        + stats.panicked
-        + stats.engine_refusals
-        + stats.quarantine_rejections
-        + stats.io_refusals
-        + stats.closed_refusals;
-    if attempts != buckets {
-        divergences.push(format!(
-            "ledger imbalance: {attempts} submissions vs {buckets} accounted verdicts"
-        ));
-    }
-    if stats.unaccounted() != 0 {
-        divergences.push(format!(
-            "queue ledger imbalance: {} enqueued ops unaccounted",
-            stats.unaccounted()
-        ));
-    }
-    if acked.len() as u64 + drill_acks != stats.acked {
-        divergences.push(format!(
-            "ack mismatch: harness observed {} acks, service counted {}",
-            acked.len() as u64 + drill_acks,
-            stats.acked
-        ));
-    }
-    if stats.acked == 0 {
-        divergences.push("no traffic survived the chaos at all".into());
-    }
-    if stats.panicked == 0 {
-        divergences.push("injected panics were never observed as Panicked".into());
-    }
-    if stats.quarantine_rejections == 0 {
-        divergences.push("no session was ever quarantined".into());
-    }
-    if stats.shed == 0 {
-        divergences.push("overload never shed".into());
-    }
-    if stats.shed_backoff_ms == 0 {
-        divergences.push("overload refusals never carried a retry hint".into());
-    }
-    if stats.timed_out == 0 {
-        divergences.push("expired deadlines were never refused as Timeout".into());
-    }
-    if stats.commits == 0 {
-        divergences.push("nothing was ever group-committed".into());
-    }
-    if stats.degraded_resolutions == 0 {
-        divergences.push("the storm never produced a degraded resolution".into());
-    }
-    if stats.repairs == 0 {
-        divergences.push("the repair drill never re-bound a quarantined mark".into());
+    fn panic_op(detail: String) -> PadOp {
+        PadOp::ChaosPanic { detail }
     }
 
-    ChaosPadReport {
-        seed: config.seed,
-        sessions: config.sessions,
-        ops_per_session: config.ops_per_session,
-        crash: config.crash,
-        attempts,
-        stats,
-        live_digest,
-        replay_digest: replay,
-        disk_digest,
-        divergences,
+    fn park_op(gate: Gate) -> PadOp {
+        PadOp::ChaosPark(gate)
     }
-}
 
-/// Quarantine-and-repair, deterministically: a mark is created against
-/// live text (capturing its excerpt), its resolutions are then faulted
-/// with `DocumentGone` until the resolver quarantines it, the storm is
-/// disarmed, and an online [`PadOp::Repair`] must find the excerpt in
-/// the base layer and re-bind the mark.
-fn run_repair_drill(
-    seed: u64,
-    attempts: &mut u64,
-    drill_acks: &mut u64,
-    stats: &mut PadServeStats,
-    divergences: &mut Vec<String>,
-) {
-    let disk = Arc::new(FaultVfs::unarmed(MemVfs::new()));
-    let clock = Arc::new(MockClock::new());
-    let control = FlakyControl::new(seed);
-    control.disarm();
-    let gone = FaultProfile { transient_pct: 0, latency_pct: 0, gone_pct: 100, drift_pct: 0, latency_ms: 0 };
-    let service = open_service(&disk, &clock, &control, gone, pad_config())
-        .expect("repair drill pad opens");
-    let session = service.session();
-    let target = "Ward 1 paragraph 2";
-    let submit = |op: PadOp,
-                      what: &str,
-                      attempts: &mut u64,
-                      drill_acks: &mut u64,
-                      divergences: &mut Vec<String>|
-     -> Option<PadOutcome> {
-        *attempts += 1;
-        match session.submit(op) {
-            Ok(ack) => {
-                *drill_acks += 1;
-                Some(ack.outcome)
-            }
-            Err(e) => {
-                divergences.push(format!("repair drill: {what} refused: {e}"));
-                None
+    fn marker_op(name: &str) -> PadOp {
+        PadOp::CreateBundle { name: name.into(), pos: (0, 0), width: 10, height: 10, parent: None }
+    }
+
+    fn digest(view: &u64) -> u64 {
+        *view
+    }
+
+    fn replay(ops: &[&(u64, u64, PadOp)], divergences: &mut Vec<String>) -> u64 {
+        let mut mirror = ward_mirror();
+        for (epoch, order, op) in ops {
+            if let Err(e) = mirror.apply(op) {
+                divergences.push(format!(
+                    "acked op (epoch {epoch}, order {order}) {op:?} refused in mirror replay: {e}"
+                ));
             }
         }
-    };
-    submit(
-        PadOp::CreateMark {
+        mirror.digest()
+    }
+
+    fn disk_digest(disk: &dyn Vfs, divergences: &mut Vec<String>) -> u64 {
+        ward_reopen(disk, Path::new(PAD_PATH)).map_or_else(
+            |e| {
+                divergences.push(format!("reopen: post-shutdown pad failed to open: {e}"));
+                0
+            },
+            |machine| machine.digest(),
+        )
+    }
+
+    fn calm(&self) {
+        self.control.disarm();
+    }
+
+    /// Quarantine-and-repair, deterministically, on a rig of its own
+    /// (repair re-derives addresses from quarantine state, which
+    /// injected faults steer — it must stay out of the differential
+    /// soak): empty-journal undo is a typed refusal; a mark is created
+    /// against live text (capturing its excerpt); its resolutions are
+    /// faulted with `DocumentGone` until the resolver quarantines it;
+    /// the storm is disarmed; and an online [`PadOp::Repair`] must find
+    /// the excerpt in the base layer and re-bind the mark.
+    fn drills(&self, seed: u64, books: &mut Books) {
+        let disk = Arc::new(FaultVfs::unarmed(MemVfs::new()));
+        let clock = Arc::new(MockClock::new());
+        let control = FlakyControl::new(seed);
+        control.disarm();
+        let gone =
+            FaultProfile { transient_pct: 0, latency_pct: 0, gone_pct: 100, drift_pct: 0, latency_ms: 0 };
+        let service = open_pad(&disk, &clock, &control, gone).expect("repair drill pad opens");
+        let session = service.session();
+        let submit = |op: PadOp, what: &str, books: &mut Books| -> Option<PadOutcome> {
+            books.attempts += 1;
+            match session.submit(op) {
+                Ok(ack) => {
+                    books.drill_acks += 1;
+                    Some(ack.outcome)
+                }
+                Err(e) => {
+                    books.divergences.push(format!("repair drill: {what} refused: {e}"));
+                    None
+                }
+            }
+        };
+        books.attempts += 1;
+        match service.session().submit(PadOp::Undo) {
+            Err(ServeError::Engine { .. }) => {}
+            other => books.divergences.push(format!("repair drill: empty undo got {other:?}")),
+        }
+        let target = "Ward 1 paragraph 2";
+        let create = PadOp::CreateMark {
             doc: ward_doc(1),
             paragraph: 2,
             start: 0,
@@ -412,318 +247,51 @@ fn run_repair_drill(
             label: "drill mark".into(),
             pos: (0, 0),
             bundle: None,
-        },
-        "create",
-        attempts,
-        drill_acks,
-        divergences,
-    );
-    control.arm(); // every base-layer drive now reports DocumentGone
-    let mut quarantined = false;
-    for k in 0..3 {
-        match submit(PadOp::Resolve { scrap: 0 }, "faulted resolve", attempts, drill_acks, divergences)
-        {
-            Some(PadOutcome::Resolved { degraded: true, quarantined: q, .. }) => {
-                quarantined = q;
+        };
+        submit(create, "create", books);
+        control.arm(); // every base-layer drive now reports DocumentGone
+        let mut quarantined = false;
+        for k in 0..3 {
+            match submit(PadOp::Resolve { scrap: 0 }, "faulted resolve", books) {
+                Some(PadOutcome::Resolved { degraded: true, quarantined: q, .. }) => quarantined = q,
+                Some(other) => books
+                    .divergences
+                    .push(format!("repair drill: resolve {k} not degraded: {other:?}")),
+                None => {}
             }
+        }
+        if !quarantined {
+            books.divergences.push("repair drill: dangling mark never quarantined".into());
+        }
+        control.disarm();
+        match submit(PadOp::Repair, "repair", books) {
+            Some(PadOutcome::Repaired { rebound: 1, still_quarantined: 0 }) => {}
             Some(other) => {
-                divergences.push(format!("repair drill: resolve {k} not degraded: {other:?}"))
+                books.divergences.push(format!("repair drill: unexpected repair {other:?}"))
             }
             None => {}
         }
-    }
-    if !quarantined {
-        divergences.push("repair drill: dangling mark never quarantined".into());
-    }
-    control.disarm();
-    match submit(PadOp::Repair, "repair", attempts, drill_acks, divergences) {
-        Some(PadOutcome::Repaired { rebound: 1, still_quarantined: 0 }) => {}
-        Some(other) => divergences.push(format!("repair drill: unexpected repair {other:?}")),
-        None => {}
-    }
-    match submit(PadOp::Resolve { scrap: 0 }, "post-repair resolve", attempts, drill_acks, divergences)
-    {
-        Some(PadOutcome::Resolved { degraded: false, quarantined: false, display })
-            if !display.contains(target) =>
-        {
-            divergences.push(format!("repair drill: repaired mark resolves to {display:?}"));
-        }
-        Some(PadOutcome::Resolved { degraded: false, quarantined: false, .. }) => {}
-        Some(other) => {
-            divergences.push(format!("repair drill: post-repair resolve {other:?}"))
-        }
-        None => {}
-    }
-    *stats += service.shutdown();
-}
-
-/// Session-level containment, deterministically: empty-journal undo is
-/// a typed refusal, repeated panics quarantine their session (and only
-/// it), a parked writer sheds with a retry hint, and aged ops expire.
-fn run_containment_drill(
-    attempts: &mut u64,
-    drill_acks: &mut u64,
-    stats: &mut PadServeStats,
-    divergences: &mut Vec<String>,
-) {
-    let disk = Arc::new(FaultVfs::unarmed(MemVfs::new()));
-    let clock = Arc::new(MockClock::new());
-    let control = FlakyControl::new(0);
-    control.disarm();
-    let drill_config = PadConfig {
-        queue_capacity: 8,
-        max_batch: 4,
-        breaker: BreakerConfig {
-            failure_threshold: 2,
-            cooldown_ms: 500,
-            probe_budget: 3,
-            probe_successes: 1,
-        },
-        ..pad_config()
-    };
-    let service = open_service(&disk, &clock, &control, FaultProfile::healthy(), drill_config)
-        .expect("containment drill pad opens");
-
-    // Undo on an empty journal is refused, typed, and never acked.
-    let session = service.session();
-    *attempts += 1;
-    match session.submit(PadOp::Undo) {
-        Err(ServeError::Engine { .. }) => {}
-        other => divergences.push(format!("containment drill: empty undo got {other:?}")),
-    }
-
-    // Repeated panics must land the session in quarantine.
-    let bad = service.session();
-    for k in 0..2 {
-        *attempts += 1;
-        let verdict = bad.submit(PadOp::ChaosPanic { detail: format!("drill panic {k}") });
-        if !matches!(verdict, Err(ServeError::Panicked { .. })) {
-            divergences.push(format!("containment drill: panic {k} got {verdict:?}"));
-        }
-    }
-    *attempts += 1;
-    match bad.submit(PadOp::Inspect) {
-        Err(ServeError::Quarantined { .. }) => {}
-        other => {
-            divergences.push(format!("containment drill: expected Quarantined, got {other:?}"))
-        }
-    }
-
-    // A parked writer must shed (with a retry hint) and expire, loudly.
-    let driller = service.session();
-    let gate = Gate::new();
-    *attempts += 1;
-    let park = match driller.enqueue(PadOp::ChaosPark(gate.clone())) {
-        Ok(ticket) => Some(ticket),
-        Err(e) => {
-            divergences.push(format!("containment drill: park refused at admission: {e}"));
-            None
-        }
-    };
-    gate.wait_arrived(); // the writer is parked; the queue is all ours
-    let mut fills = Vec::new();
-    for k in 0..8 {
-        *attempts += 1;
-        match driller.enqueue(PadOp::Inspect) {
-            Ok(ticket) => fills.push(ticket),
-            Err(e) => divergences.push(format!("containment drill: fill {k} refused: {e}")),
-        }
-    }
-    *attempts += 1;
-    match driller.enqueue(PadOp::Inspect) {
-        Err(ServeError::Overloaded { retry_after_ms, .. }) => {
-            if retry_after_ms == 0 {
-                divergences.push("containment drill: overload hint was zero".into());
+        match submit(PadOp::Resolve { scrap: 0 }, "post-repair resolve", books) {
+            Some(PadOutcome::Resolved { degraded: false, quarantined: false, display })
+                if !display.contains(target) =>
+            {
+                books.divergences.push(format!("repair drill: repaired mark resolves to {display:?}"))
             }
-        }
-        other => {
-            divergences.push(format!("containment drill: expected Overloaded, got {other:?}"))
-        }
-    }
-    clock.advance(1_001); // age the queue past its deadlines
-    gate.open();
-    match park.map(|t| t.wait()) {
-        Some(Ok(_)) => *drill_acks += 1,
-        Some(Err(e)) => divergences.push(format!("containment drill: park op refused: {e}")),
-        None => {}
-    }
-    for (k, ticket) in fills.into_iter().enumerate() {
-        match ticket.wait() {
-            Err(ServeError::Timeout { .. }) => {}
-            other => divergences.push(format!(
-                "containment drill: fill {k} expected Timeout, got {other:?}"
-            )),
-        }
-    }
-    *stats += service.shutdown();
-}
-
-/// Spawn one epoch's session threads. The caller keeps the service and
-/// may inject faults while they run.
-fn spawn_epoch(
-    service: &PadService,
-    config: &ChaosPadConfig,
-    epoch: u64,
-) -> Vec<JoinHandle<Outcome>> {
-    (0..config.sessions)
-        .map(|s| {
-            let session = service.session();
-            let script = session_script(config, s as u64, epoch);
-            std::thread::spawn(move || drive(session, script))
-        })
-        .collect()
-}
-
-fn join_epoch(
-    threads: Vec<JoinHandle<Outcome>>,
-    epoch: u64,
-    acked: &mut Vec<(u64, u64, PadOp)>,
-    attempts: &mut u64,
-    divergences: &mut Vec<String>,
-) {
-    for t in threads {
-        let out = t.join().expect("session threads never panic");
-        *attempts += out.attempts;
-        divergences.extend(out.divergences);
-        acked.extend(out.acked.into_iter().map(|(order, op)| (epoch, order, op)));
-    }
-}
-
-/// One session's whole workload: the hospital trace translated to
-/// pad-level ops, with seeded panic and redo injections spliced in.
-fn session_script(config: &ChaosPadConfig, sess: u64, epoch: u64) -> Vec<PadOp> {
-    let trace =
-        trace::generate(mix64(config.seed, sess * 2 + epoch), config.ops_per_session, config.mix);
-    trace
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let sel = mix64(config.seed ^ sess.rotate_left(17), epoch << 32 | i as u64);
-            if sel.is_multiple_of(13) {
-                return PadOp::ChaosPanic { detail: format!("chaos panic s{sess} e{epoch} i{i}") };
+            Some(PadOutcome::Resolved { degraded: false, quarantined: false, .. }) => {}
+            Some(other) => {
+                books.divergences.push(format!("repair drill: post-repair resolve {other:?}"))
             }
-            if sel % 13 == 1 {
-                return PadOp::Redo;
-            }
-            translate(sess, epoch, i as u64, op)
-        })
-        .collect()
-}
-
-/// Map one trace verb onto the pad-op alphabet. Names and labels carry
-/// `(session, epoch, index)` so every acked mutation is attributable in
-/// the digest; selectors stay raw (the service resolves them modulo the
-/// live population, and the mirror replays that resolution exactly).
-fn translate(sess: u64, epoch: u64, i: u64, op: &TraceOp) -> PadOp {
-    match op {
-        TraceOp::BeginOp => {
-            if i.is_multiple_of(3) {
-                PadOp::Compact
-            } else {
-                PadOp::Inspect
-            }
+            None => {}
         }
-        TraceOp::CreateBundle { parent } => PadOp::CreateBundle {
-            name: format!("bundle s{sess}e{epoch}i{i}"),
-            pos: ((i as i64 % 40) * 12, (sess as i64 % 8) * 18),
-            width: 160,
-            height: 120,
-            parent: Some(*parent),
-        },
-        TraceOp::PlaceMark { mark, bundle } => PadOp::CreateMark {
-            doc: ward_doc(*mark),
-            paragraph: mark % WARD_PARAGRAPHS as u64,
-            start: (mark % 4) * 5,
-            len: 6 + mark % 12,
-            label: format!("mark s{sess}e{epoch}i{i}"),
-            pos: ((i as i64 % 50) * 9, ((mark % 16) as i64) * 11),
-            bundle: Some(*bundle),
-        },
-        TraceOp::Annotate { scrap, note } => PadOp::Annotate {
-            scrap: *scrap,
-            text: format!("note {note} s{sess}e{epoch}i{i}"),
-        },
-        TraceOp::Link { from, to } => PadOp::Link { from: *from, to: *to },
-        // The pad service has no destructive delete; the closest churn
-        // is re-pointing the scrap's mark at a fresh address.
-        TraceOp::DeleteScrap { scrap } => PadOp::Rebind {
-            scrap: *scrap,
-            doc: ward_doc(scrap ^ i),
-            paragraph: (scrap ^ i) % WARD_PARAGRAPHS as u64,
-            start: 0,
-            len: 10,
-        },
-        TraceOp::Undo => PadOp::Undo,
-        TraceOp::Extract { scrap } => PadOp::Extract { scrap: *scrap },
-        TraceOp::Query { needle } => PadOp::Resolve { scrap: *needle },
-        TraceOp::Commit => PadOp::Commit,
+        books.stats += service.shutdown();
     }
-}
 
-/// Run one session's script to completion, tolerating every typed
-/// refusal (that is the point) but recording invariant violations.
-fn drive(session: PadSessionHandle, script: Vec<PadOp>) -> Outcome {
-    let mut out = Outcome { acked: Vec::new(), attempts: 0, divergences: Vec::new() };
-    for op in script {
-        out.attempts += 1;
-        match session.submit(op.clone()) {
-            Ok(ack) => out.acked.push((ack.order, op)),
-            // Every refusal is typed and guarantees the op was not
-            // applied; the mirror replay proves it.
-            Err(ServeError::Overloaded { .. })
-            | Err(ServeError::Timeout { .. })
-            | Err(ServeError::Quarantined { .. })
-            | Err(ServeError::Panicked { .. })
-            | Err(ServeError::Io { .. })
-            | Err(ServeError::Engine { .. })
-            | Err(ServeError::Closed) => {}
+    fn observed(stats: &ServeStats, divergences: &mut Vec<String>) {
+        if stats.degraded_resolutions == 0 {
+            divergences.push("the storm never produced a degraded resolution".into());
         }
-    }
-    out
-}
-
-/// The serialized mirror oracle: replay every acknowledged op in
-/// `(epoch, order)` order into a fresh unlogged [`PadMachine`] over the
-/// same ward universe and return its logical digest. An acked op that
-/// the mirror refuses is itself a divergence (the ack promised it
-/// applied).
-fn replay_digest(acked: &[(u64, u64, PadOp)], divergences: &mut Vec<String>) -> u64 {
-    let mut ordered: Vec<&(u64, u64, PadOp)> = acked.iter().collect();
-    ordered.sort_by_key(|(epoch, order, _)| (*epoch, *order));
-    let mut mirror = ward_mirror();
-    for (epoch, order, op) in ordered {
-        if let Err(e) = mirror.apply(op) {
-            divergences.push(format!(
-                "acked op (epoch {epoch}, order {order}) {op:?} refused in mirror replay: {e}"
-            ));
-        }
-    }
-    mirror.digest()
-}
-
-/// Digest of the durable on-disk state: reopen the pad (snapshot + WAL
-/// + marks sidecar) into a fresh engine and take its logical digest.
-fn reopen_digest(disk: &dyn Vfs, divergences: &mut Vec<String>) -> u64 {
-    let mut factory = ward_factory(
-        MockClock::new(),
-        FaultProfile::healthy(),
-        FlakyControl::new(0),
-        resolver_policy(),
-        module_breaker(),
-        2,
-    );
-    let parts = match factory() {
-        Ok(parts) => parts,
-        Err(e) => {
-            divergences.push(format!("reopen: ward universe failed: {e}"));
-            return 0;
-        }
-    };
-    match PadEngine::open_logged(disk, Path::new(PAD_PATH), parts.manager) {
-        Ok((engine, _report)) => slimserve::PadMachine::new(engine, parts.search).digest(),
-        Err(e) => {
-            divergences.push(format!("reopen: post-shutdown pad failed to open: {e}"));
-            0
+        if stats.repairs == 0 {
+            divergences.push("the repair drill never re-bound a quarantined mark".into());
         }
     }
 }
@@ -731,44 +299,32 @@ fn reopen_digest(disk: &dyn Vfs, divergences: &mut Vec<String>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{assert_clean, script_lines, ChaosConfig};
 
     /// The tier-1 chaos-pad gate: a smoke-profile run with the full
     /// fault menu (panics, base-layer storm, I/O faults, clock stalls,
-    /// torn-append crash) must come out differentially clean.
+    /// torn-append crash, repair drill) must come out differentially
+    /// clean.
     #[test]
     fn smoke_chaos_pad_soak_passes() {
-        let config = ChaosPadConfig::new(Profile::Smoke, 0xC0FFEE);
-        let report = run(&config);
-        assert!(
-            report.passed(),
-            "chaos-pad divergences: {:#?}\nstats: {:?}",
-            report.divergences,
-            report.stats
-        );
-        assert_eq!(report.live_digest, report.replay_digest);
-        assert_eq!(report.disk_digest, report.replay_digest);
+        assert_clean::<Pads>(&ChaosConfig::new::<Pads>(Profile::Smoke, 0xC0FFEE));
     }
 
     /// Crash-free variant: one service incarnation end to end.
     #[test]
     fn chaos_pad_soak_without_crash_passes() {
-        let mut config = ChaosPadConfig::new(Profile::Smoke, 0xFEED);
+        let mut config = ChaosConfig::new::<Pads>(Profile::Smoke, 0xFEED);
         config.crash = false;
-        let report = run(&config);
-        assert!(report.passed(), "chaos-pad divergences: {:#?}", report.divergences);
+        assert_clean::<Pads>(&config);
     }
 
     /// Two runs with one seed must make identical scripts (the report
     /// depends on thread interleaving, the workload must not).
     #[test]
     fn pad_scripts_are_seed_deterministic() {
-        let config = ChaosPadConfig::new(Profile::Smoke, 7);
-        let a = session_script(&config, 3, 1);
-        let b = session_script(&config, 3, 1);
-        assert_eq!(a, b);
-        let c = session_script(&config, 3, 2);
-        assert_ne!(a, c, "epochs get distinct scripts");
+        let config = ChaosConfig::new::<Pads>(Profile::Smoke, 7);
+        let a = script_lines::<Pads>(&config, 3, 1);
+        assert_eq!(a, script_lines::<Pads>(&config, 3, 1));
+        assert_ne!(a, script_lines::<Pads>(&config, 3, 2), "epochs get distinct scripts");
     }
 }
-
-

@@ -22,7 +22,8 @@
 //!   `slimserve` with injected panics, I/O faults, clock stalls, and a
 //!   mid-run crash, verdict = live view == serialized single-session
 //!   replay of the acked ops == post-crash on-disk state. The pad target
-//!   adds a base-layer fault storm and a quarantine-and-repair drill.
+//!   ([`chaos_pad`]) adds a base-layer fault storm and a
+//!   quarantine-and-repair drill.
 //!
 //! Everything is a pure function of `(profile, seed)`: the same pair
 //! reproduces the same corpus XML byte for byte and the same trace
@@ -32,6 +33,7 @@
 //! 0x…`.
 
 pub mod chaos;
+pub mod chaos_pad;
 pub mod corpus;
 pub mod seed_ops;
 pub mod soak;

@@ -1130,6 +1130,75 @@ mod tests {
     }
 
     #[test]
+    fn overload_shedding_carries_the_retry_hint() {
+        let rig = open_rig(
+            FaultProfile::healthy(),
+            PadConfig { queue_capacity: 2, max_batch: 1, op_deadline_ms: 100, ..PadConfig::default() },
+        );
+        let session = rig.service.session();
+        let gate = Gate::new();
+        let park = session.enqueue(PadOp::ChaosPark(gate.clone())).unwrap();
+        gate.wait_arrived();
+        let t1 = session.enqueue(PadOp::Inspect).unwrap();
+        let t2 = session.enqueue(PadOp::Inspect).unwrap();
+        let err = session.enqueue(PadOp::Inspect).unwrap_err();
+        match err {
+            ServeError::Overloaded { queue_len: 2, capacity: 2, retry_after_ms } => {
+                assert_eq!(retry_after_ms, 100);
+            }
+            other => panic!("expected overload, got {other:?}"),
+        }
+        gate.open();
+        park.wait().unwrap();
+        t1.wait().unwrap();
+        t2.wait().unwrap();
+        let stats = rig.service.stats();
+        assert_eq!(stats.shed, 1);
+        assert_eq!(stats.shed_backoff_ms, 100);
+    }
+
+    #[test]
+    fn expired_deadlines_refuse_without_applying() {
+        let rig = open_rig(
+            FaultProfile::healthy(),
+            PadConfig { op_deadline_ms: 100, ..PadConfig::default() },
+        );
+        let session = rig.service.session();
+        let gate = Gate::new();
+        let park = session.enqueue(PadOp::ChaosPark(gate.clone())).unwrap();
+        gate.wait_arrived();
+        let doomed = session.enqueue(create_mark_op(0)).unwrap();
+        rig.clock.advance(101);
+        gate.open();
+        park.wait().unwrap();
+        assert!(matches!(doomed.wait(), Err(ServeError::Timeout { .. })));
+        let ack = session.submit(PadOp::Inspect).unwrap();
+        assert!(matches!(
+            ack.outcome,
+            PadOutcome::Inspected { scraps: 0, .. }
+        ));
+    }
+
+    #[test]
+    fn repeated_faults_quarantine_the_session_until_cooldown() {
+        let rig = open_rig(
+            FaultProfile::healthy(),
+            PadConfig { breaker: small_breaker(), ..PadConfig::default() },
+        );
+        let bad = rig.service.session();
+        let good = rig.service.session();
+        for _ in 0..2 {
+            let _ = bad.submit(PadOp::ChaosPanic { detail: "boom".into() }).unwrap_err();
+        }
+        let err = bad.submit(PadOp::Inspect).unwrap_err();
+        assert!(matches!(err, ServeError::Quarantined { .. }), "{err:?}");
+        good.submit(create_mark_op(0)).unwrap();
+        rig.clock.advance(500);
+        bad.submit(PadOp::Inspect).unwrap();
+        assert!(matches!(bad.breaker_state(), marks::resilience::BreakerState::Closed { .. }));
+    }
+
+    #[test]
     fn dangling_marks_quarantine_and_repair_rebinds_them() {
         let rig = open_rig(FaultProfile::healthy(), PadConfig::default());
         let session = rig.service.session();
