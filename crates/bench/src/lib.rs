@@ -1,8 +1,12 @@
 //! Shared workload builders for the experiment benches (see DESIGN.md §5
-//! for the experiment index E1–E9).
+//! for the experiment index E1–E9), the timing helpers of the `BENCH_*`
+//! reporters, and their one [`gate`].
+
+pub mod gate;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
 use superimposed::basedocs::pdfdoc::PdfDocument;
 use superimposed::basedocs::slides::{ShapeKind, Slide, SlideDeck};
 use superimposed::basedocs::spreadsheet::Workbook;
@@ -12,9 +16,9 @@ use superimposed::trim::naive::NaiveStore;
 use superimposed::trim::{PatternShape, TriplePattern, TripleStore, Value};
 use superimposed::{DocKind, SuperimposedSystem};
 
-/// Store size for the planner baseline (`BENCH_trim.json` and the
-/// `trim_query` bench): the 50k-triple point the tentpole's ≥5× claim is
-/// made at.
+/// Store size for the planner and WAL baselines (`BENCH_trim.json`,
+/// `BENCH_wal.json`): the 50k-triple point their gated ratios are
+/// measured at.
 pub const BENCH_TRIPLES: usize = 50_000;
 
 /// Build a pad with one bundle of `n` scraps through the hand-written DMI.
@@ -101,9 +105,8 @@ pub fn random_store(n: usize, seed: u64) -> (TripleStore, Vec<String>, Vec<Strin
 
 /// The canonical query pattern of one shape over [`random_store`]'s
 /// vocabulary: subject `res:1`, property `prop3`, object the resource
-/// `res:2` — whichever of those the shape binds. Both the criterion
-/// benches and the `BENCH_trim.json` reporter draw from here so their
-/// numbers describe the same queries.
+/// `res:2` — whichever of those the shape binds. The `BENCH_trim.json`
+/// reporter draws from here.
 pub fn shape_pattern(
     store: &TripleStore,
     shape: PatternShape,
@@ -245,4 +248,26 @@ pub fn populated_system(scale: usize) -> SuperimposedSystem {
 /// All six kinds, for per-kind parameterized benches.
 pub fn all_kinds() -> [DocKind; 6] {
     DocKind::all()
+}
+
+/// Best-of-`rounds` wall time of `f`, in nanoseconds; `f` must leave
+/// the world ready for the next round itself.
+pub fn best_ns(rounds: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..rounds {
+        let start = Instant::now();
+        f();
+        best = best.min(start.elapsed().as_nanos() as f64);
+    }
+    best
+}
+
+/// The `p`-quantile of ascending samples: the sample at rank
+/// `(n-1)·p`, rounded to the nearest; 0 when there are none.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
 }

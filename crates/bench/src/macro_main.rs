@@ -13,12 +13,13 @@
 //! * `-- --quick` — fewer trace ops and restart rounds for CI smoke
 //!   runs; the corpus stays at quick-profile scale so per-op numbers
 //!   remain comparable with the committed baseline.
-//! * `-- --check BENCH_macro.json` — additionally gate: each mix's
-//!   throughput must stay within 2× of the committed baseline (the
-//!   factor absorbs machine variance; a real regression shows up well
-//!   past it).
+//! * `-- --check BENCH_macro.json` — additionally gate the run against the
+//!   committed baseline: see `checks` below and DESIGN.md §10 "Bench
+//!   gates".
 //! * `-- --out PATH` — write the report somewhere else.
 
+use slim_bench::gate::{self, json_rows, Args, Check};
+use slim_bench::{best_ns, percentile};
 use slimgen::corpus::{self, Corpus};
 use slimgen::trace::{self, Driver, Mix};
 use slimgen::Profile;
@@ -32,31 +33,6 @@ const SEED: u64 = 0xC0FFEE;
 /// `--check` fails if a mix's ops/sec drops below baseline/this factor.
 const REGRESSION_FACTOR: f64 = 2.0;
 const MIXES: [Mix; 3] = [Mix::ReadHeavy, Mix::WriteHeavy, Mix::Mixed];
-
-struct Args {
-    quick: bool,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { quick: false, out: "BENCH_macro.json".to_string(), check: None };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--quick" => args.quick = true,
-            "--out" => args.out = it.next().unwrap_or_else(|| usage()),
-            "--check" => args.check = Some(it.next().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
-    args
-}
-
-fn usage() -> ! {
-    eprintln!("usage: bench-macro [--quick] [--out PATH] [--check BASELINE_PATH]");
-    std::process::exit(2)
-}
 
 struct MixResult {
     mix: Mix,
@@ -83,14 +59,6 @@ fn logged_corpus() -> (Corpus, MemVfs) {
         .enable_logging(&vfs, Path::new(PAD))
         .expect("snapshot the corpus to the bench vfs");
     (corpus, vfs)
-}
-
-fn percentile(sorted_ns: &[f64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ns[idx.min(sorted_ns.len() - 1)]
 }
 
 fn measure(quick: bool) -> Report {
@@ -142,16 +110,15 @@ fn measure(quick: bool) -> Report {
 }
 
 /// Best-of-`rounds` time to recover a session from the logged pad —
-/// snapshot load, frame replay, and mark-module rewiring included.
+/// snapshot load, frame replay, and mark-module rewiring included; building
+/// the mark modules is not.
 fn best_restart_ns(corpus: &Corpus, vfs: &mut MemVfs, rounds: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds.max(1) {
-        let manager = corpus.system.fresh_manager().expect("rebuild mark modules");
-        let start = Instant::now();
+    let mut managers: Vec<_> =
+        (0..rounds).map(|_| corpus.system.fresh_manager().expect("rebuild mark modules")).collect();
+    best_ns(rounds, || {
+        let manager = managers.pop().expect("one manager per round");
         PadSession::open_logged(vfs, Path::new(PAD), manager).expect("recovery open");
-        best = best.min(start.elapsed().as_nanos() as f64);
-    }
-    best
+    })
 }
 
 fn render_json(r: &Report, quick: bool) -> String {
@@ -164,18 +131,17 @@ fn render_json(r: &Report, quick: bool) -> String {
         "  \"corpus\": {{\"docs\": {}, \"marks\": {}, \"bundles\": {}, \"scraps\": {}}},\n",
         s.docs, s.marks, s.bundles, s.scraps
     ));
-    out.push_str("  \"mixes\": [\n");
-    for (i, m) in r.mixes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mix\": \"{}\", \"ops\": {}, \"ops_per_sec\": {:.1}, \"p99_ns\": {:.1}}}{}\n",
+    let mixes = r.mixes.iter().map(|m| {
+        format!(
+            "{{\"mix\": \"{}\", \"ops\": {}, \"ops_per_sec\": {:.1}, \"p99_ns\": {:.1}}}",
             m.mix.name(),
             m.ops,
             m.ops_per_sec,
             m.p99_ns,
-            if i + 1 == r.mixes.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
+        )
+    });
+    out.push_str(&json_rows("mixes", mixes));
+    out.push_str(",\n");
     out.push_str(&format!(
         "  \"restart\": {{\"replay_ns\": {:.1}, \"compacted_ns\": {:.1}}}\n",
         r.restart_replay_ns, r.restart_compacted_ns
@@ -184,65 +150,37 @@ fn render_json(r: &Report, quick: bool) -> String {
     out
 }
 
-/// Pull `"ops_per_sec": X` for one mix out of a baseline report
-/// (machine-written by this binary in a fixed shape).
-fn baseline_ops_per_sec(baseline: &str, mix: Mix) -> Option<f64> {
-    let marker = format!("\"mix\": \"{}\"", mix.name());
-    let line = baseline.lines().find(|l| l.contains(&marker))?;
-    let rest = line.split("\"ops_per_sec\":").nth(1)?;
-    rest.trim_start().split([',', '}']).next()?.trim().parse().ok()
-}
-
-fn check(r: &Report, baseline_path: &str) -> Result<(), String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    for m in &r.mixes {
-        let Some(committed) = baseline_ops_per_sec(&baseline, m.mix) else {
-            return Err(format!("baseline has no ops_per_sec for mix `{}`", m.mix.name()));
-        };
-        if m.ops_per_sec < committed / REGRESSION_FACTOR {
-            return Err(format!(
-                "mix `{}`: {:.1} ops/sec regressed more than {REGRESSION_FACTOR}x against \
-                 the committed baseline ({committed:.1} ops/sec)",
-                m.mix.name(),
-                m.ops_per_sec,
-            ));
-        }
-    }
-    Ok(())
+/// The macro gate: each mix's throughput stays within 2× of its
+/// committed rate (the factor absorbs machine variance; a real
+/// regression shows up well past it).
+fn checks(mixes: &[MixResult]) -> Vec<Check> {
+    mixes
+        .iter()
+        .map(|m| {
+            Check::new(format!("mix `{}` ops/sec", m.mix.name()), m.ops_per_sec).against(
+                format!("\"mix\": \"{}\"", m.mix.name()),
+                "ops_per_sec",
+                REGRESSION_FACTOR,
+            )
+        })
+        .collect()
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::parse("bench-macro", "BENCH_macro.json");
     let report = measure(args.quick);
-    let s = &report.corpus_stats;
-    println!(
-        "corpus: {} docs, {} marks, {} bundles, {} scraps (seed {SEED:#x})",
-        s.docs, s.marks, s.bundles, s.scraps
-    );
-    for m in &report.mixes {
-        println!(
-            "mix {:>5}: {:>6} ops  {:>10.1} ops/sec  p99 {:>12.1} ns",
-            m.mix.name(),
-            m.ops,
-            m.ops_per_sec,
-            m.p99_ns,
-        );
-    }
-    println!(
-        "restart at scale: {:>14.1} ns replay, {:>14.1} ns after compaction",
-        report.restart_replay_ns, report.restart_compacted_ns
-    );
-    std::fs::write(&args.out, render_json(&report, args.quick))
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out));
-    println!("wrote {}", args.out);
-    if let Some(baseline) = &args.check {
-        match check(&report, baseline) {
-            Ok(()) => println!("baseline check passed against {baseline}"),
-            Err(msg) => {
-                eprintln!("baseline check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
+    gate::finish(&args, &render_json(&report, args.quick), &checks(&report.mixes));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_baseline_carries_every_gated_key() {
+        let mixes =
+            MIXES.map(|mix| MixResult { mix, ops: 0, ops_per_sec: f64::INFINITY, p99_ns: 0.0 });
+        let failed = gate::failures(&checks(&mixes), include_str!("../../../BENCH_macro.json"));
+        assert!(failed.is_empty(), "{failed:?}");
     }
 }

@@ -7,13 +7,13 @@
 //! * `cargo run -p slim-bench --release` — full run, writes
 //!   `BENCH_trim.json` in the current directory.
 //! * `-- --quick` — shorter per-measurement budget for CI smoke runs.
-//! * `-- --check BENCH_trim.json` — additionally gate: predicate- and
-//!   object-bound speedups must stay ≥ 5× and must not fall below half
-//!   of the committed baseline's speedup (a machine-independent ratio,
-//!   unlike raw latencies).
+//! * `-- --check BENCH_trim.json` — additionally gate the run against the
+//!   committed baseline: see `checks` below and DESIGN.md §10 "Bench
+//!   gates".
 //! * `-- --out PATH` — write the report somewhere else.
 
-use slim_bench::{join_store, naive_copy, random_store, shape_pattern, BENCH_TRIPLES};
+use slim_bench::gate::{self, json_rows, Args, Check};
+use slim_bench::{best_ns, join_store, naive_copy, random_store, shape_pattern, BENCH_TRIPLES};
 use std::hint::black_box;
 use std::time::Instant;
 use superimposed::trim::{naive_join, ConjQuery, PatternShape, TripleStore};
@@ -91,31 +91,6 @@ fn chain_unselective(store: &TripleStore) -> ConjQuery {
     q
 }
 
-struct Args {
-    quick: bool,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { quick: false, out: "BENCH_trim.json".to_string(), check: None };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--quick" => args.quick = true,
-            "--out" => args.out = it.next().unwrap_or_else(|| usage()),
-            "--check" => args.check = Some(it.next().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
-    args
-}
-
-fn usage() -> ! {
-    eprintln!("usage: slim-bench [--quick] [--out PATH] [--check BASELINE_PATH]");
-    std::process::exit(2)
-}
-
 /// Nanoseconds per call: warm once, size the batch to roughly
 /// `budget_ms`, then take the best of three batches (best-of counters
 /// scheduler noise; these are pure in-memory queries).
@@ -125,33 +100,34 @@ fn time_ns(budget_ms: u64, mut f: impl FnMut()) -> f64 {
     f();
     let once = probe.elapsed().as_nanos().max(1);
     let iters = ((budget_ms as u128 * 1_000_000) / once).clamp(1, 100_000) as u32;
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
+    best_ns(3, || {
         for _ in 0..iters {
             f();
         }
-        best = best.min(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
+    }) / iters as f64
 }
 
-struct ShapeResult {
-    shape: PatternShape,
+/// One measured query — a pattern shape or a join — against its naive
+/// evaluator.
+struct QueryRow {
+    name: &'static str,
     plan: String,
     hits: usize,
     indexed_ns: f64,
     naive_ns: f64,
 }
 
-impl ShapeResult {
+impl QueryRow {
     fn speedup(&self) -> f64 {
         self.naive_ns / self.indexed_ns.max(1.0)
     }
 }
 
-fn measure(quick: bool) -> Vec<ShapeResult> {
-    let budget_ms = if quick { 20 } else { 200 };
+fn shape_row(rows: &[QueryRow], shape: PatternShape) -> &QueryRow {
+    rows.iter().find(|r| r.name == shape.name()).expect("measure() covers every shape")
+}
+
+fn measure(budget_ms: u64) -> Vec<QueryRow> {
     let (store, subjects, properties) = random_store(BENCH_TRIPLES, 42);
     let naive = naive_copy(&store);
     let naive_args = |shape: PatternShape| {
@@ -179,8 +155,8 @@ fn measure(quick: bool) -> Vec<ShapeResult> {
             let naive_ns = time_ns(budget_ms, || {
                 black_box(naive.select_matching(black_box(ns), np, no));
             });
-            ShapeResult {
-                shape,
+            QueryRow {
+                name: shape.name(),
                 plan: store.explain(&pattern).to_string(),
                 hits,
                 indexed_ns,
@@ -190,22 +166,7 @@ fn measure(quick: bool) -> Vec<ShapeResult> {
         .collect()
 }
 
-struct JoinResult {
-    name: &'static str,
-    plan: String,
-    hits: usize,
-    indexed_ns: f64,
-    naive_ns: f64,
-}
-
-impl JoinResult {
-    fn speedup(&self) -> f64 {
-        self.naive_ns / self.indexed_ns.max(1.0)
-    }
-}
-
-fn measure_joins(quick: bool) -> Vec<JoinResult> {
-    let budget_ms = if quick { 20 } else { 200 };
+fn measure_joins(budget_ms: u64) -> Vec<QueryRow> {
     // 5 triples per scrap: the join store lands at the same ~50k-triple
     // point the pattern shapes are measured at.
     let store = join_store(BENCH_TRIPLES / 5);
@@ -236,199 +197,105 @@ fn measure_joins(quick: bool) -> Vec<JoinResult> {
                 .next()
                 .unwrap_or_default()
                 .to_string();
-            JoinResult { name: shape.name, plan, hits: rows.len(), indexed_ns, naive_ns }
+            QueryRow { name: shape.name, plan, hits: rows.len(), indexed_ns, naive_ns }
         })
         .collect()
 }
 
-fn render_json(results: &[ShapeResult], joins: &[JoinResult], quick: bool) -> String {
+fn render_json(results: &[QueryRow], joins: &[QueryRow], quick: bool) -> String {
+    // `kind` is the row marker: "shape" for pattern shapes, "join" for joins.
+    let row = |kind: &str, r: &QueryRow| {
+        format!(
+            "{{\"{kind}\": \"{}\", \"plan\": \"{}\", \"hits\": {}, \
+             \"indexed_ns\": {:.1}, \"naive_ns\": {:.1}, \"speedup\": {:.1}}}",
+            r.name,
+            r.plan,
+            r.hits,
+            r.indexed_ns,
+            r.naive_ns,
+            r.speedup(),
+        )
+    };
+    let allowed = ALLOWED_REGRESSIONS.iter().map(|a| {
+        format!(
+            "{{\"shape\": \"{}\", \"allow_regression\": true, \"ratio\": {:.1}, \
+             \"note\": \"{}\"}}",
+            a.shape.name(),
+            shape_row(results, a.shape).speedup(),
+            a.note,
+        )
+    });
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"n_triples\": {BENCH_TRIPLES},\n"));
     out.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    out.push_str("  \"shapes\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"plan\": \"{}\", \"hits\": {}, \
-             \"indexed_ns\": {:.1}, \"naive_ns\": {:.1}, \"speedup\": {:.1}}}{}\n",
-            r.shape.name(),
-            r.plan,
-            r.hits,
-            r.indexed_ns,
-            r.naive_ns,
-            r.speedup(),
-            if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"joins\": [\n");
-    for (i, r) in joins.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"join\": \"{}\", \"plan\": \"{}\", \"hits\": {}, \
-             \"indexed_ns\": {:.1}, \"naive_ns\": {:.1}, \"speedup\": {:.1}}}{}\n",
-            r.name,
-            r.plan,
-            r.hits,
-            r.indexed_ns,
-            r.naive_ns,
-            r.speedup(),
-            if i + 1 == joins.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"allowed_regressions\": [\n");
-    for (i, a) in ALLOWED_REGRESSIONS.iter().enumerate() {
-        let r = results.iter().find(|r| r.shape == a.shape).expect("measured");
-        out.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"allow_regression\": true, \"ratio\": {:.1}, \
-             \"note\": \"{}\"}}{}\n",
-            a.shape.name(),
-            r.speedup(),
-            a.note,
-            if i + 1 == ALLOWED_REGRESSIONS.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    out.push_str(&json_rows("shapes", results.iter().map(|r| row("shape", r))));
+    out.push_str(",\n");
+    out.push_str(&json_rows("joins", joins.iter().map(|r| row("join", r))));
+    out.push_str(",\n");
+    out.push_str(&json_rows("allowed_regressions", allowed));
+    out.push_str("\n}\n");
     out
 }
 
-/// Pull `"speedup": X` for one shape out of a baseline report. String
-/// scanning instead of a JSON dependency: the file is machine-written by
-/// this binary in a fixed shape.
-fn baseline_speedup(baseline: &str, shape: PatternShape) -> Option<f64> {
-    let marker = format!("\"shape\": \"{}\"", shape.name());
-    let line = baseline.lines().find(|l| l.contains(&marker))?;
-    let rest = line.split("\"speedup\":").nth(1)?;
-    rest.trim_start().trim_end_matches(['}', ',', ' ']).parse().ok()
-}
-
-/// Like [`baseline_speedup`], for a join row (`"join": "NAME"`).
-/// Baselines written before the joins section existed return `None`,
-/// which skips the regression half of the join gate — never the floor.
-fn baseline_join_speedup(baseline: &str, name: &str) -> Option<f64> {
-    let marker = format!("\"join\": \"{name}\"");
-    let line = baseline.lines().find(|l| l.contains(&marker))?;
-    let rest = line.split("\"speedup\":").nth(1)?;
-    rest.trim_start().trim_end_matches(['}', ',', ' ']).parse().ok()
-}
-
-fn check(results: &[ShapeResult], joins: &[JoinResult], baseline_path: &str) -> Result<(), String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    for shape in GATED_SHAPES {
-        let r = results
-            .iter()
-            .find(|r| r.shape == shape)
-            .expect("measure() covers every shape");
-        let speedup = r.speedup();
-        if speedup < SPEEDUP_FLOOR {
-            return Err(format!(
-                "shape `{}`: speedup {speedup:.1}x over naive scan is below the {SPEEDUP_FLOOR}x floor",
-                shape.name()
-            ));
-        }
-        if let Some(committed) = baseline_speedup(&baseline, shape) {
-            if speedup < committed / REGRESSION_FACTOR {
-                return Err(format!(
-                    "shape `{}`: speedup {speedup:.1}x regressed more than {REGRESSION_FACTOR}x \
-                     against the committed baseline ({committed:.1}x)",
-                    shape.name()
-                ));
-            }
-        }
-    }
-    // Every join shape — including the unselective worst case — must
-    // beat the naive cross-product evaluator by the same floor, and must
-    // not regress against its committed ratio.
-    for r in joins {
-        let speedup = r.speedup();
-        if speedup < SPEEDUP_FLOOR {
-            return Err(format!(
-                "join `{}`: speedup {speedup:.1}x over the naive cross-product \
-                 evaluator is below the {SPEEDUP_FLOOR}x floor",
-                r.name
-            ));
-        }
-        if let Some(committed) = baseline_join_speedup(&baseline, r.name) {
-            if speedup < committed / REGRESSION_FACTOR {
-                return Err(format!(
-                    "join `{}`: speedup {speedup:.1}x regressed more than {REGRESSION_FACTOR}x \
-                     against the committed baseline ({committed:.1}x)",
-                    r.name
-                ));
-            }
-        }
-    }
-    // Allowed regressions skip the floor but not the baseline gate: the
-    // tracked ratio must not quietly get worse.
-    for allowed in &ALLOWED_REGRESSIONS {
-        let r = results
-            .iter()
-            .find(|r| r.shape == allowed.shape)
-            .expect("measure() covers every shape");
-        let ratio = r.speedup();
-        if let Some(committed) = baseline_speedup(&baseline, allowed.shape) {
-            if ratio < committed / REGRESSION_FACTOR {
-                return Err(format!(
-                    "shape `{}`: tracked ratio {ratio:.1}x fell more than {REGRESSION_FACTOR}x \
-                     below the committed baseline ({committed:.1}x) — the allowed regression \
-                     is degrading",
-                    allowed.shape.name()
-                ));
-            }
-        }
-    }
-    Ok(())
+/// The trim gate: the predicate- and object-bound shapes and every join
+/// shape — including the unselective worst case — hold the floor over
+/// their naive evaluators and their committed speedup (a
+/// machine-independent ratio, unlike raw latencies); allowed
+/// regressions skip the floor but not the baseline bound, so a tracked
+/// ratio cannot quietly get worse.
+fn checks(results: &[QueryRow], joins: &[QueryRow]) -> Vec<Check> {
+    let shape = |shape: PatternShape| {
+        let r = shape_row(results, shape);
+        Check::new(format!("shape `{}` speedup", r.name), r.speedup()).against(
+            format!("\"shape\": \"{}\"", r.name),
+            "speedup",
+            REGRESSION_FACTOR,
+        )
+    };
+    let joins = joins.iter().map(|r| {
+        Check::new(format!("join `{}` speedup", r.name), r.speedup())
+            .floor(SPEEDUP_FLOOR)
+            .against(format!("\"join\": \"{}\"", r.name), "speedup", REGRESSION_FACTOR)
+    });
+    GATED_SHAPES
+        .map(|s| shape(s).floor(SPEEDUP_FLOOR))
+        .into_iter()
+        .chain(joins)
+        .chain(ALLOWED_REGRESSIONS.iter().map(|a| shape(a.shape)))
+        .collect()
 }
 
 fn main() {
-    let args = parse_args();
-    let results = measure(args.quick);
-    let joins = measure_joins(args.quick);
-    for r in &results {
-        println!(
-            "shape {:>7}  {:<34}  hits {:>6}  indexed {:>12.1} ns  naive {:>12.1} ns  speedup {:>8.1}x",
-            r.shape.name(),
-            r.plan,
-            r.hits,
-            r.indexed_ns,
-            r.naive_ns,
-            r.speedup(),
+    let args = Args::parse("slim-bench", "BENCH_trim.json");
+    let budget_ms = if args.quick { 20 } else { 200 };
+    let results = measure(budget_ms);
+    let joins = measure_joins(budget_ms);
+    let report = render_json(&results, &joins, args.quick);
+    gate::finish(&args, &report, &checks(&results, &joins));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_baseline_carries_every_gated_key() {
+        let row = |name| QueryRow {
+            name,
+            plan: String::new(),
+            hits: 0,
+            indexed_ns: 1.0,
+            naive_ns: f64::INFINITY,
+        };
+        let results: Vec<_> = PatternShape::ALL.iter().map(|s| row(s.name())).collect();
+        let joins: Vec<_> = JOIN_SHAPES.iter().map(|j| row(j.name)).collect();
+        let checks = checks(&results, &joins);
+        assert_eq!(
+            checks.len(),
+            GATED_SHAPES.len() + JOIN_SHAPES.len() + ALLOWED_REGRESSIONS.len()
         );
-    }
-    for r in &joins {
-        println!(
-            "join {:>18}  {:<40}  hits {:>6}  indexed {:>12.1} ns  naive {:>12.1} ns  speedup {:>8.1}x",
-            r.name,
-            r.plan,
-            r.hits,
-            r.indexed_ns,
-            r.naive_ns,
-            r.speedup(),
-        );
-    }
-    for allowed in &ALLOWED_REGRESSIONS {
-        let r = results
-            .iter()
-            .find(|r| r.shape == allowed.shape)
-            .expect("measure() covers every shape");
-        println!(
-            "note: shape {:>7} runs at {:.1}x (allowed regression, tracked): {}",
-            allowed.shape.name(),
-            r.speedup(),
-            allowed.note
-        );
-    }
-    std::fs::write(&args.out, render_json(&results, &joins, args.quick))
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out));
-    println!("wrote {}", args.out);
-    if let Some(baseline) = &args.check {
-        match check(&results, &joins, baseline) {
-            Ok(()) => println!("baseline check passed against {baseline}"),
-            Err(msg) => {
-                eprintln!("baseline check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
+        let failed = gate::failures(&checks, include_str!("../../../BENCH_trim.json"));
+        assert!(failed.is_empty(), "{failed:?}");
     }
 }

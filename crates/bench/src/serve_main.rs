@@ -20,11 +20,9 @@
 //! * `cargo run -p slim-bench --bin bench-serve --release` — full run,
 //!   writes `BENCH_serve.json` in the current directory.
 //! * `-- --quick` — shorter measurement windows for CI smoke runs.
-//! * `-- --check BENCH_serve.json` — additionally gate: aggregate
-//!   reader throughput at 16 sessions must stay above the starvation
-//!   floor relative to the single-reader run, must not regress more
-//!   than 3× against the committed baseline's scaling ratio, and
-//!   saturation must both shed and ack.
+//! * `-- --check BENCH_serve.json` — additionally gate the run against the
+//!   committed baseline: see `checks` below and DESIGN.md §10 "Bench
+//!   gates".
 //! * `-- --out PATH` — write the report somewhere else.
 //!
 //! The gates are ratios measured within one run, so they hold across
@@ -35,6 +33,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use slim_bench::gate::{self, json_rows, Args, Check};
+use slim_bench::percentile;
 use slimserve::{
     ward_doc, ward_factory, PadConfig, PadOp, PadService, ServeConfig, ServeError, ServeOp,
     Service, WARD_PARAGRAPHS,
@@ -47,6 +47,8 @@ const SNAP: &str = "bench/serve-store.xml";
 const PAD: &str = "bench/serve-pad.xml";
 /// Reader-session counts measured under the hot writer.
 const READER_SESSIONS: [usize; 3] = [1, 4, 16];
+/// Sessions that keep the writer committing while readers are measured.
+const FEEDERS: usize = 2;
 /// Aggregate reader throughput at 16 sessions must stay above this
 /// fraction of the single-reader aggregate — the "no reader
 /// starvation" gate. Aggregate (not per-reader) so the floor holds on
@@ -60,38 +62,13 @@ const REGRESSION_FACTOR: f64 = 3.0;
 /// Triples seeded into the store before measuring readers.
 const SEED_TRIPLES: usize = 2_000;
 
-struct Args {
-    quick: bool,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { quick: false, out: "BENCH_serve.json".to_string(), check: None };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--quick" => args.quick = true,
-            "--out" => args.out = it.next().unwrap_or_else(|| usage()),
-            "--check" => args.check = Some(it.next().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
-    args
-}
-
-fn usage() -> ! {
-    eprintln!("usage: bench-serve [--quick] [--out PATH] [--check BASELINE_PATH]");
-    std::process::exit(2)
-}
-
 struct ReaderResult {
     sessions: usize,
     reads_total: u64,
     reads_per_sec_total: f64,
-    reads_per_sec_per_reader: f64,
 }
 
+#[derive(Default)]
 struct PadMixResult {
     acked: u64,
     engine_refusals: u64,
@@ -101,6 +78,7 @@ struct PadMixResult {
     mix_ratio: f64,
 }
 
+#[derive(Default)]
 struct Report {
     readers: Vec<ReaderResult>,
     /// aggregate reads/s at 16 sessions / aggregate at 1 session.
@@ -108,7 +86,6 @@ struct Report {
     saturation_attempts: u64,
     saturation_acked: u64,
     saturation_shed: u64,
-    shed_rate: f64,
     commit_p50_ns: f64,
     commit_p99_ns: f64,
     pad_mix: PadMixResult,
@@ -146,67 +123,54 @@ fn seed(service: &Service) {
     }
 }
 
-/// Reader throughput with `n` reader sessions while two feeder sessions
-/// keep the writer committing for the whole window.
+/// Run `worker(t, &stop)` on threads `t` in `0..threads` until `window`
+/// elapses, then raise `stop` and join them: the sum of what they return.
+fn run_for(
+    window: Duration,
+    threads: usize,
+    worker: impl Fn(usize, &AtomicBool) -> u64 + Sync,
+) -> u64 {
+    let (worker, stop) = (&worker, &AtomicBool::new(false));
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads).map(|t| s.spawn(move || worker(t, stop))).collect();
+        std::thread::sleep(window);
+        stop.store(true, Ordering::Relaxed);
+        handles.into_iter().map(|h| h.join().expect("bench thread")).sum()
+    })
+}
+
+/// Reader throughput with `n` reader sessions while [`FEEDERS`] feeder
+/// sessions keep the writer committing for the whole window.
 fn measure_readers(service: &Service, n: usize, window: Duration) -> ReaderResult {
-    let stop = Arc::new(AtomicBool::new(false));
-    let reads = Arc::new(AtomicU64::new(0));
-
-    let feeders: Vec<_> = (0..2)
-        .map(|f| {
-            let session = service.session();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    i += 1;
-                    let _ = session.submit(ServeOp::insert(
-                        &format!("feed{f}:{i}"),
-                        "seq",
-                        &i.to_string(),
-                    ));
-                }
-            })
-        })
-        .collect();
-
-    let readers: Vec<_> = (0..n)
-        .map(|r| {
-            let session = service.session();
-            let stop = Arc::clone(&stop);
-            let reads = Arc::clone(&reads);
-            std::thread::spawn(move || {
-                let mut local = 0u64;
-                let subject = format!("hot:doc{}", r % 64);
-                while !stop.load(Ordering::Relaxed) {
-                    // One "read op": clone the published snapshot, scan
-                    // one hot subject, touch the overall cardinality.
-                    let snap = session.snapshot();
-                    let hits = snap.scan_subject(&subject).count();
-                    assert!(hits > 0, "seeded subject must be visible");
-                    local += 1;
-                }
-                reads.fetch_add(local, Ordering::Relaxed);
-            })
-        })
-        .collect();
-
-    std::thread::sleep(window);
-    stop.store(true, Ordering::Relaxed);
-    for t in readers {
-        t.join().expect("reader thread");
-    }
-    for t in feeders {
-        t.join().expect("feeder thread");
-    }
-
-    let reads_total = reads.load(Ordering::Relaxed);
+    let reads_total = run_for(window, FEEDERS + n, |t, stop| {
+        let session = service.session();
+        let mut i = 0u64;
+        if t < FEEDERS {
+            while !stop.load(Ordering::Relaxed) {
+                i += 1;
+                let _ = session.submit(ServeOp::insert(
+                    &format!("feed{t}:{i}"),
+                    "seq",
+                    &i.to_string(),
+                ));
+            }
+            return 0;
+        }
+        let subject = format!("hot:doc{}", (t - FEEDERS) % 64);
+        while !stop.load(Ordering::Relaxed) {
+            // One "read op": clone the published snapshot, scan one hot
+            // subject.
+            let hits = session.snapshot().scan_subject(&subject).count();
+            assert!(hits > 0, "seeded subject must be visible");
+            i += 1;
+        }
+        i
+    });
     let secs = window.as_secs_f64();
     ReaderResult {
         sessions: n,
         reads_total,
         reads_per_sec_total: reads_total as f64 / secs,
-        reads_per_sec_per_reader: reads_total as f64 / secs / n as f64,
     }
 }
 
@@ -214,64 +178,40 @@ fn measure_readers(service: &Service, n: usize, window: Duration) -> ReaderResul
 /// count accepted vs shed. Tickets are dropped — the writer still acks
 /// into them, the bench only cares about admission outcomes.
 fn measure_saturation(window: Duration) -> (u64, u64, u64) {
-    let service = open_service(ServeConfig {
-        queue_capacity: 64,
-        max_batch: 64,
-        op_deadline_ms: 60_000,
-        ..ServeConfig::default()
-    });
-    let stop = Arc::new(AtomicBool::new(false));
-    let attempts = Arc::new(AtomicU64::new(0));
-    let shed = Arc::new(AtomicU64::new(0));
-    let submitters: Vec<_> = (0..4)
-        .map(|s| {
-            let session = service.session();
-            let stop = Arc::clone(&stop);
-            let attempts = Arc::clone(&attempts);
-            let shed = Arc::clone(&shed);
-            std::thread::spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    i += 1;
-                    attempts.fetch_add(1, Ordering::Relaxed);
-                    match session.enqueue(ServeOp::insert(
-                        &format!("sat{s}:{i}"),
-                        "seq",
-                        &i.to_string(),
-                    )) {
-                        Ok(_ticket) => {}
-                        Err(ServeError::Overloaded { .. }) => {
-                            shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(other) => panic!("unexpected refusal at saturation: {other}"),
-                    }
+    let service = open_service(ServeConfig { queue_capacity: 64, ..serve_config() });
+    let shed = AtomicU64::new(0);
+    let attempts = run_for(window, 4, |s, stop| {
+        let session = service.session();
+        let mut i = 0u64;
+        while !stop.load(Ordering::Relaxed) {
+            i += 1;
+            match session.enqueue(ServeOp::insert(&format!("sat{s}:{i}"), "seq", &i.to_string())) {
+                Ok(_ticket) => {}
+                Err(ServeError::Overloaded { .. }) => {
+                    shed.fetch_add(1, Ordering::Relaxed);
                 }
-            })
-        })
-        .collect();
-    std::thread::sleep(window);
-    stop.store(true, Ordering::Relaxed);
-    for t in submitters {
-        t.join().expect("submitter thread");
-    }
+                Err(other) => panic!("unexpected refusal at saturation: {other}"),
+            }
+        }
+        i
+    });
     let stats = service.shutdown();
-    (attempts.load(Ordering::Relaxed), stats.acked, shed.load(Ordering::Relaxed))
+    (attempts, stats.acked, shed.load(Ordering::Relaxed))
 }
 
 /// Blocking-submit latency distribution from one session.
 fn measure_commit_latency(service: &Service, rounds: usize) -> (f64, f64) {
     let session = service.session();
-    let mut lat: Vec<u64> = Vec::with_capacity(rounds);
+    let mut lat: Vec<f64> = Vec::with_capacity(rounds);
     for i in 0..rounds {
         let start = Instant::now();
         session
             .submit(ServeOp::insert(&format!("lat:{i}"), "seq", &i.to_string()))
             .expect("latency submit");
-        lat.push(start.elapsed().as_nanos() as u64);
+        lat.push(start.elapsed().as_nanos() as f64);
     }
-    lat.sort_unstable();
-    let pct = |p: f64| lat[((lat.len() - 1) as f64 * p) as usize] as f64;
-    (pct(0.50), pct(0.99))
+    lat.sort_by(|a, b| a.total_cmp(b));
+    (percentile(&lat, 0.50), percentile(&lat, 0.99))
 }
 
 /// The `i`-th op of the pad-mix rotation for submitter `t`: one bundle,
@@ -307,33 +247,18 @@ fn pad_mix_op(t: usize, i: u64) -> PadOp {
 /// denominator for the pad-mix ratio.
 fn measure_plain_inserts(window: Duration) -> f64 {
     let service = open_service(serve_config());
-    let stop = Arc::new(AtomicBool::new(false));
-    let acked = Arc::new(AtomicU64::new(0));
-    let submitters: Vec<_> = (0..2)
-        .map(|t| {
-            let session = service.session();
-            let stop = Arc::clone(&stop);
-            let acked = Arc::clone(&acked);
-            std::thread::spawn(move || {
-                let mut i = 0u64;
-                let mut local = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    i += 1;
-                    session
-                        .submit(ServeOp::insert(&format!("mix{t}:{i}"), "seq", &i.to_string()))
-                        .expect("plain insert submit");
-                    local += 1;
-                }
-                acked.fetch_add(local, Ordering::Relaxed);
-            })
-        })
-        .collect();
-    std::thread::sleep(window);
-    stop.store(true, Ordering::Relaxed);
-    for t in submitters {
-        t.join().expect("plain submitter thread");
-    }
-    acked.load(Ordering::Relaxed) as f64 / window.as_secs_f64()
+    let acked = run_for(window, 2, |t, stop| {
+        let session = service.session();
+        let mut i = 0u64;
+        while !stop.load(Ordering::Relaxed) {
+            i += 1;
+            session
+                .submit(ServeOp::insert(&format!("mix{t}:{i}"), "seq", &i.to_string()))
+                .expect("plain insert submit");
+        }
+        i
+    });
+    acked as f64 / window.as_secs_f64()
 }
 
 /// Pad-op mix throughput: two sessions blocking-submit the fixed
@@ -371,28 +296,18 @@ fn measure_pad_mix(window: Duration) -> PadMixResult {
     let service = PadService::open(vfs, Path::new(PAD), config, clock, factory)
         .expect("fresh bench pad service opens");
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let submitters: Vec<_> = (0..2)
-        .map(|t| {
-            let session = service.session();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    match session.submit(pad_mix_op(t, i)) {
-                        Ok(_) | Err(ServeError::Engine { .. }) => {}
-                        Err(other) => panic!("unexpected pad refusal in mix: {other}"),
-                    }
-                    i += 1;
-                }
-            })
-        })
-        .collect();
-    std::thread::sleep(window);
-    stop.store(true, Ordering::Relaxed);
-    for t in submitters {
-        t.join().expect("pad submitter thread");
-    }
+    run_for(window, 2, |t, stop| {
+        let session = service.session();
+        let mut i = 0u64;
+        while !stop.load(Ordering::Relaxed) {
+            match session.submit(pad_mix_op(t, i)) {
+                Ok(_) | Err(ServeError::Engine { .. }) => {}
+                Err(other) => panic!("unexpected pad refusal in mix: {other}"),
+            }
+            i += 1;
+        }
+        i
+    });
     let stats = service.shutdown();
     assert_eq!(stats.unaccounted(), 0, "pad mix dropped ops silently: {stats:?}");
 
@@ -423,7 +338,6 @@ fn measure(quick: bool) -> Report {
     drop(service);
 
     let (saturation_attempts, saturation_acked, saturation_shed) = measure_saturation(window);
-    let shed_rate = saturation_shed as f64 / saturation_attempts.max(1) as f64;
 
     let pad_mix = measure_pad_mix(window);
 
@@ -433,7 +347,6 @@ fn measure(quick: bool) -> Report {
         saturation_attempts,
         saturation_acked,
         saturation_shed,
-        shed_rate,
         commit_p50_ns,
         commit_p99_ns,
         pad_mix,
@@ -444,24 +357,26 @@ fn render_json(r: &Report, quick: bool) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    out.push_str("  \"readers_under_hot_writer\": [\n");
-    for (i, rr) in r.readers.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"sessions\": {}, \"reads_total\": {}, \"reads_per_sec_total\": {:.1}, \
-             \"reads_per_sec_per_reader\": {:.1}}}{}\n",
+    let readers = r.readers.iter().map(|rr| {
+        format!(
+            "{{\"sessions\": {}, \"reads_total\": {}, \"reads_per_sec_total\": {:.1}, \
+             \"reads_per_sec_per_reader\": {:.1}}}",
             rr.sessions,
             rr.reads_total,
             rr.reads_per_sec_total,
-            rr.reads_per_sec_per_reader,
-            if i + 1 == r.readers.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
+            rr.reads_per_sec_total / rr.sessions as f64,
+        )
+    });
+    out.push_str(&json_rows("readers_under_hot_writer", readers));
+    out.push_str(",\n");
     out.push_str(&format!("  \"reader_scaling_16\": {:.3},\n", r.reader_scaling_16));
     out.push_str(&format!(
         "  \"saturation\": {{\"attempts\": {}, \"acked\": {}, \"shed\": {}, \
          \"shed_rate\": {:.3}}},\n",
-        r.saturation_attempts, r.saturation_acked, r.saturation_shed, r.shed_rate
+        r.saturation_attempts,
+        r.saturation_acked,
+        r.saturation_shed,
+        r.saturation_shed as f64 / r.saturation_attempts.max(1) as f64,
     ));
     out.push_str(&format!(
         "  \"commit_latency_ns\": {{\"p50\": {:.1}, \"p99\": {:.1}}},\n",
@@ -480,105 +395,45 @@ fn render_json(r: &Report, quick: bool) -> String {
     out
 }
 
-/// Pull `"reader_scaling_16": X` out of a baseline report
-/// (machine-written by this binary in a fixed shape).
-fn baseline_scaling(baseline: &str) -> Option<f64> {
-    let line = baseline.lines().find(|l| l.contains("\"reader_scaling_16\":"))?;
-    let rest = line.split("\"reader_scaling_16\":").nth(1)?;
-    rest.trim_start().trim_end_matches([',', ' ']).parse().ok()
-}
-
-/// Pull `"mix_ratio": X` out of a baseline report. `None` (and so no
-/// ratio gate) when the baseline predates the pad-mix column — old
-/// committed baselines must keep passing `--check`.
-fn baseline_pad_ratio(baseline: &str) -> Option<f64> {
-    let line = baseline.lines().find(|l| l.contains("\"mix_ratio\":"))?;
-    let rest = line.split("\"mix_ratio\":").nth(1)?;
-    rest.trim_start().trim_end_matches(['}', ',', ' ']).parse().ok()
-}
-
-fn check(r: &Report, baseline_path: &str) -> Result<(), String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    if r.reader_scaling_16 < SCALING_FLOOR {
-        return Err(format!(
-            "aggregate reader throughput at 16 sessions fell to {:.3} of the single-reader \
-             run (starvation floor: {SCALING_FLOOR})",
-            r.reader_scaling_16
-        ));
-    }
-    if let Some(committed) = baseline_scaling(&baseline) {
-        if r.reader_scaling_16 < committed / REGRESSION_FACTOR {
-            return Err(format!(
-                "reader scaling {:.3} regressed more than {REGRESSION_FACTOR}x against the \
-                 committed baseline ({committed:.3})",
-                r.reader_scaling_16
-            ));
-        }
-    }
-    if r.saturation_shed == 0 {
-        return Err("saturation never shed: backpressure is not engaging".to_string());
-    }
-    if r.saturation_acked == 0 {
-        return Err("saturation acked nothing: the writer starved completely".to_string());
-    }
-    if r.pad_mix.acked == 0 {
-        return Err("pad mix acked nothing: the pad writer starved completely".to_string());
-    }
-    if let Some(committed) = baseline_pad_ratio(&baseline) {
-        if r.pad_mix.mix_ratio < committed / REGRESSION_FACTOR {
-            return Err(format!(
-                "pad-op mix ratio {:.4} regressed more than {REGRESSION_FACTOR}x against the \
-                 committed baseline ({committed:.4})",
-                r.pad_mix.mix_ratio
-            ));
-        }
-    }
-    Ok(())
+/// The serve gate: no reader starvation at 16 sessions, the scaling
+/// and pad-mix ratios hold their committed values, and saturation both
+/// sheds and acks.
+fn checks(r: &Report) -> Vec<Check> {
+    vec![
+        Check::new("reader scaling at 16 sessions", r.reader_scaling_16)
+            .floor(SCALING_FLOOR)
+            .against("", "reader_scaling_16", REGRESSION_FACTOR),
+        Check::positive("saturation shed (backpressure engaging)", r.saturation_shed),
+        Check::positive("saturation acked (writer not starved)", r.saturation_acked),
+        Check::positive("pad mix acked (pad writer not starved)", r.pad_mix.acked),
+        Check::new("pad-op mix ratio", r.pad_mix.mix_ratio).against(
+            "",
+            "mix_ratio",
+            REGRESSION_FACTOR,
+        ),
+    ]
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::parse("bench-serve", "BENCH_serve.json");
     let report = measure(args.quick);
-    for rr in &report.readers {
-        println!(
-            "readers {:>2}: {:>12.1} reads/s total  ({:>12.1} per reader)",
-            rr.sessions, rr.reads_per_sec_total, rr.reads_per_sec_per_reader
-        );
-    }
-    println!(
-        "reader scaling at 16 sessions: {:.3}x the single-reader aggregate",
-        report.reader_scaling_16
-    );
-    println!(
-        "saturation: {} attempts, {} acked, {} shed ({:.1}% shed rate)",
-        report.saturation_attempts,
-        report.saturation_acked,
-        report.saturation_shed,
-        report.shed_rate * 100.0
-    );
-    println!(
-        "commit latency: p50 {:>10.1} ns, p99 {:>10.1} ns",
-        report.commit_p50_ns, report.commit_p99_ns
-    );
-    println!(
-        "pad mix: {:>12.1} ops/s acked ({} engine refusals), {:.4}x plain inserts \
-         ({:.1} ops/s)",
-        report.pad_mix.ops_per_sec,
-        report.pad_mix.engine_refusals,
-        report.pad_mix.mix_ratio,
-        report.pad_mix.plain_insert_ops_per_sec
-    );
-    std::fs::write(&args.out, render_json(&report, args.quick))
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out));
-    println!("wrote {}", args.out);
-    if let Some(baseline) = &args.check {
-        match check(&report, baseline) {
-            Ok(()) => println!("baseline check passed against {baseline}"),
-            Err(msg) => {
-                eprintln!("baseline check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
+    gate::finish(&args, &render_json(&report, args.quick), &checks(&report));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_baseline_carries_every_gated_key() {
+        let report = Report {
+            reader_scaling_16: f64::INFINITY,
+            saturation_acked: 1,
+            saturation_shed: 1,
+            pad_mix: PadMixResult { acked: 1, mix_ratio: f64::INFINITY, ..Default::default() },
+            ..Default::default()
+        };
+        let failed = gate::failures(&checks(&report), include_str!("../../../BENCH_serve.json"));
+        assert!(failed.is_empty(), "{failed:?}");
     }
 }

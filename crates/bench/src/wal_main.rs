@@ -5,20 +5,20 @@
 //! * `cargo run -p slim-bench --bin bench-wal --release` — full run,
 //!   writes `BENCH_wal.json` in the current directory.
 //! * `-- --quick` — shorter measurement budget for CI smoke runs.
-//! * `-- --check BENCH_wal.json` — additionally gate: the 1-op commit
-//!   must beat the full snapshot rewrite by ≥ 50× and must not fall
-//!   below a third of the committed baseline's speedup.
+//! * `-- --check BENCH_wal.json` — additionally gate the run against the
+//!   committed baseline: see `checks` below and DESIGN.md §10 "Bench
+//!   gates".
 //! * `-- --out PATH` — write the report somewhere else.
 //!
 //! Everything runs on `MemVfs`, so both sides skip the physical disk:
 //! the comparison isolates the algorithmic cost (O(changes) frame encode
 //! + append vs O(store) serialize + seal + rewrite), not fsync latency.
 
-use slim_bench::{random_store, BENCH_TRIPLES};
+use slim_bench::gate::{self, json_rows, Args, Check};
+use slim_bench::{best_ns, random_store, BENCH_TRIPLES};
 use std::path::Path;
-use std::time::Instant;
 use superimposed::slimio::MemVfs;
-use superimposed::trim::{CommitOutcome, StoreLog, TripleStore};
+use superimposed::trim::{CommitOutcome, TripleStore};
 
 const SNAP: &str = "bench/wal-store.xml";
 /// The 1-op commit must beat the full rewrite by at least this much.
@@ -31,31 +31,6 @@ const BATCHES: [usize; 3] = [1, 16, 256];
 const RESTART_COMMITS: usize = 256;
 /// Ops per frame in the restart workload.
 const RESTART_BATCH: usize = 8;
-
-struct Args {
-    quick: bool,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { quick: false, out: "BENCH_wal.json".to_string(), check: None };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--quick" => args.quick = true,
-            "--out" => args.out = it.next().unwrap_or_else(|| usage()),
-            "--check" => args.check = Some(it.next().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
-    args
-}
-
-fn usage() -> ! {
-    eprintln!("usage: bench-wal [--quick] [--out PATH] [--check BASELINE_PATH]");
-    std::process::exit(2)
-}
 
 struct CommitResult {
     batch: usize,
@@ -79,24 +54,12 @@ impl Report {
     }
 }
 
-/// Best-of-`rounds` wall time of one mutating operation; `f` must leave
-/// the world ready for the next round itself.
-fn best_ns(rounds: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_nanos() as f64);
-    }
-    best
-}
-
 fn measure(quick: bool) -> Report {
     let snap = Path::new(SNAP);
     let (seed_store, _, _) = random_store(BENCH_TRIPLES, 42);
 
     // The old authoritative path: rewrite the whole sealed XML artifact.
-    let mut vfs = MemVfs::new();
+    let vfs = MemVfs::new();
     seed_store.save_to(&vfs, snap).expect("seed save");
     let save_rounds = if quick { 2 } else { 5 };
     let full_save_ns = best_ns(save_rounds, || {
@@ -113,13 +76,20 @@ fn measure(quick: bool) -> Report {
         .iter()
         .map(|&batch| {
             let bytes_before = log.log_bytes();
-            let mut committed = 0usize;
+            // One round inserts `batch` fresh triples and commits them.
+            // The insert cost rides inside the timed region; it is orders
+            // of magnitude below the serialize/rewrite work on the other
+            // side of the comparison and identical across batch sizes.
             let commit_ns = best_ns(commit_rounds, || {
-                committed += 1;
-                one_commit(&mut log, &mut vfs, &mut store, batch, &mut round);
+                round += 1;
+                for i in 0..batch {
+                    store.insert_literal(&format!("bench:{round}:{i}"), "prop", "value");
+                }
+                let outcome = log.commit(&vfs, &mut store).expect("bench commit");
+                assert!(matches!(outcome, CommitOutcome::Committed { .. }));
             });
             let log_bytes_per_commit =
-                (log.log_bytes() - bytes_before) as f64 / committed as f64;
+                (log.log_bytes() - bytes_before) as f64 / commit_rounds as f64;
             CommitResult { batch, commit_ns, log_bytes_per_commit }
         })
         .collect();
@@ -154,45 +124,25 @@ fn measure(quick: bool) -> Report {
     }
 }
 
-/// One timed round: insert `batch` fresh triples and commit them. The
-/// insert cost rides inside the timed region; it is orders of magnitude
-/// below the serialize/rewrite work on the other side of the comparison
-/// and identical across batch sizes.
-fn one_commit(
-    log: &mut StoreLog,
-    vfs: &mut MemVfs,
-    store: &mut TripleStore,
-    batch: usize,
-    round: &mut usize,
-) {
-    *round += 1;
-    for i in 0..batch {
-        store.insert_literal(&format!("bench:{round}:{i}"), "prop", "value");
-    }
-    let outcome = log.commit(vfs, store).expect("bench commit");
-    assert!(matches!(outcome, CommitOutcome::Committed { .. }));
-}
-
 fn render_json(r: &Report, quick: bool) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"n_triples\": {BENCH_TRIPLES},\n"));
     out.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
     out.push_str(&format!("  \"full_save_ns\": {:.1},\n", r.full_save_ns));
-    out.push_str("  \"commits\": [\n");
-    for (i, c) in r.commits.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"batch\": {}, \"commit_ns\": {:.1}, \"ns_per_op\": {:.1}, \
-             \"log_bytes_per_commit\": {:.1}, \"speedup_vs_full_save\": {:.1}}}{}\n",
+    let commits = r.commits.iter().map(|c| {
+        format!(
+            "{{\"batch\": {}, \"commit_ns\": {:.1}, \"ns_per_op\": {:.1}, \
+             \"log_bytes_per_commit\": {:.1}, \"speedup_vs_full_save\": {:.1}}}",
             c.batch,
             c.commit_ns,
             c.commit_ns / c.batch as f64,
             c.log_bytes_per_commit,
             r.speedup(c.batch),
-            if i + 1 == r.commits.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
+        )
+    });
+    out.push_str(&json_rows("commits", commits));
+    out.push_str(",\n");
     out.push_str(&format!(
         "  \"restart\": {{\"ops_in_log\": {}, \"replay_ns\": {:.1}, \"compacted_ns\": {:.1}}}\n",
         r.restart_ops, r.restart_replay_ns, r.restart_compacted_ns
@@ -201,64 +151,28 @@ fn render_json(r: &Report, quick: bool) -> String {
     out
 }
 
-/// Pull `"speedup_vs_full_save": X` for one batch size out of a baseline
-/// report (machine-written by this binary in a fixed shape).
-fn baseline_speedup(baseline: &str, batch: usize) -> Option<f64> {
-    let marker = format!("\"batch\": {batch},");
-    let line = baseline.lines().find(|l| l.contains(&marker))?;
-    let rest = line.split("\"speedup_vs_full_save\":").nth(1)?;
-    rest.trim_start().trim_end_matches(['}', ',', ' ']).parse().ok()
-}
-
-fn check(r: &Report, baseline_path: &str) -> Result<(), String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let speedup = r.speedup(1);
-    if speedup < SPEEDUP_FLOOR {
-        return Err(format!(
-            "1-op commit is only {speedup:.1}x faster than the full snapshot rewrite \
-             (floor: {SPEEDUP_FLOOR}x)"
-        ));
-    }
-    if let Some(committed) = baseline_speedup(&baseline, 1) {
-        if speedup < committed / REGRESSION_FACTOR {
-            return Err(format!(
-                "1-op commit speedup {speedup:.1}x regressed more than {REGRESSION_FACTOR}x \
-                 against the committed baseline ({committed:.1}x)"
-            ));
-        }
-    }
-    Ok(())
+/// The WAL gate: the 1-op commit's `speedup` over the full snapshot
+/// rewrite clears the floor and holds its committed ratio.
+fn checks(speedup: f64) -> Vec<Check> {
+    vec![Check::new("1-op commit speedup over the full snapshot rewrite", speedup)
+        .floor(SPEEDUP_FLOOR)
+        .against("\"batch\": 1", "speedup_vs_full_save", REGRESSION_FACTOR)]
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::parse("bench-wal", "BENCH_wal.json");
     let report = measure(args.quick);
-    println!("full snapshot rewrite at {BENCH_TRIPLES} triples: {:>12.1} ns", report.full_save_ns);
-    for c in &report.commits {
-        println!(
-            "commit batch {:>3}: {:>10.1} ns  ({:>9.1} ns/op, {:>7.1} log bytes, {:>8.1}x vs full save)",
-            c.batch,
-            c.commit_ns,
-            c.commit_ns / c.batch as f64,
-            c.log_bytes_per_commit,
-            report.speedup(c.batch),
-        );
-    }
-    println!(
-        "restart with {} logged ops: {:>12.1} ns replay, {:>12.1} ns after compaction",
-        report.restart_ops, report.restart_replay_ns, report.restart_compacted_ns
-    );
-    std::fs::write(&args.out, render_json(&report, args.quick))
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out));
-    println!("wrote {}", args.out);
-    if let Some(baseline) = &args.check {
-        match check(&report, baseline) {
-            Ok(()) => println!("baseline check passed against {baseline}"),
-            Err(msg) => {
-                eprintln!("baseline check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
+    gate::finish(&args, &render_json(&report, args.quick), &checks(report.speedup(1)));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_baseline_carries_every_gated_key() {
+        let failed =
+            gate::failures(&checks(f64::INFINITY), include_str!("../../../BENCH_wal.json"));
+        assert!(failed.is_empty(), "{failed:?}");
     }
 }
