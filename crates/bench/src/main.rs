@@ -16,7 +16,7 @@ use slim_bench::gate::{self, json_rows, Args, Check};
 use slim_bench::{best_ns, join_store, naive_copy, random_store, shape_pattern, BENCH_TRIPLES};
 use std::hint::black_box;
 use std::time::Instant;
-use superimposed::trim::{naive_join, ConjQuery, PatternShape, TripleStore};
+use superimposed::trim::{naive_join, ConjQuery, PatternShape, Runs, TripleStore};
 
 /// Shapes the ≥5× floor and the regression gate apply to: the tentpole's
 /// claim is about queries the pre-index store had to answer by scanning.

@@ -1,6 +1,7 @@
 //! Conjunctive-engine differential check: seeded random conjunctive
 //! queries (2–4 patterns, shared variables, constants skewed onto the
-//! live atom pools) run through the planner + leapfrog executor and
+//! live atom pools) run through the planner + leapfrog executor — on the
+//! live store and on a [`trim::Snapshot`] published beside it — and
 //! compared against two independent oracles:
 //!
 //! * a **string-level cross-product evaluator** over a `BTreeSet` model
@@ -10,10 +11,15 @@
 //!   baseline and property tests lean on, checked against the same
 //!   model so *it* can't silently drift either.
 //!
+//! The snapshot comes from a [`SnapshotPublisher`] with a fold limit of
+//! a few changes, and some queries first undo and redo the newest change
+//! across the published revision, so the snapshots queried come from the
+//! incremental, folded and rebuilt publish paths alike.
+//!
 //! The conjunctive mutations ([`Mutation::ConjSkipRepeatedVarDedup`],
 //! [`Mutation::ConjWrongPosRun`]) route through
-//! [`trim::ConjQuery::testonly_solve_with_quirks`]; everything else
-//! runs the production `solve` path.
+//! [`trim::ConjQuery::testonly_solve_with_quirks`] on both inputs;
+//! everything else runs the production `solve` path.
 //!
 //! Every check here panics on divergence; the harness in `lib.rs`
 //! catches the panic, shrinks the sequence, and reports a replay seed.
@@ -22,7 +28,10 @@ use crate::ops::{ConjOp, OBJECTS, PROPS, SUBJECTS};
 use crate::Mutation;
 use std::collections::BTreeSet;
 use trim::conj::ExecQuirks;
-use trim::{naive_join, ConjQuery, TripleStore, Triple, Value};
+use trim::{
+    naive_join, Change, ConjQuery, PublishPath, Revision, Runs, SnapshotPublisher, Triple,
+    TripleStore, Value,
+};
 
 /// `(subject, property, object, object_is_resource)` at string level.
 type ModelTriple = (String, String, String, bool);
@@ -32,6 +41,10 @@ type ModelRow = Vec<(String, bool)>;
 
 /// Number of join templates `ConjOp::Query { shape }` selects from.
 const SHAPES: usize = 6;
+
+/// Delta size (changed triples plus atoms interned since the last fold)
+/// past which the publisher folds: small, so folds are common.
+const FOLD_LIMIT: usize = 3;
 
 /// A term of a model-level pattern mirroring the real query's terms.
 #[derive(Debug, Clone)]
@@ -65,11 +78,18 @@ pub fn check(ops: &[ConjOp], mutation: Mutation) {
 struct World {
     store: TripleStore,
     model: BTreeSet<ModelTriple>,
+    publisher: SnapshotPublisher,
+    /// The newest change that took effect, with the revision before it.
+    last_change: Option<(Revision, Change)>,
+    /// The path of every publish so far.
+    paths: Vec<PublishPath>,
 }
 
 impl World {
     fn new() -> Self {
-        World { store: TripleStore::new(), model: BTreeSet::new() }
+        let mut store = TripleStore::new();
+        let publisher = SnapshotPublisher::new(&mut store).with_fold_limit(FOLD_LIMIT);
+        World { store, model: BTreeSet::new(), publisher, last_change: None, paths: Vec::new() }
     }
 
     fn intern(&mut self, s: usize, p: usize, o: usize, res: bool) -> Triple {
@@ -84,6 +104,7 @@ impl World {
     }
 
     fn apply(&mut self, op: &ConjOp, quirks: ExecQuirks) {
+        let before = self.store.revision();
         match *op {
             ConjOp::Insert { s, p, o, res } => {
                 let t = self.intern(s, p, o, res);
@@ -97,15 +118,34 @@ impl World {
                 let model_removed = self.model.remove(&model_key(s, p, o, res));
                 assert_eq!(removed, model_removed, "remove: store vs model on {op:?}");
             }
-            ConjOp::Query { shape, p0, p1, c } => self.query(shape % SHAPES, p0, p1, c, quirks),
+            ConjOp::Query { shape, p0, p1, c } => self.query(shape, p0, p1, c, quirks),
+        }
+        if self.store.revision() > before {
+            let newest = self.store.journal().iter().last().cloned();
+            self.last_change = Some((before, newest.expect("the change was journaled")));
         }
     }
 
-    /// Build template `shape`, solve it through the planner (with any
-    /// active quirks), and compare the resolved binding set against the
-    /// string-level oracle — and the oracle against `naive_join`.
+    /// Undo the newest change and redo it: the contents are unchanged,
+    /// but when the change was already published the undo crossed the
+    /// published revision, and the next publish must rebuild.
+    fn rewind_and_replay(&mut self) {
+        let Some((before, change)) = self.last_change else { return };
+        self.store.undo_to(before).expect("the newest change is journaled");
+        match change {
+            Change::Insert(t) => self.store.insert(t.subject, t.property, t.object),
+            Change::Remove(t) => self.store.remove(t),
+        };
+    }
+
+    /// Build template `shape % SHAPES`, solve it through the planner (with
+    /// any active quirks) on the store and on a freshly published
+    /// snapshot, and compare both resolved binding sets against the
+    /// string-level oracle — and the oracle against `naive_join`. A
+    /// `shape` of `2 * SHAPES` or more first rewinds and replays the
+    /// newest change.
     fn query(&mut self, shape: usize, p0: usize, p1: usize, c: usize, quirks: ExecQuirks) {
-        let (query, mirror, name) = self.build(shape, p0, p1, c);
+        let (query, mirror, name) = self.build(shape % SHAPES, p0, p1, c);
         let solved = query
             .testonly_solve_with_quirks(&self.store, quirks)
             .expect("generated join templates are valid");
@@ -113,6 +153,21 @@ impl World {
             solved.iter().map(|row| resolve_row(&self.store, row)).collect();
         let oracle = model_eval(&self.model, &mirror, query.var_count());
         assert_eq!(engine, oracle, "join template `{name}` diverged from the string oracle");
+        if shape >= 2 * SHAPES {
+            self.rewind_and_replay();
+        }
+        let (snapshot, path) = self.publisher.publish(&mut self.store);
+        self.paths.push(path);
+        let on_snapshot: BTreeSet<ModelRow> = query
+            .testonly_solve_with_quirks(&snapshot, quirks)
+            .expect("generated join templates are valid")
+            .iter()
+            .map(|row| resolve_row(&snapshot, row))
+            .collect();
+        assert_eq!(
+            on_snapshot, oracle,
+            "join template `{name}` on a {path:?} snapshot diverged from the string oracle"
+        );
         let naive: BTreeSet<ModelRow> = naive_join(&self.store, &query)
             .expect("generated join templates are valid")
             .iter()
@@ -218,9 +273,9 @@ fn model_key(s: usize, p: usize, o: usize, res: bool) -> ModelTriple {
 
 /// Resolve one engine binding row (values in variable-index order) to
 /// the string level for comparison with the oracle.
-fn resolve_row(store: &TripleStore, row: &[Value]) -> ModelRow {
+fn resolve_row(runs: &impl Runs, row: &[Value]) -> ModelRow {
     row.iter()
-        .map(|&v| (store.value_text(v).to_string(), v.is_resource()))
+        .map(|&v| (runs.resolve(v.atom()).to_string(), v.is_resource()))
         .collect()
 }
 
@@ -340,8 +395,9 @@ mod tests {
         assert!(caught.is_err(), "wrong-pos-run mutant must diverge on a shared object");
     }
 
-    /// A removal-heavy sequence with every template: the engine, the
-    /// naive evaluator, and the string oracle agree throughout.
+    /// A removal-heavy sequence with every template: the engine on the
+    /// store and on its snapshots, the naive evaluator, and the string
+    /// oracle agree throughout.
     #[test]
     fn all_templates_agree_after_churn() {
         let mut ops = Vec::new();
@@ -355,5 +411,32 @@ mod tests {
             ops.push(ConjOp::Query { shape, p0: shape % PROPS.len(), p1: 1, c: shape % SUBJECTS.len() });
         }
         check(&ops, Mutation::None);
+    }
+
+    /// Queried snapshots come from every publish path: a delta and tail
+    /// of atoms past the fold limit are folded, a small one replayed,
+    /// and a rewind across the published revision rebuilt.
+    #[test]
+    fn snapshots_come_from_every_publish_path() {
+        let query = |shape| ConjOp::Query { shape, p0: 0, p1: 1, c: 0 };
+        let ops = [
+            // Four new atoms and one triple: folded.
+            ConjOp::Insert { s: 0, p: 0, o: 1, res: true },
+            query(0),
+            // One new atom and one triple: replayed.
+            ConjOp::Insert { s: 1, p: 0, o: 0, res: true },
+            query(0),
+            ConjOp::Insert { s: 1, p: 1, o: 2, res: false },
+            ConjOp::Insert { s: 2, p: 0, o: 1, res: true },
+            ConjOp::Remove { s: 0, p: 0, o: 1, res: true },
+            query(1),
+            query(2 * SHAPES + 2),
+        ];
+        let mut world = World::new();
+        for op in &ops {
+            world.apply(op, ExecQuirks::default());
+        }
+        use PublishPath::*;
+        assert_eq!(world.paths, [Folded, Incremental, Folded, Rebuilt]);
     }
 }

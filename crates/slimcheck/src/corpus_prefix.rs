@@ -1,6 +1,5 @@
 //! Seed-corpus prefixes: translate slimgen's layer-agnostic
-//! [`SeedOp`](slimgen::seed_ops::SeedOp) stream into each layer's op
-//! alphabet.
+//! [`SeedOp`] stream into each layer's op alphabet.
 //!
 //! Differential cases that start from an empty world spend most of
 //! their op budget rebuilding boring structure before anything

@@ -1,5 +1,5 @@
 //! DMI-layer differential check: one op sequence driven through the real
-//! [`SlimPadDmi`] and a typed reference model ([`RefWorld`]) that tracks
+//! [`SlimPadDmi`] and a typed reference model (`RefWorld`) that tracks
 //! the Bundle-Scrap structure in plain Rust collections. After every op
 //! the model predicts whether the DMI accepts or rejects it, and every
 //! typed snapshot the DMI can produce is compared against the model —

@@ -79,7 +79,10 @@ pub enum ConjOp {
     Insert { s: usize, p: usize, o: usize, res: bool },
     Remove { s: usize, p: usize, o: usize, res: bool },
     /// Run join template `shape` (modulo the template count) with
-    /// property constants `p0`/`p1` and subject constant `c`.
+    /// property constants `p0`/`p1` and subject constant `c`, on the store
+    /// and on a snapshot published for the query. A `shape` of twice the
+    /// template count or more first undoes and redoes the newest change,
+    /// so that publish rebuilds.
     Query { shape: usize, p0: usize, p1: usize, c: usize },
 }
 

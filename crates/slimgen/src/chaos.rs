@@ -48,7 +48,9 @@ use slimserve::{
     Supervisor,
 };
 use superimposed::marks::resilience::{mix64, BreakerConfig, MockClock};
-use superimposed::trim::{SnapTriple, SnapValue, Snapshot, SnapshotPublisher, TripleStore};
+use superimposed::trim::{
+    Runs, SnapValue, Snapshot, SnapshotPublisher, Triple, TripleStore, Value,
+};
 
 use crate::trace::{self, Mix, TraceOp};
 use crate::Profile;
@@ -648,12 +650,16 @@ impl Target for Triples {
     fn visible(session: &Session<LiveStore>, op: &ServeOp) -> bool {
         match op {
             ServeOp::Insert { subject, property, object } if property == "annotation" => {
-                let t = SnapTriple {
-                    subject: subject.clone(),
-                    property: property.clone(),
-                    object: object.clone(),
+                let snap = session.snapshot();
+                let atom = |s: &str| snap.find_atom(s);
+                let triple = || {
+                    let object = match object {
+                        SnapValue::Resource(o) => Value::Resource(atom(o)?),
+                        SnapValue::Literal(o) => Value::Literal(atom(o)?),
+                    };
+                    Some(Triple { subject: atom(subject)?, property: atom(property)?, object })
                 };
-                session.snapshot().contains(&t)
+                triple().is_some_and(|t| snap.contains(&t))
             }
             _ => true,
         }

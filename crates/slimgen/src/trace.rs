@@ -1,6 +1,8 @@
 //! Replayable traffic: seeded operation streams driven through
 //! [`PadSession`] with a count oracle and an outcome digest.
 //!
+//! [`PadSession`]: superimposed::slimpad::PadSession
+//!
 //! A trace is a `Vec<TraceOp>` — pure data, a function of `(seed, n,
 //! mix)` only. Every op addresses its operands by *selector*: a `u64`
 //! reduced modulo the live population at apply time (the slimcheck

@@ -6,7 +6,7 @@
 //! positions, nested sub-bundles — *without* the marks, and stamps out
 //! fresh bundles for new patients. Slots are created with a placeholder
 //! mark id and are filled with live marks via [`BundleTemplate`]'s
-//! `PLACEHOLDER_MARK` and [`crate::PadSession::place_mark`]-style flows.
+//! `PLACEHOLDER_MARK` and [`crate::PadEngine::place_mark`]-style flows.
 
 use crate::pad::{PadError, PadSession};
 use slimstore::{BundleHandle, ScrapHandle, SlimPadDmi};

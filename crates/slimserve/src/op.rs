@@ -1,9 +1,9 @@
 //! The service's op alphabet and acknowledgement type.
 //!
 //! Ops travel from session threads to the writer thread, so they are
-//! plain `Send` data: strings, not atoms (atoms index the writer's
-//! private interning table). The chaos variants exist so harnesses can
-//! inject faults *through the same front door* real traffic uses.
+//! plain `Send` data: strings, not atoms (only the writer interns new
+//! atoms). The chaos variants exist so harnesses can inject faults
+//! *through the same front door* real traffic uses.
 
 use std::sync::{Arc, Condvar, Mutex};
 

@@ -168,8 +168,8 @@ pub struct PadParts {
 /// needle exactly — the repair pass's candidate discovery.
 pub type ExcerptSearch = Box<dyn FnMut(&str) -> Vec<MarkAddress>>;
 
-/// A pre-op state of a [`PadMachine`], taken by
-/// [`PadMachine::checkpoint`].
+/// A pre-op state of a [`PadMachine`], taken by its writer before each
+/// op.
 pub struct PadCheckpoint {
     revision: trim::Revision,
     marks: MarkCheckpoint,
@@ -734,7 +734,7 @@ impl PadSessionHandle {
 // A ready-made text-document universe for harnesses and tests
 // ---------------------------------------------------------------------
 
-/// Number of text documents [`ward_universe`] opens.
+/// Number of text documents [`ward_factory`] opens.
 pub const WARD_DOCS: usize = 4;
 /// Paragraphs per ward document.
 pub const WARD_PARAGRAPHS: usize = 5;

@@ -760,7 +760,7 @@ mod tests {
     use crate::op::Gate;
     use marks::resilience::MockClock;
     use slimio::{FaultConfig, FaultMode, FaultOp, FaultVfs, MemVfs};
-    use trim::SnapValue;
+    use trim::Runs;
 
     const PATH: &str = "serve/store.xml";
 
@@ -1128,7 +1128,8 @@ mod tests {
         session.submit(ServeOp::remove("nope", "nope", "nope")).unwrap();
         let snap = session.snapshot();
         assert_eq!(snap.len(), 1);
-        assert_eq!(snap.iter().next().unwrap().object, SnapValue::Literal("W4".into()));
+        let ward = snap.iter().next().unwrap().object;
+        assert_eq!((snap.resolve(ward.atom()), ward.is_resource()), ("W4", false));
     }
 
     #[test]
@@ -1144,7 +1145,7 @@ mod tests {
 
     #[test]
     fn readers_join_published_snapshots_while_the_writer_streams() {
-        use trim::{SnapPattern, SnapTerm};
+        use trim::ConjQuery;
         let (service, _, _) = open_mem(ServeConfig::default());
         let session = service.session();
         session.submit(ServeOp::link("b:1", "member", "s:1")).unwrap();
@@ -1155,16 +1156,24 @@ mod tests {
         // Bundle-membership join, entirely on the reader's snapshot:
         // (b:1 member ?s) ⋈ (?s name ?n).
         let snap = session.snapshot();
-        let query = [
-            SnapPattern::new(SnapTerm::res("b:1"), SnapTerm::res("member"), SnapTerm::var("s")),
-            SnapPattern::new(SnapTerm::var("s"), SnapTerm::res("name"), SnapTerm::var("n")),
-        ];
-        let rows = snap.join(&query);
-        let has = |rows: &[trim::SnapBinding], s: &str, n: &str| {
-            rows.iter().any(|b| {
-                b["s"] == SnapValue::Resource(s.into()) && b["n"] == SnapValue::Literal(n.into())
-            })
+        let atom = |name| snap.find_atom(name).unwrap();
+        let mut query = ConjQuery::new();
+        let (s, n) = (query.var("s"), query.var("n"));
+        query.pattern(atom("b:1"), atom("member"), s).pattern(s, atom("name"), n);
+        // Each row as (scrap, name), with the object kinds checked.
+        let join = |snap: &Snapshot| -> Vec<(String, String)> {
+            let rows = query.solve(snap).unwrap();
+            rows.iter()
+                .map(|row| {
+                    assert!(row[0].is_resource() && !row[1].is_resource());
+                    (snap.resolve(row[0].atom()).into(), snap.resolve(row[1].atom()).into())
+                })
+                .collect()
         };
+        let has = |rows: &[(String, String)], s: &str, n: &str| {
+            rows.contains(&(s.to_string(), n.to_string()))
+        };
+        let rows = join(&snap);
         assert_eq!(rows.len(), 2);
         assert!(has(&rows, "s:1", "John") && has(&rows, "s:2", "Mary"));
 
@@ -1173,8 +1182,8 @@ mod tests {
         // that arrived after it was published.
         session.submit(ServeOp::link("b:1", "member", "s:3")).unwrap();
         session.submit(ServeOp::insert("s:3", "name", "Omar")).unwrap();
-        assert_eq!(snap.join(&query).len(), 2, "published snapshots are immutable");
-        let fresh = session.snapshot().join(&query);
+        assert_eq!(join(&snap).len(), 2, "published snapshots are immutable");
+        let fresh = join(&session.snapshot());
         assert_eq!(fresh.len(), 3);
         assert!(has(&fresh, "s:3", "Omar"));
     }
@@ -1198,7 +1207,7 @@ mod tests {
         session.submit(ServeOp::insert("b:3", "name", "Sue")).unwrap();
         let snap = session.snapshot();
         assert_eq!(snap.len(), 2);
-        assert!(!snap.iter().any(|t| t.subject == "b:2"));
+        assert_eq!(snap.scan_subject("b:2").count(), 0);
 
         let stats = service.shutdown();
         assert_eq!(stats.io_refusals, 1);

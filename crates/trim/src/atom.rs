@@ -6,9 +6,15 @@
 //! same property name (`bundleName`, `rdf:type`, …) appears in thousands
 //! of triples but is stored exactly once, and triple comparisons are
 //! integer comparisons.
+//!
+//! Each string is allocated once, as an `Arc<str>` that the atom → string
+//! column and the string → atom map share. A snapshot's dictionary
+//! ([`crate::Snapshot`]) shares the same allocations instead of copying
+//! the text.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned string. Atoms are only meaningful relative to the
 /// [`AtomTable`] that produced them; they are never recycled, so an atom
@@ -31,6 +37,11 @@ impl Atom {
         self.0 as usize
     }
 
+    /// The atom with raw index `i`, the inverse of [`Atom::index`].
+    pub(crate) fn from_index(i: usize) -> Atom {
+        Atom(u32::try_from(i).expect("atom index fits in u32"))
+    }
+
     /// The next atom in index order, or `None` at capacity. Used by the
     /// conjunctive engine's leapfrog cursors to seek strictly past a
     /// just-emitted value.
@@ -46,10 +57,10 @@ impl fmt::Display for Atom {
 }
 
 /// An append-only intern table mapping strings to [`Atom`]s and back.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct AtomTable {
-    strings: Vec<Box<str>>,
-    lookup: HashMap<Box<str>, Atom>,
+    strings: Vec<Arc<str>>,
+    lookup: HashMap<Arc<str>, Atom>,
 }
 
 impl AtomTable {
@@ -66,10 +77,14 @@ impl AtomTable {
         if let Some(&a) = self.lookup.get(s) {
             return Some(a);
         }
+        self.push(s.into())
+    }
+
+    /// Append a string not yet in the table, sharing its allocation.
+    pub(crate) fn push(&mut self, s: Arc<str>) -> Option<Atom> {
         let a = Atom(u32::try_from(self.strings.len()).ok()?);
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.lookup.insert(boxed, a);
+        self.strings.push(Arc::clone(&s));
+        self.lookup.insert(s, a);
         Some(a)
     }
 
@@ -123,6 +138,11 @@ impl AtomTable {
     pub fn iter(&self) -> impl Iterator<Item = (Atom, &str)> {
         self.strings.iter().enumerate().map(|(i, s)| (Atom(i as u32), s.as_ref()))
     }
+
+    /// The shared strings of the atoms from index `start` on.
+    pub(crate) fn strings_from(&self, start: usize) -> &[Arc<str>] {
+        self.strings.get(start..).unwrap_or_default()
+    }
 }
 
 #[cfg(test)]
@@ -171,6 +191,14 @@ mod tests {
         t.intern("de");
         t.intern("abc"); // duplicate: not recounted
         assert_eq!(t.string_bytes(), 5);
+    }
+
+    #[test]
+    fn each_string_is_allocated_once() {
+        let mut t = AtomTable::new();
+        t.intern("bundleName");
+        let shared = &t.strings_from(0)[0];
+        assert_eq!(Arc::strong_count(shared), 2, "column and map share one allocation");
     }
 
     #[test]

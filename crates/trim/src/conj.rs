@@ -29,10 +29,13 @@
 //!   (`(?x, p, ?x)`) is re-checked as a ground probe once fully bound,
 //!   because intersecting its per-occurrence runs only bounds the
 //!   diagonal from above (see [`ExecQuirks::skip_repeated_var_dedup`]).
-//! * **Explain** ([`TripleStore::explain_join`]): the chosen order, each
+//! * **Explain** ([`Runs::explain_join`]): the chosen order, each
 //!   step's runs with index choice and access kind, and per-pattern
 //!   cardinality estimates render as a deterministic join tree, the
 //!   conjunctive analogue of [`TripleStore::explain`].
+//!
+//! Everything above reads its input through [`Runs`], so the same code
+//! joins the live [`TripleStore`] and a published [`crate::Snapshot`].
 //!
 //! [`naive_join`] is the deliberately index-free baseline — per-pattern
 //! linear scans nested-looped over the cross product — used as the
@@ -41,6 +44,7 @@
 
 use crate::atom::Atom;
 use crate::plan::IndexKind;
+use crate::runs::{value_succ, Runs};
 use crate::store::{TriplePattern, TripleStore, Value, VALUE_MIN};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -234,16 +238,16 @@ impl ConjQuery {
         Ok(())
     }
 
-    /// Render pattern `i` with names resolved against `store`.
-    pub fn render_pattern(&self, i: usize, store: &TripleStore) -> String {
+    /// Render pattern `i` with names resolved against `runs`.
+    pub fn render_pattern<R: Runs + ?Sized>(&self, i: usize, runs: &R) -> String {
         let p = &self.patterns[i];
         let atom_term = |t: &AtomTerm| match t {
-            AtomTerm::Const(a) => store.resolve(*a).to_string(),
+            AtomTerm::Const(a) => runs.resolve(*a).to_string(),
             AtomTerm::Var(v) => format!("?{}", self.var_name(*v)),
         };
         let value_term = |t: &ValueTerm| match t {
-            ValueTerm::Const(Value::Resource(a)) => store.resolve(*a).to_string(),
-            ValueTerm::Const(Value::Literal(a)) => format!("{:?}", store.resolve(*a)),
+            ValueTerm::Const(Value::Resource(a)) => runs.resolve(*a).to_string(),
+            ValueTerm::Const(Value::Literal(a)) => format!("{:?}", runs.resolve(*a)),
             ValueTerm::Var(v) => format!("?{}", self.var_name(*v)),
         };
         format!(
@@ -256,9 +260,9 @@ impl ConjQuery {
 
     /// Choose a binding order by run-length estimates and build the full
     /// join plan (see module docs for the heuristic).
-    pub fn plan(&self, store: &TripleStore) -> Result<ConjPlan, ConjError> {
+    pub fn plan<R: Runs + ?Sized>(&self, runs: &R) -> Result<ConjPlan, ConjError> {
         self.validate()?;
-        let estimates = self.pattern_estimates(store);
+        let estimates = self.pattern_estimates(runs);
         let nvars = self.var_names.len();
         let mut bound = vec![false; nvars];
         let mut order = Vec::with_capacity(nvars);
@@ -281,12 +285,16 @@ impl ConjQuery {
             order.push(Var(v));
             bound[v] = true;
         }
-        self.plan_for_order(store, &order, estimates)
+        self.plan_for_order(&order, estimates)
     }
 
     /// Build the join plan for a caller-forced binding order. Property
     /// tests use this to drive the engine through every permutation.
-    pub fn plan_ordered(&self, store: &TripleStore, order: &[Var]) -> Result<ConjPlan, ConjError> {
+    pub fn plan_ordered<R: Runs + ?Sized>(
+        &self,
+        runs: &R,
+        order: &[Var],
+    ) -> Result<ConjPlan, ConjError> {
         self.validate()?;
         let nvars = self.var_names.len();
         if order.len() != nvars {
@@ -308,20 +316,15 @@ impl ConjQuery {
                 None => return Err(ConjError::UnknownVar(v.0)),
             }
         }
-        let estimates = self.pattern_estimates(store);
-        self.plan_for_order(store, order, estimates)
+        let estimates = self.pattern_estimates(runs);
+        self.plan_for_order(order, estimates)
     }
 
-    fn pattern_estimates(&self, store: &TripleStore) -> Vec<usize> {
-        self.patterns.iter().map(|p| store.count(&const_pattern(p))).collect()
+    fn pattern_estimates<R: Runs + ?Sized>(&self, runs: &R) -> Vec<usize> {
+        self.patterns.iter().map(|p| runs.count(&const_pattern(p))).collect()
     }
 
-    fn plan_for_order(
-        &self,
-        _store: &TripleStore,
-        order: &[Var],
-        estimates: Vec<usize>,
-    ) -> Result<ConjPlan, ConjError> {
+    fn plan_for_order(&self, order: &[Var], estimates: Vec<usize>) -> Result<ConjPlan, ConjError> {
         let nvars = self.var_names.len();
         let mut bound = vec![false; nvars];
         let mut steps = Vec::with_capacity(order.len());
@@ -404,58 +407,63 @@ impl ConjQuery {
 
     /// Execute with the planner-chosen binding order. Bindings come back
     /// sorted by variable index, deduplicated.
-    pub fn solve(&self, store: &TripleStore) -> Result<Vec<Vec<Value>>, ConjError> {
-        let plan = self.plan(store)?;
-        Ok(self.execute(store, &plan, ExecQuirks::default()))
+    pub fn solve<R: Runs + ?Sized>(&self, runs: &R) -> Result<Vec<Vec<Value>>, ConjError> {
+        let plan = self.plan(runs)?;
+        Ok(self.execute(runs, &plan, ExecQuirks::default()))
     }
 
     /// Execute with a caller-forced binding order; same result set as
     /// [`ConjQuery::solve`] for every permutation (the property tests
     /// assert exactly this).
-    pub fn solve_ordered(
+    pub fn solve_ordered<R: Runs + ?Sized>(
         &self,
-        store: &TripleStore,
+        runs: &R,
         order: &[Var],
     ) -> Result<Vec<Vec<Value>>, ConjError> {
-        let plan = self.plan_ordered(store, order)?;
-        Ok(self.execute(store, &plan, ExecQuirks::default()))
+        let plan = self.plan_ordered(runs, order)?;
+        Ok(self.execute(runs, &plan, ExecQuirks::default()))
     }
 
     /// Execute with deliberate bugs switched on — the mutation-testing
     /// entry point for slimcheck `--mutate`; never call from production
     /// code.
     #[doc(hidden)]
-    pub fn testonly_solve_with_quirks(
+    pub fn testonly_solve_with_quirks<R: Runs + ?Sized>(
         &self,
-        store: &TripleStore,
+        runs: &R,
         quirks: ExecQuirks,
     ) -> Result<Vec<Vec<Value>>, ConjError> {
-        let plan = self.plan(store)?;
-        Ok(self.execute(store, &plan, quirks))
+        let plan = self.plan(runs)?;
+        Ok(self.execute(runs, &plan, quirks))
     }
 
-    fn execute(&self, store: &TripleStore, plan: &ConjPlan, quirks: ExecQuirks) -> Vec<Vec<Value>> {
+    fn execute<R: Runs + ?Sized>(
+        &self,
+        runs: &R,
+        plan: &ConjPlan,
+        quirks: ExecQuirks,
+    ) -> Vec<Vec<Value>> {
         // Patterns with no variables are plain membership probes; one miss
         // empties the whole conjunction.
         for p in &self.patterns {
             if pattern_vars(p).next().is_none() {
                 match ground_triple(p, &[]) {
-                    Some(t) if store.contains(&t) => {}
+                    Some(t) if runs.contains(&t) => {}
                     _ => return Vec::new(),
                 }
             }
         }
         let mut bindings: Vec<Option<Value>> = vec![None; self.var_names.len()];
         let mut out = Vec::new();
-        self.bind_next(store, plan, 0, &mut bindings, quirks, &mut out);
+        self.bind_next(runs, plan, 0, &mut bindings, quirks, &mut out);
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    fn bind_next(
+    fn bind_next<R: Runs + ?Sized>(
         &self,
-        store: &TripleStore,
+        runs: &R,
         plan: &ConjPlan,
         depth: usize,
         bindings: &mut Vec<Option<Value>>,
@@ -467,10 +475,13 @@ impl ConjQuery {
             return;
         }
         let step = &plan.steps[depth];
-        let cursors: Vec<Cursor> = step
+        let cursors: Vec<Cursor<R>> = step
             .runs
             .iter()
-            .map(|rc| self.cursor_for(store, rc, bindings, quirks))
+            .map(|&run| {
+                let (s, p, o) = bound_fields(&self.patterns[run.pattern], bindings);
+                Cursor { runs, run, s, p, o, quirks }
+            })
             .collect();
         let mut candidates = Vec::new();
         leapfrog(&cursors, &mut candidates);
@@ -478,114 +489,21 @@ impl ConjQuery {
             bindings[step.var.0] = Some(v);
             // Patterns repeating a variable become fully ground here but
             // were only constrained per-occurrence; dedup against the
-            // store so the diagonal (?x p ?x) holds exactly.
+            // triples so the diagonal (?x p ?x) holds exactly.
             if !quirks.skip_repeated_var_dedup {
                 let ok = plan.ground_checks.iter().filter(|&&(d, _)| d == depth).all(
                     |&(_, pi)| {
                         ground_triple(&self.patterns[pi], bindings)
-                            .is_some_and(|t| store.contains(&t))
+                            .is_some_and(|t| runs.contains(&t))
                     },
                 );
                 if !ok {
                     continue;
                 }
             }
-            self.bind_next(store, plan, depth + 1, bindings, quirks, out);
+            self.bind_next(runs, plan, depth + 1, bindings, quirks, out);
         }
         bindings[step.var.0] = None;
-    }
-
-    fn cursor_for<'a>(
-        &self,
-        store: &'a TripleStore,
-        rc: &RunChoice,
-        bindings: &[Option<Value>],
-        quirks: ExecQuirks,
-    ) -> Cursor<'a> {
-        let p = &self.patterns[rc.pattern];
-        // Resolve the occurrence's bound sibling positions. A bound
-        // literal in an atom position can never match, so the run is
-        // empty.
-        let atom_of = |t: &AtomTerm| -> Option<Atom> {
-            match t {
-                AtomTerm::Const(a) => Some(*a),
-                AtomTerm::Var(v) => match bindings[v.0] {
-                    Some(Value::Resource(a)) => Some(a),
-                    _ => None,
-                },
-            }
-        };
-        let value_of = |t: &ValueTerm| -> Option<Value> {
-            match t {
-                ValueTerm::Const(v) => Some(*v),
-                ValueTerm::Var(v) => bindings[v.0],
-            }
-        };
-        let missing = Cursor::Empty;
-        match (rc.position, rc.access) {
-            (Position::Subject, RunAccess::Prefix { index: IndexKind::Spo, .. }) => {
-                Cursor::SpoSubjects(store)
-            }
-            (Position::Subject, RunAccess::Prefix { index: IndexKind::Osp, .. }) => {
-                match value_of(&p.object) {
-                    Some(o) => Cursor::OspSubjects(store, o),
-                    None => missing,
-                }
-            }
-            (Position::Subject, RunAccess::Prefix { index: IndexKind::Pos, .. }) => {
-                match (atom_of(&p.property), value_of(&p.object)) {
-                    (Some(prop), Some(o)) => Cursor::PosSubjects(store, prop, o),
-                    _ => missing,
-                }
-            }
-            (Position::Subject, RunAccess::SkipScan { .. }) => match atom_of(&p.property) {
-                Some(prop) => Cursor::SpoSubjectsSkip(store, prop),
-                None => missing,
-            },
-            (Position::Property, RunAccess::Prefix { index: IndexKind::Pos, .. }) => {
-                Cursor::PosProps(store)
-            }
-            (Position::Property, RunAccess::Prefix { index: IndexKind::Spo, .. }) => {
-                match atom_of(&p.subject) {
-                    Some(s) => Cursor::SpoProps(store, s),
-                    None => missing,
-                }
-            }
-            (Position::Property, RunAccess::Prefix { index: IndexKind::Osp, .. }) => {
-                match (value_of(&p.object), atom_of(&p.subject)) {
-                    (Some(o), Some(s)) => Cursor::OspProps(store, o, s),
-                    _ => missing,
-                }
-            }
-            (Position::Property, RunAccess::SkipScan { .. }) => match value_of(&p.object) {
-                Some(o) => Cursor::PosPropsSkip(store, o),
-                None => missing,
-            },
-            (Position::Object, RunAccess::Prefix { index: IndexKind::Osp, .. }) => {
-                Cursor::OspObjects(store)
-            }
-            (Position::Object, RunAccess::Prefix { index: IndexKind::Pos, .. }) => {
-                match atom_of(&p.property) {
-                    Some(prop) if quirks.wrong_pos_run => {
-                        // Seeded bug: read the run off the SPO index with
-                        // the property atom misread as a subject.
-                        Cursor::Collected(store.collect_objects_of_s(prop))
-                    }
-                    Some(prop) => Cursor::PosObjects(store, prop),
-                    None => missing,
-                }
-            }
-            (Position::Object, RunAccess::Prefix { index: IndexKind::Spo, .. }) => {
-                match (atom_of(&p.subject), atom_of(&p.property)) {
-                    (Some(s), Some(prop)) => Cursor::SpoObjects(store, s, prop),
-                    _ => missing,
-                }
-            }
-            (Position::Object, RunAccess::SkipScan { .. }) => match atom_of(&p.subject) {
-                Some(s) => Cursor::OspObjectsSkip(store, s),
-                None => missing,
-            },
-        }
     }
 }
 
@@ -638,7 +556,7 @@ pub struct BindStep {
 }
 
 /// A planned join: binding order plus per-step run choices. Render with
-/// [`ConjPlan::render`] or [`TripleStore::explain_join`].
+/// [`ConjPlan::render`] or [`Runs::explain_join`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConjPlan {
     pub order: Vec<Var>,
@@ -651,9 +569,9 @@ pub struct ConjPlan {
 }
 
 impl ConjPlan {
-    /// Render the join tree with names resolved against `store` — pure
-    /// function of (query, store contents), so deterministic.
-    pub fn render(&self, query: &ConjQuery, store: &TripleStore) -> String {
+    /// Render the join tree with names resolved against `runs` — pure
+    /// function of (query, contents), so deterministic.
+    pub fn render<R: Runs + ?Sized>(&self, query: &ConjQuery, runs: &R) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let order = self
@@ -682,7 +600,7 @@ impl ConjPlan {
                     out,
                     "    p{} {} {}: {access}, est {}",
                     rc.pattern,
-                    query.render_pattern(rc.pattern, store),
+                    query.render_pattern(rc.pattern, runs),
                     rc.position.name(),
                     rc.estimate
                 );
@@ -692,92 +610,54 @@ impl ConjPlan {
     }
 }
 
-impl TripleStore {
-    /// The join tree [`ConjQuery::solve`] will execute — the conjunctive
-    /// analogue of [`TripleStore::explain`]. Deterministic for a fixed
-    /// store, so tests can golden-match it.
-    pub fn explain_join(&self, query: &ConjQuery) -> Result<String, ConjError> {
-        Ok(query.plan(self)?.render(query, self))
-    }
-
-    /// Solve a conjunctive query against this store; convenience for
-    /// [`ConjQuery::solve`].
-    pub fn join(&self, query: &ConjQuery) -> Result<Vec<Vec<Value>>, ConjError> {
-        query.solve(self)
-    }
-}
-
 // ---- leapfrog machinery ----------------------------------------------------
 
-/// A cursor over one sorted distinct-value run. `next_geq` answers "the
-/// first run value >= lo" with a single index range probe (or a binary
-/// search for collected runs), which is all leapfrog needs.
-enum Cursor<'a> {
-    SpoSubjects(&'a TripleStore),
-    SpoProps(&'a TripleStore, Atom),
-    SpoObjects(&'a TripleStore, Atom, Atom),
-    PosProps(&'a TripleStore),
-    PosObjects(&'a TripleStore, Atom),
-    PosSubjects(&'a TripleStore, Atom, Value),
-    OspObjects(&'a TripleStore),
-    OspSubjects(&'a TripleStore, Value),
-    OspProps(&'a TripleStore, Value, Atom),
-    /// P→S skip-scan: subjects carrying property `p`, streamed off SPO.
-    SpoSubjectsSkip(&'a TripleStore, Atom),
-    /// O→P skip-scan: properties reaching object `o`, streamed off POS.
-    PosPropsSkip(&'a TripleStore, Value),
-    /// S→O skip-scan: objects of subject `s`, streamed off OSP.
-    OspObjectsSkip(&'a TripleStore, Atom),
-    /// A materialized run — only the seeded `wrong_pos_run` mutation
-    /// builds one (from the wrong index, which is the bug).
-    Collected(Vec<Value>),
-    /// A sibling position resolved to an impossible value (e.g. a literal
-    /// in an atom slot): the run is empty.
-    Empty,
+/// A cursor over one sorted distinct-value run: one position of one
+/// pattern, read as its [`RunChoice`] says, given the pattern's bound
+/// fields. A field is `None` when unbound (the proposed position) or
+/// when a literal is bound where only resources fit, which leaves the
+/// run empty. `next_geq` answers "the first run value >= lo" with one
+/// run seek, which is all leapfrog needs.
+struct Cursor<'a, R: ?Sized> {
+    runs: &'a R,
+    run: RunChoice,
+    s: Option<Atom>,
+    p: Option<Atom>,
+    o: Option<Value>,
+    quirks: ExecQuirks,
 }
 
-impl Cursor<'_> {
+impl<R: Runs + ?Sized> Cursor<'_, R> {
     fn next_geq(&self, lo: Value) -> Option<Value> {
+        use IndexKind::{Osp, Pos, Spo};
+        use Position::{Object, Property, Subject};
+        use RunAccess::{Prefix, SkipScan};
+        let (r, s, p, o) = (self.runs, self.s, self.p, self.o);
         // Runs over atom positions only ever hold resources; a literal
         // lower bound is already past them (resources sort first).
-        let atom_lo = |lo: Value| -> Option<Atom> {
-            match lo {
-                Value::Resource(a) => Some(a),
-                Value::Literal(_) => None,
-            }
+        let atom = match lo {
+            Value::Resource(a) => Some(a),
+            Value::Literal(_) => None,
         };
-        match self {
-            Cursor::SpoSubjects(s) => {
-                s.run_subject_geq(atom_lo(lo)?).map(Value::Resource)
+        let res = |a: Option<Atom>| a.map(Value::Resource);
+        match (self.run.position, self.run.access) {
+            (Subject, Prefix { index: Spo, .. }) => res(r.run_subject_geq(atom?)),
+            (Subject, Prefix { index: Pos, .. }) => res(r.run_subject_of_po_geq(p?, o?, atom?)),
+            (Subject, Prefix { index: Osp, .. }) => res(r.run_subject_of_o_geq(o?, atom?)),
+            (Subject, SkipScan { .. }) => res(r.run_subject_with_p_geq(p?, atom?)),
+            (Property, Prefix { index: Spo, .. }) => res(r.run_property_of_s_geq(s?, atom?)),
+            (Property, Prefix { index: Pos, .. }) => res(r.run_property_geq(atom?)),
+            (Property, Prefix { index: Osp, .. }) => res(r.run_property_of_os_geq(o?, s?, atom?)),
+            (Property, SkipScan { .. }) => res(r.run_property_with_o_geq(o?, atom?)),
+            (Object, Prefix { index: Spo, .. }) => r.run_object_of_sp_geq(s?, p?, lo),
+            // Seeded bug: propose the objects of a subject, with the
+            // property atom misread as that subject.
+            (Object, Prefix { index: Pos, .. }) if self.quirks.wrong_pos_run => {
+                r.run_object_with_s_geq(p?, lo)
             }
-            Cursor::SpoProps(s, subj) => {
-                s.run_property_of_s_geq(*subj, atom_lo(lo)?).map(Value::Resource)
-            }
-            Cursor::SpoObjects(s, subj, prop) => s.run_object_of_sp_geq(*subj, *prop, lo),
-            Cursor::PosProps(s) => s.run_property_geq(atom_lo(lo)?).map(Value::Resource),
-            Cursor::PosObjects(s, prop) => s.run_object_of_p_geq(*prop, lo),
-            Cursor::PosSubjects(s, prop, o) => {
-                s.run_subject_of_po_geq(*prop, *o, atom_lo(lo)?).map(Value::Resource)
-            }
-            Cursor::OspObjects(s) => s.run_object_geq(lo),
-            Cursor::OspSubjects(s, o) => {
-                s.run_subject_of_o_geq(*o, atom_lo(lo)?).map(Value::Resource)
-            }
-            Cursor::OspProps(s, o, subj) => {
-                s.run_property_of_os_geq(*o, *subj, atom_lo(lo)?).map(Value::Resource)
-            }
-            Cursor::SpoSubjectsSkip(s, prop) => {
-                s.run_subject_with_p_geq(*prop, atom_lo(lo)?).map(Value::Resource)
-            }
-            Cursor::PosPropsSkip(s, o) => {
-                s.run_property_with_o_geq(*o, atom_lo(lo)?).map(Value::Resource)
-            }
-            Cursor::OspObjectsSkip(s, subj) => s.run_object_with_s_geq(*subj, lo),
-            Cursor::Collected(values) => {
-                let i = values.partition_point(|v| *v < lo);
-                values.get(i).copied()
-            }
-            Cursor::Empty => None,
+            (Object, Prefix { index: Pos, .. }) => r.run_object_of_p_geq(p?, lo),
+            (Object, Prefix { index: Osp, .. }) => r.run_object_geq(lo),
+            (Object, SkipScan { .. }) => r.run_object_with_s_geq(s?, lo),
         }
     }
 }
@@ -785,7 +665,7 @@ impl Cursor<'_> {
 /// Intersect the cursors' runs, appending each common value to `out` in
 /// ascending order. Classic leapfrog: keep seeking every cursor to the
 /// current maximum until all agree, emit, then seek past the match.
-fn leapfrog(cursors: &[Cursor], out: &mut Vec<Value>) {
+fn leapfrog<R: Runs + ?Sized>(cursors: &[Cursor<R>], out: &mut Vec<Value>) {
     let n = cursors.len();
     if n == 0 {
         return;
@@ -814,17 +694,6 @@ fn leapfrog(cursors: &[Cursor], out: &mut Vec<Value>) {
             Some(s) => s,
             None => return,
         };
-    }
-}
-
-/// The strictly next value in the index sort order, or `None` at the top.
-pub(crate) fn value_succ(v: Value) -> Option<Value> {
-    match v {
-        Value::Resource(a) => match a.succ() {
-            Some(n) => Some(Value::Resource(n)),
-            None => Some(Value::Literal(Atom::MIN)),
-        },
-        Value::Literal(a) => a.succ().map(Value::Literal),
     }
 }
 
@@ -875,10 +744,13 @@ fn const_pattern(p: &ConjPattern) -> TriplePattern {
     tp
 }
 
-/// Instantiate a fully-bound pattern under `bindings`. `None` when a
-/// binding puts a literal in an atom position (no such triple can exist)
-/// or a variable is still unbound.
-fn ground_triple(p: &ConjPattern, bindings: &[Option<Value>]) -> Option<crate::store::Triple> {
+/// A pattern's subject, property and object under `bindings`: `None`
+/// where a variable is unbound, or bound to a literal in an atom
+/// position (no such triple can exist).
+fn bound_fields(
+    p: &ConjPattern,
+    bindings: &[Option<Value>],
+) -> (Option<Atom>, Option<Atom>, Option<Value>) {
     let atom = |t: &AtomTerm| -> Option<Atom> {
         match t {
             AtomTerm::Const(a) => Some(*a),
@@ -888,17 +760,18 @@ fn ground_triple(p: &ConjPattern, bindings: &[Option<Value>]) -> Option<crate::s
             },
         }
     };
-    let value = |t: &ValueTerm| -> Option<Value> {
-        match t {
-            ValueTerm::Const(v) => Some(*v),
-            ValueTerm::Var(v) => bindings.get(v.0).copied().flatten(),
-        }
+    let value = match p.object {
+        ValueTerm::Const(v) => Some(v),
+        ValueTerm::Var(v) => bindings.get(v.0).copied().flatten(),
     };
-    Some(crate::store::Triple {
-        subject: atom(&p.subject)?,
-        property: atom(&p.property)?,
-        object: value(&p.object)?,
-    })
+    (atom(&p.subject), atom(&p.property), value)
+}
+
+/// Instantiate a fully-bound pattern under `bindings`; `None` unless
+/// every field is bound (see [`bound_fields`]).
+fn ground_triple(p: &ConjPattern, bindings: &[Option<Value>]) -> Option<crate::store::Triple> {
+    let (subject, property, object) = bound_fields(p, bindings);
+    Some(crate::store::Triple { subject: subject?, property: property?, object: object? })
 }
 
 // ---- naive baseline --------------------------------------------------------

@@ -31,6 +31,10 @@
 //!   using `xmlkit`;
 //! * a [`Journal`] of changes with undo, so DMIs can implement atomic
 //!   multi-triple operations;
+//! * [`Snapshot`]s — frozen atom-level views of the store for concurrent
+//!   readers, sharing the strings of its atom table;
+//! * [`ConjQuery`] conjunctive joins, run through the [`Runs`] trait on
+//!   the store and on snapshots alike;
 //! * [`naive::NaiveStore`] — the unindexed scan baseline used by the E9
 //!   ablation benchmark.
 //!
@@ -59,6 +63,7 @@ pub mod journal;
 pub mod naive;
 pub mod persist;
 pub mod plan;
+pub mod runs;
 pub mod snapshot;
 pub mod store;
 pub mod view;
@@ -70,9 +75,7 @@ pub use error::TrimError;
 pub use journal::{Change, Journal, Revision};
 pub use naive::{NaiveStore, NaiveTriple};
 pub use plan::{Access, IndexKind, PatternShape, Plan};
-pub use snapshot::{
-    PublishPath, SnapBinding, SnapPattern, SnapTerm, SnapTriple, SnapValue, Snapshot,
-    SnapshotPublisher,
-};
+pub use runs::Runs;
+pub use snapshot::{PublishPath, SnapValue, Snapshot, SnapshotPublisher};
 pub use store::{StoreStats, Triple, TriplePattern, TripleStore, Value};
 pub use wal::{verify_frame_payload, CommitOutcome, FrameSummary, LogReport, StoreLog};

@@ -2,38 +2,55 @@
 //!
 //! A concurrent front-end (the `slimserve` crate) has one writer thread
 //! that owns the mutable [`TripleStore`] and many reader sessions that
-//! must see a *consistent* state without blocking the writer. Atoms are
-//! indexes into the writer's private interning table, so a reader view
-//! cannot share `Triple`s — instead a [`Snapshot`] holds triples
-//! **resolved to strings**, fully self-contained and `Send + Sync`.
+//! must see a *consistent* state without blocking the writer. A
+//! [`Snapshot`] holds the same atom-level triples the store does, and it
+//! implements [`Runs`], so [`crate::ConjQuery::solve`] joins it through
+//! the same code that joins the live store.
 //!
 //! Publishing is copy-on-write: a [`SnapshotPublisher`] keeps a large
-//! immutable base (`Arc<Vec<SnapTriple>>`, SPO-sorted) shared by every
-//! outstanding snapshot, plus a small adds/dels delta rebuilt from the
-//! store's [`Journal`] after each commit. Readers holding old snapshots
-//! keep the base alive for free; the writer only pays O(delta) per
-//! publish until the delta grows past [`SnapshotPublisher::FOLD_LIMIT`],
-//! at which point it folds into a fresh base.
+//! immutable base — three dense sorted columns (SPO, POS, OSP) copied
+//! straight from the store's permutation indexes, in atom order — shared
+//! by every outstanding snapshot, plus a small adds/dels delta rebuilt
+//! from the store's [`Journal`] after each commit. Readers holding old
+//! snapshots keep the base alive for free; the writer only pays O(delta)
+//! per publish until the delta grows past
+//! [`SnapshotPublisher::FOLD_LIMIT`], at which point it folds into a
+//! fresh base.
+//!
+//! A snapshot names its atoms through a dictionary of its own, since the
+//! writer's [`AtomTable`] keeps growing under it. The dictionary follows
+//! the base: a copy of the writer's table taken at the last fold, shared
+//! by every snapshot since, plus a small tail of the atoms interned after
+//! it. Both share the table's string allocations. The tail counts toward
+//! the fold limit, so it stays small.
 //!
 //! The publisher trusts the journal suffix only while the journal can
 //! vouch for it: if history was truncated past the last published
-//! revision, or an undo rewound *below* it (detected through the
-//! journal's dedicated snapshot low-water channel — the same contract
-//! [`StoreLog::commit`] uses on its own channel), the delta is no longer
-//! the difference between the published base and the live store, and
-//! the publisher falls back to a full rebuild. A rebuild is always safe
-//! — only slower.
+//! revision, an undo rewound *below* it (detected through the journal's
+//! dedicated snapshot low-water channel — the same contract
+//! [`StoreLog::commit`] uses on its own channel), or the store replaced
+//! its atom table ([`TripleStore::clear`]), the delta is no longer the
+//! difference between the published base and the live store, and the
+//! publisher falls back to a full rebuild. A rebuild is always safe —
+//! only slower.
 //!
 //! [`StoreLog::commit`]: crate::wal::StoreLog::commit
+//! [`Journal`]: crate::Journal
 
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use crate::atom::{Atom, AtomTable};
 use crate::journal::{Change, Revision};
-use crate::store::{TripleStore, Value};
+use crate::plan::{Access, IndexKind, Plan};
+use crate::runs::{OspKey, PosKey, Runs, SpoKey};
+use crate::store::{
+    osp_key, pos_key, spo_key, spo_triple, Triple, TriplePattern, TripleStore, VALUE_MAX,
+    VALUE_MIN,
+};
 
-/// A resolved triple object: literal text or a resource name.
+/// A resolved triple object: literal text or a resource name. The
+/// service's ops carry their objects in this form.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SnapValue {
     /// A literal string value.
@@ -51,64 +68,159 @@ impl SnapValue {
     }
 }
 
-/// One fully-resolved triple, self-contained (no atom table needed).
-/// Derived `Ord` is (subject, property, object) — SPO order.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SnapTriple {
-    pub subject: String,
-    pub property: String,
-    pub object: SnapValue,
+/// The atoms one snapshot can name: the writer's table as of the last
+/// fold, shared by every snapshot since, and the atoms interned after it,
+/// numbered on from there.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    folded: Arc<AtomTable>,
+    tail: Arc<AtomTable>,
 }
 
-impl SnapTriple {
-    fn resolve(store: &TripleStore, t: crate::store::Triple) -> Self {
-        let object = match t.object {
-            Value::Literal(a) => SnapValue::Literal(store.resolve(a).to_string()),
-            Value::Resource(a) => SnapValue::Resource(store.resolve(a).to_string()),
-        };
-        SnapTriple {
-            subject: store.resolve(t.subject).to_string(),
-            property: store.resolve(t.property).to_string(),
-            object,
+impl Names {
+    fn len(&self) -> usize {
+        self.folded.len() + self.tail.len()
+    }
+
+    fn get(&self, s: &str) -> Option<Atom> {
+        self.folded
+            .get(s)
+            .or_else(|| Some(Atom::from_index(self.folded.len() + self.tail.get(s)?.index())))
+    }
+
+    fn resolve(&self, a: Atom) -> &str {
+        match a.index().checked_sub(self.folded.len()) {
+            Some(i) => self.tail.resolve(Atom::from_index(i)),
+            None => self.folded.resolve(a),
+        }
+    }
+
+    /// True if `table` is the table these names were copied from, grown
+    /// or not: a replaced table allocated its first string afresh.
+    fn copied_from(&self, table: &AtomTable) -> bool {
+        let first = self.folded.strings_from(0).first().or(self.tail.strings_from(0).first());
+        first.is_none_or(|ours| {
+            table.strings_from(0).first().is_some_and(|theirs| Arc::ptr_eq(ours, theirs))
+        })
+    }
+}
+
+/// One triple set as three dense sorted permutation columns.
+#[derive(Debug, Default)]
+struct Columns {
+    spo: Vec<SpoKey>,
+    pos: Vec<PosKey>,
+    osp: Vec<OspKey>,
+}
+
+impl Columns {
+    /// The columns of a small set (a delta); only POS and OSP need a sort.
+    fn of(triples: &BTreeSet<Triple>) -> Columns {
+        let mut pos: Vec<PosKey> = triples.iter().map(|&t| pos_key(t)).collect();
+        let mut osp: Vec<OspKey> = triples.iter().map(|&t| osp_key(t)).collect();
+        pos.sort_unstable();
+        osp.sort_unstable();
+        Columns { spo: triples.iter().map(|&t| spo_key(t)).collect(), pos, osp }
+    }
+
+    fn len(&self) -> usize {
+        self.spo.len()
+    }
+
+    /// Triples matching `pattern`, counted off the column its plan names:
+    /// the bound fields lead that column, so the matches are one range.
+    fn count(&self, pattern: &TriplePattern) -> usize {
+        let (lo, hi) = pattern.bounds();
+        match Plan::for_pattern(pattern).access {
+            Access::FullScan => self.len(),
+            Access::Probe | Access::Scan { index: IndexKind::Spo, .. } => {
+                within(&self.spo, spo_key(lo), spo_key(hi)).len()
+            }
+            Access::Scan { index: IndexKind::Pos, .. } => {
+                within(&self.pos, pos_key(lo), pos_key(hi)).len()
+            }
+            Access::Scan { index: IndexKind::Osp, .. } => {
+                within(&self.osp, osp_key(lo), osp_key(hi)).len()
+            }
         }
     }
 }
 
-type Delta = std::collections::BTreeSet<SnapTriple>;
+/// The keys of a sorted column in `lo..=hi`.
+fn within<K: Ord>(column: &[K], lo: K, hi: K) -> &[K] {
+    let start = column.partition_point(|k| *k < lo);
+    let end = column.partition_point(|k| *k <= hi).max(start);
+    &column[start..end]
+}
+
+/// The keys of a sorted column from `from` on.
+fn tail<K: Ord>(column: &[K], from: K) -> &[K] {
+    &column[column.partition_point(|k| *k < from)..]
+}
+
+/// `base − dels ∪ adds` in sort order, given the same key range of one
+/// column from each part (`dels ⊆ base`, `adds` disjoint from `base`).
+fn visible<'a, K: Ord + Copy>(
+    base: &'a [K],
+    adds: &'a [K],
+    dels: &'a [K],
+) -> impl Iterator<Item = K> + 'a {
+    let mut dels = dels.iter().peekable();
+    let mut base = base.iter().filter(move |k| dels.next_if_eq(k).is_none()).peekable();
+    let mut adds = adds.iter().peekable();
+    std::iter::from_fn(move || match (base.peek(), adds.peek()) {
+        (Some(b), Some(a)) if a < b => adds.next(),
+        (Some(_), _) => base.next(),
+        (None, _) => adds.next(),
+    })
+    .copied()
+}
+
+/// The first visible key >= `from`.
+fn seek<K: Ord + Copy>(base: &[K], adds: &[K], dels: &[K], from: K) -> Option<K> {
+    visible(tail(base, from), tail(adds, from), tail(dels, from)).next()
+}
 
 /// An immutable, consistent view of a store at one revision.
 ///
-/// Cheap to clone (three `Arc`s and a counter); safe to ship across
-/// threads; never blocks or observes the writer. Logically it is
-/// `base ∪ adds − dels` where `adds` and `dels` are disjoint from each
-/// other and small relative to `base`.
+/// Cheap to clone (one `Arc`); safe to ship across threads; never blocks
+/// or observes the writer. Logically it is `base ∪ adds − dels` where
+/// `adds` and `dels` are disjoint from each other and small relative to
+/// `base`.
 #[derive(Debug, Clone)]
-pub struct Snapshot {
-    base: Arc<Vec<SnapTriple>>,
-    adds: Arc<Delta>,
-    dels: Arc<Delta>,
+pub struct Snapshot(Arc<View>);
+
+/// What one published snapshot holds; the base is shared with the
+/// snapshots published before it, up to the last fold.
+#[derive(Debug)]
+struct View {
+    names: Names,
+    base: Arc<Columns>,
+    adds: Columns,
+    dels: Columns,
     revision: Revision,
 }
 
 impl Snapshot {
     /// An empty snapshot at revision zero.
     pub fn empty() -> Self {
-        Snapshot {
-            base: Arc::new(Vec::new()),
-            adds: Arc::new(Delta::new()),
-            dels: Arc::new(Delta::new()),
+        Snapshot(Arc::new(View {
+            names: Names::default(),
+            base: Arc::default(),
+            adds: Columns::default(),
+            dels: Columns::default(),
             revision: Revision::start(),
-        }
+        }))
     }
 
     /// The store revision this snapshot reflects.
     pub fn revision(&self) -> Revision {
-        self.revision
+        self.0.revision
     }
 
     /// Number of triples visible in this snapshot.
     pub fn len(&self) -> usize {
-        self.base.len() + self.adds.len() - self.dels.len()
+        self.0.base.len() + self.0.adds.len() - self.0.dels.len()
     }
 
     /// True if no triples are visible.
@@ -116,303 +228,77 @@ impl Snapshot {
         self.len() == 0
     }
 
-    fn in_base(&self, t: &SnapTriple) -> bool {
-        self.base.binary_search(t).is_ok()
+    /// Look up a string among the atoms this snapshot knows; one interned
+    /// after it was published is absent.
+    pub fn find_atom(&self, s: &str) -> Option<Atom> {
+        self.0.names.get(s)
     }
 
-    /// Membership probe: `O(log n)` against base and delta.
-    pub fn contains(&self, t: &SnapTriple) -> bool {
-        self.adds.contains(t) || (self.in_base(t) && !self.dels.contains(t))
-    }
-
-    /// Iterate every visible triple in (subject, property, object) order —
-    /// a sorted merge of the base (minus deletions) with the additions.
-    pub fn iter(&self) -> impl Iterator<Item = &SnapTriple> {
-        let mut base = self.base.iter().filter(|t| !self.dels.contains(*t)).peekable();
-        let mut adds = self.adds.iter().peekable();
-        std::iter::from_fn(move || match (base.peek(), adds.peek()) {
-            (Some(b), Some(a)) => {
-                if *b <= *a {
-                    base.next()
-                } else {
-                    adds.next()
-                }
-            }
-            (Some(_), None) => base.next(),
-            (None, _) => adds.next(),
-        })
+    /// Iterate every visible triple in SPO order — the store's own
+    /// [`TripleStore::iter`] order at this revision.
+    pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
+        visible(&self.0.base.spo, &self.0.adds.spo, &self.0.dels.spo).map(spo_triple)
     }
 
     /// All visible triples for one subject, in (property, object) order —
     /// the subject-bound range scan readers use, without touching the
-    /// writer's indexes.
-    pub fn scan_subject<'a>(&'a self, subject: &'a str) -> impl Iterator<Item = &'a SnapTriple> {
-        let start = self.base.partition_point(|t| t.subject.as_str() < subject);
-        let base_range = self.base[start..]
-            .iter()
-            .take_while(move |t| t.subject == subject)
-            .filter(|t| !self.dels.contains(*t));
-        let lo = SnapTriple {
-            subject: subject.to_string(),
-            property: String::new(),
-            object: SnapValue::Literal(String::new()),
-        };
-        let adds_range = self
-            .adds
-            .range((Bound::Included(lo), Bound::Unbounded))
-            .take_while(move |t| t.subject == subject);
-        // Both halves are SPO-sorted and disjoint; a merge keeps order.
-        let mut base_range = base_range.peekable();
-        let mut adds_range = adds_range.peekable();
-        std::iter::from_fn(move || match (base_range.peek(), adds_range.peek()) {
-            (Some(b), Some(a)) => {
-                if *b <= *a {
-                    base_range.next()
-                } else {
-                    adds_range.next()
-                }
-            }
-            (Some(_), None) => base_range.next(),
-            (None, _) => adds_range.next(),
-        })
+    /// writer's indexes. A subject this snapshot never interned has none.
+    pub fn scan_subject(&self, subject: &str) -> impl Iterator<Item = Triple> + '_ {
+        let s = self.0.names.get(subject);
+        let [base, adds, dels] = [&*self.0.base, &self.0.adds, &self.0.dels].map(|part| match s {
+            Some(s) => within(&part.spo, (s, Atom::MIN, VALUE_MIN), (s, Atom::MAX, VALUE_MAX)),
+            None => &[],
+        });
+        visible(base, adds, dels).map(spo_triple)
     }
 
-    /// Solve a conjunctive query against this snapshot without touching
-    /// the writer: each pattern's candidates come from the subject-bound
-    /// scan (or the sorted merge iterator), and candidate sets are then
-    /// combined smallest-first by sort-merge joins on their shared
-    /// variables — the snapshot-level counterpart of
-    /// [`crate::conj::ConjQuery::solve`], working on resolved strings
-    /// instead of atoms. Results are sorted and deduplicated.
-    pub fn join(&self, patterns: &[SnapPattern]) -> Vec<SnapBinding> {
-        if patterns.is_empty() {
-            return Vec::new();
-        }
-        // Per-pattern candidate bindings plus the variable set each binds.
-        let mut parts: Vec<(Vec<String>, Vec<SnapBinding>)> =
-            patterns.iter().map(|p| (p.var_names(), self.pattern_bindings(p))).collect();
-        // Fold smallest-first, preferring patterns that share a variable
-        // with what is already joined, so cross products only happen for
-        // genuinely disconnected queries.
-        let start = parts
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, (_, b))| (b.len(), *i))
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        let (mut vars, mut acc) = parts.remove(start);
-        while !parts.is_empty() {
-            let next = parts
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, (pv, b))| {
-                    let disconnected = !pv.iter().any(|v| vars.contains(v));
-                    (disconnected, b.len(), *i)
-                })
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            let (pv, cand) = parts.remove(next);
-            let shared: Vec<String> =
-                pv.iter().filter(|v| vars.contains(*v)).cloned().collect();
-            acc = merge_join(acc, cand, &shared);
-            for v in pv {
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
-            }
-        }
-        acc.sort_unstable();
-        acc.dedup();
-        acc
-    }
-
-    /// All bindings one pattern admits, subject-bound scans when possible.
-    fn pattern_bindings(&self, p: &SnapPattern) -> Vec<SnapBinding> {
-        let mut out = Vec::new();
-        let mut try_bind = |t: &SnapTriple| {
-            if let Some(b) = p.bind(t) {
-                out.push(b);
-            }
-        };
-        match &p.subject {
-            SnapTerm::Const(SnapValue::Resource(s)) => {
-                for t in self.scan_subject(s) {
-                    try_bind(t);
-                }
-            }
-            SnapTerm::Const(SnapValue::Literal(_)) => {} // never a subject
-            SnapTerm::Var(_) => {
-                for t in self.iter() {
-                    try_bind(t);
-                }
-            }
-        }
-        out
-    }
-
-    /// Order-insensitive-free digest of the visible triples: FNV-1a over
-    /// the canonical (SPO-sorted) iteration. Two snapshots with the same
-    /// visible triples digest identically regardless of base/delta split.
+    /// Digest of the visible triples by name: a wrapping sum of per-triple
+    /// FNV-1a hashes over the resolved strings. Two snapshots holding the
+    /// same triples digest identically, whatever order their stores
+    /// interned the atoms in and however the triples split between base
+    /// and delta.
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf29ce484222325;
         const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
+        self.iter().fold(0u64, |sum, t| {
+            let mut h = OFFSET;
+            let mut eat = |bytes: &[u8]| {
+                for &b in bytes {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(PRIME);
+                }
+                h ^= 0xff;
                 h = h.wrapping_mul(PRIME);
-            }
-            h ^= 0xff;
-            h = h.wrapping_mul(PRIME);
-        };
-        for t in self.iter() {
-            eat(t.subject.as_bytes());
-            eat(t.property.as_bytes());
-            match &t.object {
-                SnapValue::Literal(s) => {
-                    eat(b"L");
-                    eat(s.as_bytes());
-                }
-                SnapValue::Resource(s) => {
-                    eat(b"R");
-                    eat(s.as_bytes());
-                }
-            }
-        }
-        h
+            };
+            eat(self.0.names.resolve(t.subject).as_bytes());
+            eat(self.0.names.resolve(t.property).as_bytes());
+            eat(if t.object.is_resource() { b"R" } else { b"L" });
+            eat(self.0.names.resolve(t.object.atom()).as_bytes());
+            sum.wrapping_add(h)
+        })
     }
 }
 
-/// One variable assignment of a snapshot join: variable name → value.
-pub type SnapBinding = BTreeMap<String, SnapValue>;
-
-/// One position of a [`SnapPattern`]: a constant or a named variable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapTerm {
-    /// A fixed value. In subject/property position only
-    /// `SnapValue::Resource` can match.
-    Const(SnapValue),
-    /// A shared variable, joined by name across patterns.
-    Var(String),
-}
-
-impl SnapTerm {
-    /// A resource-name constant.
-    pub fn res(name: &str) -> Self {
-        SnapTerm::Const(SnapValue::Resource(name.to_string()))
+impl Runs for Snapshot {
+    fn seek_spo(&self, from: SpoKey) -> Option<SpoKey> {
+        seek(&self.0.base.spo, &self.0.adds.spo, &self.0.dels.spo, from)
     }
 
-    /// A literal constant.
-    pub fn lit(text: &str) -> Self {
-        SnapTerm::Const(SnapValue::Literal(text.to_string()))
+    fn seek_pos(&self, from: PosKey) -> Option<PosKey> {
+        seek(&self.0.base.pos, &self.0.adds.pos, &self.0.dels.pos, from)
     }
 
-    /// A variable.
-    pub fn var(name: &str) -> Self {
-        SnapTerm::Var(name.to_string())
-    }
-}
-
-/// One triple pattern of a snapshot-level conjunctive query. Variables in
-/// subject/property position bind `SnapValue::Resource` names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapPattern {
-    pub subject: SnapTerm,
-    pub property: SnapTerm,
-    pub object: SnapTerm,
-}
-
-impl SnapPattern {
-    /// Shorthand constructor.
-    pub fn new(subject: SnapTerm, property: SnapTerm, object: SnapTerm) -> Self {
-        SnapPattern { subject, property, object }
+    fn seek_osp(&self, from: OspKey) -> Option<OspKey> {
+        seek(&self.0.base.osp, &self.0.adds.osp, &self.0.dels.osp, from)
     }
 
-    /// The distinct variable names this pattern binds, in S/P/O order.
-    fn var_names(&self) -> Vec<String> {
-        let mut names = Vec::new();
-        for term in [&self.subject, &self.property, &self.object] {
-            if let SnapTerm::Var(n) = term {
-                if !names.contains(n) {
-                    names.push(n.clone());
-                }
-            }
-        }
-        names
+    fn count(&self, pattern: &TriplePattern) -> usize {
+        self.0.base.count(pattern) + self.0.adds.count(pattern) - self.0.dels.count(pattern)
     }
 
-    /// Bind this pattern against one triple; `None` on any mismatch,
-    /// including a repeated variable taking two different values.
-    fn bind(&self, t: &SnapTriple) -> Option<SnapBinding> {
-        let mut b = SnapBinding::new();
-        let mut take = |term: &SnapTerm, actual: SnapValue| -> bool {
-            match term {
-                SnapTerm::Const(want) => *want == actual,
-                SnapTerm::Var(name) => match b.get(name) {
-                    Some(existing) => *existing == actual,
-                    None => {
-                        b.insert(name.clone(), actual);
-                        true
-                    }
-                },
-            }
-        };
-        if !take(&self.subject, SnapValue::Resource(t.subject.clone())) {
-            return None;
-        }
-        if !take(&self.property, SnapValue::Resource(t.property.clone())) {
-            return None;
-        }
-        if !take(&self.object, t.object.clone()) {
-            return None;
-        }
-        Some(b)
+    fn resolve(&self, a: Atom) -> &str {
+        self.0.names.resolve(a)
     }
-}
-
-/// Sort-merge join of two binding sets on `shared` variable names. With
-/// no shared names this degenerates to the cross product (disconnected
-/// query), which callers avoid by joining connected patterns first.
-fn merge_join(left: Vec<SnapBinding>, right: Vec<SnapBinding>, shared: &[String]) -> Vec<SnapBinding> {
-    let key = |b: &SnapBinding| -> Vec<SnapValue> {
-        shared.iter().map(|k| b.get(k).cloned().expect("shared key bound")).collect()
-    };
-    let mut left: Vec<(Vec<SnapValue>, SnapBinding)> =
-        left.into_iter().map(|b| (key(&b), b)).collect();
-    let mut right: Vec<(Vec<SnapValue>, SnapBinding)> =
-        right.into_iter().map(|b| (key(&b), b)).collect();
-    left.sort_unstable();
-    right.sort_unstable();
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < left.len() && j < right.len() {
-        match left[i].0.cmp(&right[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Emit the full group product for this key.
-                let k = left[i].0.clone();
-                let li = i;
-                while i < left.len() && left[i].0 == k {
-                    i += 1;
-                }
-                let rj = j;
-                while j < right.len() && right[j].0 == k {
-                    j += 1;
-                }
-                for (_, lb) in &left[li..i] {
-                    for (_, rb) in &right[rj..j] {
-                        let mut merged = lb.clone();
-                        for (name, v) in rb {
-                            merged.insert(name.clone(), v.clone());
-                        }
-                        out.push(merged);
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Why the last [`SnapshotPublisher::publish`] rebuilt (or didn't) —
@@ -423,8 +309,9 @@ pub enum PublishPath {
     Incremental,
     /// Delta grew past the fold limit and was folded into a new base.
     Folded,
-    /// Journal could not vouch for the suffix (truncated history or an
-    /// undo below the published revision); base rebuilt from the store.
+    /// Journal could not vouch for the suffix (truncated history, an
+    /// undo below the published revision, or a replaced atom table);
+    /// base rebuilt from the store.
     Rebuilt,
 }
 
@@ -433,24 +320,28 @@ pub enum PublishPath {
 /// [`SnapshotPublisher::publish`] after each durable commit.
 #[derive(Debug)]
 pub struct SnapshotPublisher {
-    base: Arc<Vec<SnapTriple>>,
-    adds: Delta,
-    dels: Delta,
+    names: Names,
+    base: Arc<Columns>,
+    adds: BTreeSet<Triple>,
+    dels: BTreeSet<Triple>,
     last_rev: Revision,
     fold_limit: usize,
 }
 
 impl SnapshotPublisher {
-    /// Default delta size at which the base is refolded.
+    /// Default delta size at which the base is refolded. The delta counts
+    /// the added and deleted triples and the atoms interned since the
+    /// last fold.
     pub const FOLD_LIMIT: usize = 4096;
 
     /// Build a publisher whose first snapshot is the store's current
-    /// state (full resolve).
+    /// state (full rebuild).
     pub fn new(store: &mut TripleStore) -> Self {
         let mut p = SnapshotPublisher {
-            base: Arc::new(Vec::new()),
-            adds: Delta::new(),
-            dels: Delta::new(),
+            names: Names::default(),
+            base: Arc::default(),
+            adds: BTreeSet::new(),
+            dels: BTreeSet::new(),
             last_rev: Revision::start(),
             fold_limit: Self::FOLD_LIMIT,
         };
@@ -464,22 +355,25 @@ impl SnapshotPublisher {
         self
     }
 
+    /// Freeze the store's indexes into a fresh base: already sorted, so
+    /// this is three copies. The dictionary restarts from a copy of the
+    /// store's atom table, which shares its strings.
     fn rebuild(&mut self, store: &mut TripleStore) {
-        // `TripleStore::iter` yields SPO order and `SnapTriple`'s Ord
-        // mirrors it per-field, but atom order is interning order, not
-        // lexicographic — so resolved strings still need a sort.
-        let mut base: Vec<SnapTriple> =
-            store.iter().map(|t| SnapTriple::resolve(store, t)).collect();
-        base.sort_unstable();
-        self.base = Arc::new(base);
+        let (spo, pos, osp) = store.indexes();
+        self.base = Arc::new(Columns {
+            spo: spo.iter().copied().collect(),
+            pos: pos.iter().copied().collect(),
+            osp: osp.iter().copied().collect(),
+        });
+        self.names = Names { folded: Arc::new(store.atoms().clone()), tail: Arc::default() };
         self.adds.clear();
         self.dels.clear();
         self.last_rev = store.revision();
         store.journal_mut().reset_snapshot_low_water();
     }
 
-    fn apply(&mut self, store: &TripleStore, change: &Change) {
-        let t = SnapTriple::resolve(store, change.triple());
+    fn apply(&mut self, change: &Change) {
+        let t = change.triple();
         match change {
             Change::Insert(_) => {
                 if !self.dels.remove(&t) {
@@ -500,32 +394,40 @@ impl SnapshotPublisher {
     /// snapshot and which path produced it.
     pub fn publish(&mut self, store: &mut TripleStore) -> (Snapshot, PublishPath) {
         let journal = store.journal();
-        let trustworthy = journal.earliest() <= self.last_rev
+        let trustworthy = self.names.copied_from(store.atoms())
+            && journal.earliest() <= self.last_rev
             && journal.snapshot_low_water() >= self.last_rev
             && store.revision() >= self.last_rev;
         let path = if !trustworthy {
             self.rebuild(store);
             PublishPath::Rebuilt
         } else {
-            let changes: Vec<Change> = journal.since(self.last_rev).to_vec();
-            for change in &changes {
-                self.apply(store, change);
+            for change in journal.since(self.last_rev) {
+                self.apply(change);
             }
             self.last_rev = store.revision();
             store.journal_mut().reset_snapshot_low_water();
-            if self.adds.len() + self.dels.len() > self.fold_limit {
+            let new = store.atoms().strings_from(self.names.len());
+            if !new.is_empty() {
+                let tail = Arc::make_mut(&mut self.names.tail);
+                for s in new {
+                    tail.push(Arc::clone(s));
+                }
+            }
+            if self.adds.len() + self.dels.len() + self.names.tail.len() > self.fold_limit {
                 self.rebuild(store);
                 PublishPath::Folded
             } else {
                 PublishPath::Incremental
             }
         };
-        let snap = Snapshot {
+        let snap = Snapshot(Arc::new(View {
+            names: self.names.clone(),
             base: Arc::clone(&self.base),
-            adds: Arc::new(self.adds.clone()),
-            dels: Arc::new(self.dels.clone()),
+            adds: Columns::of(&self.adds),
+            dels: Columns::of(&self.dels),
             revision: self.last_rev,
-        };
+        }));
         (snap, path)
     }
 }
@@ -533,27 +435,46 @@ impl SnapshotPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    
+    use crate::conj::{ConjError, ConjQuery};
+    use crate::store::Value;
 
     fn snap_of(store: &mut TripleStore) -> Snapshot {
         SnapshotPublisher::new(store).publish(store).0
     }
 
-    fn store_triples(store: &TripleStore) -> Vec<SnapTriple> {
-        let mut v: Vec<SnapTriple> =
-            store.iter().map(|t| SnapTriple::resolve(store, t)).collect();
-        v.sort_unstable();
-        v
-    }
-
     fn assert_matches_store(snap: &Snapshot, store: &TripleStore) {
-        let want = store_triples(store);
-        let got: Vec<SnapTriple> = snap.iter().cloned().collect();
-        assert_eq!(got, want);
+        let want: Vec<Triple> = store.iter().collect();
+        assert_eq!(snap.iter().collect::<Vec<_>>(), want);
         assert_eq!(snap.len(), store.len());
         for t in &want {
             assert!(snap.contains(t));
+            for pattern in [
+                TriplePattern::default().with_subject(t.subject),
+                TriplePattern::default().with_property(t.property),
+                TriplePattern::default().with_object(t.object),
+                TriplePattern::default().with_subject(t.subject).with_object(t.object),
+            ] {
+                assert_eq!(Runs::count(snap, &pattern), store.count(&pattern), "{pattern:?}");
+            }
         }
+    }
+
+    /// `(b:1 member ?s) ⋈ (?s name ?n)` in `snap`'s atoms.
+    fn members_with_names(snap: &Snapshot) -> ConjQuery {
+        let atom = |s| snap.find_atom(s).unwrap();
+        let mut q = ConjQuery::new();
+        let (s, n) = (q.var("s"), q.var("n"));
+        q.pattern(atom("b:1"), atom("member"), s).pattern(s, atom("name"), n);
+        q
+    }
+
+    /// Solve `q` on `snap` and name each row's values.
+    fn named_rows(snap: &Snapshot, q: &ConjQuery) -> Vec<Vec<String>> {
+        q.solve(snap)
+            .unwrap()
+            .iter()
+            .map(|row| row.iter().map(|v| snap.resolve(v.atom()).to_string()).collect())
+            .collect()
     }
 
     #[test]
@@ -583,13 +504,10 @@ mod tests {
 
         assert_eq!(path, PublishPath::Incremental);
         assert_eq!(before.len(), 1, "old view must not see new writes");
+        assert_eq!(before.find_atom("b:2"), None, "nor atoms interned after it");
         assert_eq!(after.len(), 2);
         assert_matches_store(&after, &store);
-        assert!(!after.contains(&SnapTriple {
-            subject: "b:1".into(),
-            property: "ward".into(),
-            object: SnapValue::Literal("W3".into()),
-        }));
+        assert!(!after.contains(&victim));
     }
 
     #[test]
@@ -613,8 +531,36 @@ mod tests {
     }
 
     #[test]
+    fn digest_ignores_atom_numbering() {
+        let triples = [("b:1", "name", "John"), ("b:2", "name", "Mary"), ("s:1", "text", "Na 140")];
+        let mut forward = TripleStore::new();
+        for (s, p, o) in triples {
+            forward.insert_literal(s, p, o);
+        }
+        forward.insert_resource("b:1", "member", "s:1");
+        // Same triples, atoms interned in another order, plus triples
+        // that came and went and left their atoms behind.
+        let mut backward = TripleStore::new();
+        let extra = backward.insert_literal("x:9", "ward", "W3");
+        backward.insert_resource("b:1", "member", "s:1");
+        for (s, p, o) in triples.iter().rev() {
+            backward.insert_literal(s, p, o);
+        }
+        backward.remove(extra);
+        assert_ne!(forward.find_atom("b:1"), backward.find_atom("b:1"));
+        assert_eq!(snap_of(&mut forward).digest(), snap_of(&mut backward).digest());
+        backward.insert_literal("b:3", "name", "Omar");
+        assert_ne!(snap_of(&mut forward).digest(), snap_of(&mut backward).digest());
+    }
+
+    #[test]
     fn delta_folds_into_base_past_the_limit() {
         let mut store = TripleStore::new();
+        // Atoms interned since the last fold count toward the limit too;
+        // these are interned before it, so only the triples count.
+        for s in ["b:1", "seq", "0", "1", "2", "3"] {
+            store.atom(s);
+        }
         let mut publisher = SnapshotPublisher::new(&mut store).with_fold_limit(4);
         for i in 0..4 {
             store.insert_literal("b:1", "seq", &i.to_string());
@@ -626,6 +572,14 @@ mod tests {
         assert_eq!(path, PublishPath::Folded);
         assert_matches_store(&snap, &store);
         assert!(publisher.adds.is_empty() && publisher.dels.is_empty());
+        assert!(publisher.names.tail.is_empty());
+        // A tail of fresh atoms folds on its own.
+        for i in 0..5 {
+            store.atom(&format!("fresh:{i}"));
+        }
+        let (snap, path) = publisher.publish(&mut store);
+        assert_eq!(path, PublishPath::Folded);
+        assert_eq!(snap.find_atom("fresh:4"), store.find_atom("fresh:4"));
     }
 
     #[test]
@@ -663,6 +617,66 @@ mod tests {
     }
 
     #[test]
+    fn replaced_atom_table_forces_rebuild() {
+        // Published at revision 0 with atoms interned: the journal alone
+        // would vouch for the suffix after a clear.
+        let mut store = TripleStore::new();
+        store.atom("old:1");
+        let mut publisher = SnapshotPublisher::new(&mut store);
+        store.clear();
+        store.insert_literal("b:1", "name", "John");
+        let (snap, path) = publisher.publish(&mut store);
+        assert_eq!(path, PublishPath::Rebuilt, "a new table must not extend the old base");
+        assert_matches_store(&snap, &store);
+        assert_eq!(snap.find_atom("old:1"), None);
+        store.insert_literal("b:2", "name", "Mary");
+        assert_eq!(publisher.publish(&mut store).1, PublishPath::Incremental);
+    }
+
+    #[test]
+    fn held_snapshots_survive_interning_clear_and_undo() {
+        let mut store = TripleStore::new();
+        store.insert_resource("b:1", "member", "s:1");
+        store.insert_literal("s:1", "name", "John");
+        let mut publisher = SnapshotPublisher::new(&mut store).with_fold_limit(8);
+        let published = store.revision();
+        store.insert_resource("b:1", "member", "s:2");
+        store.insert_literal("s:2", "name", "Mary");
+        // Held with a delta and a tail of atoms the base does not know.
+        let (held, path) = publisher.publish(&mut store);
+        assert_eq!(path, PublishPath::Incremental);
+        let query = members_with_names(&held);
+        let answers = || {
+            let scan: Vec<Triple> = held.scan_subject("b:1").collect();
+            (scan, named_rows(&held, &query), held.digest())
+        };
+        let before = answers();
+        assert_eq!(before.1.len(), 2);
+
+        // The writer interns a few atoms, which later snapshots add to
+        // the tail the held one shares, then enough to fold ...
+        for i in 0..3 {
+            store.atom(&format!("late:{i}"));
+        }
+        assert_eq!(publisher.publish(&mut store).1, PublishPath::Incremental);
+        assert_eq!(answers(), before);
+        for i in 3..5000 {
+            store.atom(&format!("late:{i}"));
+        }
+        assert_eq!(publisher.publish(&mut store).1, PublishPath::Folded);
+        assert_eq!(answers(), before);
+        // ... undoes below the published revision ...
+        store.undo_to(published).unwrap();
+        assert_eq!(publisher.publish(&mut store).1, PublishPath::Rebuilt);
+        assert_eq!(answers(), before);
+        // ... and replaces its atom table.
+        store.clear();
+        store.insert_literal("b:1", "name", "Omar");
+        assert_eq!(publisher.publish(&mut store).1, PublishPath::Rebuilt);
+        assert_eq!(answers(), before);
+    }
+
+    #[test]
     fn snapshots_are_send_and_sync() {
         fn takes_send_sync<T: Send + Sync + 'static>(_: T) {}
         takes_send_sync(Snapshot::empty());
@@ -683,35 +697,29 @@ mod tests {
         let snap = snap_of(&mut store);
 
         // Scraps in bundle b:1 with their names — 2-pattern join.
-        let rows = snap.join(&[
-            SnapPattern::new(SnapTerm::res("b:1"), SnapTerm::res("member"), SnapTerm::var("s")),
-            SnapPattern::new(SnapTerm::var("s"), SnapTerm::res("name"), SnapTerm::var("n")),
-        ]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0]["s"], SnapValue::Resource("s:1".into()));
-        assert_eq!(rows[0]["n"], SnapValue::Literal("alpha".into()));
-        assert_eq!(rows[1]["s"], SnapValue::Resource("s:2".into()));
+        let q = members_with_names(&snap);
+        assert_eq!(named_rows(&snap, &q), [["s:1", "alpha"], ["s:2", "beta"]]);
+        assert_eq!(q.solve(&snap).unwrap(), q.solve(&store).unwrap());
 
         // Join on a literal: subjects sharing the same name.
-        let rows = snap.join(&[
-            SnapPattern::new(SnapTerm::var("a"), SnapTerm::res("name"), SnapTerm::var("n")),
-            SnapPattern::new(SnapTerm::var("b"), SnapTerm::res("name"), SnapTerm::var("n")),
-        ]);
+        let mut q = ConjQuery::new();
+        let (a, b, n) = (q.var("a"), q.var("b"), q.var("n"));
+        let name = snap.find_atom("name").unwrap();
+        q.pattern(a, name, n).pattern(b, name, n);
         // (s1,s1) (s1,s3) (s2,s2) (s3,s1) (s3,s3)
-        assert_eq!(rows.len(), 5);
+        assert_eq!(q.solve(&snap).unwrap().len(), 5);
 
-        // The old snapshot keeps answering the same join after new writes.
+        // The old snapshot keeps answering the same join after new
+        // writes; a delta-carrying snapshot sees them.
         let mut publisher = SnapshotPublisher::new(&mut store);
         let (before, _) = publisher.publish(&mut store);
         store.insert_resource("b:1", "member", "s:9");
         store.insert_literal("s:9", "name", "gamma");
-        let (after, _) = publisher.publish(&mut store);
-        let q = [
-            SnapPattern::new(SnapTerm::res("b:1"), SnapTerm::res("member"), SnapTerm::var("s")),
-            SnapPattern::new(SnapTerm::var("s"), SnapTerm::res("name"), SnapTerm::var("n")),
-        ];
-        assert_eq!(before.join(&q).len(), 2);
-        assert_eq!(after.join(&q).len(), 3);
+        let (after, path) = publisher.publish(&mut store);
+        assert_eq!(path, PublishPath::Incremental);
+        let q = members_with_names(&after);
+        assert_eq!(q.solve(&before).unwrap().len(), 2);
+        assert_eq!(q.solve(&after).unwrap().len(), 3);
     }
 
     #[test]
@@ -720,23 +728,21 @@ mod tests {
         store.insert_resource("a", "p", "a");
         store.insert_resource("a", "p", "b");
         let snap = snap_of(&mut store);
+        let atom = |s| snap.find_atom(s).unwrap();
         // Repeated variable within one pattern: diagonal only.
-        let rows = snap.join(&[SnapPattern::new(
-            SnapTerm::var("x"),
-            SnapTerm::res("p"),
-            SnapTerm::var("x"),
-        )]);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0]["x"], SnapValue::Resource("a".into()));
-        // Empty pattern list and unmatched constants yield nothing.
-        assert!(snap.join(&[]).is_empty());
-        assert!(snap
-            .join(&[SnapPattern::new(
-                SnapTerm::lit("oops"),
-                SnapTerm::res("p"),
-                SnapTerm::var("x"),
-            )])
-            .is_empty());
+        let mut q = ConjQuery::new();
+        let x = q.var("x");
+        q.pattern(x, atom("p"), x);
+        assert_eq!(named_rows(&snap, &q), [["a"]]);
+        assert_eq!(q.solve(&snap).unwrap(), [[Value::Resource(atom("a"))]]);
+        // An empty query is refused; an unmatched constant yields nothing,
+        // and a name the snapshot never interned has no atom at all.
+        assert_eq!(ConjQuery::new().solve(&snap), Err(ConjError::Empty));
+        let mut q = ConjQuery::new();
+        let x = q.var("x");
+        q.pattern(atom("b"), atom("p"), x);
+        assert!(q.solve(&snap).unwrap().is_empty());
+        assert_eq!(snap.find_atom("oops"), None);
     }
 
     #[test]
@@ -748,8 +754,10 @@ mod tests {
         publisher.publish(&mut store);
         store.insert_literal("b:1", "middle", "3");
         let (snap, _) = publisher.publish(&mut store);
-        let props: Vec<&str> =
-            snap.scan_subject("b:1").map(|t| t.property.as_str()).collect();
-        assert_eq!(props, ["alpha", "middle", "omega"]);
+        // Property atom order is interning order, as in the store.
+        let props: Vec<&str> = snap.scan_subject("b:1").map(|t| snap.resolve(t.property)).collect();
+        assert_eq!(props, ["alpha", "omega", "middle"]);
+        let subject = TriplePattern::default().with_subject(store.find_atom("b:1").unwrap());
+        assert_eq!(snap.scan_subject("b:1").collect::<Vec<_>>(), store.select(&subject));
     }
 }

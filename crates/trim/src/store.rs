@@ -10,14 +10,15 @@
 use crate::atom::{Atom, AtomTable};
 use crate::journal::{Change, Journal, Revision};
 use crate::plan::{Access, IndexKind, Plan};
+use crate::runs::{OspKey, PosKey, Runs, SpoKey};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The object position of a triple: either another resource (forming the
 /// graph edges reachability views follow) or a literal string.
 ///
 /// The derived ordering (resources before literals, then by atom) is what
-/// the permutation indexes sort by; [`VALUE_MIN`]/[`VALUE_MAX`] below are
-/// its inclusive extremes.
+/// the permutation indexes sort by; `VALUE_MIN`/`VALUE_MAX` below are its
+/// inclusive extremes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// A reference to a resource; traversed by views.
@@ -98,6 +99,24 @@ impl TriplePattern {
     pub fn is_unconstrained(&self) -> bool {
         self.subject.is_none() && self.property.is_none() && self.object.is_none()
     }
+
+    /// The least and greatest triples the pattern admits: its fixed
+    /// fields, with each free field at its extreme. In an index whose
+    /// sort order leads with the fixed fields, the matches are exactly
+    /// the keys between the two.
+    pub(crate) fn bounds(&self) -> (Triple, Triple) {
+        let lo = Triple {
+            subject: self.subject.unwrap_or(Atom::MIN),
+            property: self.property.unwrap_or(Atom::MIN),
+            object: self.object.unwrap_or(VALUE_MIN),
+        };
+        let hi = Triple {
+            subject: self.subject.unwrap_or(Atom::MAX),
+            property: self.property.unwrap_or(Atom::MAX),
+            object: self.object.unwrap_or(VALUE_MAX),
+        };
+        (lo, hi)
+    }
 }
 
 /// Size and composition statistics, reported by [`TripleStore::stats`] and
@@ -132,11 +151,11 @@ pub struct TripleStore {
     atoms: AtomTable,
     /// (subject, property, object) permutation — also the membership set
     /// and the store's canonical iteration order.
-    spo: BTreeSet<(Atom, Atom, Value)>,
+    spo: BTreeSet<SpoKey>,
     /// (property, object, subject) permutation.
-    pos: BTreeSet<(Atom, Value, Atom)>,
+    pos: BTreeSet<PosKey>,
     /// (object, subject, property) permutation.
-    osp: BTreeSet<(Value, Atom, Atom)>,
+    osp: BTreeSet<OspKey>,
     /// Literal atoms currently used as objects → number of carrying
     /// triples. Keys ascend in atom (= first-interning) order.
     literals: BTreeMap<Atom, u32>,
@@ -144,16 +163,20 @@ pub struct TripleStore {
     fresh_counter: u64,
 }
 
-fn spo_key(t: Triple) -> (Atom, Atom, Value) {
+pub(crate) fn spo_key(t: Triple) -> SpoKey {
     (t.subject, t.property, t.object)
 }
 
-fn pos_key(t: Triple) -> (Atom, Value, Atom) {
+pub(crate) fn pos_key(t: Triple) -> PosKey {
     (t.property, t.object, t.subject)
 }
 
-fn osp_key(t: Triple) -> (Value, Atom, Atom) {
+pub(crate) fn osp_key(t: Triple) -> OspKey {
     (t.object, t.subject, t.property)
+}
+
+pub(crate) fn spo_triple((subject, property, object): SpoKey) -> Triple {
+    Triple { subject, property, object }
 }
 
 impl TripleStore {
@@ -406,7 +429,9 @@ impl TripleStore {
         self.insert(subject, property, object);
     }
 
-    /// Drop everything, including the journal and interned strings.
+    /// Drop everything, including the journal and interned strings. The
+    /// store gets a fresh atom table; snapshots published before keep
+    /// reading the old one.
     pub fn clear(&mut self) {
         *self = TripleStore::new();
     }
@@ -431,11 +456,7 @@ impl TripleStore {
     /// Iterate all triples in (subject, property, object) sorted order —
     /// the SPO index order, which is also [`Triple`]'s derived `Ord`.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.spo.iter().map(|&(subject, property, object)| Triple {
-            subject,
-            property,
-            object,
-        })
+        self.spo.iter().copied().map(spo_triple)
     }
 
     /// The access plan [`TripleStore::select`], [`TripleStore::count`],
@@ -482,187 +503,27 @@ impl TripleStore {
         pattern: &TriplePattern,
         consume: impl FnOnce(&mut dyn Iterator<Item = Triple>) -> R,
     ) -> R {
+        // A probe binds every field, so `lo` is the one triple it admits.
+        let (lo, hi) = pattern.bounds();
         match Plan::for_pattern(pattern).access {
-            Access::Probe => {
-                let t = Triple {
-                    subject: pattern.subject.expect("probe binds subject"),
-                    property: pattern.property.expect("probe binds property"),
-                    object: pattern.object.expect("probe binds object"),
-                };
-                let mut iter = self.contains(&t).then_some(t).into_iter();
-                consume(&mut iter)
-            }
+            Access::Probe => consume(&mut self.contains(&lo).then_some(lo).into_iter()),
             Access::FullScan => consume(&mut self.iter()),
             Access::Scan { index: IndexKind::Spo, .. } => {
-                let s = pattern.subject.expect("SPO scan binds subject");
-                let (p_lo, p_hi) = match pattern.property {
-                    Some(p) => (p, p),
-                    None => (Atom::MIN, Atom::MAX),
-                };
-                let mut iter = self
-                    .spo
-                    .range((s, p_lo, VALUE_MIN)..=(s, p_hi, VALUE_MAX))
-                    .map(|&(subject, property, object)| Triple { subject, property, object });
-                consume(&mut iter)
+                consume(&mut self.spo.range(spo_key(lo)..=spo_key(hi)).copied().map(spo_triple))
             }
-            Access::Scan { index: IndexKind::Pos, .. } => {
-                let p = pattern.property.expect("POS scan binds property");
-                let (o_lo, o_hi) = match pattern.object {
-                    Some(o) => (o, o),
-                    None => (VALUE_MIN, VALUE_MAX),
-                };
-                let mut iter = self
+            Access::Scan { index: IndexKind::Pos, .. } => consume(
+                &mut self
                     .pos
-                    .range((p, o_lo, Atom::MIN)..=(p, o_hi, Atom::MAX))
-                    .map(|&(property, object, subject)| Triple { subject, property, object });
-                consume(&mut iter)
-            }
-            Access::Scan { index: IndexKind::Osp, .. } => {
-                let o = pattern.object.expect("OSP scan binds object");
-                let (s_lo, s_hi) = match pattern.subject {
-                    Some(s) => (s, s),
-                    None => (Atom::MIN, Atom::MAX),
-                };
-                let mut iter = self
+                    .range(pos_key(lo)..=pos_key(hi))
+                    .map(|&(property, object, subject)| Triple { subject, property, object }),
+            ),
+            Access::Scan { index: IndexKind::Osp, .. } => consume(
+                &mut self
                     .osp
-                    .range((o, s_lo, Atom::MIN)..=(o, s_hi, Atom::MAX))
-                    .map(|&(object, subject, property)| Triple { subject, property, object });
-                consume(&mut iter)
-            }
+                    .range(osp_key(lo)..=osp_key(hi))
+                    .map(|&(object, subject, property)| Triple { subject, property, object }),
+            ),
         }
-    }
-
-    // ---- sorted-run seeks for the conjunctive engine ---------------------
-    //
-    // Each probe returns the first value >= `lo` in the named distinct-value
-    // run, answered by one O(log n) range lookup. The leapfrog cursors in
-    // [`crate::conj`] call these with strictly increasing `lo`, so a k-way
-    // run intersection streams without materializing any run.
-
-    /// First subject >= `lo` in the SPO index (distinct-subject run).
-    pub(crate) fn run_subject_geq(&self, lo: Atom) -> Option<Atom> {
-        self.spo.range((lo, Atom::MIN, VALUE_MIN)..).next().map(|&(s, _, _)| s)
-    }
-
-    /// First property >= `lo` among triples with subject `s` (SPO run).
-    pub(crate) fn run_property_of_s_geq(&self, s: Atom, lo: Atom) -> Option<Atom> {
-        self.spo
-            .range((s, lo, VALUE_MIN)..=(s, Atom::MAX, VALUE_MAX))
-            .next()
-            .map(|&(_, p, _)| p)
-    }
-
-    /// First object >= `lo` among triples with subject `s` and property
-    /// `p` (SPO run).
-    pub(crate) fn run_object_of_sp_geq(&self, s: Atom, p: Atom, lo: Value) -> Option<Value> {
-        self.spo.range((s, p, lo)..=(s, p, VALUE_MAX)).next().map(|&(_, _, o)| o)
-    }
-
-    /// First property >= `lo` in the POS index (distinct-property run).
-    pub(crate) fn run_property_geq(&self, lo: Atom) -> Option<Atom> {
-        self.pos.range((lo, VALUE_MIN, Atom::MIN)..).next().map(|&(p, _, _)| p)
-    }
-
-    /// First object >= `lo` among triples with property `p` (POS run).
-    pub(crate) fn run_object_of_p_geq(&self, p: Atom, lo: Value) -> Option<Value> {
-        self.pos
-            .range((p, lo, Atom::MIN)..=(p, VALUE_MAX, Atom::MAX))
-            .next()
-            .map(|&(_, o, _)| o)
-    }
-
-    /// First subject >= `lo` among triples with property `p` and object
-    /// `o` (POS run).
-    pub(crate) fn run_subject_of_po_geq(&self, p: Atom, o: Value, lo: Atom) -> Option<Atom> {
-        self.pos.range((p, o, lo)..=(p, o, Atom::MAX)).next().map(|&(_, _, s)| s)
-    }
-
-    /// First object >= `lo` in the OSP index (distinct-object run).
-    pub(crate) fn run_object_geq(&self, lo: Value) -> Option<Value> {
-        self.osp.range((lo, Atom::MIN, Atom::MIN)..).next().map(|&(o, _, _)| o)
-    }
-
-    /// First subject >= `lo` among triples with object `o` (OSP run).
-    pub(crate) fn run_subject_of_o_geq(&self, o: Value, lo: Atom) -> Option<Atom> {
-        self.osp
-            .range((o, lo, Atom::MIN)..=(o, Atom::MAX, Atom::MAX))
-            .next()
-            .map(|&(_, s, _)| s)
-    }
-
-    /// First property >= `lo` among triples with object `o` and subject
-    /// `s` (OSP run).
-    pub(crate) fn run_property_of_os_geq(&self, o: Value, s: Atom, lo: Atom) -> Option<Atom> {
-        self.osp.range((o, s, lo)..=(o, s, Atom::MAX)).next().map(|&(_, _, p)| p)
-    }
-
-    // Three (bound → proposed) combinations have no permutation whose sort
-    // order is (bound, proposed, rest): P→S, O→P, S→O. Those runs are
-    // served by *skip-scans* over the index that leads with the proposed
-    // position: alternating range probes that seek the probe value's
-    // (value, bound) block and, when it is absent, jump to the next value
-    // the index itself proposes. Each probe is one O(log n) lookup and
-    // the probe count is bounded by the values *between* matches, so even
-    // these fallback runs stream — nothing is materialized.
-
-    /// First subject >= `lo` with at least one `(subject, p, _)` triple —
-    /// the P→S skip-scan over SPO.
-    pub(crate) fn run_subject_with_p_geq(&self, p: Atom, lo: Atom) -> Option<Atom> {
-        let mut s = lo;
-        loop {
-            let &(ts, tp, _) = self.spo.range((s, p, VALUE_MIN)..).next()?;
-            if tp == p {
-                // Subjects strictly between `s` and `ts` have no triples
-                // at all, so `ts` is the first subject carrying `p`.
-                return Some(ts);
-            }
-            // `ts`'s smallest property past the probe point is below `p`:
-            // probe its own (ts, p) block next. Otherwise `ts` (or `s`
-            // itself, when ts == s) has no `p`; advance past it.
-            s = if ts > s && tp < p { ts } else { ts.succ()? };
-        }
-    }
-
-    /// First property >= `lo` with at least one `(_, property, o)` triple —
-    /// the O→P skip-scan over POS.
-    pub(crate) fn run_property_with_o_geq(&self, o: Value, lo: Atom) -> Option<Atom> {
-        let mut p = lo;
-        loop {
-            let &(tp, to, _) = self.pos.range((p, o, Atom::MIN)..).next()?;
-            if to == o {
-                return Some(tp);
-            }
-            p = if tp > p && to < o { tp } else { tp.succ()? };
-        }
-    }
-
-    /// First object >= `lo` with at least one `(s, _, object)` triple —
-    /// the S→O skip-scan over OSP.
-    pub(crate) fn run_object_with_s_geq(&self, s: Atom, lo: Value) -> Option<Value> {
-        let mut o = lo;
-        loop {
-            let &(to, ts, _) = self.osp.range((o, s, Atom::MIN)..).next()?;
-            if ts == s {
-                return Some(to);
-            }
-            o = if to > o && ts < s {
-                to
-            } else {
-                crate::conj::value_succ(to)?
-            };
-        }
-    }
-
-    /// Distinct objects of subject `s`, sorted. Kept for the seeded
-    /// `wrong_pos_run` mutation (slimcheck `--mutate`), which deliberately
-    /// reads an object run off the wrong index.
-    pub(crate) fn collect_objects_of_s(&self, s: Atom) -> Vec<Value> {
-        let set: BTreeSet<Value> = self
-            .spo
-            .range((s, Atom::MIN, VALUE_MIN)..=(s, Atom::MAX, VALUE_MAX))
-            .map(|&(_, _, o)| o)
-            .collect();
-        set.into_iter().collect()
     }
 
     /// The single triple matching `(subject, property, _)`, if exactly one
@@ -714,6 +575,12 @@ impl TripleStore {
             }
         }
         out
+    }
+
+    /// The three permutation indexes, for the snapshot publisher to
+    /// freeze into columns.
+    pub(crate) fn indexes(&self) -> (&BTreeSet<SpoKey>, &BTreeSet<PosKey>, &BTreeSet<OspKey>) {
+        (&self.spo, &self.pos, &self.osp)
     }
 
     // ---- journal ---------------------------------------------------------
@@ -815,6 +682,28 @@ impl TripleStore {
             self.atoms.resolve(t.property),
             obj
         )
+    }
+}
+
+impl Runs for TripleStore {
+    fn seek_spo(&self, from: SpoKey) -> Option<SpoKey> {
+        self.spo.range(from..).next().copied()
+    }
+
+    fn seek_pos(&self, from: PosKey) -> Option<PosKey> {
+        self.pos.range(from..).next().copied()
+    }
+
+    fn seek_osp(&self, from: OspKey) -> Option<OspKey> {
+        self.osp.range(from..).next().copied()
+    }
+
+    fn count(&self, pattern: &TriplePattern) -> usize {
+        TripleStore::count(self, pattern)
+    }
+
+    fn resolve(&self, a: Atom) -> &str {
+        self.atoms.resolve(a)
     }
 }
 

@@ -9,12 +9,15 @@
 //! 2. **Naive agreement** — the leapfrog result equals the index-free
 //!    cross-product evaluator's, pattern for pattern.
 //!
+//! Both hold on the live store and on a published snapshot of it whose
+//! delta carries adds and deletes.
+//!
 //! Plus determinism: for a fixed store, `explain_join` renders the same
 //! join tree every time it is asked.
 
 use proptest::prelude::*;
 use trim::conj::{ConjQuery, Var};
-use trim::{naive_join, TripleStore};
+use trim::{naive_join, Runs, Snapshot, SnapshotPublisher, TripleStore};
 
 /// Small vocabulary so patterns collide and joins produce rows.
 const NODES: &[&str] = &["a", "b", "c", "d"];
@@ -65,8 +68,7 @@ fn shape_strategy() -> impl Strategy<Value = QueryShape> {
     ]
 }
 
-fn build_store(triples: &[TripleSpec]) -> TripleStore {
-    let mut store = TripleStore::new();
+fn insert(store: &mut TripleStore, triples: &[TripleSpec]) {
     for t in triples {
         if t.res {
             store.insert_resource(NODES[t.s], PROPS[t.p], NODES[t.o]);
@@ -74,7 +76,34 @@ fn build_store(triples: &[TripleSpec]) -> TripleStore {
             store.insert_literal(NODES[t.s], PROPS[t.p], LITS[t.o]);
         }
     }
+}
+
+fn build_store(triples: &[TripleSpec]) -> TripleStore {
+    let mut store = TripleStore::new();
+    insert(&mut store, triples);
     store
+}
+
+/// The store after `triples` plus one removal, and a snapshot of it
+/// published over a base of the first half: the second half and the
+/// removal land in its delta.
+fn build_published(
+    triples: &[TripleSpec],
+    shape: QueryShape,
+    p0: usize,
+    p1: usize,
+) -> (TripleStore, ConjQuery, Snapshot) {
+    let half = triples.len() / 2;
+    let mut store = build_store(&triples[..half]);
+    let mut publisher = SnapshotPublisher::new(&mut store);
+    insert(&mut store, &triples[half..]);
+    let q = build_query(&mut store, shape, p0, p1);
+    let first = store.iter().next();
+    if let Some(first) = first {
+        store.remove(first);
+    }
+    let (snapshot, _) = publisher.publish(&mut store);
+    (store, q, snapshot)
 }
 
 fn build_query(store: &mut TripleStore, shape: QueryShape, p0: usize, p1: usize) -> ConjQuery {
@@ -124,8 +153,9 @@ fn permutations(n: usize) -> Vec<Vec<Var>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every forced binding order returns the planner's binding set, and
-    /// the planner agrees with the naive cross-product evaluator.
+    /// Every forced binding order returns the planner's binding set, on
+    /// the store and on its published snapshot alike, and the planner
+    /// agrees with the naive cross-product evaluator.
     #[test]
     fn all_binding_orders_agree_with_naive(
         triples in triples_strategy(),
@@ -133,14 +163,16 @@ proptest! {
         p0 in 0..PROPS.len(),
         p1 in 0..PROPS.len(),
     ) {
-        let mut store = build_store(&triples);
-        let q = build_query(&mut store, shape, p0, p1);
+        let (store, q, snapshot) = build_published(&triples, shape, p0, p1);
         let planned = q.solve(&store).unwrap();
         let oracle = naive_join(&store, &q).unwrap();
         prop_assert_eq!(&planned, &oracle, "planner vs naive for {:?}", shape);
+        prop_assert_eq!(&q.solve(&snapshot).unwrap(), &planned, "snapshot for {:?}", shape);
         for order in permutations(q.var_count()) {
             let forced = q.solve_ordered(&store, &order).unwrap();
             prop_assert_eq!(&forced, &planned, "forced order {:?} for {:?}", order, shape);
+            let forced = q.solve_ordered(&snapshot, &order).unwrap();
+            prop_assert_eq!(&forced, &planned, "snapshot order {:?} for {:?}", order, shape);
         }
     }
 

@@ -131,7 +131,7 @@ fn main() {
     // instead of a linear scan over every topic. Show the plan once:
     {
         use superimposed::metamodel::vocab;
-        use superimposed::trim::{ConjQuery, Value};
+        use superimposed::trim::{ConjQuery, Runs, Value};
         let store = concordance.store();
         if let (Some(conf), Some(topic_c), Some(name_p), Some(lit)) = (
             store.find_atom(vocab::CONFORMS_TO),
