@@ -448,6 +448,10 @@ mod tests {
         assert_eq!(snap.len(), store.len());
         for t in &want {
             assert!(snap.contains(t));
+            for a in [t.subject, t.property, t.object.atom()] {
+                assert_eq!(snap.find_atom(store.resolve(a)), Some(a), "{a} by name");
+                assert_eq!(Runs::resolve(snap, a), store.resolve(a));
+            }
             for pattern in [
                 TriplePattern::default().with_subject(t.subject),
                 TriplePattern::default().with_property(t.property),
