@@ -22,25 +22,11 @@ use superimposed::trim::{naive_join, ConjQuery, PatternShape, Runs, TripleStore}
 /// claim is about queries the pre-index store had to answer by scanning.
 const GATED_SHAPES: [PatternShape; 2] = [PatternShape::P, PatternShape::O];
 const SPEEDUP_FLOOR: f64 = 5.0;
+/// The unbound full scan reads the same frozen column a naive `Vec` walk
+/// would, so it must keep pace with the naive scan.
+const UNBOUND_FLOOR: f64 = 1.0;
 /// `--check` fails if a gated speedup drops below baseline/this factor.
 const REGRESSION_FACTOR: f64 = 2.0;
-
-/// Shapes known to run *slower* than the naive scan, tracked instead of
-/// silenced: they are exempt from the ≥5× floor but still gated against
-/// the committed baseline, so the known ratio cannot quietly get worse.
-/// Each entry carries the issue note explaining why it is allowed.
-struct AllowedRegression {
-    shape: PatternShape,
-    note: &'static str,
-}
-
-const ALLOWED_REGRESSIONS: [AllowedRegression; 1] = [AllowedRegression {
-    shape: PatternShape::Unbound,
-    note: "unbound full scan runs at ~0.3x of the naive Vec scan: iterating \
-           the BTreeSet index pointer-chases where the Vec streams. Tracked \
-           (ROADMAP: dense sidecar for shape-unbound scans); gated against \
-           the baseline so it cannot silently degrade further.",
-}];
 
 /// Conjunctive joins measured against [`naive_join`], the index-free
 /// cross-product evaluator. All three are gated at the same ≥5× floor:
@@ -216,15 +202,6 @@ fn render_json(results: &[QueryRow], joins: &[QueryRow], quick: bool) -> String 
             r.speedup(),
         )
     };
-    let allowed = ALLOWED_REGRESSIONS.iter().map(|a| {
-        format!(
-            "{{\"shape\": \"{}\", \"allow_regression\": true, \"ratio\": {:.1}, \
-             \"note\": \"{}\"}}",
-            a.shape.name(),
-            shape_row(results, a.shape).speedup(),
-            a.note,
-        )
-    });
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"n_triples\": {BENCH_TRIPLES},\n"));
@@ -232,8 +209,6 @@ fn render_json(results: &[QueryRow], joins: &[QueryRow], quick: bool) -> String 
     out.push_str(&json_rows("shapes", results.iter().map(|r| row("shape", r))));
     out.push_str(",\n");
     out.push_str(&json_rows("joins", joins.iter().map(|r| row("join", r))));
-    out.push_str(",\n");
-    out.push_str(&json_rows("allowed_regressions", allowed));
     out.push_str("\n}\n");
     out
 }
@@ -241,9 +216,8 @@ fn render_json(results: &[QueryRow], joins: &[QueryRow], quick: bool) -> String 
 /// The trim gate: the predicate- and object-bound shapes and every join
 /// shape — including the unselective worst case — hold the floor over
 /// their naive evaluators and their committed speedup (a
-/// machine-independent ratio, unlike raw latencies); allowed
-/// regressions skip the floor but not the baseline bound, so a tracked
-/// ratio cannot quietly get worse.
+/// machine-independent ratio, unlike raw latencies); the unbound full
+/// scan holds its own lower floor and the same baseline bound.
 fn checks(results: &[QueryRow], joins: &[QueryRow]) -> Vec<Check> {
     let shape = |shape: PatternShape| {
         let r = shape_row(results, shape);
@@ -262,7 +236,7 @@ fn checks(results: &[QueryRow], joins: &[QueryRow]) -> Vec<Check> {
         .map(|s| shape(s).floor(SPEEDUP_FLOOR))
         .into_iter()
         .chain(joins)
-        .chain(ALLOWED_REGRESSIONS.iter().map(|a| shape(a.shape)))
+        .chain([shape(PatternShape::Unbound).floor(UNBOUND_FLOOR)])
         .collect()
 }
 
@@ -291,10 +265,7 @@ mod tests {
         let results: Vec<_> = PatternShape::ALL.iter().map(|s| row(s.name())).collect();
         let joins: Vec<_> = JOIN_SHAPES.iter().map(|j| row(j.name)).collect();
         let checks = checks(&results, &joins);
-        assert_eq!(
-            checks.len(),
-            GATED_SHAPES.len() + JOIN_SHAPES.len() + ALLOWED_REGRESSIONS.len()
-        );
+        assert_eq!(checks.len(), GATED_SHAPES.len() + JOIN_SHAPES.len() + 1);
         let failed = gate::failures(&checks, include_str!("../../../BENCH_trim.json"));
         assert!(failed.is_empty(), "{failed:?}");
     }

@@ -11,10 +11,11 @@
 //!   baseline and property tests lean on, checked against the same
 //!   model so *it* can't silently drift either.
 //!
-//! The snapshot comes from a [`SnapshotPublisher`] with a fold limit of
-//! a few changes, and some queries first undo and redo the newest change
-//! across the published revision, so the snapshots queried come from the
-//! incremental, folded and rebuilt publish paths alike.
+//! The snapshot comes from [`TripleStore::snapshot`] on a store with a
+//! fold limit of a few changes, and some queries first undo and redo the
+//! newest change across the previous snapshot's revision, so the
+//! snapshots queried carry an empty delta, a non-empty one, or follow an
+//! undo below the previous snapshot.
 //!
 //! The conjunctive mutations ([`Mutation::ConjSkipRepeatedVarDedup`],
 //! [`Mutation::ConjWrongPosRun`]) route through
@@ -28,10 +29,7 @@ use crate::ops::{ConjOp, OBJECTS, PROPS, SUBJECTS};
 use crate::Mutation;
 use std::collections::BTreeSet;
 use trim::conj::ExecQuirks;
-use trim::{
-    naive_join, Change, ConjQuery, PublishPath, Revision, Runs, SnapshotPublisher, Triple,
-    TripleStore, Value,
-};
+use trim::{naive_join, Change, ConjQuery, Revision, Runs, Triple, TripleStore, Value};
 
 /// `(subject, property, object, object_is_resource)` at string level.
 type ModelTriple = (String, String, String, bool);
@@ -42,9 +40,20 @@ type ModelRow = Vec<(String, bool)>;
 /// Number of join templates `ConjOp::Query { shape }` selects from.
 const SHAPES: usize = 6;
 
-/// Delta size (changed triples plus atoms interned since the last fold)
-/// past which the publisher folds: small, so folds are common.
+/// Changed triples past which the store folds its delta: small, so
+/// folds are common.
 const FOLD_LIMIT: usize = 3;
+
+/// What a queried snapshot was taken over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SnapshotKind {
+    /// The store had just folded: everything is in the base.
+    EmptyDelta,
+    /// Base plus a delta of changes since the fold.
+    Delta,
+    /// Taken after an undo below the previous snapshot's revision.
+    AfterUndo,
+}
 
 /// A term of a model-level pattern mirroring the real query's terms.
 #[derive(Debug, Clone)]
@@ -78,18 +87,23 @@ pub fn check(ops: &[ConjOp], mutation: Mutation) {
 struct World {
     store: TripleStore,
     model: BTreeSet<ModelTriple>,
-    publisher: SnapshotPublisher,
     /// The newest change that took effect, with the revision before it.
     last_change: Option<(Revision, Change)>,
-    /// The path of every publish so far.
-    paths: Vec<PublishPath>,
+    /// The revision of the last snapshot taken.
+    snapshot_rev: Revision,
+    /// The kind of every snapshot queried so far.
+    kinds: Vec<SnapshotKind>,
 }
 
 impl World {
     fn new() -> Self {
-        let mut store = TripleStore::new();
-        let publisher = SnapshotPublisher::new(&mut store).with_fold_limit(FOLD_LIMIT);
-        World { store, model: BTreeSet::new(), publisher, last_change: None, paths: Vec::new() }
+        World {
+            store: TripleStore::new().with_fold_limit(FOLD_LIMIT),
+            model: BTreeSet::new(),
+            last_change: None,
+            snapshot_rev: Revision::start(),
+            kinds: Vec::new(),
+        }
     }
 
     fn intern(&mut self, s: usize, p: usize, o: usize, res: bool) -> Triple {
@@ -126,21 +140,21 @@ impl World {
         }
     }
 
-    /// Undo the newest change and redo it: the contents are unchanged,
-    /// but when the change was already published the undo crossed the
-    /// published revision, and the next publish must rebuild.
-    fn rewind_and_replay(&mut self) {
-        let Some((before, change)) = self.last_change else { return };
+    /// Undo the newest change and redo it: the contents are unchanged.
+    /// Returns true if the undo went below the last snapshot's revision.
+    fn rewind_and_replay(&mut self) -> bool {
+        let Some((before, change)) = self.last_change else { return false };
         self.store.undo_to(before).expect("the newest change is journaled");
         match change {
             Change::Insert(t) => self.store.insert(t.subject, t.property, t.object),
             Change::Remove(t) => self.store.remove(t),
         };
+        before < self.snapshot_rev
     }
 
     /// Build template `shape % SHAPES`, solve it through the planner (with
-    /// any active quirks) on the store and on a freshly published
-    /// snapshot, and compare both resolved binding sets against the
+    /// any active quirks) on the store and on a fresh snapshot, and
+    /// compare both resolved binding sets against the
     /// string-level oracle — and the oracle against `naive_join`. A
     /// `shape` of `2 * SHAPES` or more first rewinds and replays the
     /// newest change.
@@ -153,11 +167,15 @@ impl World {
             solved.iter().map(|row| resolve_row(&self.store, row)).collect();
         let oracle = model_eval(&self.model, &mirror, query.var_count());
         assert_eq!(engine, oracle, "join template `{name}` diverged from the string oracle");
-        if shape >= 2 * SHAPES {
-            self.rewind_and_replay();
-        }
-        let (snapshot, path) = self.publisher.publish(&mut self.store);
-        self.paths.push(path);
+        let undone = shape >= 2 * SHAPES && self.rewind_and_replay();
+        let snapshot = self.store.snapshot();
+        self.snapshot_rev = snapshot.revision();
+        let kind = match (undone, snapshot.delta_len()) {
+            (true, _) => SnapshotKind::AfterUndo,
+            (false, 0) => SnapshotKind::EmptyDelta,
+            (false, _) => SnapshotKind::Delta,
+        };
+        self.kinds.push(kind);
         let on_snapshot: BTreeSet<ModelRow> = query
             .testonly_solve_with_quirks(&snapshot, quirks)
             .expect("generated join templates are valid")
@@ -166,7 +184,7 @@ impl World {
             .collect();
         assert_eq!(
             on_snapshot, oracle,
-            "join template `{name}` on a {path:?} snapshot diverged from the string oracle"
+            "join template `{name}` on a {kind:?} snapshot diverged from the string oracle"
         );
         let naive: BTreeSet<ModelRow> = naive_join(&self.store, &query)
             .expect("generated join templates are valid")
@@ -413,30 +431,30 @@ mod tests {
         check(&ops, Mutation::None);
     }
 
-    /// Queried snapshots come from every publish path: a delta and tail
-    /// of atoms past the fold limit are folded, a small one replayed,
-    /// and a rewind across the published revision rebuilt.
+    /// The conj layer queries every kind of snapshot: one whose delta
+    /// was just folded away, one carrying a delta, and one taken after
+    /// an undo below the previous snapshot.
     #[test]
     fn snapshots_come_from_every_publish_path() {
         let query = |shape| ConjOp::Query { shape, p0: 0, p1: 1, c: 0 };
         let ops = [
-            // Four new atoms and one triple: folded.
             ConjOp::Insert { s: 0, p: 0, o: 1, res: true },
             query(0),
-            // One new atom and one triple: replayed.
+            // The fourth changed triple passes the fold limit.
             ConjOp::Insert { s: 1, p: 0, o: 0, res: true },
-            query(0),
             ConjOp::Insert { s: 1, p: 1, o: 2, res: false },
             ConjOp::Insert { s: 2, p: 0, o: 1, res: true },
-            ConjOp::Remove { s: 0, p: 0, o: 1, res: true },
             query(1),
+            ConjOp::Remove { s: 0, p: 0, o: 1, res: true },
+            query(2),
+            // The remove is older than the snapshot just taken.
             query(2 * SHAPES + 2),
         ];
         let mut world = World::new();
         for op in &ops {
             world.apply(op, ExecQuirks::default());
         }
-        use PublishPath::*;
-        assert_eq!(world.paths, [Folded, Incremental, Folded, Rebuilt]);
+        use SnapshotKind::*;
+        assert_eq!(world.kinds, [Delta, EmptyDelta, Delta, AfterUndo]);
     }
 }

@@ -2,7 +2,9 @@
 //! through [`TripleStore`] (the real stack), [`NaiveStore`] (the
 //! scan-everything baseline), and a `BTreeSet` oracle, with the journal
 //! checked against a snapshot stack and every save round-tripped —
-//! including crash saves through the fault-injecting VFS.
+//! including crash saves through the fault-injecting VFS. The store
+//! folds its delta every few changes, so every sequence crosses folds
+//! and undoes across them.
 //!
 //! Every check here panics on divergence; the harness in `lib.rs` catches
 //! the panic, shrinks the sequence, and reports a replay seed.
@@ -15,6 +17,9 @@ use std::path::Path;
 use trim::{NaiveStore, PatternShape, Plan, Revision, Triple, TriplePattern, TripleStore, Value};
 
 const SAVE_PATH: &str = "slimcheck/store.xml";
+/// Changed triples past which the store folds its delta: small, so
+/// folds are common.
+const FOLD_LIMIT: usize = 3;
 const FAULT_OPS: [FaultOp; 3] = [FaultOp::Write, FaultOp::Sync, FaultOp::Rename];
 const FAULT_MODES: [FaultMode; 3] = [FaultMode::Fail, FaultMode::Torn, FaultMode::SilentTorn];
 
@@ -55,7 +60,7 @@ struct World {
 
 impl World {
     fn new() -> Self {
-        let store = TripleStore::new();
+        let store = TripleStore::new().with_fold_limit(FOLD_LIMIT);
         let checkpoints = vec![(store.revision(), BTreeSet::new())];
         World {
             store,

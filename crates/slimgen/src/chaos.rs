@@ -48,9 +48,7 @@ use slimserve::{
     Supervisor,
 };
 use superimposed::marks::resilience::{mix64, BreakerConfig, MockClock};
-use superimposed::trim::{
-    Runs, SnapValue, Snapshot, SnapshotPublisher, Triple, TripleStore, Value,
-};
+use superimposed::trim::{Runs, SnapValue, Snapshot, Triple, TripleStore, Value};
 
 use crate::trace::{self, Mix, TraceOp};
 use crate::Profile;
@@ -674,14 +672,12 @@ impl Target for Triples {
         for (_, _, op) in ops {
             op.apply_to(&mut model);
         }
-        SnapshotPublisher::new(&mut model).publish(&mut model).0.digest()
+        model.snapshot().digest()
     }
 
     fn disk_digest(disk: &dyn Vfs, divergences: &mut Vec<String>) -> u64 {
         match TripleStore::open_logged(disk, Path::new(STORE_PATH)) {
-            Ok((mut store, _, _)) => {
-                SnapshotPublisher::new(&mut store).publish(&mut store).0.digest()
-            }
+            Ok((mut store, _, _)) => store.snapshot().digest(),
             Err(e) => {
                 divergences.push(format!("reopen: post-shutdown store failed to open: {e}"));
                 0

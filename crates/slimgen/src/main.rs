@@ -119,14 +119,17 @@ fn main() -> ExitCode {
             s.closed_refusals
         );
         println!(
-            "  {} commits, {} compactions, {} views published ({} rebuilt), \
-             {} degraded resolutions, {} repairs",
+            "  {} commits, {} compactions ({} failed), {} views published \
+             ({} on a new base), {} degraded resolutions, {} repairs \
+             ({} log repairs failed)",
             s.commits,
             s.compactions,
+            s.compaction_failures,
             s.snapshots_published,
             s.snapshot_rebuilds,
             s.degraded_resolutions,
-            s.repairs
+            s.repairs,
+            s.repair_failures
         );
         if let Some(recovery) = &report.recovery {
             println!("  recovery: {recovery}");

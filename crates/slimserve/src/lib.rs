@@ -8,9 +8,10 @@
 //! a [`Machine`]; two machines ship:
 //!
 //! * [`LiveStore`] ([`Service`]): a logged triple store whose readers
-//!   get immutable [`trim::Snapshot`]s (frozen atom columns plus a
-//!   journal delta, built by [`trim::SnapshotPublisher`]) and scan them,
-//!   or join them with [`trim::ConjQuery::solve`], on their own thread.
+//!   get immutable [`trim::Snapshot`]s (clones of the store's own
+//!   layout, frozen columns plus a small delta, taken by
+//!   [`trim::TripleStore::snapshot`]) and scan them, or join them with
+//!   [`trim::ConjQuery::solve`], on their own thread.
 //! * [`LivePad`] ([`PadService`]): the pad engine — marks, excerpts,
 //!   bundles, undo — whose readers get its logical digest.
 //!

@@ -654,9 +654,9 @@ impl Machine for LivePad {
     /// one sync. Compaction — asked for by an applied [`PadOp::Compact`]
     /// or due past the threshold — runs only after that commit, never
     /// mid-batch, so a failed commit refuses a batch none of whose
-    /// effects are on disk. A failed compaction refuses nothing: the
-    /// log just stays long.
-    fn commit(&mut self) -> Result<Durable, String> {
+    /// effects are on disk. A failed compaction refuses nothing — the
+    /// log just stays long — but it is counted.
+    fn commit(&mut self, ledger: &Ledger) -> Result<Durable, String> {
         let vfs = &*self.vfs;
         let engine = self.machine.engine_mut();
         let seq = match engine.commit(vfs).map_err(|e| e.to_string())? {
@@ -664,17 +664,19 @@ impl Machine for LivePad {
             _ => None,
         };
         let due = std::mem::take(&mut self.compact_requested) || engine.should_compact();
-        let compacted = due && engine.compact(vfs).is_ok();
+        let compacted =
+            due && ledger.ok_or_count(engine.compact(vfs), |s| s.compaction_failures += 1);
         Ok(Durable { seq, compacted })
     }
 
     /// Truncate the suspect log tail first — a torn append can land the
     /// doomed frame fully readable, and both the reopen below and any
     /// future cold start would adopt the refused batch as committed
-    /// history. Best effort: if the truncation fails, the reopen still
-    /// runs against whatever is durable.
-    fn repair(&mut self) -> Result<(), String> {
-        let _ = self.machine.engine_mut().repair_log(&*self.vfs);
+    /// history. Best effort: if the truncation fails, it is counted and
+    /// the reopen still runs against whatever is durable.
+    fn repair(&mut self, ledger: &Ledger) -> Result<(), String> {
+        let truncated = self.machine.engine_mut().repair_log(&*self.vfs);
+        ledger.ok_or_count(truncated, |s| s.repair_failures += 1);
         self.machine =
             build_machine(&self.vfs, &self.path, &mut self.factory, self.compact_threshold)
                 .map_err(|e| e.to_string())?;
@@ -842,7 +844,7 @@ mod tests {
     use super::*;
     use marks::resilience::MockClock;
     use marks::{FaultProfile, FlakyControl, RetryPolicy};
-    use slimio::MemVfs;
+    use slimio::{FaultConfig, FaultMode, FaultOp, FaultVfs, MemVfs};
 
     const PAD: &str = "serve/pad.xml";
 
@@ -1127,6 +1129,50 @@ mod tests {
         assert_eq!(merged.degraded_resolutions, 3);
         assert_eq!(merged.unaccounted(), 0, "the merged ledger balances");
         assert_eq!(live, replay_digest(&acked), "recovered pad == replay across incarnations");
+    }
+
+    #[test]
+    fn failed_compactions_and_log_repairs_are_counted() {
+        let fault = Arc::new(FaultVfs::unarmed(MemVfs::new()));
+        let clock = Arc::new(MockClock::new());
+        let control = FlakyControl::new(7);
+        control.disarm();
+        let factory = ward_factory(
+            (*clock).clone(),
+            FaultProfile::healthy(),
+            control,
+            quick_policy(),
+            small_breaker(),
+            2,
+        );
+        let config = PadConfig { compact_threshold: 1, ..PadConfig::default() };
+        let service =
+            PadService::open(fault.clone(), Path::new(PAD), config, clock, factory).unwrap();
+        let session = service.session();
+
+        // The commit lands; the compaction it triggers cannot install
+        // its snapshot, which refuses nothing.
+        fault.rearm(FaultConfig::new(FaultOp::Rename, FaultMode::Fail, 0, 0));
+        session.submit(create_mark_op(0)).unwrap();
+        assert_eq!(service.stats().compaction_failures, 1);
+
+        // The disk loses the log's last byte, then an append fails: the
+        // repair finds the log shorter than its durable length and
+        // cannot truncate it, and the reopen salvages what is left.
+        let wal = trim::StoreLog::wal_path(Path::new(PAD));
+        let mut bytes = fault.inner().bytes(&wal).unwrap();
+        bytes.pop();
+        fault.inner().write(&wal, &bytes).unwrap();
+        fault.rearm(FaultConfig::new(FaultOp::Append, FaultMode::Fail, 0, 0));
+        let err = session.submit(create_mark_op(1)).unwrap_err();
+        assert!(matches!(err, ServeError::Io { .. }), "{err:?}");
+        assert_eq!(service.stats().repair_failures, 1);
+
+        // The pad keeps serving.
+        session.submit(create_mark_op(2)).unwrap();
+        let stats = service.shutdown();
+        assert_eq!((stats.compaction_failures, stats.repair_failures), (1, 1));
+        assert_eq!(stats.unaccounted(), 0);
     }
 
     #[test]

@@ -34,10 +34,7 @@ use std::thread::JoinHandle;
 
 use marks::resilience::{Admit, Breaker, BreakerConfig, BreakerState, Clock};
 use slimio::Vfs;
-use trim::{
-    CommitOutcome, LogReport, PublishPath, Revision, Snapshot, SnapshotPublisher, StoreLog,
-    TripleStore,
-};
+use trim::{CommitOutcome, LogReport, Revision, Snapshot, StoreLog, TripleStore};
 
 use crate::error::{suggested_backoff_ms, ServeError};
 use crate::op::{lock, wait, Ack, ServeOp, Slot, Ticket};
@@ -96,11 +93,14 @@ pub trait Machine: 'static {
     fn rollback(&mut self, checkpoint: Self::Checkpoint) -> Result<(), String>;
     /// Make every applied op durable as one group commit, compacting
     /// when the log has outgrown its threshold or an op asked for it.
-    fn commit(&mut self) -> Result<Durable, String>;
+    /// `ledger` counts failures that refuse nothing, such as a failed
+    /// opportunistic compaction.
+    fn commit(&mut self, ledger: &Ledger) -> Result<Durable, String>;
     /// Return to the last durable state after a failed commit or
     /// rollback. An `Err` leaves the machine unusable: the service then
-    /// refuses every op until it is reopened.
-    fn repair(&mut self) -> Result<(), String>;
+    /// refuses every op until it is reopened. `ledger` counts failed
+    /// steps the repair survives.
+    fn repair(&mut self, ledger: &Ledger) -> Result<(), String>;
     /// The view readers see from now on.
     fn publish(&mut self, ledger: &Ledger) -> Self::View;
 }
@@ -146,9 +146,16 @@ pub struct ServeStats {
     pub commits: u64,
     /// Log compactions.
     pub compactions: u64,
+    /// Opportunistic compactions that failed after a durable commit; the
+    /// log just stays long.
+    pub compaction_failures: u64,
+    /// Log-tail truncations that failed during a repair; the WAL retries
+    /// them before its next append.
+    pub repair_failures: u64,
     /// Views (snapshots or digests) published to readers.
     pub snapshots_published: u64,
-    /// Snapshot publishes that fell back to a full rebuild.
+    /// Snapshot publishes that carried a freshly folded base, i.e. the
+    /// store folded its delta since the previous publish.
     pub snapshot_rebuilds: u64,
     /// Resolutions that fell back to the stored excerpt.
     pub degraded_resolutions: u64,
@@ -172,6 +179,8 @@ impl std::ops::AddAssign for ServeStats {
         self.closed_refusals += rhs.closed_refusals;
         self.commits += rhs.commits;
         self.compactions += rhs.compactions;
+        self.compaction_failures += rhs.compaction_failures;
+        self.repair_failures += rhs.repair_failures;
         self.snapshots_published += rhs.snapshots_published;
         self.snapshot_rebuilds += rhs.snapshot_rebuilds;
         self.degraded_resolutions += rhs.degraded_resolutions;
@@ -223,6 +232,20 @@ impl Ledger {
     /// The counters so far.
     pub fn read(&self) -> ServeStats {
         *lock(&self.0)
+    }
+
+    /// True if `result` is `Ok`; otherwise count the failure with
+    /// `update`. For results a caller survives but must not drop.
+    pub(crate) fn ok_or_count<T, E>(
+        &self,
+        result: Result<T, E>,
+        update: impl FnOnce(&mut ServeStats),
+    ) -> bool {
+        let ok = result.is_ok();
+        if !ok {
+            self.count(update);
+        }
+        ok
     }
 }
 
@@ -563,7 +586,7 @@ impl<M: Machine> Writer<M> {
         }
 
         // Phase 2: one durable group commit for the whole batch.
-        let durable = match machine.commit() {
+        let durable = match machine.commit(&shared.ledger) {
             Ok(durable) => durable,
             Err(detail) => return self.refuse_and_repair(applied, detail),
         };
@@ -592,7 +615,7 @@ impl<M: Machine> Writer<M> {
     /// machine is dropped and every later op is refused.
     fn refuse_and_repair(&mut self, applied: Vec<(Pending<M>, M::Outcome)>, detail: String) {
         if let Some(machine) = self.machine.as_mut() {
-            match machine.repair() {
+            match machine.repair(&self.shared.ledger) {
                 Ok(()) => self.shared.publish(machine),
                 Err(_) => self.machine = None,
             }
@@ -648,13 +671,14 @@ fn quiet_catch_unwind<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 // ---------------------------------------------------------------------
 
 /// The triple-level [`Machine`]: one logged [`TripleStore`] that
-/// publishes copy-on-write [`Snapshot`]s. Rollback and repair both undo
-/// through the store's journal, in place.
+/// publishes [`TripleStore::snapshot`]s, which share its frozen base.
+/// Rollback and repair both undo through the store's journal, in place.
 pub struct LiveStore {
     vfs: Arc<dyn Vfs + Send + Sync>,
     store: TripleStore,
     log: StoreLog,
-    publisher: SnapshotPublisher,
+    /// The last view published, to tell when a publish carries a new base.
+    published: Snapshot,
 }
 
 impl Machine for LiveStore {
@@ -681,7 +705,7 @@ impl Machine for LiveStore {
         self.store.undo_to(checkpoint).map_err(|e| e.to_string())
     }
 
-    fn commit(&mut self) -> Result<Durable, String> {
+    fn commit(&mut self, ledger: &Ledger) -> Result<Durable, String> {
         let vfs = &*self.vfs;
         let seq = match self.log.commit(vfs, &mut self.store).map_err(|e| e.to_string())? {
             CommitOutcome::Clean => None,
@@ -693,8 +717,11 @@ impl Machine for LiveStore {
         };
         // Opportunistic compaction: the commit above is already durable,
         // so a compaction failure here refuses nothing — the log just
-        // stays long.
-        let compacted = self.log.should_compact() && self.log.compact(vfs, &mut self.store).is_ok();
+        // stays long — but it is counted.
+        let compacted = self.log.should_compact()
+            && ledger.ok_or_count(self.log.compact(vfs, &mut self.store), |s| {
+                s.compaction_failures += 1
+            });
         Ok(Durable { seq, compacted })
     }
 
@@ -703,16 +730,17 @@ impl Machine for LiveStore {
     /// refused batch as real history. If the truncation itself fails,
     /// the poisoned WAL handle retries it before the next append. Then
     /// undo the store to its last durable revision.
-    fn repair(&mut self) -> Result<(), String> {
-        let _ = self.log.repair(&*self.vfs);
+    fn repair(&mut self, ledger: &Ledger) -> Result<(), String> {
+        ledger.ok_or_count(self.log.repair(&*self.vfs), |s| s.repair_failures += 1);
         self.store.undo_to(self.log.committed_revision()).map_err(|e| e.to_string())
     }
 
     fn publish(&mut self, ledger: &Ledger) -> Snapshot {
-        let (snapshot, path) = self.publisher.publish(&mut self.store);
-        if path == PublishPath::Rebuilt {
+        let snapshot = self.store.snapshot();
+        if !snapshot.shares_base(&self.published) {
             ledger.count(|s| s.snapshot_rebuilds += 1);
         }
+        self.published = snapshot.clone();
         snapshot
     }
 }
@@ -736,8 +764,8 @@ impl Service {
         // the caller's allocator arena, and hand it to the writer.
         let (mut store, mut log, report) = TripleStore::open_logged(&*vfs, snapshot_path)?;
         log.set_compact_threshold(config.compact_threshold);
-        let publisher = SnapshotPublisher::new(&mut store);
-        let machine = LiveStore { vfs, store, log, publisher };
+        let published = store.snapshot();
+        let machine = LiveStore { vfs, store, log, published };
         Supervisor::start(config, clock, move |_| Ok((machine, report)))
     }
 
@@ -846,7 +874,7 @@ mod tests {
             Ok(())
         }
 
-        fn commit(&mut self) -> Result<Durable, String> {
+        fn commit(&mut self, _: &Ledger) -> Result<Durable, String> {
             if std::mem::take(&mut self.fail_commit) {
                 return Err("commit failed".into());
             }
@@ -855,7 +883,7 @@ mod tests {
             Ok(Durable { seq: Some(self.seq), compacted: false })
         }
 
-        fn repair(&mut self) -> Result<(), String> {
+        fn repair(&mut self, _: &Ledger) -> Result<(), String> {
             self.live = lock(&self.disk).clone();
             Ok(())
         }
@@ -1211,6 +1239,36 @@ mod tests {
 
         let stats = service.shutdown();
         assert_eq!(stats.io_refusals, 1);
+        let (store, _, _) = TripleStore::open_logged(&*fault, Path::new(PATH)).unwrap();
+        assert_eq!(store.len(), 2, "durable state = acked ops exactly");
+    }
+
+    #[test]
+    fn failed_compactions_and_log_repairs_are_counted() {
+        let fault = Arc::new(FaultVfs::unarmed(MemVfs::new()));
+        let clock = Arc::new(MockClock::new());
+        let config = ServeConfig { compact_threshold: 1, ..ServeConfig::default() };
+        let (service, _) = Service::open(fault.clone(), Path::new(PATH), config, clock).unwrap();
+        let session = service.session();
+
+        // The commit lands; the compaction it triggers cannot install
+        // its snapshot, which refuses nothing.
+        fault.rearm(FaultConfig::new(FaultOp::Rename, FaultMode::Fail, 0, 0));
+        session.submit(ServeOp::insert("b:1", "name", "John")).unwrap();
+        assert_eq!(service.stats().compaction_failures, 1);
+
+        // A torn append fails the commit and the disk dies with it, so
+        // the repair cannot truncate the torn tail.
+        fault.rearm(FaultConfig::new(FaultOp::Append, FaultMode::Torn, 0, 3).halting());
+        let err = session.submit(ServeOp::insert("b:2", "name", "Mary")).unwrap_err();
+        assert!(matches!(err, ServeError::Io { .. }), "{err:?}");
+        assert_eq!(service.stats().repair_failures, 1);
+
+        // Back on a working disk, the log retries the truncation first.
+        fault.disarm();
+        session.submit(ServeOp::insert("b:3", "name", "Sue")).unwrap();
+        let stats = service.shutdown();
+        assert_eq!((stats.compaction_failures, stats.repair_failures), (1, 1));
         let (store, _, _) = TripleStore::open_logged(&*fault, Path::new(PATH)).unwrap();
         assert_eq!(store.len(), 2, "durable state = acked ops exactly");
     }

@@ -116,8 +116,8 @@ impl GenericDmi {
 impl SlimPadDmi {
     /// Find scraps whose label contains `needle` (case-insensitive) —
     /// the pad-level "find scrap" the paper's navigational access lacks.
-    /// Served by the store's literal index: only matching literals are
-    /// examined, not every scrap.
+    /// Served by the store's literal search: each distinct literal is
+    /// tested once, and no scrap is visited unless it matches.
     pub fn find_scraps(&self, needle: &str) -> Vec<ScrapHandle> {
         self.scraps_by_literal("scrapName", needle)
     }
@@ -128,7 +128,7 @@ impl SlimPadDmi {
     }
 
     /// Scraps annotated with text containing `needle`, found through the
-    /// literal index on annotation values.
+    /// literal search on annotation values.
     pub fn find_annotated(&self, needle: &str) -> Vec<ScrapHandle> {
         self.scraps_by_literal("scrapAnnotation", needle)
     }

@@ -727,8 +727,10 @@ impl SlimPadDmi {
     }
 
     /// Subjects whose `property` literal contains `needle`
-    /// (case-insensitive), answered by the store's literal index instead
-    /// of a scan over every instance. Sorted by atom and deduplicated —
+    /// (case-insensitive), answered by the store's literal search
+    /// ([`trim::TripleStore::find_literals`], which tests each distinct
+    /// literal once) instead of a walk over every instance. Sorted by atom
+    /// and deduplicated —
     /// the same order `instances_of` produces.
     fn subjects_with_literal(&self, property: &str, needle: &str) -> Vec<Atom> {
         let Some(p) = self.store.find_atom(property) else {
@@ -746,13 +748,13 @@ impl SlimPadDmi {
         out
     }
 
-    /// Scrap handles matched through the literal index (handle
+    /// Scrap handles matched through the literal search (handle
     /// construction lives here, where the handle internals are visible).
     pub(crate) fn scraps_by_literal(&self, property: &str, needle: &str) -> Vec<ScrapHandle> {
         self.subjects_with_literal(property, needle).into_iter().map(ScrapHandle).collect()
     }
 
-    /// Bundle handles matched through the literal index.
+    /// Bundle handles matched through the literal search.
     pub(crate) fn bundles_by_literal(&self, property: &str, needle: &str) -> Vec<BundleHandle> {
         self.subjects_with_literal(property, needle).into_iter().map(BundleHandle).collect()
     }

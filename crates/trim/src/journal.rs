@@ -59,12 +59,6 @@ pub struct Journal {
     /// entries after R in the journal are no longer the delta between the
     /// persisted state and the current one.
     low: u64,
-    /// Second, independent low-water channel owned by the snapshot
-    /// publisher ([`crate::snapshot::SnapshotPublisher`]). The durability
-    /// layer and the snapshot layer track different boundaries (last
-    /// commit vs. last publish), so each needs its own mark — sharing
-    /// `low` would let one layer's reset mask a rewind from the other.
-    snap_low: u64,
 }
 
 impl Journal {
@@ -124,7 +118,6 @@ impl Journal {
             return Ok(Vec::new());
         }
         self.low = self.low.min(rev.0);
-        self.snap_low = self.snap_low.min(rev.0);
         Ok(self.changes.split_off(keep))
     }
 
@@ -135,7 +128,6 @@ impl Journal {
         self.changes.clear();
         // Rewinding below the truncation point is now impossible.
         self.low = self.base;
-        self.snap_low = self.base;
     }
 
     /// The oldest revision retained history can reach (the truncation
@@ -156,22 +148,6 @@ impl Journal {
     /// detectable.
     pub fn reset_low_water(&mut self) {
         self.low = self.base + self.changes.len() as u64;
-    }
-
-    /// The snapshot layer's low-water mark: the lowest revision rewound
-    /// to since the last [`Journal::reset_snapshot_low_water`] (or
-    /// [`Journal::truncate`]). Same contract as [`Journal::low_water`],
-    /// on an independent channel so the snapshot publisher and the
-    /// durability layer cannot mask each other's rewind detection.
-    pub fn snapshot_low_water(&self) -> Revision {
-        Revision(self.snap_low)
-    }
-
-    /// Declare the current revision a snapshot-publish boundary: raise
-    /// the snapshot low-water mark so a later rewind below this point
-    /// is detectable by the publisher.
-    pub fn reset_snapshot_low_water(&mut self) {
-        self.snap_low = self.base + self.changes.len() as u64;
     }
 
     /// Iterate over retained entries, oldest first.
@@ -280,26 +256,6 @@ mod tests {
         j.truncate();
         assert_eq!(j.low_water(), j.revision());
         assert_eq!(j.earliest(), j.revision());
-    }
-
-    #[test]
-    fn snapshot_low_water_is_an_independent_channel() {
-        let mut j = Journal::new();
-        j.record(Change::Insert(t(1)));
-        j.record(Change::Insert(t(2)));
-        j.reset_snapshot_low_water();
-        let boundary = j.revision();
-        // Resetting the durability channel leaves the snapshot one alone.
-        j.record(Change::Insert(t(3)));
-        j.reset_low_water();
-        assert_eq!(j.snapshot_low_water(), boundary);
-        // A rewind below the boundary trips only observers who care.
-        j.take_since(Revision::start()).unwrap();
-        assert!(j.snapshot_low_water() < boundary);
-        j.record(Change::Insert(t(4)));
-        j.reset_snapshot_low_water();
-        assert_eq!(j.snapshot_low_water(), j.revision());
-        assert!(j.low_water() < j.revision(), "snapshot reset must not mask durability");
     }
 
     #[test]

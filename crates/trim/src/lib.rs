@@ -20,19 +20,20 @@
 //! * [`AtomTable`] — string interning, so a triple is three machine words
 //!   ([`Triple`] is `Copy`) and repeated resource/property names cost one
 //!   allocation total;
-//! * [`TripleStore`] — a set of triples held in three sorted permutation
-//!   indexes (SPO, POS, OSP) so a selection query with *any* combination
-//!   of fixed fields is a single membership probe, prefix range scan, or
-//!   full scan — the [`plan`] module's selection table, exposed through
-//!   [`TripleStore::explain`];
+//! * [`TripleStore`] — a set of triples held in three sorted permutations
+//!   (SPO, POS, OSP), each a frozen column plus a small delta, so a
+//!   selection query with *any* combination of fixed fields is a single
+//!   membership probe, prefix range scan, or full scan — the [`plan`]
+//!   module's selection table, exposed through [`TripleStore::explain`];
 //! * [`TriplePattern`] selection queries and [`TripleStore::view`]
 //!   reachability views;
 //! * XML persistence ([`TripleStore::to_xml`] / [`TripleStore::from_xml`])
 //!   using `xmlkit`;
 //! * a [`Journal`] of changes with undo, so DMIs can implement atomic
 //!   multi-triple operations;
-//! * [`Snapshot`]s — frozen atom-level views of the store for concurrent
-//!   readers, sharing the strings of its atom table;
+//! * [`Snapshot`]s ([`TripleStore::snapshot`]) — clones of the store's
+//!   own layout for concurrent readers, sharing its frozen columns and the
+//!   strings of its atom table;
 //! * [`ConjQuery`] conjunctive joins, run through the [`Runs`] trait on
 //!   the store and on snapshots alike;
 //! * [`naive::NaiveStore`] — the unindexed scan baseline used by the E9
@@ -60,6 +61,7 @@ pub mod atom;
 pub mod conj;
 pub mod error;
 pub mod journal;
+mod layout;
 pub mod naive;
 pub mod persist;
 pub mod plan;
@@ -76,6 +78,6 @@ pub use journal::{Change, Journal, Revision};
 pub use naive::{NaiveStore, NaiveTriple};
 pub use plan::{Access, IndexKind, PatternShape, Plan};
 pub use runs::Runs;
-pub use snapshot::{PublishPath, SnapValue, Snapshot, SnapshotPublisher};
+pub use snapshot::{SnapValue, Snapshot};
 pub use store::{StoreStats, Triple, TriplePattern, TripleStore, Value};
 pub use wal::{verify_frame_payload, CommitOutcome, FrameSummary, LogReport, StoreLog};

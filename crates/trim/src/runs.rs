@@ -1,11 +1,12 @@
 //! Sorted runs: the one interface the conjunctive engine reads.
 //!
-//! [`Runs`] is implemented by the live [`crate::TripleStore`] (over its
-//! `BTreeSet` permutation indexes) and by a published
-//! [`crate::Snapshot`] (over its frozen columns plus delta). Both hold
-//! the same atom-level triples in the same three sort orders, so every
-//! run the engine needs is written once below, over three "first key
-//! ≥ k" seeks, and [`crate::ConjQuery::solve`] runs unchanged on either.
+//! [`Runs`] is implemented by the live [`crate::TripleStore`] and by a
+//! [`crate::Snapshot`] of it. Both hold the same layout — three frozen
+//! sorted permutation columns plus a small delta — and each implements
+//! the seeks and the count as one-line calls into that layout's shared
+//! merge code. So every run the engine needs is written once below, over
+//! three "first key ≥ k" seeks, and [`crate::ConjQuery::solve`] runs
+//! unchanged on either.
 //!
 //! Each run method returns the first value >= `lo` of one distinct-value
 //! run, answered by one seek. The leapfrog cursors in [`crate::conj`]
@@ -14,7 +15,7 @@
 
 use crate::atom::Atom;
 use crate::conj::{ConjError, ConjQuery};
-use crate::store::{spo_key, Triple, TriplePattern, Value, VALUE_MIN};
+use crate::store::{Triple, TriplePattern, Value, VALUE_MIN};
 
 /// A key of the (subject, property, object) permutation.
 pub type SpoKey = (Atom, Atom, Value);
@@ -44,7 +45,7 @@ pub trait Runs {
 
     /// True if the exact triple is present.
     fn contains(&self, t: &Triple) -> bool {
-        let key = spo_key(*t);
+        let key = (t.subject, t.property, t.object);
         self.seek_spo(key) == Some(key)
     }
 

@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 use trim::conj::{ConjQuery, Var};
-use trim::{naive_join, Runs, Snapshot, SnapshotPublisher, TripleStore};
+use trim::{naive_join, Runs, Snapshot, TripleStore};
 
 /// Small vocabulary so patterns collide and joins produce rows.
 const NODES: &[&str] = &["a", "b", "c", "d"];
@@ -85,7 +85,7 @@ fn build_store(triples: &[TripleSpec]) -> TripleStore {
 }
 
 /// The store after `triples` plus one removal, and a snapshot of it
-/// published over a base of the first half: the second half and the
+/// taken over a base of the first half: the second half and the
 /// removal land in its delta.
 fn build_published(
     triples: &[TripleSpec],
@@ -94,15 +94,16 @@ fn build_published(
     p1: usize,
 ) -> (TripleStore, ConjQuery, Snapshot) {
     let half = triples.len() / 2;
-    let mut store = build_store(&triples[..half]);
-    let mut publisher = SnapshotPublisher::new(&mut store);
+    // A zero fold limit folds the first half into the base at once.
+    let mut store =
+        build_store(&triples[..half]).with_fold_limit(0).with_fold_limit(TripleStore::FOLD_LIMIT);
     insert(&mut store, &triples[half..]);
     let q = build_query(&mut store, shape, p0, p1);
     let first = store.iter().next();
     if let Some(first) = first {
         store.remove(first);
     }
-    let (snapshot, _) = publisher.publish(&mut store);
+    let snapshot = store.snapshot();
     (store, q, snapshot)
 }
 
