@@ -2,7 +2,7 @@
 //! snapshot, its sibling `.wal` log, and the `"marks"` sidecar records
 //! riding in the log's frames.
 //!
-//! Recovery (`PadEngine::open_logged`) *repairs* as it reads: it
+//! Recovery (`PadSession::open_logged`) *repairs* as it reads: it
 //! truncates torn tails, discards stale generations, and sweeps temp
 //! files. This tool is the read-only twin: it walks the same bytes with
 //! the same checks — seal CRC, log header magic/version, per-frame
@@ -18,10 +18,10 @@
 use std::path::Path;
 use superimposed::marks::MarkManager;
 use superimposed::slimio::{check_seal, crc32, scan_wal, Integrity, MemVfs, StdVfs, Vfs};
-use superimposed::slimpad::PadEngine;
+use superimposed::slimpad::PadSession;
 use superimposed::trim::{verify_frame_payload, StoreLog, TripleStore};
 
-/// The sidecar key the pad engine commits its mark store under.
+/// The sidecar key a pad session commits its mark store under.
 const MARKS_AUX_KEY: &str = "marks";
 
 /// Where one finding points.
@@ -164,8 +164,8 @@ pub fn verify_pair(vfs: &dyn Vfs, snapshot_path: &Path) -> FsckReport {
                 }
                 // A logged pad snapshot is a `<slimpad-file>`; accept a
                 // bare `<trim>` store too so the fsck covers both.
-                match PadEngine::load_xml(payload, MarkManager::new()) {
-                    Ok(engine) => report.snapshot_triples = engine.dmi().store().len(),
+                match PadSession::load_xml(payload, MarkManager::new()) {
+                    Ok(pad) => report.snapshot_triples = pad.dmi().store().len(),
                     Err(pad_err) => match TripleStore::from_xml(payload) {
                         Ok(store) => report.snapshot_triples = store.len(),
                         Err(_) => report.damage(
@@ -318,20 +318,20 @@ fn build_fixture(vfs: &dyn Vfs, path: &Path) {
     use superimposed::basedocs::{textdoc::TextTarget, Span, TextAddress};
     use superimposed::marks::MarkAddress;
 
-    let mut engine = PadEngine::new("fsck-fixture").expect("fresh pad");
-    engine.enable_logging(vfs, path).expect("enable logging");
-    let bundle = engine.create_bundle("Rounds", (10, 10), 160, 120, None).expect("bundle");
-    let mark = engine
+    let mut pad = PadSession::new("fsck-fixture").expect("fresh pad");
+    pad.enable_logging(vfs, path).expect("enable logging");
+    let bundle = pad.create_bundle("Rounds", (10, 10), 160, 120, None).expect("bundle");
+    let mark = pad
         .marks_mut()
         .create_mark_at(MarkAddress::Text(TextAddress {
             file_name: "notes.txt".into(),
             target: TextTarget::Span { paragraph: 0, span: Span::new(0, 4) },
         }))
         .expect("mint mark");
-    engine.place_mark(&mark, Some("vitals"), (20, 20), Some(bundle)).expect("place");
-    engine.commit(vfs).expect("commit 1");
-    engine.create_bundle("Labs", (30, 30), 160, 120, None).expect("bundle 2");
-    engine.commit(vfs).expect("commit 2");
+    pad.place_mark(&mark, Some("vitals"), (20, 20), Some(bundle)).expect("place");
+    pad.commit(vfs).expect("commit 1");
+    pad.create_bundle("Labs", (30, 30), 160, 120, None).expect("bundle 2");
+    pad.commit(vfs).expect("commit 2");
 }
 
 /// Clean fixture plus four damage drills; panics (exit 101) on any

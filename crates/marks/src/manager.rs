@@ -152,6 +152,11 @@ pub struct MarkManager {
     /// order. `None` until a checkpoint is taken, so callers that never
     /// take one record nothing.
     journal: Option<Vec<(MarkId, Option<Mark>)>>,
+    /// True while the store equals what its owner last wrote to disk
+    /// ([`MarkManager::mark_persisted`]); every change clears it. False
+    /// in a fresh manager, so a store nobody has written yet counts as
+    /// changed.
+    persisted: bool,
 }
 
 impl MarkManager {
@@ -282,10 +287,9 @@ impl MarkManager {
 
     /// Remove a mark, returning it.
     pub fn remove(&mut self, mark_id: &str) -> Result<Mark, MarkError> {
+        self.get(mark_id)?;
         self.record(mark_id);
-        self.marks
-            .remove(mark_id)
-            .ok_or_else(|| MarkError::UnknownMark { mark_id: mark_id.to_string() })
+        Ok(self.marks.remove(mark_id).expect("looked up above"))
     }
 
     // ---- resolution ----------------------------------------------------------
@@ -328,11 +332,9 @@ impl MarkManager {
     /// excerpt is kept — a re-bind targets the address that still holds
     /// it. Returns the old address.
     pub fn rebind(&mut self, mark_id: &str, address: MarkAddress) -> Result<MarkAddress, MarkError> {
+        self.get(mark_id)?;
         self.record(mark_id);
-        let mark = self
-            .marks
-            .get_mut(mark_id)
-            .ok_or_else(|| MarkError::UnknownMark { mark_id: mark_id.to_string() })?;
+        let mark = self.marks.get_mut(mark_id).expect("looked up above");
         Ok(std::mem::replace(&mut mark.address, address))
     }
 
@@ -354,9 +356,14 @@ impl MarkManager {
 
     /// Undo every change since `checkpoint`, which must be the most
     /// recent one. Cannot fail: the journal holds the prior values
-    /// themselves. The checkpoint stays open.
+    /// themselves. The checkpoint stays open. A rollback that undid
+    /// anything counts as a change: the persisted store may hold what
+    /// it undid.
     pub fn rollback_to(&mut self, checkpoint: MarkCheckpoint) {
         let undone = self.journal.replace(Vec::new()).unwrap_or_default();
+        if !undone.is_empty() {
+            self.persisted = false;
+        }
         for (mark_id, prior) in undone.into_iter().rev() {
             match prior {
                 Some(mark) => self.marks.insert(mark_id, mark),
@@ -366,8 +373,10 @@ impl MarkManager {
         self.next_id = checkpoint.next_id;
     }
 
-    /// Journal `mark_id`'s current value (or absence) before it changes.
+    /// Journal `mark_id`'s current value (or absence) before it changes,
+    /// and note that the store no longer matches its persisted copy.
     fn record(&mut self, mark_id: &str) {
+        self.persisted = false;
         if let Some(journal) = &mut self.journal {
             journal.push((mark_id.to_string(), self.marks.get(mark_id).cloned()));
         }
@@ -383,6 +392,22 @@ impl MarkManager {
         }
         self.marks = marks;
         self.next_id = next_id;
+        self.persisted = false;
+    }
+
+    // ---- change tracking ------------------------------------------------------
+
+    /// True when the store changed since its owner last called
+    /// [`MarkManager::mark_persisted`], or was never persisted. A
+    /// logged pad ships its marks only when this is set.
+    pub fn changed(&self) -> bool {
+        !self.persisted
+    }
+
+    /// Note that the store as it stands is on disk. Called by the owner
+    /// that wrote it, after the write is durable.
+    pub fn mark_persisted(&mut self) {
+        self.persisted = true;
     }
 
     // ---- audit and stats ----------------------------------------------------
@@ -928,6 +953,46 @@ mod tests {
         }
         assert!(changed > 48, "the sequences must actually change the store ({changed}/64)");
         assert_eq!(mgr.journal.as_ref().map(Vec::len), Some(0));
+    }
+
+    #[test]
+    fn every_change_and_only_a_change_sets_the_changed_flag() {
+        let (mut mgr, sheet_app, _) = manager_with_apps();
+        assert!(mgr.changed(), "a store nobody persisted counts as changed");
+        sheet_app.borrow_mut().select("meds.xls", "Sheet1", "A1").unwrap();
+        let id = mgr.create_mark(DocKind::Spreadsheet).unwrap();
+        let address = mgr.get(&id).unwrap().address.clone();
+        let saved = mgr.to_xml();
+
+        fn sets_flag(mgr: &mut MarkManager, name: &str, step: impl FnOnce(&mut MarkManager)) {
+            mgr.mark_persisted();
+            assert!(!mgr.changed());
+            step(mgr);
+            assert!(mgr.changed(), "{name} must set the flag");
+        }
+        sets_flag(&mut mgr, "create_mark_at", |m| drop(m.create_mark_at(address.clone()).unwrap()));
+        sets_flag(&mut mgr, "rebind", |m| drop(m.rebind("mark:0", address.clone()).unwrap()));
+        sets_flag(&mut mgr, "refresh_excerpt", |m| drop(m.refresh_excerpt("mark:0").unwrap()));
+        sets_flag(&mut mgr, "remove", |m| drop(m.remove("mark:0").unwrap()));
+        sets_flag(&mut mgr, "load_xml", |m| m.load_xml(&saved).unwrap());
+
+        // Refused calls change nothing, so they journal and flag nothing.
+        mgr.mark_persisted();
+        let checkpoint = mgr.checkpoint();
+        assert!(mgr.remove("mark:99").is_err());
+        assert!(mgr.rebind("mark:99", address.clone()).is_err());
+        assert!(!mgr.changed(), "a refused remove or rebind is not a change");
+        assert_eq!(mgr.journal.as_ref().map(Vec::len), Some(0), "no phantom journal entry");
+
+        // A rollback that undid nothing is no change either…
+        mgr.rollback_to(checkpoint);
+        assert!(!mgr.changed());
+        // …but one that undid a change is, even when the change itself
+        // was already persisted.
+        mgr.create_mark_at(address).unwrap();
+        mgr.mark_persisted();
+        mgr.rollback_to(checkpoint);
+        assert!(mgr.changed(), "the persisted store still holds the undone mark");
     }
 
     #[test]

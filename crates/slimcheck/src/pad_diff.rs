@@ -2,8 +2,8 @@
 //! begin-op / undo cycles with the undo contract checked against a
 //! snapshot stack of canonical XML — `undo()` must restore the *exact*
 //! byte-identical data-layer state captured by the matching
-//! [`PadEngine::begin_op`](slimpad::PadEngine::begin_op), and the whole
-//! session must stay conformant and round-trippable at the end.
+//! [`PadSession::begin_op`], and the whole session must stay
+//! conformant and round-trippable at the end.
 
 use crate::ops::{PadOp, ANNOTATIONS, NAMES};
 use basedocs::{textdoc::TextTarget, Span, TextAddress};

@@ -18,10 +18,13 @@
 //! running [`Digest`], which is the replay-equality witness.
 //!
 //! Traces deliberately contain **no mark creation**: they reference only
-//! corpus-created marks. The mark store therefore stays byte-stable
-//! through a trace, so commits never re-ship the (large) marks sidecar —
-//! matching the paper's observation that marks are created at the base
-//! applications, while pad traffic rearranges scraps over them.
+//! corpus-created marks. The mark store's change flag
+//! ([`MarkManager::changed`]) therefore stays clear through a trace, so
+//! commits never re-ship the (large) marks sidecar — matching the
+//! paper's observation that marks are created at the base applications,
+//! while pad traffic rearranges scraps over them.
+//!
+//! [`MarkManager::changed`]: superimposed::marks::MarkManager::changed
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

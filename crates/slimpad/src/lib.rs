@@ -43,6 +43,6 @@ pub mod viewing;
 pub use commands::{Command, CommandError};
 pub use diff::{diff_pads, PadChange};
 pub use layout::{GridDetection, Point, Rect};
-pub use pad::{PadEngine, PadError, PadSession};
+pub use pad::{PadError, PadSession};
 pub use templates::BundleTemplate;
 pub use viewing::ViewingStyle;

@@ -134,46 +134,39 @@ impl fmt::Display for PadStats {
     }
 }
 
-/// The pad's state machine: the pad object, its bundle tree, and its
-/// marks — everything a pad *is*, with no opinion about who drives it.
+/// A live SLIMPad: the pad object, its bundle tree, and its marks —
+/// everything a pad *is*, with no opinion about who drives it.
+/// Embedders call it directly; slimserve's pad service owns one on its
+/// writer thread and hands user code typed ops instead.
 ///
 /// "Each visual entity the user sees on the screen corresponds to an
 /// object in the data model" (paper §3); every mutation below goes
 /// through the DMI, so the triple representation stays consistent.
-///
-/// Split from [`PadSession`] so slimserve's pad service can own a bare
-/// engine on its writer thread while user sessions talk to it through
-/// typed ops; direct embedders keep using [`PadSession`], which derefs
-/// here.
-pub struct PadEngine {
+pub struct PadSession {
     dmi: SlimPadDmi,
     pad: PadHandle,
     root: BundleHandle,
     marks: MarkManager,
     /// Failure handling for mark resolution: deadlines, retries,
-    /// breakers, quarantine ([`PadEngine::activate_resilient`]).
+    /// breakers, quarantine ([`PadSession::activate_resilient`]).
     resolver: ResilientResolver,
-    /// Checkpoints taken by [`PadEngine::begin_op`], popped by
-    /// [`PadEngine::undo`].
+    /// Checkpoints taken by [`PadSession::begin_op`], popped by
+    /// [`PadSession::undo`].
     undo_stack: Vec<trim::Revision>,
     /// The write-ahead log, when this session was opened through
-    /// [`PadEngine::open_logged`] or upgraded via
-    /// [`PadEngine::enable_logging`].
+    /// [`PadSession::open_logged`] or upgraded via
+    /// [`PadSession::enable_logging`].
     log: Option<trim::StoreLog>,
-    /// CRC32 of the mark-store XML as of the last committed "marks"
-    /// sidecar record, so [`PadEngine::commit`] only ships the marks
-    /// when they actually changed.
-    committed_marks_crc: u32,
 }
 
-impl PadEngine {
+impl PadSession {
     /// Open a new, empty pad. The pad's own surface is its (invisible)
     /// root bundle; bundles and scraps placed "on the pad" live there.
     pub fn new(pad_name: &str) -> Result<Self, PadError> {
         let mut dmi = SlimPadDmi::new();
         let root = dmi.create_bundle(pad_name, (0, 0), 1280, 960);
         let pad = dmi.create_slim_pad(pad_name, Some(root))?;
-        Ok(PadEngine {
+        Ok(PadSession {
             dmi,
             pad,
             root,
@@ -181,17 +174,16 @@ impl PadEngine {
             resolver: ResilientResolver::default(),
             undo_stack: Vec::new(),
             log: None,
-            committed_marks_crc: 0,
         })
     }
 
-    /// Mark the start of a user-visible operation; [`PadEngine::undo`]
+    /// Mark the start of a user-visible operation; [`PadSession::undo`]
     /// reverts to the most recent unmatched call.
     pub fn begin_op(&mut self) {
         self.undo_stack.push(self.dmi.checkpoint());
     }
 
-    /// Undo back to the last [`PadEngine::begin_op`] checkpoint.
+    /// Undo back to the last [`PadSession::begin_op`] checkpoint.
     /// Returns `false` when there is nothing to undo. Marks created
     /// since are *not* removed (the mark store is append-only); they
     /// simply become unreferenced, which the audit reports.
@@ -202,24 +194,6 @@ impl PadEngine {
                 Ok(true)
             }
             None => Ok(false),
-        }
-    }
-
-    /// Number of open (unmatched) [`PadEngine::begin_op`] checkpoints.
-    /// A supervisor mirroring the undo stack externally (the pad
-    /// service keeps per-checkpoint op lists for replay) resynchronizes
-    /// its mirror against this depth after a contained fault.
-    pub fn undo_depth(&self) -> usize {
-        self.undo_stack.len()
-    }
-
-    /// Drop checkpoints *older* than the newest `keep`, keeping undo
-    /// bounded without disturbing the most recent history. No-op when
-    /// `keep >= undo_depth()`.
-    pub fn truncate_undo(&mut self, keep: usize) {
-        let len = self.undo_stack.len();
-        if keep < len {
-            self.undo_stack.drain(..len - keep);
         }
     }
 
@@ -401,7 +375,7 @@ impl PadEngine {
         Ok(self.marks.extract_content(&mark_id)?)
     }
 
-    /// [`extract`](PadEngine::extract) with a safety net: fall back to
+    /// [`extract`](PadSession::extract) with a safety net: fall back to
     /// the mark's stored excerpt when the base layer cannot supply the
     /// content. The boolean is `true` when the fallback was used.
     pub fn extract_degraded(&self, scrap: ScrapHandle) -> Result<(String, bool), PadError> {
@@ -485,7 +459,7 @@ impl PadEngine {
         self.save_to(&StdVfs, path.as_ref())
     }
 
-    /// [`save`](PadEngine::save) through an explicit [`Vfs`] backend.
+    /// [`save`](PadSession::save) through an explicit [`Vfs`] backend.
     pub fn save_to(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), PadError> {
         slimio::save_atomic(vfs, path, &self.save_xml())?;
         Ok(())
@@ -518,7 +492,7 @@ impl PadEngine {
             .root_bundle
             .ok_or_else(|| PadError::File { message: "pad has no root bundle".into() })?;
         manager.load_xml(&marks_xml)?;
-        Ok(PadEngine {
+        Ok(PadSession {
             dmi,
             pad,
             root,
@@ -526,21 +500,20 @@ impl PadEngine {
             resolver: ResilientResolver::default(),
             undo_stack: Vec::new(),
             log: None,
-            committed_marks_crc: 0,
         })
     }
 
-    /// Load from a file written by [`PadEngine::save`].
+    /// Load from a file written by [`PadSession::save`].
     ///
     /// Strict: a file whose checksum footer does not match its contents
     /// is refused with [`PadError::Corrupt`] — use
-    /// [`PadEngine::load_salvage`] to recover what remains. Legacy
+    /// [`PadSession::load_salvage`] to recover what remains. Legacy
     /// files without a footer are trusted as-is.
     pub fn load(path: impl AsRef<Path>, manager: MarkManager) -> Result<Self, PadError> {
         Self::load_from(&StdVfs, path.as_ref(), manager)
     }
 
-    /// [`load`](PadEngine::load) through an explicit [`Vfs`] backend.
+    /// [`load`](PadSession::load) through an explicit [`Vfs`] backend.
     pub fn load_from(
         vfs: &dyn Vfs,
         path: &Path,
@@ -562,11 +535,11 @@ impl PadEngine {
     /// store, and restore the mark store from the newest `"marks"`
     /// sidecar record if one was committed after the snapshot. The
     /// session comes back in the state of its last acknowledged
-    /// [`commit`](PadEngine::commit), even after a crash.
+    /// [`commit`](PadSession::commit), even after a crash.
     ///
     /// The file must exist; for a brand-new pad, build the session with
-    /// [`PadEngine::new`] and call
-    /// [`enable_logging`](PadEngine::enable_logging).
+    /// [`PadSession::new`] and call
+    /// [`enable_logging`](PadSession::enable_logging).
     pub fn open_logged(
         vfs: &dyn Vfs,
         path: &Path,
@@ -579,24 +552,9 @@ impl PadEngine {
         Ok((session, report))
     }
 
-    /// [`open_logged`](PadEngine::open_logged) with tail-frame CRC
-    /// checks disabled — only for the slimcheck mutation harness.
-    #[doc(hidden)]
-    pub fn testonly_open_logged_skip_tail_crc(
-        vfs: &dyn Vfs,
-        path: &Path,
-        manager: MarkManager,
-    ) -> Result<(Self, trim::LogReport), PadError> {
-        slimio::sweep_stale_temp(vfs, path);
-        let mut session = Self::load_from(vfs, path, manager)?;
-        let (log, report) = session.dmi.testonly_attach_log_skip_tail_crc(vfs, path)?;
-        session.adopt_log(log, &report)?;
-        Ok((session, report))
-    }
-
     /// Upgrade this session to logged persistence: write a full snapshot
     /// of the current state to `path`, then attach a (fresh) log to it.
-    /// After this, [`commit`](PadEngine::commit) persists deltas.
+    /// After this, [`commit`](PadSession::commit) persists deltas.
     ///
     /// Any stale log at the sibling `.wal` path belongs to an older
     /// snapshot generation and is discarded, not replayed.
@@ -612,8 +570,8 @@ impl PadEngine {
     }
 
     /// Wire a freshly attached log into the session: restore the marks
-    /// sidecar the log recovered (if any), record the committed marks
-    /// generation, and invalidate undo checkpoints — attaching truncates
+    /// sidecar the log recovered (if any), note that the marks are now
+    /// on disk, and invalidate undo checkpoints — attaching truncates
     /// the store journal, so revisions taken before it are unreachable.
     fn adopt_log(
         &mut self,
@@ -626,35 +584,29 @@ impl PadEngine {
             })?;
             self.marks.load_xml(text)?;
         }
-        self.committed_marks_crc = slimio::crc32(self.marks.to_xml().as_bytes());
+        self.marks.mark_persisted();
         self.undo_stack.clear();
         self.log = Some(log);
         Ok(())
     }
 
     /// Group-commit every change since the last commit — store triples
-    /// and, when it changed, the mark store as a `"marks"` sidecar
-    /// record — as one log frame with one sync.
+    /// and, when [`MarkManager::changed`] says so, the whole mark store
+    /// as a `"marks"` sidecar record — as one log frame with one sync.
     ///
     /// On [`CommitOutcome::NeedsFullSnapshot`](trim::CommitOutcome) (an
     /// undo crossed the previous commit boundary) the session compacts
     /// internally, so on `Ok` the current state is durable regardless of
     /// the outcome value.
     pub fn commit(&mut self, vfs: &dyn Vfs) -> Result<trim::CommitOutcome, PadError> {
-        if self.log.is_none() {
-            return Err(no_log_error());
-        }
-        let marks_xml = self.marks.to_xml();
-        let marks_crc = slimio::crc32(marks_xml.as_bytes());
-        let mut aux: Vec<(&str, &[u8])> = Vec::new();
-        if marks_crc != self.committed_marks_crc {
-            aux.push((MARKS_AUX_KEY, marks_xml.as_bytes()));
-        }
-        let log = self.log.as_mut().expect("checked above");
-        let outcome = self.dmi.commit_log_with_aux(vfs, log, &aux)?;
+        let log = self.log.as_mut().ok_or_else(no_log_error)?;
+        let marks_xml = self.marks.changed().then(|| self.marks.to_xml());
+        let aux = marks_xml.as_deref().map(|xml| (MARKS_AUX_KEY, xml.as_bytes()));
+        let outcome = self.dmi.commit_log_with_aux(vfs, log, aux.as_slice())?;
         match outcome {
             trim::CommitOutcome::NeedsFullSnapshot => self.compact(vfs)?,
-            trim::CommitOutcome::Committed { .. } => self.committed_marks_crc = marks_crc,
+            // A frame carrying aux is never clean, so the sidecar rode it.
+            trim::CommitOutcome::Committed { .. } => self.marks.mark_persisted(),
             trim::CommitOutcome::Clean => {}
         }
         Ok(outcome)
@@ -663,21 +615,20 @@ impl PadEngine {
     /// Fold the log into a fresh snapshot of the combined pad file
     /// (store *and* marks) and reset the log to an empty generation.
     /// Crash-consistent at every step; run when
-    /// [`should_compact`](PadEngine::should_compact) reports true.
+    /// [`should_compact`](PadSession::should_compact) reports true.
     pub fn compact(&mut self, vfs: &dyn Vfs) -> Result<(), PadError> {
         if self.log.is_none() {
             return Err(no_log_error());
         }
         let payload = self.save_xml();
-        let marks_crc = slimio::crc32(self.marks.to_xml().as_bytes());
         let log = self.log.as_mut().expect("checked above");
         self.dmi.compact_log_with(vfs, log, &payload)?;
-        self.committed_marks_crc = marks_crc;
+        self.marks.mark_persisted();
         Ok(())
     }
 
     /// Truncate any unacknowledged log suffix a failed
-    /// [`commit`](PadEngine::commit) may have left on disk — a torn
+    /// [`commit`](PadSession::commit) may have left on disk — a torn
     /// append can land the doomed frame fully readable, and a cold
     /// reopen would adopt the refused batch as real history. No-op on
     /// unlogged sessions and on clean tails.
@@ -700,7 +651,7 @@ impl PadEngine {
     }
 
     /// Override the log-size threshold at which
-    /// [`should_compact`](PadEngine::should_compact) (and the
+    /// [`should_compact`](PadSession::should_compact) (and the
     /// `NeedsFullSnapshot` auto-compaction) trigger. No-op on unlogged
     /// sessions; soak harnesses lower it to exercise compaction cheaply.
     pub fn set_compact_threshold(&mut self, bytes: u64) {
@@ -723,7 +674,7 @@ impl PadEngine {
         Self::load_salvage_from(&StdVfs, path.as_ref(), manager)
     }
 
-    /// [`load_salvage`](PadEngine::load_salvage) through an explicit
+    /// [`load_salvage`](PadSession::load_salvage) through an explicit
     /// [`Vfs`] backend.
     pub fn load_salvage_from(
         vfs: &dyn Vfs,
@@ -807,7 +758,7 @@ impl PadEngine {
             None => recovered.note("marks section missing; continuing without marks"),
         }
 
-        let session = PadEngine {
+        let session = PadSession {
             dmi,
             pad,
             root: root_bundle,
@@ -815,7 +766,6 @@ impl PadEngine {
             resolver: ResilientResolver::default(),
             undo_stack: Vec::new(),
             log: None,
-            committed_marks_crc: 0,
         };
 
         let mut dangling = 0usize;
@@ -835,136 +785,6 @@ impl PadEngine {
             ));
         }
         Ok(recovered.map(|()| session))
-    }
-}
-
-/// A live SLIMPad: the user-facing handle over a [`PadEngine`].
-///
-/// Every method of the engine is available here through deref — to a
-/// direct embedder the split is invisible. The point of the handle is
-/// what it *doesn't* let concurrent code do: slimserve's pad service
-/// owns a bare [`PadEngine`] on its single writer thread, and hands
-/// user code typed ops instead of this struct, so "one engine, many
-/// sessions" is enforced by construction.
-pub struct PadSession {
-    engine: PadEngine,
-}
-
-impl std::ops::Deref for PadSession {
-    type Target = PadEngine;
-
-    fn deref(&self) -> &PadEngine {
-        &self.engine
-    }
-}
-
-impl std::ops::DerefMut for PadSession {
-    fn deref_mut(&mut self) -> &mut PadEngine {
-        &mut self.engine
-    }
-}
-
-impl From<PadEngine> for PadSession {
-    fn from(engine: PadEngine) -> Self {
-        PadSession { engine }
-    }
-}
-
-impl PadSession {
-    /// Open a new, empty pad — see [`PadEngine::new`].
-    pub fn new(pad_name: &str) -> Result<Self, PadError> {
-        PadEngine::new(pad_name).map(Self::from)
-    }
-
-    /// Wrap an engine back into a session handle.
-    pub fn from_engine(engine: PadEngine) -> Self {
-        PadSession { engine }
-    }
-
-    /// Surrender the handle, keeping the engine (the pad service's
-    /// adoption path).
-    pub fn into_engine(self) -> PadEngine {
-        self.engine
-    }
-
-    /// The underlying engine, explicitly.
-    pub fn engine(&self) -> &PadEngine {
-        &self.engine
-    }
-
-    /// The underlying engine, mutably and explicitly.
-    pub fn engine_mut(&mut self) -> &mut PadEngine {
-        &mut self.engine
-    }
-
-    /// Load a combined pad file from XML — see [`PadEngine::load_xml`].
-    pub fn load_xml(text: &str, manager: MarkManager) -> Result<Self, PadError> {
-        PadEngine::load_xml(text, manager).map(Self::from)
-    }
-
-    /// Load from a file — see [`PadEngine::load`].
-    pub fn load(path: impl AsRef<Path>, manager: MarkManager) -> Result<Self, PadError> {
-        PadEngine::load(path, manager).map(Self::from)
-    }
-
-    /// [`load`](PadSession::load) through an explicit [`Vfs`] backend.
-    pub fn load_from(
-        vfs: &dyn Vfs,
-        path: &Path,
-        manager: MarkManager,
-    ) -> Result<Self, PadError> {
-        PadEngine::load_from(vfs, path, manager).map(Self::from)
-    }
-
-    /// Open with the write-ahead log attached — see
-    /// [`PadEngine::open_logged`].
-    pub fn open_logged(
-        vfs: &dyn Vfs,
-        path: &Path,
-        manager: MarkManager,
-    ) -> Result<(Self, trim::LogReport), PadError> {
-        PadEngine::open_logged(vfs, path, manager)
-            .map(|(engine, report)| (Self::from(engine), report))
-    }
-
-    /// [`open_logged`](PadSession::open_logged) with tail-frame CRC
-    /// checks disabled — only for the slimcheck mutation harness.
-    #[doc(hidden)]
-    pub fn testonly_open_logged_skip_tail_crc(
-        vfs: &dyn Vfs,
-        path: &Path,
-        manager: MarkManager,
-    ) -> Result<(Self, trim::LogReport), PadError> {
-        PadEngine::testonly_open_logged_skip_tail_crc(vfs, path, manager)
-            .map(|(engine, report)| (Self::from(engine), report))
-    }
-
-    /// Salvage a pad from a damaged file — see
-    /// [`PadEngine::load_salvage`].
-    pub fn load_salvage(
-        path: impl AsRef<Path>,
-        manager: MarkManager,
-    ) -> Result<Recovered<Self>, PadError> {
-        PadEngine::load_salvage(path, manager).map(|r| r.map(Self::from))
-    }
-
-    /// [`load_salvage`](PadSession::load_salvage) through an explicit
-    /// [`Vfs`] backend.
-    pub fn load_salvage_from(
-        vfs: &dyn Vfs,
-        path: &Path,
-        manager: MarkManager,
-    ) -> Result<Recovered<Self>, PadError> {
-        PadEngine::load_salvage_from(vfs, path, manager).map(|r| r.map(Self::from))
-    }
-
-    /// Salvage from combined XML text — see
-    /// [`PadEngine::load_xml_salvage`].
-    pub fn load_xml_salvage(
-        text: &str,
-        manager: MarkManager,
-    ) -> Result<Recovered<Self>, PadError> {
-        PadEngine::load_xml_salvage(text, manager).map(|r| r.map(Self::from))
     }
 }
 
@@ -1428,6 +1248,21 @@ mod tests {
         assert_eq!(surface_bundles(&pad2), ["Kept"]);
     }
 
+    /// Commit a marks-free change on `pad` and assert the frame carries
+    /// no marks sidecar (it would be a whole mark-store copy).
+    fn assert_marks_free_commit(pad: &mut PadSession, vfs: &slimio::MemVfs, path: &Path) {
+        pad.create_bundle("B", (0, 0), 10, 10, None).unwrap();
+        let wal_file = trim::StoreLog::wal_path(path);
+        let before = vfs.bytes(&wal_file).unwrap().len();
+        pad.commit(vfs).unwrap();
+        let frame = &vfs.bytes(&wal_file).unwrap()[before..];
+        assert!(!frame.is_empty(), "the bundle must commit");
+        assert!(
+            !frame.windows(b"<marks".len()).any(|w| w == b"<marks"),
+            "marks sidecar should not ride a marks-free commit"
+        );
+    }
+
     #[test]
     fn compaction_folds_marks_into_the_snapshot() {
         use slimio::MemVfs;
@@ -1438,6 +1273,15 @@ mod tests {
         excel.borrow_mut().select("medications.xls", "Sheet1", "A1").unwrap();
         pad.place_selection(DocKind::Spreadsheet, None, (20, 40), None).unwrap();
         pad.commit(&vfs).unwrap();
+        drop(pad);
+
+        // Reopen from a log that carried the sidecar: the recovered marks
+        // count as persisted, so the next commit does not re-ship them.
+        let (mut pad, report) =
+            PadSession::open_logged(&vfs, path, reload_manager(&excel)).unwrap();
+        assert_eq!(report.frames_replayed, 1);
+        assert!(report.aux.contains_key(MARKS_AUX_KEY));
+        assert_marks_free_commit(&mut pad, &vfs, path);
 
         let log_len = pad.log().unwrap().log_bytes();
         pad.compact(&vfs).unwrap();
@@ -1450,17 +1294,56 @@ mod tests {
         let scraps = pad2.dmi().all_scraps();
         let res = pad2.activate(scraps[0]).unwrap();
         assert!(res.display.contains("[Lasix 40 IV bid]"));
-        // Marks unchanged since the compaction: a new commit carries no
-        // redundant sidecar (it would be a whole mark-store copy).
-        pad2.create_bundle("B", (0, 0), 10, 10, None).unwrap();
-        let wal_file = trim::StoreLog::wal_path(path);
-        let before = vfs.bytes(&wal_file).unwrap().len();
-        pad2.commit(&vfs).unwrap();
-        let frame = &vfs.bytes(&wal_file).unwrap()[before..];
-        assert!(
-            !frame.windows(b"<marks".len()).any(|w| w == b"<marks"),
-            "marks sidecar should not ride a marks-free commit"
-        );
+        // Marks unchanged since the compaction: no sidecar either.
+        assert_marks_free_commit(&mut pad2, &vfs, path);
+    }
+
+    #[test]
+    fn a_replaced_mark_manager_is_committed_and_recovered() {
+        use slimio::MemVfs;
+        let path = Path::new("rounds.slimpad.xml");
+        let vfs = MemVfs::new();
+        let (mut pad, excel, _) = session();
+        excel.borrow_mut().select("medications.xls", "Sheet1", "A1").unwrap();
+        pad.place_selection(DocKind::Spreadsheet, None, (20, 40), None).unwrap();
+        pad.enable_logging(&vfs, path).unwrap();
+
+        // Swap in a whole new store with no other change to the pad.
+        let mut manager = reload_manager(&excel);
+        excel.borrow_mut().select("medications.xls", "Sheet1", "A2").unwrap();
+        manager.create_mark(DocKind::Spreadsheet).unwrap();
+        manager.create_mark(DocKind::Spreadsheet).unwrap();
+        *pad.marks_mut() = manager;
+        assert!(matches!(pad.commit(&vfs).unwrap(), trim::CommitOutcome::Committed { .. }));
+        assert!(matches!(pad.commit(&vfs).unwrap(), trim::CommitOutcome::Clean));
+
+        let (pad2, _) = PadSession::open_logged(&vfs, path, reload_manager(&excel)).unwrap();
+        assert_eq!(pad2.stats().marks, 2);
+        assert_eq!(pad2.marks().to_xml(), pad.marks().to_xml());
+    }
+
+    #[test]
+    fn a_rolled_back_mark_change_is_committed_and_recovered() {
+        use slimio::MemVfs;
+        let path = Path::new("rounds.slimpad.xml");
+        let vfs = MemVfs::new();
+        let (mut pad, excel, _) = session();
+        pad.enable_logging(&vfs, path).unwrap();
+        excel.borrow_mut().select("medications.xls", "Sheet1", "A1").unwrap();
+        let id = pad.marks_mut().create_mark(DocKind::Spreadsheet).unwrap();
+        let address = pad.marks().get(&id).unwrap().address.clone();
+        pad.commit(&vfs).unwrap();
+
+        let checkpoint = pad.marks_mut().checkpoint();
+        pad.marks_mut().create_mark_at(address).unwrap();
+        pad.commit(&vfs).unwrap();
+        // The log now holds a two-mark store; the live one goes back to one.
+        pad.marks_mut().rollback_to(checkpoint);
+        pad.commit(&vfs).unwrap();
+
+        let (pad2, _) = PadSession::open_logged(&vfs, path, reload_manager(&excel)).unwrap();
+        assert_eq!(pad2.stats().marks, 1);
+        assert_eq!(pad2.marks().to_xml(), pad.marks().to_xml());
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! The pad-level [`Machine`]: many user-facing pad sessions over one
-//! supervised pad engine.
+//! The pad-level [`Machine`]: many user sessions over one supervised
+//! pad.
 //!
 //! [`crate::Service`] fronts the bare [`trim::TripleStore`]; the paper's
 //! clinicians work a level up — marks, excerpts, bundles, undo.
 //! [`LivePad`] puts that layer under the same [`crate::Supervisor`]:
 //!
-//! * **One writer owns the pad.** A [`slimpad::PadEngine`] (store +
-//!   marks + resolver + WAL) is built and lives on the writer thread
-//!   (its resolver is `!Send`); sessions submit typed [`PadOp`]s and get
-//!   back a [`PadAck`] carrying the op's [`PadOutcome`].
+//! * **One writer owns the pad.** A [`slimpad::PadSession`] (store +
+//!   marks + resolver + WAL), the machine's *engine*, is built and lives
+//!   on the writer thread (its resolver is `!Send`); sessions submit
+//!   typed [`PadOp`]s and get back a [`PadAck`] carrying the op's
+//!   [`PadOutcome`].
 //! * **Rollback is in place.** A refused or panicking op is undone
 //!   through the store journal and the mark manager's undo journal
 //!   ([`marks::MarkManager::rollback_to`]), and the undo/redo op
@@ -43,7 +44,7 @@ use basedocs::{DocKind, Span, TextAddress};
 use marks::resilience::{BreakerConfig, Clock};
 use marks::{MarkAddress, MarkCheckpoint, MarkManager, ResilientResolver};
 use slimio::Vfs;
-use slimpad::{PadEngine, PadError};
+use slimpad::{PadError, PadSession};
 use slimstore::{BundleHandle, ScrapHandle};
 
 use crate::error::ServeError;
@@ -177,12 +178,12 @@ pub struct PadCheckpoint {
     redo: usize,
 }
 
-/// The deterministic pad state machine: a [`PadEngine`] plus the undo /
+/// The deterministic pad state machine: a [`PadSession`] plus the undo /
 /// redo op journals. The live writer drives one under supervision; a
 /// differential harness replays acknowledged ops into a fresh one and
 /// compares [`PadMachine::digest`].
 pub struct PadMachine {
-    engine: PadEngine,
+    engine: PadSession,
     search: ExcerptSearch,
     /// `(pre-op checkpoint, the op)` for each applied undoable op.
     undo_ops: Vec<(trim::Revision, PadOp)>,
@@ -192,17 +193,17 @@ pub struct PadMachine {
 
 impl PadMachine {
     /// Wrap an engine (live or replay) into a machine.
-    pub fn new(engine: PadEngine, search: ExcerptSearch) -> Self {
+    pub fn new(engine: PadSession, search: ExcerptSearch) -> Self {
         PadMachine { engine, search, undo_ops: Vec::new(), redo_ops: Vec::new() }
     }
 
     /// The wrapped engine.
-    pub fn engine(&self) -> &PadEngine {
+    pub fn engine(&self) -> &PadSession {
         &self.engine
     }
 
     /// The wrapped engine, mutably.
-    pub fn engine_mut(&mut self) -> &mut PadEngine {
+    pub fn engine_mut(&mut self) -> &mut PadSession {
         &mut self.engine
     }
 
@@ -604,10 +605,10 @@ fn build_machine(
 ) -> Result<PadMachine, PadError> {
     let parts = factory()?;
     let mut engine = if vfs.exists(path) {
-        let (engine, _report) = PadEngine::open_logged(&**vfs, path, parts.manager)?;
+        let (engine, _report) = PadSession::open_logged(&**vfs, path, parts.manager)?;
         engine
     } else {
-        let mut engine = PadEngine::new("service-pad")?;
+        let mut engine = PadSession::new("service-pad")?;
         *engine.marks_mut() = parts.manager;
         engine.enable_logging(&**vfs, path)?;
         engine
@@ -824,7 +825,7 @@ fn ward_parts() -> PadParts {
 /// acknowledged [`PadOp`]s in order. Commit/compact replay as no-ops.
 pub fn ward_mirror() -> PadMachine {
     let parts = ward_parts();
-    let mut engine = PadEngine::new("service-pad").expect("fresh pad");
+    let mut engine = PadSession::new("service-pad").expect("fresh pad");
     *engine.marks_mut() = parts.manager;
     engine.set_resolver(parts.resolver);
     PadMachine::new(engine, parts.search)
@@ -835,7 +836,7 @@ pub fn ward_mirror() -> PadMachine {
 /// differential verdicts.
 pub fn ward_reopen(vfs: &dyn Vfs, path: &Path) -> Result<PadMachine, PadError> {
     let parts = ward_parts();
-    let (engine, _report) = PadEngine::open_logged(vfs, path, parts.manager)?;
+    let (engine, _report) = PadSession::open_logged(vfs, path, parts.manager)?;
     Ok(PadMachine::new(engine, parts.search))
 }
 

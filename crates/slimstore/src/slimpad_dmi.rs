@@ -809,20 +809,6 @@ impl SlimPadDmi {
 
     // ---- logged persistence (write-ahead log commit path) -------------------
 
-    /// Open a DMI with the write-ahead log as its commit path: snapshot
-    /// plus log replay, recovering to the last committed batch (see
-    /// [`trim::TripleStore::open_logged`]). Returns the DMI, the pads
-    /// found inside, the attached log, and the recovery report.
-    pub fn open_logged(
-        vfs: &dyn Vfs,
-        path: &Path,
-    ) -> Result<(Self, Vec<PadHandle>, StoreLog, LogReport), DmiError> {
-        let (store, log, report) = TripleStore::open_logged(vfs, path)?;
-        let dmi = SlimPadDmi { store };
-        let pads = dmi.pads();
-        Ok((dmi, pads, log, report))
-    }
-
     /// Attach a [`StoreLog`] to this DMI's store, replaying any committed
     /// frames the log holds. For callers (like the pad session) that load
     /// the snapshot through their own combined format and need the log
@@ -835,31 +821,11 @@ impl SlimPadDmi {
         Ok(StoreLog::attach(vfs, snapshot_path, &mut self.store)?)
     }
 
-    /// [`attach_log`](SlimPadDmi::attach_log) with tail-frame CRC checks
-    /// disabled — only for the slimcheck mutation harness.
-    #[doc(hidden)]
-    pub fn testonly_attach_log_skip_tail_crc(
-        &mut self,
-        vfs: &dyn Vfs,
-        snapshot_path: &Path,
-    ) -> Result<(StoreLog, LogReport), DmiError> {
-        Ok(StoreLog::testonly_attach_skip_tail_crc(vfs, snapshot_path, &mut self.store)?)
-    }
-
-    /// Group-commit every change since the last commit to the log: one
-    /// frame, one sync. See [`trim::CommitOutcome`] — in particular,
-    /// `NeedsFullSnapshot` means nothing was persisted and the caller
-    /// must [`compact_log_with`](SlimPadDmi::compact_log_with).
-    pub fn commit_log(
-        &mut self,
-        vfs: &dyn Vfs,
-        log: &mut StoreLog,
-    ) -> Result<trim::CommitOutcome, DmiError> {
-        Ok(log.commit(vfs, &mut self.store)?)
-    }
-
-    /// [`commit_log`](SlimPadDmi::commit_log) with sidecar aux records
-    /// (e.g. the pad's mark-store XML) riding in the same frame.
+    /// Group-commit every change since the last commit to the log, with
+    /// sidecar aux records (e.g. the pad's mark-store XML) riding in the
+    /// same frame: one frame, one sync. See [`trim::CommitOutcome`] — in
+    /// particular, `NeedsFullSnapshot` means nothing was persisted and
+    /// the caller must [`compact_log_with`](SlimPadDmi::compact_log_with).
     pub fn commit_log_with_aux(
         &mut self,
         vfs: &dyn Vfs,
@@ -874,17 +840,6 @@ impl SlimPadDmi {
     /// never be adopted by a later cold reopen.
     pub fn repair_log(&self, vfs: &dyn Vfs, log: &mut StoreLog) -> Result<(), DmiError> {
         Ok(log.repair(vfs)?)
-    }
-
-    /// Fold the log into a fresh snapshot of the store's own XML and
-    /// reset it. Use [`compact_log_with`](SlimPadDmi::compact_log_with)
-    /// when the snapshot file embeds the store in a larger document.
-    pub fn compact_log(
-        &mut self,
-        vfs: &dyn Vfs,
-        log: &mut StoreLog,
-    ) -> Result<(), DmiError> {
-        Ok(log.compact(vfs, &mut self.store)?)
     }
 
     /// Fold the log into a caller-provided snapshot payload and reset it.
