@@ -1,28 +1,31 @@
 //! `wal-verify`: offline fsck for a logged pad artifact — the sealed
-//! snapshot, its sibling `.wal` log, and the `"marks"` sidecar records
-//! riding in the log's frames.
+//! snapshot, its sibling `.wal` log, and the mark records riding in the
+//! log's frames: one `marks/<id>` record per changed mark (empty for a
+//! removed mark), the `marks/next` id counter, and the whole-store
+//! `"marks"` record older builds wrote.
 //!
 //! Recovery (`PadSession::open_logged`) *repairs* as it reads: it
 //! truncates torn tails, discards stale generations, and sweeps temp
 //! files. This tool is the read-only twin: it walks the same bytes with
 //! the same checks — seal CRC, log header magic/version, per-frame
 //! magic + length + CRC32 + sequence contiguity, snapshot/log bind,
-//! record-level payload decoding, sidecar UTF-8 + XML parse — and
+//! record-level payload decoding, mark-record UTF-8 + XML parse — and
 //! *mutates nothing*, reporting every finding as a typed fsck line.
 //!
 //! * `cargo run -p slim-bench --bin wal-verify -- PATH/pad.xml` —
 //!   verify a real on-disk pair; exit 1 if any damage was found.
 //! * `-- --self-test` — build a known-good pair in memory, verify it,
-//!   then damage it in four distinct ways and check each is caught.
+//!   then damage it in five distinct ways and check each is caught.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use superimposed::marks::MarkManager;
 use superimposed::slimio::{check_seal, crc32, scan_wal, Integrity, MemVfs, StdVfs, Vfs};
+use superimposed::slimpad::pad::{
+    apply_mark_record, LEGACY_MARKS_AUX_KEY, MARK_AUX_PREFIX, MARK_NEXT_AUX_KEY,
+};
 use superimposed::slimpad::PadSession;
 use superimposed::trim::{verify_frame_payload, StoreLog, TripleStore};
-
-/// The sidecar key a pad session commits its mark store under.
-const MARKS_AUX_KEY: &str = "marks";
 
 /// Where one finding points.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,8 +36,10 @@ pub enum Component {
     Log,
     /// One log frame, by sequence number.
     Frame(u64),
-    /// The `"marks"` sidecar payload (newest record wins).
+    /// The legacy whole-store `"marks"` record (newest record wins).
     Sidecar,
+    /// One per-mark or id-counter record, by key (newest record wins).
+    MarkRecord(String),
 }
 
 impl std::fmt::Display for Component {
@@ -44,6 +49,7 @@ impl std::fmt::Display for Component {
             Component::Log => write!(f, "log"),
             Component::Frame(seq) => write!(f, "frame {seq}"),
             Component::Sidecar => write!(f, "sidecar"),
+            Component::MarkRecord(key) => write!(f, "record {key}"),
         }
     }
 }
@@ -75,10 +81,15 @@ pub struct FsckReport {
     pub frames: usize,
     /// Insert/remove records across all valid frames.
     pub ops: usize,
-    /// `"marks"` sidecar records seen (the newest is the live one).
+    /// Legacy whole-store `"marks"` records seen (the newest is the
+    /// live one).
     pub sidecar_records: usize,
-    /// Marks in the newest sidecar record, if one parsed.
+    /// Marks in the newest legacy record, if one parsed.
     pub sidecar_marks: Option<usize>,
+    /// `marks/<id>` keys whose newest record holds a mark.
+    pub mark_records: usize,
+    /// `marks/<id>` keys whose newest record is a tombstone.
+    pub mark_tombstones: usize,
 }
 
 impl FsckReport {
@@ -108,7 +119,7 @@ impl FsckReport {
         let mut out = String::new();
         out.push_str(&format!(
             "snapshot: {} triple(s); log: {} frame(s), {} store op(s); \
-             sidecar: {} record(s){}\n",
+             sidecar: {} record(s){}; mark records: {} live, {} tombstone(s)\n",
             self.snapshot_triples,
             self.frames,
             self.ops,
@@ -117,6 +128,8 @@ impl FsckReport {
                 Some(n) => format!(", {n} mark(s) live"),
                 None => String::new(),
             },
+            self.mark_records,
+            self.mark_tombstones,
         ));
         for f in &self.findings {
             let tag = match f.severity {
@@ -130,7 +143,7 @@ impl FsckReport {
     }
 }
 
-/// Walk the snapshot + log + sidecar at `snapshot_path` without
+/// Walk the snapshot + log + mark records at `snapshot_path` without
 /// modifying anything on `vfs`.
 pub fn verify_pair(vfs: &dyn Vfs, snapshot_path: &Path) -> FsckReport {
     let mut report = FsckReport::default();
@@ -226,17 +239,20 @@ pub fn verify_pair(vfs: &dyn Vfs, snapshot_path: &Path) -> FsckReport {
         );
     }
 
-    // ---- frames: record-level decode, sidecar collection ------------
+    // ---- frames: record-level decode, mark-record collection --------
     let mut newest_sidecar: Option<(u64, Vec<u8>)> = None;
+    // Replay is last-write-wins per key; mirror that here.
+    let mut newest_records: BTreeMap<String, (u64, Vec<u8>)> = BTreeMap::new();
     for frame in &scan.frames {
         match verify_frame_payload(frame.seq, &frame.payload) {
             Ok(summary) => {
                 report.ops += summary.inserts + summary.removes;
-                for key in summary.aux_keys {
-                    if key == MARKS_AUX_KEY {
+                for (key, value) in summary.aux {
+                    if key == LEGACY_MARKS_AUX_KEY {
                         report.sidecar_records += 1;
-                        // Replay is last-write-wins; mirror that here.
-                        newest_sidecar = Some((frame.seq, sidecar_value(&frame.payload)));
+                        newest_sidecar = Some((frame.seq, value));
+                    } else if key.starts_with(MARK_AUX_PREFIX) {
+                        newest_records.insert(key, (frame.seq, value));
                     } else {
                         report.note(
                             Component::Frame(frame.seq),
@@ -268,52 +284,26 @@ pub fn verify_pair(vfs: &dyn Vfs, snapshot_path: &Path) -> FsckReport {
             ),
         }
     }
-    report
-}
 
-/// Extract the newest `"marks"` aux value from an already-validated
-/// frame payload by re-walking its records. The payload passed
-/// [`verify_frame_payload`], so the cursor arithmetic cannot fail.
-fn sidecar_value(payload: &[u8]) -> Vec<u8> {
-    const REC_AUX: u8 = 2;
-    let mut at = 0usize;
-    let mut newest = Vec::new();
-    let read_len = |payload: &[u8], at: &mut usize| -> usize {
-        let len = u32::from_le_bytes(payload[*at..*at + 4].try_into().unwrap()) as usize;
-        *at += 4;
-        len
-    };
-    while at < payload.len() {
-        let tag = payload[at];
-        at += 1;
-        if tag == REC_AUX {
-            let key_len = read_len(payload, &mut at);
-            let key = &payload[at..at + key_len];
-            at += key_len;
-            let val_len = read_len(payload, &mut at);
-            if key == MARKS_AUX_KEY.as_bytes() {
-                newest = payload[at..at + val_len].to_vec();
-            }
-            at += val_len;
-        } else {
-            // Insert/remove record: subject, property, kind byte, object.
-            let s_len = read_len(payload, &mut at);
-            at += s_len;
-            let p_len = read_len(payload, &mut at);
-            at += p_len + 1;
-            let o_len = read_len(payload, &mut at);
-            at += o_len;
+    // ---- per-mark records: each applied as recovery would ----------
+    for (key, (seq, value)) in newest_records {
+        match apply_mark_record(&mut MarkManager::new(), &key, &value) {
+            Ok(()) if key == MARK_NEXT_AUX_KEY => {}
+            Ok(()) if value.is_empty() => report.mark_tombstones += 1,
+            Ok(()) => report.mark_records += 1,
+            Err(e) => report.damage(Component::MarkRecord(key), format!("frame {seq}: {e}")),
         }
     }
-    newest
+    report
 }
 
 // ---------------------------------------------------------------------
 // Self-test: build a pair in memory, verify, damage, verify again
 // ---------------------------------------------------------------------
 
-/// Build a known-good logged pad (snapshot + 2-frame log + marks
-/// sidecar) on `vfs` at `path`.
+/// Build a known-good logged pad on `vfs` at `path`: a snapshot plus a
+/// 2-frame log whose first frame carries two marks' records and whose
+/// second carries a tombstone for one of them.
 fn build_fixture(vfs: &dyn Vfs, path: &Path) {
     use superimposed::basedocs::{textdoc::TextTarget, Span, TextAddress};
     use superimposed::marks::MarkAddress;
@@ -321,16 +311,16 @@ fn build_fixture(vfs: &dyn Vfs, path: &Path) {
     let mut pad = PadSession::new("fsck-fixture").expect("fresh pad");
     pad.enable_logging(vfs, path).expect("enable logging");
     let bundle = pad.create_bundle("Rounds", (10, 10), 160, 120, None).expect("bundle");
-    let mark = pad
-        .marks_mut()
-        .create_mark_at(MarkAddress::Text(TextAddress {
-            file_name: "notes.txt".into(),
-            target: TextTarget::Span { paragraph: 0, span: Span::new(0, 4) },
-        }))
-        .expect("mint mark");
+    let address = MarkAddress::Text(TextAddress {
+        file_name: "notes.txt".into(),
+        target: TextTarget::Span { paragraph: 0, span: Span::new(0, 4) },
+    });
+    let mark = pad.marks_mut().create_mark_at(address.clone()).expect("mint mark");
+    let spare = pad.marks_mut().create_mark_at(address).expect("mint mark 2");
     pad.place_mark(&mark, Some("vitals"), (20, 20), Some(bundle)).expect("place");
     pad.commit(vfs).expect("commit 1");
     pad.create_bundle("Labs", (30, 30), 160, 120, None).expect("bundle 2");
+    pad.marks_mut().remove(&spare).expect("remove mark 2");
     pad.commit(vfs).expect("commit 2");
 }
 
@@ -346,7 +336,11 @@ fn self_test() {
     print!("{}", clean.render());
     assert!(!clean.damaged(), "clean fixture reported damage:\n{}", clean.render());
     assert!(clean.frames >= 2, "fixture should commit at least two frames");
-    assert_eq!(clean.sidecar_marks, Some(1), "fixture sidecar should carry one mark");
+    assert_eq!(
+        (clean.mark_records, clean.mark_tombstones),
+        (1, 1),
+        "fixture should log one live mark and one tombstone"
+    );
     let pristine_log = vfs.read(&wal).expect("log exists");
     let pristine_snap = vfs.read(snap).expect("snapshot exists");
 
@@ -375,7 +369,20 @@ fn self_test() {
     vfs.write(snap, &grown).expect("inject");
     assert!(verify_pair(&vfs, snap).damaged(), "stale log binding went undetected");
 
-    println!("self-test: clean pair verifies, all 4 damage drills detected");
+    // Drill 5: flip one byte inside a per-mark record's value.
+    vfs.write(snap, &pristine_snap).expect("restore");
+    let key = format!("{MARK_AUX_PREFIX}mark:0");
+    let at = pristine_log
+        .windows(key.len())
+        .position(|w| w == key.as_bytes())
+        .expect("the first frame carries mark:0's record");
+    let mut torn = pristine_log.clone();
+    // Past the key and the value's 4-byte length prefix: inside `<mark`.
+    torn[at + key.len() + 4 + 2] ^= 0x01;
+    vfs.write(&wal, &torn).expect("inject");
+    assert!(verify_pair(&vfs, snap).damaged(), "damaged mark record went undetected");
+
+    println!("self-test: clean pair verifies, all 5 damage drills detected");
 }
 
 fn usage() -> ! {
@@ -412,7 +419,36 @@ mod tests {
         assert!(!report.damaged(), "{}", report.render());
         assert!(report.frames >= 2);
         assert!(report.ops > 0);
-        assert_eq!(report.sidecar_marks, Some(1));
+        assert_eq!((report.mark_records, report.mark_tombstones), (1, 1));
+        assert_eq!(report.sidecar_records, 0, "new logs carry no whole-store record");
+        assert!(report.render().contains("mark records: 1 live, 1 tombstone(s)"));
+    }
+
+    #[test]
+    fn a_well_framed_but_unreadable_mark_record_is_damage() {
+        let vfs = MemVfs::new();
+        let snap = Path::new(SNAP);
+        build_fixture(&vfs, snap);
+        // Append frames through the store's own log, so they pass every
+        // frame check and only the records inside are wrong.
+        let mut store = TripleStore::new();
+        let (mut log, _) = StoreLog::attach(&vfs, snap, &mut store).expect("attach");
+        let stray = br#"<mark id="mark:7" kind="text"/>"#;
+        for (key, value) in [("marks/mark:0", &b"<mark"[..]), ("marks/mark:3", stray)] {
+            log.commit_with_aux(&vfs, &mut store, &[(key, value)]).expect("append");
+        }
+        log.commit_with_aux(&vfs, &mut store, &[(MARK_NEXT_AUX_KEY, b"x")]).expect("append");
+        let report = verify_pair(&vfs, snap);
+        for key in ["marks/mark:0", "marks/mark:3", MARK_NEXT_AUX_KEY] {
+            assert!(
+                report.findings.iter().any(|f| f.severity == Severity::Damage
+                    && f.component == Component::MarkRecord(key.to_string())),
+                "{key}: {}",
+                report.render()
+            );
+        }
+        // Recovery refuses the same log.
+        assert!(PadSession::open_logged(&vfs, snap, MarkManager::new()).is_err());
     }
 
     #[test]

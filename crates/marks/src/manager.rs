@@ -5,7 +5,8 @@ use crate::mark::{Mark, MarkAddress, MarkId};
 use crate::module::{MarkModule, Resolution};
 use basedocs::DocKind;
 use slimio::{Integrity, Recovered, StdVfs, Vfs};
-use std::collections::{BTreeMap, HashMap};
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::path::Path;
 use xmlkit::{Element, XmlWriter};
@@ -55,6 +56,50 @@ fn read_mark(m: &Element) -> Result<Mark, MarkError> {
     let address = MarkAddress::from_fields(kind, &fields)
         .map_err(|e| MarkError::Format { message: format!("mark {id}: {e}") })?;
     Ok(Mark { mark_id: id.to_string(), address, excerpt })
+}
+
+/// Write one mark as a `<mark>` element: the unit of both the whole
+/// store ([`MarkManager::to_xml`]) and a per-mark record.
+fn write_mark(w: &mut XmlWriter, mark: &Mark) {
+    w.start("mark");
+    w.attr("id", &mark.mark_id);
+    w.attr("kind", mark.kind().id());
+    w.attr("excerpt", &mark.excerpt);
+    for (name, value) in mark.address.to_fields() {
+        w.start("f");
+        w.attr("n", &name);
+        w.text(&value);
+        w.end();
+    }
+    w.end();
+}
+
+/// One mark as a standalone `<mark>` record, the unit a per-mark
+/// persist writes ([`MarkManager::changed_records`]).
+fn mark_record(mark: &Mark) -> String {
+    let mut w = XmlWriter::compact();
+    write_mark(&mut w, mark);
+    w.finish()
+}
+
+/// FNV-1a offset basis and prime.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One mark's share of [`MarkManager::digest`]: FNV-1a over its id, kind
+/// id and address text, each field delimited so `("ab","c")` and
+/// `("a","bc")` differ. The excerpt is left out: it legitimately
+/// diverges when a flaky module captured it.
+fn mark_hash(mark: &Mark) -> u64 {
+    let address = mark.address.to_string();
+    let mut h = FNV_OFFSET;
+    for field in [mark.mark_id.as_str(), mark.kind().id(), address.as_str()] {
+        for b in field.bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        h = (h ^ 0xff).wrapping_mul(FNV_PRIME);
+    }
+    h
 }
 
 /// Numeric suffix of a `mark:N` id, for recomputing `next` in salvage.
@@ -136,7 +181,6 @@ pub struct MarkCheckpoint {
 /// "Since the specific addressing scheme of the base-layer information is
 /// encapsulated within the mark, the Mark Manager can generically store
 /// and retrieve all marks."
-#[derive(Default)]
 pub struct MarkManager {
     /// Modules by kind; the first registered module for a kind is its
     /// default.
@@ -152,11 +196,33 @@ pub struct MarkManager {
     /// order. `None` until a checkpoint is taken, so callers that never
     /// take one record nothing.
     journal: Option<Vec<(MarkId, Option<Mark>)>>,
-    /// True while the store equals what its owner last wrote to disk
-    /// ([`MarkManager::mark_persisted`]); every change clears it. False
-    /// in a fresh manager, so a store nobody has written yet counts as
-    /// changed.
-    persisted: bool,
+    /// Ids of the marks changed since their owner last wrote the store
+    /// to disk ([`MarkManager::mark_persisted`]), sorted so a persist
+    /// writes its records in a stable order. Left empty while
+    /// `replaced` is set, since the store is then written whole.
+    changed: BTreeSet<MarkId>,
+    /// True when the whole store was replaced since the last persist:
+    /// set in a fresh manager and by every load, so a store nobody has
+    /// written yet is written whole, never mark by mark.
+    replaced: bool,
+    /// [`MarkManager::digest`]'s wrapping sum of [`mark_hash`] over every
+    /// mark; `None` until first asked for, and again after a load.
+    digest: Cell<Option<u64>>,
+}
+
+impl Default for MarkManager {
+    fn default() -> Self {
+        MarkManager {
+            modules: HashMap::new(),
+            marks: BTreeMap::new(),
+            next_id: 0,
+            resolution_log: Vec::new(),
+            journal: None,
+            changed: BTreeSet::new(),
+            replaced: true,
+            digest: Cell::new(None),
+        }
+    }
 }
 
 impl MarkManager {
@@ -257,7 +323,7 @@ impl MarkManager {
         let mark_id = format!("mark:{}", self.next_id);
         self.next_id += 1;
         self.record(&mark_id);
-        self.marks.insert(mark_id.clone(), Mark { mark_id: mark_id.clone(), address, excerpt });
+        self.put(&mark_id, Some(Mark { mark_id: mark_id.clone(), address, excerpt }));
         mark_id
     }
 
@@ -289,7 +355,7 @@ impl MarkManager {
     pub fn remove(&mut self, mark_id: &str) -> Result<Mark, MarkError> {
         self.get(mark_id)?;
         self.record(mark_id);
-        Ok(self.marks.remove(mark_id).expect("looked up above"))
+        Ok(self.put(mark_id, None).expect("looked up above"))
     }
 
     // ---- resolution ----------------------------------------------------------
@@ -332,10 +398,11 @@ impl MarkManager {
     /// excerpt is kept — a re-bind targets the address that still holds
     /// it. Returns the old address.
     pub fn rebind(&mut self, mark_id: &str, address: MarkAddress) -> Result<MarkAddress, MarkError> {
-        self.get(mark_id)?;
+        let mut mark = self.get(mark_id)?.clone();
+        let old = std::mem::replace(&mut mark.address, address);
         self.record(mark_id);
-        let mark = self.marks.get_mut(mark_id).expect("looked up above");
-        Ok(std::mem::replace(&mut mark.address, address))
+        self.put(mark_id, Some(mark));
+        Ok(old)
     }
 
     /// The resolution audit trail.
@@ -356,29 +423,46 @@ impl MarkManager {
 
     /// Undo every change since `checkpoint`, which must be the most
     /// recent one. Cannot fail: the journal holds the prior values
-    /// themselves. The checkpoint stays open. A rollback that undid
-    /// anything counts as a change: the persisted store may hold what
-    /// it undid.
+    /// themselves. The checkpoint stays open. Every mark it touched
+    /// stays in the changed set: the persisted store may hold what it
+    /// undid, and re-writing a mark's current value is harmless.
     pub fn rollback_to(&mut self, checkpoint: MarkCheckpoint) {
         let undone = self.journal.replace(Vec::new()).unwrap_or_default();
-        if !undone.is_empty() {
-            self.persisted = false;
-        }
         for (mark_id, prior) in undone.into_iter().rev() {
-            match prior {
-                Some(mark) => self.marks.insert(mark_id, mark),
-                None => self.marks.remove(&mark_id),
-            };
+            self.put(&mark_id, prior);
+            self.note_changed(&mark_id);
         }
         self.next_id = checkpoint.next_id;
     }
 
     /// Journal `mark_id`'s current value (or absence) before it changes,
-    /// and note that the store no longer matches its persisted copy.
+    /// and note that its persisted copy is out of date.
     fn record(&mut self, mark_id: &str) {
-        self.persisted = false;
         if let Some(journal) = &mut self.journal {
             journal.push((mark_id.to_string(), self.marks.get(mark_id).cloned()));
+        }
+        self.note_changed(mark_id);
+    }
+
+    /// Add `mark_id` to the changed set, unless the store is to be
+    /// written whole anyway (which keeps building a large store cheap).
+    fn note_changed(&mut self, mark_id: &str) {
+        if !self.replaced && !self.changed.contains(mark_id) {
+            self.changed.insert(mark_id.to_string());
+        }
+    }
+
+    /// Set `mark_id`'s entry to `value` (`None` removes it), keeping the
+    /// digest current. Returns the entry it replaced.
+    fn put(&mut self, mark_id: &str, value: Option<Mark>) -> Option<Mark> {
+        if let Some(sum) = self.digest.get() {
+            let old = self.marks.get(mark_id).map_or(0, mark_hash);
+            let new = value.as_ref().map_or(0, mark_hash);
+            self.digest.set(Some(sum.wrapping_sub(old).wrapping_add(new)));
+        }
+        match value {
+            Some(mark) => self.marks.insert(mark_id.to_string(), mark),
+            None => self.marks.remove(mark_id),
         }
     }
 
@@ -392,22 +476,88 @@ impl MarkManager {
         }
         self.marks = marks;
         self.next_id = next_id;
-        self.persisted = false;
+        self.replaced = true;
+        self.changed.clear();
+        self.digest.set(None);
     }
 
     // ---- change tracking ------------------------------------------------------
 
-    /// True when the store changed since its owner last called
-    /// [`MarkManager::mark_persisted`], or was never persisted. A
-    /// logged pad ships its marks only when this is set.
-    pub fn changed(&self) -> bool {
-        !self.persisted
+    /// True when the whole store was replaced since its owner last
+    /// called [`MarkManager::mark_persisted`]: a fresh manager, or a
+    /// load. Per-mark records cannot express that, so the owner must
+    /// write the store whole.
+    pub fn replaced(&self) -> bool {
+        self.replaced
     }
 
-    /// Note that the store as it stands is on disk. Called by the owner
-    /// that wrote it, after the write is durable.
+    /// One `(mark id, record)` per mark changed since the last
+    /// [`MarkManager::mark_persisted`], in id order: the mark as a
+    /// standalone `<mark>` element, the same one [`MarkManager::to_xml`]
+    /// writes, or an empty record for a mark that is gone.
+    /// [`MarkManager::apply_record`] replays them.
+    pub fn changed_records(&self) -> Vec<(&str, String)> {
+        self.changed
+            .iter()
+            .map(|id| (id.as_str(), self.marks.get(id).map(mark_record).unwrap_or_default()))
+            .collect()
+    }
+
+    /// The id counter: the number the next created mark gets.
+    pub fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
+    /// Apply one record of [`MarkManager::changed_records`] read back
+    /// from disk: an empty record removes `mark_id`, any other must be
+    /// that mark's `<mark>` element, checked as a whole-store load
+    /// checks each of its marks.
+    pub fn apply_record(&mut self, mark_id: &str, record: &str) -> Result<(), MarkError> {
+        let value = if record.is_empty() {
+            None
+        } else {
+            let doc = xmlkit::parse(record).map_err(|e| MarkError::Xml(e.to_string()))?;
+            let mark = read_mark(&doc.root)?;
+            if mark.mark_id != mark_id {
+                return Err(MarkError::Format {
+                    message: format!("record for {mark_id} holds mark {}", mark.mark_id),
+                });
+            }
+            Some(mark)
+        };
+        self.record(mark_id);
+        self.put(mark_id, value);
+        Ok(())
+    }
+
+    /// Restore the id counter read back from disk alongside
+    /// [`MarkManager::apply_record`]'s records.
+    pub fn set_next_id(&mut self, next_id: u64) {
+        self.next_id = next_id;
+    }
+
+    /// Note that the store as it stands is on disk: clears the changed
+    /// set and the replaced bit. Called by the owner that wrote it,
+    /// after the write is durable.
     pub fn mark_persisted(&mut self) {
-        self.persisted = true;
+        self.changed.clear();
+        self.replaced = false;
+    }
+
+    /// An order-independent digest of the store: the wrapping sum of a
+    /// per-mark FNV-1a hash over (id, kind id, address text), excerpts
+    /// left out. Computed in full on the first call (and the first
+    /// after a load), so building or loading a store pays nothing for
+    /// it; after that each change adjusts it by that mark's hash alone.
+    pub fn digest(&self) -> u64 {
+        match self.digest.get() {
+            Some(sum) => sum,
+            None => {
+                let sum = self.marks.values().fold(0u64, |sum, m| sum.wrapping_add(mark_hash(m)));
+                self.digest.set(Some(sum));
+                sum
+            }
+        }
     }
 
     // ---- audit and stats ----------------------------------------------------
@@ -435,11 +585,12 @@ impl MarkManager {
         let address = self.get(mark_id)?.address.clone();
         let module = self.default_module(address.kind())?;
         let current = module.extract(&address)?;
+        if self.get(mark_id)?.excerpt == current {
+            return Ok(current);
+        }
         self.record(mark_id);
-        let mark = self
-            .marks
-            .get_mut(mark_id)
-            .ok_or_else(|| MarkError::UnknownMark { mark_id: mark_id.to_string() })?;
+        // The excerpt is not part of the digest, so no `put` is needed.
+        let mark = self.marks.get_mut(mark_id).expect("looked up above");
         Ok(std::mem::replace(&mut mark.excerpt, current))
     }
 
@@ -492,17 +643,7 @@ impl MarkManager {
         w.attr("version", FORMAT_VERSION);
         w.attr("next", &self.next_id.to_string());
         for mark in self.marks.values() {
-            w.start("mark");
-            w.attr("id", &mark.mark_id);
-            w.attr("kind", mark.kind().id());
-            w.attr("excerpt", &mark.excerpt);
-            for (name, value) in mark.address.to_fields() {
-                w.start("f");
-                w.attr("n", &name);
-                w.text(&value);
-                w.end();
-            }
-            w.end();
+            write_mark(&mut w, mark);
         }
         w.end();
         w.finish()
@@ -956,43 +1097,102 @@ mod tests {
     }
 
     #[test]
-    fn every_change_and_only_a_change_sets_the_changed_flag() {
+    fn every_change_and_only_a_change_enters_the_changed_set() {
         let (mut mgr, sheet_app, _) = manager_with_apps();
-        assert!(mgr.changed(), "a store nobody persisted counts as changed");
+        assert!(mgr.replaced(), "a store nobody persisted is written whole");
         sheet_app.borrow_mut().select("meds.xls", "Sheet1", "A1").unwrap();
         let id = mgr.create_mark(DocKind::Spreadsheet).unwrap();
+        assert!(mgr.changed_records().is_empty(), "a store written whole tracks no ids");
         let address = mgr.get(&id).unwrap().address.clone();
         let saved = mgr.to_xml();
 
-        fn sets_flag(mgr: &mut MarkManager, name: &str, step: impl FnOnce(&mut MarkManager)) {
+        /// The records a persist right after `step` would write.
+        fn changes(
+            mgr: &mut MarkManager,
+            step: impl FnOnce(&mut MarkManager),
+        ) -> Vec<(String, String)> {
             mgr.mark_persisted();
-            assert!(!mgr.changed());
+            assert!(!mgr.replaced() && mgr.changed_records().is_empty());
             step(mgr);
-            assert!(mgr.changed(), "{name} must set the flag");
+            mgr.changed_records().into_iter().map(|(id, r)| (id.to_string(), r)).collect()
         }
-        sets_flag(&mut mgr, "create_mark_at", |m| drop(m.create_mark_at(address.clone()).unwrap()));
-        sets_flag(&mut mgr, "rebind", |m| drop(m.rebind("mark:0", address.clone()).unwrap()));
-        sets_flag(&mut mgr, "refresh_excerpt", |m| drop(m.refresh_excerpt("mark:0").unwrap()));
-        sets_flag(&mut mgr, "remove", |m| drop(m.remove("mark:0").unwrap()));
-        sets_flag(&mut mgr, "load_xml", |m| m.load_xml(&saved).unwrap());
+        let ids = |records: Vec<(String, String)>| -> Vec<String> {
+            records.into_iter().map(|(id, _)| id).collect()
+        };
+        let created = changes(&mut mgr, |m| drop(m.create_mark_at(address.clone()).unwrap()));
+        assert_eq!(created, [("mark:1".to_string(), mark_record(mgr.get("mark:1").unwrap()))]);
+        assert_eq!(
+            ids(changes(&mut mgr, |m| drop(m.rebind("mark:0", address.clone()).unwrap()))),
+            ["mark:0"]
+        );
+        sheet_app
+            .borrow_mut()
+            .workbook_mut("meds.xls")
+            .unwrap()
+            .sheet_mut("Sheet1")
+            .unwrap()
+            .set_a1("A1", "Torsemide")
+            .unwrap();
+        assert_eq!(
+            ids(changes(&mut mgr, |m| drop(m.refresh_excerpt("mark:0").unwrap()))),
+            ["mark:0"]
+        );
+        // Re-capturing an excerpt that already matches changes nothing.
+        assert!(changes(&mut mgr, |m| drop(m.refresh_excerpt("mark:0").unwrap())).is_empty());
+        assert_eq!(ids(changes(&mut mgr, |m| drop(m.refresh_all_excerpts()))), ["mark:1"]);
+        assert!(changes(&mut mgr, |m| assert!(m.refresh_all_excerpts().refreshed.is_empty()))
+            .is_empty());
+        // A removed mark leaves a tombstone: an empty record.
+        let removed = changes(&mut mgr, |m| drop(m.remove("mark:0").unwrap()));
+        assert_eq!(removed, [("mark:0".to_string(), String::new())]);
+        // A load replaces the store whole; it tracks no ids.
+        assert!(changes(&mut mgr, |m| m.load_xml(&saved).unwrap()).is_empty());
+        assert!(mgr.replaced());
 
-        // Refused calls change nothing, so they journal and flag nothing.
+        // Refused calls change nothing, so they journal and track nothing.
         mgr.mark_persisted();
         let checkpoint = mgr.checkpoint();
         assert!(mgr.remove("mark:99").is_err());
         assert!(mgr.rebind("mark:99", address.clone()).is_err());
-        assert!(!mgr.changed(), "a refused remove or rebind is not a change");
+        assert!(mgr.changed_records().is_empty(), "a refused remove or rebind is not a change");
         assert_eq!(mgr.journal.as_ref().map(Vec::len), Some(0), "no phantom journal entry");
 
         // A rollback that undid nothing is no change either…
         mgr.rollback_to(checkpoint);
-        assert!(!mgr.changed());
+        assert!(mgr.changed_records().is_empty());
         // …but one that undid a change is, even when the change itself
         // was already persisted.
-        mgr.create_mark_at(address).unwrap();
+        let undone = mgr.create_mark_at(address).unwrap();
         mgr.mark_persisted();
         mgr.rollback_to(checkpoint);
-        assert!(mgr.changed(), "the persisted store still holds the undone mark");
+        assert_eq!(
+            mgr.changed_records(),
+            [(undone.as_str(), String::new())],
+            "the persisted store still holds the undone mark"
+        );
+        assert!(!mgr.replaced());
+    }
+
+    #[test]
+    fn records_replay_onto_a_persisted_copy() {
+        let mut mgr = populated_manager();
+        let mut disk = MarkManager::new();
+        disk.load_xml(&mgr.to_xml()).unwrap();
+        mgr.mark_persisted();
+        let address = mgr.get("mark:0").unwrap().address.clone();
+        mgr.create_mark_at(address.clone()).unwrap();
+        mgr.rebind("mark:1", address).unwrap();
+        mgr.remove("mark:0").unwrap();
+        for (id, record) in mgr.changed_records() {
+            disk.apply_record(id, &record).unwrap();
+        }
+        disk.set_next_id(mgr.next_id());
+        assert_eq!(disk.to_xml(), mgr.to_xml());
+        assert_eq!(disk.digest(), mgr.digest());
+        // A record must carry the mark its key names.
+        let stray = mark_record(mgr.get("mark:1").unwrap());
+        assert!(matches!(disk.apply_record("mark:7", &stray), Err(MarkError::Format { .. })));
+        assert!(disk.apply_record("mark:7", "<mark").is_err());
     }
 
     #[test]

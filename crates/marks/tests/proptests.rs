@@ -96,3 +96,102 @@ proptest! {
         prop_assert_eq!(back, address);
     }
 }
+
+/// A manager over one live spreadsheet, plus the addresses of its cells.
+fn sheet_manager() -> (
+    MarkManager,
+    std::rc::Rc<std::cell::RefCell<basedocs::SpreadsheetApp>>,
+    Vec<MarkAddress>,
+) {
+    let mut wb = basedocs::spreadsheet::Workbook::new("meds.xls");
+    let cells = ["A1", "A2", "A3", "B1"];
+    for (i, cell) in cells.iter().enumerate() {
+        wb.sheet_mut("Sheet1").unwrap().set_a1(cell, &format!("dose {i}")).unwrap();
+    }
+    let mut app = basedocs::SpreadsheetApp::new();
+    app.open(wb).unwrap();
+    let app = std::rc::Rc::new(std::cell::RefCell::new(app));
+    let mut mgr = MarkManager::new();
+    mgr.register_module(Box::new(marks::AppModule::in_context("excel", app.clone())))
+        .unwrap();
+    let addresses = cells
+        .iter()
+        .map(|cell| {
+            app.borrow_mut().select("meds.xls", "Sheet1", cell).unwrap();
+            let id = mgr.create_mark(basedocs::DocKind::Spreadsheet).unwrap();
+            mgr.remove(&id).unwrap().address
+        })
+        .collect();
+    (mgr, app, addresses)
+}
+
+/// The digest of `mgr`'s marks computed from scratch, by a manager
+/// that never saw them change.
+fn fresh_digest(mgr: &MarkManager) -> u64 {
+    let mut fresh = MarkManager::new();
+    fresh.load_xml(&mgr.to_xml()).unwrap();
+    fresh.digest()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever mix of changes, checkpoints, rollbacks and loads a store
+    /// goes through, the digest it maintains equals one computed from
+    /// scratch, and the records it reports changed bring a persisted
+    /// copy up to date.
+    #[test]
+    fn maintained_digest_and_changed_records_track_the_store(
+        steps in proptest::collection::vec((0u8..10, any::<u64>()), 0..48),
+    ) {
+        let (mut mgr, app, addresses) = sheet_manager();
+        let mut disk = MarkManager::new();
+        let mut checkpoint = None;
+        let mut saved = mgr.to_xml();
+        for (op, r) in steps {
+            let ids: Vec<String> = mgr.marks().map(|m| m.mark_id.clone()).collect();
+            let id = ids.get(r as usize % ids.len().max(1)).cloned().unwrap_or_default();
+            let address = addresses[(r >> 8) as usize % addresses.len()].clone();
+            match op {
+                0 | 1 => drop(mgr.create_mark_at(address)),
+                2 => drop(mgr.remove(&id)),
+                3 => drop(mgr.rebind(&id, address)),
+                4 => drop(mgr.refresh_excerpt(&id)),
+                5 => {
+                    // Drift a cell so a later refresh has something to do.
+                    let cell = ["A1", "A2", "A3", "B1"][(r >> 16) as usize % 4];
+                    let mut app = app.borrow_mut();
+                    let sheet = app.workbook_mut("meds.xls").unwrap().sheet_mut("Sheet1").unwrap();
+                    sheet.set_a1(cell, &format!("dose {}", r >> 20)).unwrap();
+                }
+                6 => checkpoint = Some(mgr.checkpoint()),
+                7 => {
+                    if let Some(cp) = checkpoint {
+                        mgr.rollback_to(cp);
+                    }
+                }
+                8 => {
+                    if r % 2 == 0 {
+                        saved = mgr.to_xml();
+                    } else {
+                        mgr.load_xml(&saved).unwrap();
+                    }
+                }
+                _ => {
+                    // Persist the way a logged pad does, then compare.
+                    if mgr.replaced() {
+                        disk.load_xml(&mgr.to_xml()).unwrap();
+                    } else {
+                        for (id, record) in mgr.changed_records() {
+                            disk.apply_record(id, &record).unwrap();
+                        }
+                        disk.set_next_id(mgr.next_id());
+                    }
+                    mgr.mark_persisted();
+                    prop_assert_eq!(disk.to_xml(), mgr.to_xml());
+                }
+            }
+            prop_assert_eq!(mgr.digest(), fresh_digest(&mgr), "after op {}", op);
+        }
+    }
+}

@@ -32,7 +32,7 @@ use slimserve::{
 use std::path::Path;
 use std::sync::Arc;
 
-/// Where the service's snapshot + log + sidecar live on the fault disk.
+/// Where the service's snapshot, log and mark records live on the fault disk.
 const PAD: &str = "slimcheck/padserve.xml";
 
 fn config() -> PadConfig {
@@ -231,7 +231,7 @@ fn mark_op(doc: usize, paragraph: usize, label: usize, pos: (i64, i64), bundle: 
     }
 }
 
-/// Digest of the durable on-disk state (snapshot + WAL + marks sidecar)
+/// Digest of the durable on-disk state (snapshot + WAL + mark records)
 /// through a cold reopen into a fresh engine.
 fn reopen_digest(disk: &dyn Vfs) -> u64 {
     ward_reopen(disk, Path::new(PAD)).expect("post-shutdown pad must reopen from disk").digest()

@@ -25,7 +25,7 @@ use crate::chaos::{serve_config, Action, Books, Target};
 use crate::trace::TraceOp;
 use crate::Profile;
 
-/// Where the chaos pad's snapshot, log and marks sidecar live on the
+/// Where the chaos pad's snapshot, log and mark records live on the
 /// in-memory VFS.
 const PAD_PATH: &str = "chaos/pad.xml";
 

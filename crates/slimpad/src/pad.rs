@@ -73,8 +73,39 @@ impl From<slimio::IoError> for PadError {
 const FILE_VERSION: &str = "1";
 /// Highest numeric format version this build can read.
 const SUPPORTED_VERSION: u32 = 1;
-/// Aux-record key under which the mark-store XML rides in the log.
-const MARKS_AUX_KEY: &str = "marks";
+/// Aux-record key of the whole mark store as older builds logged it.
+/// Recovery still applies one; commits never write it.
+pub const LEGACY_MARKS_AUX_KEY: &str = "marks";
+/// Aux-record key prefix of a per-mark record, `marks/<mark id>`: the
+/// mark's `<mark>` XML, or an empty value as a tombstone.
+pub const MARK_AUX_PREFIX: &str = "marks/";
+/// Aux-record key of the mark id counter, in decimal.
+pub const MARK_NEXT_AUX_KEY: &str = "marks/next";
+
+/// A recovered aux record's value as text.
+fn aux_text<'a>(key: &str, bytes: &'a [u8]) -> Result<&'a str, PadError> {
+    std::str::from_utf8(bytes).map_err(|_| PadError::File {
+        message: format!("recovered aux record {key:?} is not valid UTF-8"),
+    })
+}
+
+/// Apply one recovered `marks/…` aux record to `marks`, as
+/// [`PadSession::open_logged`] does: [`MARK_NEXT_AUX_KEY`] restores the
+/// id counter, any other key one mark ([`MarkManager::apply_record`]).
+pub fn apply_mark_record(marks: &mut MarkManager, key: &str, bytes: &[u8]) -> Result<(), PadError> {
+    let value = aux_text(key, bytes)?;
+    if key == MARK_NEXT_AUX_KEY {
+        let next = value.parse().map_err(|_| PadError::File {
+            message: format!("recovered mark id counter {value:?} is not a number"),
+        })?;
+        marks.set_next_id(next);
+        return Ok(());
+    }
+    let mark_id = key.strip_prefix(MARK_AUX_PREFIX).ok_or_else(|| PadError::File {
+        message: format!("aux key {key:?} is not a mark record"),
+    })?;
+    Ok(marks.apply_record(mark_id, value)?)
+}
 
 /// The error for log operations on a session that has no log attached.
 fn no_log_error() -> PadError {
@@ -532,10 +563,11 @@ impl PadSession {
 
     /// Open a pad file with its write-ahead log attached: load the
     /// sealed snapshot, replay committed log frames onto the embedded
-    /// store, and restore the mark store from the newest `"marks"`
-    /// sidecar record if one was committed after the snapshot. The
-    /// session comes back in the state of its last acknowledged
-    /// [`commit`](PadSession::commit), even after a crash.
+    /// store, and bring the snapshot's marks up to date from the log's
+    /// mark records — a legacy whole-store `"marks"` record first, if
+    /// the log has one, then the newest `marks/<id>` and `marks/next`
+    /// records. The session comes back in the state of its last
+    /// acknowledged [`commit`](PadSession::commit), even after a crash.
     ///
     /// The file must exist; for a brand-new pad, build the session with
     /// [`PadSession::new`] and call
@@ -569,20 +601,23 @@ impl PadSession {
         Ok(report)
     }
 
-    /// Wire a freshly attached log into the session: restore the marks
-    /// sidecar the log recovered (if any), note that the marks are now
-    /// on disk, and invalidate undo checkpoints — attaching truncates
-    /// the store journal, so revisions taken before it are unreachable.
+    /// Wire a freshly attached log into the session: apply the mark
+    /// records the log recovered, note that the marks are now on disk,
+    /// and invalidate undo checkpoints — attaching truncates the store
+    /// journal, so revisions taken before it are unreachable.
     fn adopt_log(
         &mut self,
         log: trim::StoreLog,
         report: &trim::LogReport,
     ) -> Result<(), PadError> {
-        if let Some(bytes) = report.aux.get(MARKS_AUX_KEY) {
-            let text = std::str::from_utf8(bytes).map_err(|_| PadError::File {
-                message: "recovered marks sidecar is not valid UTF-8".into(),
-            })?;
-            self.marks.load_xml(text)?;
+        // Older builds logged the whole store; anything per-mark in the
+        // same log was written after it.
+        if let Some(bytes) = report.aux.get(LEGACY_MARKS_AUX_KEY) {
+            self.marks.load_xml(aux_text(LEGACY_MARKS_AUX_KEY, bytes)?)?;
+        }
+        let records = report.aux.range(MARK_AUX_PREFIX.to_string()..);
+        for (key, bytes) in records.take_while(|(key, _)| key.starts_with(MARK_AUX_PREFIX)) {
+            apply_mark_record(&mut self.marks, key, bytes)?;
         }
         self.marks.mark_persisted();
         self.undo_stack.clear();
@@ -590,22 +625,39 @@ impl PadSession {
         Ok(())
     }
 
-    /// Group-commit every change since the last commit — store triples
-    /// and, when [`MarkManager::changed`] says so, the whole mark store
-    /// as a `"marks"` sidecar record — as one log frame with one sync.
+    /// Group-commit every change since the last commit as one log frame
+    /// with one sync: the store triples, one `marks/<id>` aux record
+    /// per mark changed since the last persist
+    /// ([`MarkManager::changed_records`]; an empty value is a
+    /// tombstone) and a `marks/next` record with the id counter. The
+    /// frame's size follows the changed marks, not the mark store.
     ///
-    /// On [`CommitOutcome::NeedsFullSnapshot`](trim::CommitOutcome) (an
-    /// undo crossed the previous commit boundary) the session compacts
-    /// internally, so on `Ok` the current state is durable regardless of
-    /// the outcome value.
+    /// Two cases compact instead, returning
+    /// [`CommitOutcome::NeedsFullSnapshot`](trim::CommitOutcome): an
+    /// undo crossed the previous commit boundary, or the whole mark
+    /// store was replaced ([`MarkManager::replaced`]: a manager swapped
+    /// in through [`marks_mut`](PadSession::marks_mut), or a load).
+    /// Either way, on `Ok` the current state is durable.
     pub fn commit(&mut self, vfs: &dyn Vfs) -> Result<trim::CommitOutcome, PadError> {
+        if self.log.is_some() && self.marks.replaced() {
+            self.compact(vfs)?;
+            return Ok(trim::CommitOutcome::NeedsFullSnapshot);
+        }
         let log = self.log.as_mut().ok_or_else(no_log_error)?;
-        let marks_xml = self.marks.changed().then(|| self.marks.to_xml());
-        let aux = marks_xml.as_deref().map(|xml| (MARKS_AUX_KEY, xml.as_bytes()));
-        let outcome = self.dmi.commit_log_with_aux(vfs, log, aux.as_slice())?;
+        let records = self.marks.changed_records();
+        let mut aux: Vec<(String, Vec<u8>)> = records
+            .into_iter()
+            .map(|(id, record)| (format!("{MARK_AUX_PREFIX}{id}"), record.into_bytes()))
+            .collect();
+        if !aux.is_empty() {
+            let next = self.marks.next_id().to_string().into_bytes();
+            aux.push((MARK_NEXT_AUX_KEY.to_string(), next));
+        }
+        let aux: Vec<(&str, &[u8])> = aux.iter().map(|(k, v)| (k.as_str(), v.as_slice())).collect();
+        let outcome = self.dmi.commit_log_with_aux(vfs, log, &aux)?;
         match outcome {
             trim::CommitOutcome::NeedsFullSnapshot => self.compact(vfs)?,
-            // A frame carrying aux is never clean, so the sidecar rode it.
+            // A frame carrying aux is never clean, so the records rode it.
             trim::CommitOutcome::Committed { .. } => self.marks.mark_persisted(),
             trim::CommitOutcome::Clean => {}
         }
@@ -1171,7 +1223,7 @@ mod tests {
             pad2.dmi().annotations(scraps[0]).unwrap(),
             vec!["hold if SBP < 90"]
         );
-        // The mark came back through the sidecar and still resolves live.
+        // The mark came back through its record and still resolves live.
         let res = pad2.activate(scraps[0]).unwrap();
         assert!(res.display.contains("[Lasix 40 IV bid]"), "{}", res.display);
     }
@@ -1248,18 +1300,29 @@ mod tests {
         assert_eq!(surface_bundles(&pad2), ["Kept"]);
     }
 
-    /// Commit a marks-free change on `pad` and assert the frame carries
-    /// no marks sidecar (it would be a whole mark-store copy).
-    fn assert_marks_free_commit(pad: &mut PadSession, vfs: &slimio::MemVfs, path: &Path) {
-        pad.create_bundle("B", (0, 0), 10, 10, None).unwrap();
+    /// True when `haystack` contains `needle`.
+    fn contains(haystack: &[u8], needle: &[u8]) -> bool {
+        haystack.windows(needle.len()).any(|w| w == needle)
+    }
+
+    /// Commit whatever `pad` holds and return the bytes the commit
+    /// appended to the log.
+    fn committed_frame(pad: &mut PadSession, vfs: &slimio::MemVfs, path: &Path) -> Vec<u8> {
         let wal_file = trim::StoreLog::wal_path(path);
         let before = vfs.bytes(&wal_file).unwrap().len();
         pad.commit(vfs).unwrap();
-        let frame = &vfs.bytes(&wal_file).unwrap()[before..];
+        vfs.bytes(&wal_file).unwrap()[before..].to_vec()
+    }
+
+    /// Commit a marks-free change on `pad` and assert the frame carries
+    /// no mark record of any kind.
+    fn assert_marks_free_commit(pad: &mut PadSession, vfs: &slimio::MemVfs, path: &Path) {
+        pad.create_bundle("B", (0, 0), 10, 10, None).unwrap();
+        let frame = committed_frame(pad, vfs, path);
         assert!(!frame.is_empty(), "the bundle must commit");
         assert!(
-            !frame.windows(b"<marks".len()).any(|w| w == b"<marks"),
-            "marks sidecar should not ride a marks-free commit"
+            !contains(&frame, b"<mark") && !contains(&frame, MARK_AUX_PREFIX.as_bytes()),
+            "no mark record should ride a marks-free commit"
         );
     }
 
@@ -1275,12 +1338,15 @@ mod tests {
         pad.commit(&vfs).unwrap();
         drop(pad);
 
-        // Reopen from a log that carried the sidecar: the recovered marks
-        // count as persisted, so the next commit does not re-ship them.
+        // Reopen from a log that carried the mark's record: the recovered
+        // marks count as persisted, so the next commit does not re-ship
+        // them.
         let (mut pad, report) =
             PadSession::open_logged(&vfs, path, reload_manager(&excel)).unwrap();
         assert_eq!(report.frames_replayed, 1);
-        assert!(report.aux.contains_key(MARKS_AUX_KEY));
+        assert!(report.aux.contains_key("marks/mark:0"));
+        assert!(report.aux.contains_key(MARK_NEXT_AUX_KEY));
+        assert!(!report.aux.contains_key(LEGACY_MARKS_AUX_KEY));
         assert_marks_free_commit(&mut pad, &vfs, path);
 
         let log_len = pad.log().unwrap().log_bytes();
@@ -1294,7 +1360,7 @@ mod tests {
         let scraps = pad2.dmi().all_scraps();
         let res = pad2.activate(scraps[0]).unwrap();
         assert!(res.display.contains("[Lasix 40 IV bid]"));
-        // Marks unchanged since the compaction: no sidecar either.
+        // Marks unchanged since the compaction: no mark records either.
         assert_marks_free_commit(&mut pad2, &vfs, path);
     }
 
@@ -1307,19 +1373,27 @@ mod tests {
         excel.borrow_mut().select("medications.xls", "Sheet1", "A1").unwrap();
         pad.place_selection(DocKind::Spreadsheet, None, (20, 40), None).unwrap();
         pad.enable_logging(&vfs, path).unwrap();
+        pad.create_bundle("Logged", (0, 0), 10, 10, None).unwrap();
+        pad.commit(&vfs).unwrap();
+        let snapshot_before = vfs.bytes(path).unwrap().to_vec();
 
-        // Swap in a whole new store with no other change to the pad.
+        // Swap in a whole new store: per-mark records cannot express
+        // that, so the commit compacts.
         let mut manager = reload_manager(&excel);
         excel.borrow_mut().select("medications.xls", "Sheet1", "A2").unwrap();
         manager.create_mark(DocKind::Spreadsheet).unwrap();
         manager.create_mark(DocKind::Spreadsheet).unwrap();
         *pad.marks_mut() = manager;
-        assert!(matches!(pad.commit(&vfs).unwrap(), trim::CommitOutcome::Committed { .. }));
+        assert_eq!(pad.commit(&vfs).unwrap(), trim::CommitOutcome::NeedsFullSnapshot);
+        assert_ne!(vfs.bytes(path).unwrap(), &snapshot_before[..], "the snapshot was rewritten");
         assert!(matches!(pad.commit(&vfs).unwrap(), trim::CommitOutcome::Clean));
 
-        let (pad2, _) = PadSession::open_logged(&vfs, path, reload_manager(&excel)).unwrap();
+        let (pad2, report) =
+            PadSession::open_logged(&vfs, path, reload_manager(&excel)).unwrap();
+        assert_eq!(report.frames_replayed, 0, "the compaction reset the log");
         assert_eq!(pad2.stats().marks, 2);
         assert_eq!(pad2.marks().to_xml(), pad.marks().to_xml());
+        assert_eq!(surface_bundles(&pad2), ["Logged"]);
     }
 
     #[test]
@@ -1341,9 +1415,104 @@ mod tests {
         pad.marks_mut().rollback_to(checkpoint);
         pad.commit(&vfs).unwrap();
 
-        let (pad2, _) = PadSession::open_logged(&vfs, path, reload_manager(&excel)).unwrap();
+        let (pad2, report) =
+            PadSession::open_logged(&vfs, path, reload_manager(&excel)).unwrap();
+        assert_eq!(report.aux.get("marks/mark:1").map(Vec::len), Some(0), "a tombstone");
         assert_eq!(pad2.stats().marks, 1);
         assert_eq!(pad2.marks().to_xml(), pad.marks().to_xml());
+    }
+
+    #[test]
+    fn every_kind_of_mark_change_reopens_to_the_live_store() {
+        use slimio::MemVfs;
+        let path = Path::new("rounds.slimpad.xml");
+        let vfs = MemVfs::new();
+        let (mut pad, excel, _) = session();
+        excel.borrow_mut().select("medications.xls", "Sheet1", "A1").unwrap();
+        pad.place_selection(DocKind::Spreadsheet, None, (20, 40), None).unwrap();
+        pad.enable_logging(&vfs, path).unwrap();
+        let reopens_to_live = |pad: &mut PadSession, step: &str| {
+            pad.commit(&vfs).unwrap();
+            let (pad2, _) = PadSession::open_logged(&vfs, path, reload_manager(&excel)).unwrap();
+            assert_eq!(pad2.marks().to_xml(), pad.marks().to_xml(), "after {step}");
+            assert_eq!(pad2.marks().digest(), pad.marks().digest(), "after {step}");
+        };
+        excel.borrow_mut().select("medications.xls", "Sheet1", "A2").unwrap();
+        let created = pad.marks_mut().create_mark(DocKind::Spreadsheet).unwrap();
+        let a2 = pad.marks().get(&created).unwrap().address.clone();
+        reopens_to_live(&mut pad, "create");
+        pad.marks_mut().rebind("mark:0", a2.clone()).unwrap();
+        reopens_to_live(&mut pad, "rebind");
+        pad.marks_mut().remove(&created).unwrap();
+        reopens_to_live(&mut pad, "remove");
+
+        let checkpoint = pad.marks_mut().checkpoint();
+        pad.marks_mut().create_mark_at(a2.clone()).unwrap();
+        pad.marks_mut().rebind("mark:0", a2).unwrap();
+        pad.commit(&vfs).unwrap();
+        pad.marks_mut().rollback_to(checkpoint);
+        reopens_to_live(&mut pad, "rollback across a commit");
+        // The id the rollback handed back is minted again, and a reopen
+        // agrees on it.
+        let again = pad.marks_mut().create_mark(DocKind::Spreadsheet).unwrap();
+        reopens_to_live(&mut pad, "create after rollback");
+        assert_eq!(again, "mark:2");
+    }
+
+    #[test]
+    fn a_legacy_whole_store_record_recovers_under_later_mark_records() {
+        use slimio::MemVfs;
+        let path = Path::new("rounds.slimpad.xml");
+        let vfs = MemVfs::new();
+        let (mut pad, excel, _) = session();
+        pad.enable_logging(&vfs, path).unwrap();
+        excel.borrow_mut().select("medications.xls", "Sheet1", "A1").unwrap();
+        pad.marks_mut().create_mark(DocKind::Spreadsheet).unwrap();
+        pad.marks_mut().create_mark(DocKind::Spreadsheet).unwrap();
+        // Log the store the way older builds did: one whole-store record.
+        let legacy = pad.marks().to_xml();
+        let log = pad.log.as_mut().unwrap();
+        pad.dmi
+            .commit_log_with_aux(&vfs, log, &[(LEGACY_MARKS_AUX_KEY, legacy.as_bytes())])
+            .unwrap();
+        pad.marks_mut().mark_persisted();
+        // Then per-mark records on top of it.
+        pad.marks_mut().remove("mark:0").unwrap();
+        excel.borrow_mut().select("medications.xls", "Sheet1", "A2").unwrap();
+        pad.marks_mut().create_mark(DocKind::Spreadsheet).unwrap();
+        let frame = committed_frame(&mut pad, &vfs, path);
+        assert!(!contains(&frame, b"<marks"), "new commits never write the whole store");
+
+        let (pad2, report) =
+            PadSession::open_logged(&vfs, path, reload_manager(&excel)).unwrap();
+        assert!(report.aux.contains_key(LEGACY_MARKS_AUX_KEY));
+        assert_eq!(pad2.marks().to_xml(), pad.marks().to_xml());
+        let ids: Vec<&str> = pad2.marks().marks().map(|m| m.mark_id.as_str()).collect();
+        assert_eq!(ids, ["mark:1", "mark:2"]);
+    }
+
+    #[test]
+    fn a_one_mark_commit_on_a_large_pad_writes_a_small_frame() {
+        use slimio::MemVfs;
+        let path = Path::new("rounds.slimpad.xml");
+        let vfs = MemVfs::new();
+        let (mut pad, excel, _) = session();
+        excel.borrow_mut().select("medications.xls", "Sheet1", "A1").unwrap();
+        let first = pad.marks_mut().create_mark(DocKind::Spreadsheet).unwrap();
+        let address = pad.marks().get(&first).unwrap().address.clone();
+        for _ in 1..1_000 {
+            pad.marks_mut().create_mark_at(address.clone()).unwrap();
+        }
+        pad.enable_logging(&vfs, path).unwrap();
+
+        pad.place_selection(DocKind::Spreadsheet, None, (20, 40), None).unwrap();
+        let frame = committed_frame(&mut pad, &vfs, path);
+        assert!(frame.len() < 4_096, "a one-mark frame took {} bytes", frame.len());
+        assert!(contains(&frame, b"marks/mark:1000"));
+        assert!(!contains(&frame, b"<marks"), "no whole-store record");
+        assert!(!pad.should_compact(), "default threshold not crossed");
+        let (pad2, _) = PadSession::open_logged(&vfs, path, reload_manager(&excel)).unwrap();
+        assert_eq!(pad2.stats().marks, 1_001);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   journals are truncated to their pre-op depth.
 //! * **Repair reopens from disk.** A failed commit truncates the log's
 //!   suspect tail and rebuilds the machine from the durable snapshot,
-//!   WAL and marks sidecar through the [`PadPartsFactory`].
+//!   WAL and mark records through the [`PadPartsFactory`].
 //! * **The view is a digest.** Readers see the pad's logical digest,
 //!   published after every durable batch; replaying the acknowledged
 //!   [`PadOp`]s of a run into a fresh [`PadMachine`] reproduces it
@@ -449,7 +449,10 @@ impl PadMachine {
     }
 
     /// The pad's *logical* digest: bundle and scrap content keyed by
-    /// canonical position, plus mark identities, kinds, and addresses.
+    /// canonical position, plus the mark count and
+    /// [`MarkManager::digest`] (mark identities, kinds and addresses).
+    /// The mark part is maintained by the manager as marks change, so
+    /// a publish no longer walks the marks; it still walks the pad.
     ///
     /// Deliberately excluded, because they legitimately diverge between
     /// a live faulted run and a clean replay of its acked ops: minted
@@ -466,7 +469,7 @@ impl PadMachine {
             scraps.iter().enumerate().map(|(i, s)| (*s, i)).collect();
 
         let mut h = Fnv::new();
-        h.write(b"pad-digest-v1");
+        h.write(b"pad-digest-v2");
         h.write_u64(bundles.len() as u64);
         for b in &bundles {
             let Ok(data) = dmi.bundle(*b) else { continue };
@@ -536,12 +539,7 @@ impl PadMachine {
         }
         let marks = self.engine.marks();
         h.write_u64(marks.len() as u64);
-        for mark in marks.marks() {
-            h.write(b"M");
-            h.write(mark.mark_id.as_bytes());
-            h.write(mark.kind().id().as_bytes());
-            h.write(mark.address.to_string().as_bytes());
-        }
+        h.write_u64(marks.digest());
         h.finish()
     }
 }
@@ -651,7 +649,7 @@ impl Machine for LivePad {
         self.machine.rollback(checkpoint).map_err(|e| e.to_string())
     }
 
-    /// One frame for the whole batch: store delta plus marks sidecar,
+    /// One frame for the whole batch: store delta plus mark records,
     /// one sync. Compaction — asked for by an applied [`PadOp::Compact`]
     /// or due past the threshold — runs only after that commit, never
     /// mid-batch, so a failed commit refuses a batch none of whose
@@ -831,7 +829,7 @@ pub fn ward_mirror() -> PadMachine {
     PadMachine::new(engine, parts.search)
 }
 
-/// Reopen the durable pad at `path` — snapshot, WAL and marks sidecar —
+/// Reopen the durable pad at `path` — snapshot, WAL and mark records —
 /// into a fresh machine over the ward universe: the from-disk leg of the
 /// differential verdicts.
 pub fn ward_reopen(vfs: &dyn Vfs, path: &Path) -> Result<PadMachine, PadError> {

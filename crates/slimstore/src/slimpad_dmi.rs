@@ -822,7 +822,7 @@ impl SlimPadDmi {
     }
 
     /// Group-commit every change since the last commit to the log, with
-    /// sidecar aux records (e.g. the pad's mark-store XML) riding in the
+    /// sidecar aux records (e.g. the pad's per-mark records) riding in the
     /// same frame: one frame, one sync. See [`trim::CommitOutcome`] — in
     /// particular, `NeedsFullSnapshot` means nothing was persisted and
     /// the caller must [`compact_log_with`](SlimPadDmi::compact_log_with).

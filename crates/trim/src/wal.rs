@@ -30,7 +30,10 @@
 //! store's XML inside a larger document. Callers that snapshot a
 //! different payload (the pad) use [`StoreLog::compact_with`]; the aux
 //! record channel ([`StoreLog::commit_with_aux`]) lets them ride small
-//! sidecar blobs (the mark store) in the same committed frame.
+//! keyed sidecar blobs in the same committed frame. Replay keeps the
+//! last value per key, so a caller that keys one record per item (the
+//! pad keys one per changed mark, `marks/<id>`) logs only what changed
+//! and recovers the newest value of each.
 
 use crate::journal::{Change, Revision};
 use crate::store::{Triple, TripleStore, Value};
@@ -207,8 +210,8 @@ impl StoreLog {
     }
 
     /// [`StoreLog::commit`] plus sidecar aux records riding in the same
-    /// frame (e.g. the pad's mark-store XML). Aux records replay
-    /// last-write-wins into [`LogReport::aux`] on recovery.
+    /// frame (e.g. the pad's per-mark records). Aux records replay
+    /// last-write-wins per key into [`LogReport::aux`] on recovery.
     pub fn commit_with_aux(
         &mut self,
         vfs: &dyn Vfs,
@@ -419,8 +422,9 @@ impl<'a> Cursor<'a> {
 pub struct FrameSummary {
     pub inserts: usize,
     pub removes: usize,
-    /// Aux sidecar keys in record order (duplicates preserved).
-    pub aux_keys: Vec<String>,
+    /// Aux sidecar records, `(key, value)` in record order (duplicates
+    /// preserved).
+    pub aux: Vec<(String, Vec<u8>)>,
 }
 
 /// Structurally decode one frame payload without a store behind it — the
@@ -450,8 +454,8 @@ pub fn verify_frame_payload(seq: u64, payload: &[u8]) -> Result<FrameSummary, Tr
             }
             REC_AUX => {
                 let key = cur.str()?.to_string();
-                cur.blob()?;
-                out.aux_keys.push(key);
+                let value = cur.blob()?.to_vec();
+                out.aux.push((key, value));
             }
             other => return Err(cur.corrupt(&format!("unknown record tag {other}"))),
         }
@@ -677,12 +681,12 @@ mod tests {
         let mut vfs = MemVfs::new();
         let (mut store, mut log, _) = reopen(&mut vfs);
         store.insert_literal("s", "p", "v");
-        log.commit_with_aux(&vfs, &mut store, &[("marks", b"<marks v=1/>")]).unwrap();
+        log.commit_with_aux(&vfs, &mut store, &[("marks/mark:0", b"<mark v=1/>")]).unwrap();
         store.insert_literal("s2", "p", "v");
-        log.commit_with_aux(&vfs, &mut store, &[("marks", b"<marks v=2/>")]).unwrap();
+        log.commit_with_aux(&vfs, &mut store, &[("marks/mark:0", b"<mark v=2/>")]).unwrap();
 
         let (_, _, report) = reopen(&mut vfs);
-        assert_eq!(report.aux.get("marks").map(Vec::as_slice), Some(&b"<marks v=2/>"[..]));
+        assert_eq!(report.aux.get("marks/mark:0").map(Vec::as_slice), Some(&b"<mark v=2/>"[..]));
     }
 
     #[test]
@@ -690,10 +694,10 @@ mod tests {
         let mut vfs = MemVfs::new();
         let (mut store, mut log, _) = reopen(&mut vfs);
         let outcome =
-            log.commit_with_aux(&vfs, &mut store, &[("marks", b"<m/>")]).unwrap();
+            log.commit_with_aux(&vfs, &mut store, &[("marks/mark:0", b"<m/>")]).unwrap();
         assert!(matches!(outcome, CommitOutcome::Committed { ops: 0, .. }));
         let (_, _, report) = reopen(&mut vfs);
-        assert_eq!(report.aux.get("marks").map(Vec::as_slice), Some(&b"<m/>"[..]));
+        assert_eq!(report.aux.get("marks/mark:0").map(Vec::as_slice), Some(&b"<m/>"[..]));
     }
 
     #[test]
@@ -705,11 +709,11 @@ mod tests {
         let t = store.insert_literal("x", "y", "z");
         store.remove(t);
         let changes = store.journal().since(base);
-        let payload = encode_records(&store, changes, &[("marks", b"<marks/>")]);
+        let payload = encode_records(&store, changes, &[("marks/mark:0", b"<mark/>")]);
         let summary = verify_frame_payload(0, &payload).unwrap();
         assert_eq!(summary.inserts, 3);
         assert_eq!(summary.removes, 1);
-        assert_eq!(summary.aux_keys, vec!["marks".to_string()]);
+        assert_eq!(summary.aux, vec![("marks/mark:0".to_string(), b"<mark/>".to_vec())]);
         // Damage decodes as the same typed refusal replay would raise.
         assert!(matches!(
             verify_frame_payload(0, &payload[..payload.len() - 1]),
