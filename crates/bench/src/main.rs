@@ -13,7 +13,7 @@
 //! * `-- --out PATH` — write the report somewhere else.
 
 use slim_bench::gate::{self, json_rows, Args, Check};
-use slim_bench::{best_ns, join_store, naive_copy, random_store, shape_pattern, BENCH_TRIPLES};
+use slim_bench::{join_store, naive_copy, percentile, random_store, shape_pattern, BENCH_TRIPLES};
 use std::hint::black_box;
 use std::time::Instant;
 use superimposed::trim::{naive_join, ConjQuery, PatternShape, Runs, TripleStore};
@@ -77,20 +77,52 @@ fn chain_unselective(store: &TripleStore) -> ConjQuery {
     q
 }
 
-/// Nanoseconds per call: warm once, size the batch to roughly
-/// `budget_ms`, then take the best of three batches (best-of counters
-/// scheduler noise; these are pure in-memory queries).
-fn time_ns(budget_ms: u64, mut f: impl FnMut()) -> f64 {
-    f();
-    let probe = Instant::now();
-    f();
-    let once = probe.elapsed().as_nanos().max(1);
-    let iters = ((budget_ms as u128 * 1_000_000) / once).clamp(1, 100_000) as u32;
-    best_ns(3, || {
-        for _ in 0..iters {
+/// Batch pairs [`time_pair`] runs per query.
+const PAIRS: usize = 5;
+
+/// One query's timing against its naive evaluator: each side's median
+/// nanoseconds per call, and the median of the per-pair speedups.
+struct Timing {
+    indexed_ns: f64,
+    naive_ns: f64,
+    speedup: f64,
+}
+
+/// Time `indexed` and `naive` in [`PAIRS`] interleaved batch pairs:
+/// warm each once, size each side's batch to roughly `budget_ms`, then
+/// run an indexed batch and a naive batch back to back, pair after
+/// pair. The speedup is the median of the per-pair ratios, so a host
+/// that slows down or speeds up between pairs moves both halves of a
+/// pair and the ratio holds; these are pure in-memory queries.
+fn time_pair(budget_ms: u64, mut indexed: impl FnMut(), mut naive: impl FnMut()) -> Timing {
+    let iters = |f: &mut dyn FnMut()| {
+        f();
+        let probe = Instant::now();
+        f();
+        let once = probe.elapsed().as_nanos().max(1);
+        ((budget_ms as u128 * 1_000_000) / once).clamp(1, 100_000) as u32
+    };
+    let (n_indexed, n_naive) = (iters(&mut indexed), iters(&mut naive));
+    let batch_ns = |f: &mut dyn FnMut(), n: u32| {
+        let start = Instant::now();
+        for _ in 0..n {
             f();
         }
-    }) / iters as f64
+        start.elapsed().as_nanos() as f64 / n as f64
+    };
+    let (mut indexed_ns, mut naive_ns, mut speedups) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..PAIRS {
+        let i = batch_ns(&mut indexed, n_indexed);
+        let n = batch_ns(&mut naive, n_naive);
+        indexed_ns.push(i);
+        naive_ns.push(n);
+        speedups.push(n / i.max(1.0));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        percentile(&v, 0.5)
+    };
+    Timing { indexed_ns: median(indexed_ns), naive_ns: median(naive_ns), speedup: median(speedups) }
 }
 
 /// One measured query — a pattern shape or a join — against its naive
@@ -99,14 +131,7 @@ struct QueryRow {
     name: &'static str,
     plan: String,
     hits: usize,
-    indexed_ns: f64,
-    naive_ns: f64,
-}
-
-impl QueryRow {
-    fn speedup(&self) -> f64 {
-        self.naive_ns / self.indexed_ns.max(1.0)
-    }
+    timing: Timing,
 }
 
 fn shape_row(rows: &[QueryRow], shape: PatternShape) -> &QueryRow {
@@ -135,19 +160,16 @@ fn measure(budget_ms: u64) -> Vec<QueryRow> {
                 "indexed and naive stores disagree on shape {} — refusing to benchmark a wrong answer",
                 shape.name()
             );
-            let indexed_ns = time_ns(budget_ms, || {
-                black_box(store.select(black_box(&pattern)));
-            });
-            let naive_ns = time_ns(budget_ms, || {
-                black_box(naive.select_matching(black_box(ns), np, no));
-            });
-            QueryRow {
-                name: shape.name(),
-                plan: store.explain(&pattern).to_string(),
-                hits,
-                indexed_ns,
-                naive_ns,
-            }
+            let timing = time_pair(
+                budget_ms,
+                || {
+                    black_box(store.select(black_box(&pattern)));
+                },
+                || {
+                    black_box(naive.select_matching(black_box(ns), np, no));
+                },
+            );
+            QueryRow { name: shape.name(), plan: store.explain(&pattern).to_string(), hits, timing }
         })
         .collect()
 }
@@ -168,12 +190,15 @@ fn measure_joins(budget_ms: u64) -> Vec<QueryRow> {
                  benchmark a wrong answer",
                 shape.name
             );
-            let indexed_ns = time_ns(budget_ms, || {
-                black_box(q.solve(black_box(&store)).expect("solves"));
-            });
-            let naive_ns = time_ns(budget_ms, || {
-                black_box(naive_join(black_box(&store), &q).expect("solves"));
-            });
+            let timing = time_pair(
+                budget_ms,
+                || {
+                    black_box(q.solve(black_box(&store)).expect("solves"));
+                },
+                || {
+                    black_box(naive_join(black_box(&store), &q).expect("solves"));
+                },
+            );
             // First line of the join tree only: keeps the report's
             // line-oriented JSON (and its string-scanning reader) happy.
             let plan = store
@@ -183,7 +208,7 @@ fn measure_joins(budget_ms: u64) -> Vec<QueryRow> {
                 .next()
                 .unwrap_or_default()
                 .to_string();
-            QueryRow { name: shape.name, plan, hits: rows.len(), indexed_ns, naive_ns }
+            QueryRow { name: shape.name, plan, hits: rows.len(), timing }
         })
         .collect()
 }
@@ -197,9 +222,9 @@ fn render_json(results: &[QueryRow], joins: &[QueryRow], quick: bool) -> String 
             r.name,
             r.plan,
             r.hits,
-            r.indexed_ns,
-            r.naive_ns,
-            r.speedup(),
+            r.timing.indexed_ns,
+            r.timing.naive_ns,
+            r.timing.speedup,
         )
     };
     let mut out = String::new();
@@ -221,14 +246,14 @@ fn render_json(results: &[QueryRow], joins: &[QueryRow], quick: bool) -> String 
 fn checks(results: &[QueryRow], joins: &[QueryRow]) -> Vec<Check> {
     let shape = |shape: PatternShape| {
         let r = shape_row(results, shape);
-        Check::new(format!("shape `{}` speedup", r.name), r.speedup()).against(
+        Check::new(format!("shape `{}` speedup", r.name), r.timing.speedup).against(
             format!("\"shape\": \"{}\"", r.name),
             "speedup",
             REGRESSION_FACTOR,
         )
     };
     let joins = joins.iter().map(|r| {
-        Check::new(format!("join `{}` speedup", r.name), r.speedup())
+        Check::new(format!("join `{}` speedup", r.name), r.timing.speedup)
             .floor(SPEEDUP_FLOOR)
             .against(format!("\"join\": \"{}\"", r.name), "speedup", REGRESSION_FACTOR)
     });
@@ -259,8 +284,7 @@ mod tests {
             name,
             plan: String::new(),
             hits: 0,
-            indexed_ns: 1.0,
-            naive_ns: f64::INFINITY,
+            timing: Timing { indexed_ns: 1.0, naive_ns: f64::INFINITY, speedup: f64::INFINITY },
         };
         let results: Vec<_> = PatternShape::ALL.iter().map(|s| row(s.name())).collect();
         let joins: Vec<_> = JOIN_SHAPES.iter().map(|j| row(j.name)).collect();

@@ -15,7 +15,13 @@
 //!   rotation of application-level pad ops (bundles, marks,
 //!   annotations, resolutions, links, inspections) through a
 //!   `PadService`, reported both absolutely and as a ratio against
-//!   plain triple-insert submits measured in the same run.
+//!   plain triple-insert submits measured in the same run;
+//! * **Quick-corpus pad throughput** — the same two blocking sessions
+//!   over a `PadService` holding the hospital-scale Quick corpus (1,200
+//!   bundles, 4,000 scraps, 100,500 marks), submitting slimbench's
+//!   `pad_service` rotation (resolves, extracts, annotations, marks,
+//!   links, bundles, inspections), so costs that grow with the pad show.
+//!   Reported absolutely and as a ratio against the same plain inserts.
 //!
 //! * `cargo run -p slim-bench --bin bench-serve --release` — full run,
 //!   writes `BENCH_serve.json` in the current directory.
@@ -33,18 +39,29 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use slim_bench::gate::{self, json_rows, Args, Check};
 use slim_bench::percentile;
+use slimgen::{corpus, Profile};
 use slimserve::{
-    ward_doc, ward_factory, PadConfig, PadOp, PadService, ServeConfig, ServeError, ServeOp,
-    Service, WARD_PARAGRAPHS,
+    ward_doc, ward_factory, PadConfig, PadOp, PadParts, PadService, ServeConfig, ServeError,
+    ServeOp, Service, WARD_PARAGRAPHS,
 };
 use superimposed::marks::resilience::{BreakerConfig, MockClock, SystemClock};
-use superimposed::marks::{FaultProfile, FlakyControl, RetryPolicy};
+use superimposed::marks::{FaultProfile, FlakyControl, ResilientResolver, RetryPolicy};
 use superimposed::slimio::MemVfs;
 
 const SNAP: &str = "bench/serve-store.xml";
 const PAD: &str = "bench/serve-pad.xml";
+const QUICK_PAD: &str = "bench/quick-pad.xml";
+/// The Quick corpus's seed.
+const QUICK_SEED: u64 = 0xC0FFEE;
+/// Ops each of the two Quick-corpus pad sessions submits, in every mode.
+const PAD_QUICK_OPS: u64 = 100;
+/// The plain-insert window behind the Quick-corpus pad ratio, in every
+/// mode.
+const PAD_QUICK_WINDOW: Duration = Duration::from_millis(400);
 /// Reader-session counts measured under the hot writer.
 const READER_SESSIONS: [usize; 3] = [1, 4, 16];
 /// Sessions that keep the writer committing while readers are measured.
@@ -79,6 +96,15 @@ struct PadMixResult {
 }
 
 #[derive(Default)]
+struct PadQuickResult {
+    acked: u64,
+    engine_refusals: u64,
+    ops_per_sec: f64,
+    /// Quick-corpus pad acks/s ÷ plain triple-insert acks/s, same run.
+    quick_ratio: f64,
+}
+
+#[derive(Default)]
 struct Report {
     readers: Vec<ReaderResult>,
     /// aggregate reads/s at 16 sessions / aggregate at 1 session.
@@ -89,6 +115,7 @@ struct Report {
     commit_p50_ns: f64,
     commit_p99_ns: f64,
     pad_mix: PadMixResult,
+    pad_quick: PadQuickResult,
 }
 
 fn serve_config() -> ServeConfig {
@@ -322,6 +349,96 @@ fn measure_pad_mix(window: Duration) -> PadMixResult {
     }
 }
 
+/// The `i`-th op of a session in slimbench's `pad_service` rotation:
+/// per ten ops three Resolve, two Extract and one each of Annotate,
+/// CreateMark, Link, CreateBundle and Inspect, every selector drawn
+/// below 2³² (the machine reduces it modulo the live population).
+fn pad_quick_op(i: u64, rng: &mut StdRng, docs: usize) -> PadOp {
+    let sel = rng.gen_range(0..u64::from(u32::MAX));
+    let pos = ((sel % 380) as i64, (sel % 280) as i64);
+    match i % 10 {
+        0 | 3 | 6 => PadOp::Resolve { scrap: sel },
+        1 | 7 => PadOp::Extract { scrap: sel },
+        2 => PadOp::Annotate { scrap: sel, text: "checked on rounds".into() },
+        // A short span at the start of a progress-note paragraph: every
+        // generated note has 16 paragraphs of 50+ characters.
+        4 => PadOp::CreateMark {
+            doc: format!("note-{:04}.doc", sel % docs as u64),
+            paragraph: sel % 16,
+            start: sel % 8,
+            len: 4 + sel % 8,
+            label: format!("bench mark {i}"),
+            pos,
+            bundle: Some(sel),
+        },
+        5 => PadOp::Link { from: sel, to: sel + 1 },
+        8 => PadOp::CreateBundle {
+            name: format!("bench bundle {i}"),
+            pos,
+            width: 320,
+            height: 240,
+            parent: Some(sel),
+        },
+        _ => PadOp::Inspect,
+    }
+}
+
+/// Quick-corpus pad throughput: the corpus pad is logged to a `MemVfs`
+/// and opened by a `PadService` whose writer regenerates the corpus for
+/// its mark modules; then two sessions blocking-submit
+/// [`PAD_QUICK_OPS`] ops each. Set-up is not timed. The ratio's plain
+/// inserts are measured over [`PAD_QUICK_WINDOW`]: the row measures the
+/// same thing in quick and full runs, so a quick CI run gates against a
+/// full-run baseline like for like.
+fn measure_pad_quick() -> PadQuickResult {
+    let ops = PAD_QUICK_OPS;
+    let vfs = Arc::new(MemVfs::new());
+    let mut pad = corpus::generate(Profile::Quick, QUICK_SEED);
+    pad.system.pad.enable_logging(&*vfs, Path::new(QUICK_PAD)).expect("log the corpus pad");
+    drop(pad);
+    let factory = Box::new(|| {
+        let corpus = corpus::generate(Profile::Quick, QUICK_SEED);
+        Ok(PadParts {
+            manager: corpus.system.fresh_manager()?,
+            resolver: ResilientResolver::default(),
+            search: Box::new(|_| Vec::new()),
+        })
+    });
+    let config =
+        PadConfig { queue_capacity: 1024, op_deadline_ms: 600_000, ..PadConfig::default() };
+    let clock = Arc::new(SystemClock::new());
+    let service = PadService::open(vfs, Path::new(QUICK_PAD), config, clock, factory)
+        .expect("Quick-corpus pad service opens");
+
+    let docs = Profile::Quick.docs_per_kind();
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for t in 0..2u64 {
+            let session = service.session();
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(QUICK_SEED ^ t);
+                for i in 0..ops {
+                    match session.submit(pad_quick_op(i, &mut rng, docs)) {
+                        Ok(_) | Err(ServeError::Engine { .. }) => {}
+                        Err(other) => panic!("unexpected Quick-corpus pad refusal: {other}"),
+                    }
+                }
+            });
+        }
+    });
+    let secs = start.elapsed().as_secs_f64();
+    let stats = service.shutdown();
+    assert_eq!(stats.unaccounted(), 0, "Quick-corpus pad dropped ops silently: {stats:?}");
+    let ops_per_sec = stats.acked as f64 / secs;
+    let plain_insert_ops_per_sec = measure_plain_inserts(PAD_QUICK_WINDOW);
+    PadQuickResult {
+        acked: stats.acked,
+        engine_refusals: stats.engine_refusals,
+        ops_per_sec,
+        quick_ratio: ops_per_sec / plain_insert_ops_per_sec.max(1.0),
+    }
+}
+
 fn measure(quick: bool) -> Report {
     let window = if quick { Duration::from_millis(100) } else { Duration::from_millis(400) };
 
@@ -340,6 +457,7 @@ fn measure(quick: bool) -> Report {
     let (saturation_attempts, saturation_acked, saturation_shed) = measure_saturation(window);
 
     let pad_mix = measure_pad_mix(window);
+    let pad_quick = measure_pad_quick();
 
     Report {
         readers,
@@ -350,6 +468,7 @@ fn measure(quick: bool) -> Report {
         commit_p50_ns,
         commit_p99_ns,
         pad_mix,
+        pad_quick,
     }
 }
 
@@ -384,12 +503,20 @@ fn render_json(r: &Report, quick: bool) -> String {
     ));
     out.push_str(&format!(
         "  \"pad_mix\": {{\"acked\": {}, \"engine_refusals\": {}, \"ops_per_sec\": {:.1}, \
-         \"plain_insert_ops_per_sec\": {:.1}, \"mix_ratio\": {:.4}}}\n",
+         \"plain_insert_ops_per_sec\": {:.1}, \"mix_ratio\": {:.4}}},\n",
         r.pad_mix.acked,
         r.pad_mix.engine_refusals,
         r.pad_mix.ops_per_sec,
         r.pad_mix.plain_insert_ops_per_sec,
         r.pad_mix.mix_ratio
+    ));
+    out.push_str(&format!(
+        "  \"pad_quick\": {{\"acked\": {}, \"engine_refusals\": {}, \"ops_per_sec\": {:.1}, \
+         \"quick_ratio\": {:.5}}}\n",
+        r.pad_quick.acked,
+        r.pad_quick.engine_refusals,
+        r.pad_quick.ops_per_sec,
+        r.pad_quick.quick_ratio
     ));
     out.push_str("}\n");
     out
@@ -409,6 +536,12 @@ fn checks(r: &Report) -> Vec<Check> {
         Check::new("pad-op mix ratio", r.pad_mix.mix_ratio).against(
             "",
             "mix_ratio",
+            REGRESSION_FACTOR,
+        ),
+        Check::positive("Quick-corpus pad acked", r.pad_quick.acked),
+        Check::new("Quick-corpus pad ratio", r.pad_quick.quick_ratio).against(
+            "",
+            "quick_ratio",
             REGRESSION_FACTOR,
         ),
     ]
@@ -431,6 +564,11 @@ mod tests {
             saturation_acked: 1,
             saturation_shed: 1,
             pad_mix: PadMixResult { acked: 1, mix_ratio: f64::INFINITY, ..Default::default() },
+            pad_quick: PadQuickResult {
+                acked: 1,
+                quick_ratio: f64::INFINITY,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let failed = gate::failures(&checks(&report), include_str!("../../../BENCH_serve.json"));

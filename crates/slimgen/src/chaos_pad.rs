@@ -16,7 +16,7 @@ use std::sync::Arc;
 use slimio::{FaultVfs, MemVfs, Vfs};
 use slimserve::{
     ward_doc, ward_factory, ward_mirror, ward_reopen, Gate, LivePad, PadOp, PadOutcome,
-    PadService, ServeError, ServeStats, WARD_PARAGRAPHS,
+    PadService, PadView, ServeError, ServeStats, WARD_PARAGRAPHS,
 };
 use superimposed::marks::resilience::{BreakerConfig, MockClock};
 use superimposed::marks::{FaultProfile, FlakyControl, RetryPolicy};
@@ -173,8 +173,8 @@ impl Target for Pads {
         PadOp::CreateBundle { name: name.into(), pos: (0, 0), width: 10, height: 10, parent: None }
     }
 
-    fn digest(view: &u64) -> u64 {
-        *view
+    fn digest(view: &PadView) -> u64 {
+        view.digest()
     }
 
     fn replay(ops: &[&(u64, u64, PadOp)], divergences: &mut Vec<String>) -> u64 {

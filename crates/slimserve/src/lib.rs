@@ -56,7 +56,7 @@ pub use op::{Ack, Gate, ServeOp, Ticket};
 pub use pad::{
     ward_doc, ward_factory, ward_mirror, ward_reopen, ExcerptSearch, LivePad, PadAck,
     PadCheckpoint, PadConfig, PadMachine, PadOp, PadOutcome, PadParts, PadPartsFactory,
-    PadServeStats, PadService, PadSessionHandle, WARD_DOCS, WARD_PARAGRAPHS,
+    PadServeStats, PadService, PadSessionHandle, PadView, WARD_DOCS, WARD_PARAGRAPHS,
 };
 pub use service::{
     Durable, Ledger, LiveStore, Machine, ServeConfig, ServeStats, Service, Session, SessionHandle,

@@ -17,11 +17,16 @@
 //! * **Repair reopens from disk.** A failed commit truncates the log's
 //!   suspect tail and rebuilds the machine from the durable snapshot,
 //!   WAL and mark records through the [`PadPartsFactory`].
-//! * **The view is a digest.** Readers see the pad's logical digest,
-//!   published after every durable batch; replaying the acknowledged
-//!   [`PadOp`]s of a run into a fresh [`PadMachine`] reproduces it
-//!   exactly — and so does reopening the on-disk state after a crash.
-//!   That three-way equality is the `slimgen --chaos-pad` verdict.
+//! * **The view is a snapshot.** After every durable batch the writer
+//!   publishes a [`PadView`]: a [`trim::Snapshot`] of the pad's triples
+//!   (a copy of the store's delta; the frozen base is shared) plus the
+//!   mark count and [`MarkManager::digest`]. Publishing never walks the
+//!   pad. Readers ask the view for the pad's logical digest, computed
+//!   then by the same function [`PadMachine::digest`] runs over a live
+//!   pad. Replaying the acknowledged [`PadOp`]s of a run into a fresh
+//!   [`PadMachine`] reproduces that digest exactly — and so does
+//!   reopening the on-disk state after a crash. That three-way equality
+//!   is the `slimgen --chaos-pad` verdict.
 //! * **Mark resolution degrades, never hangs.** Resolution runs through
 //!   the [`marks::ResilientResolver`] (deadlines, per-module breakers,
 //!   quarantine); a [`marks::FlakyModule`] can be armed through its
@@ -45,7 +50,8 @@ use marks::resilience::{BreakerConfig, Clock};
 use marks::{MarkAddress, MarkCheckpoint, MarkManager, ResilientResolver};
 use slimio::Vfs;
 use slimpad::{PadError, PadSession};
-use slimstore::{BundleHandle, ScrapHandle};
+use slimstore::{BundleHandle, PadReader, ScrapHandle};
+use trim::{Runs, Snapshot};
 
 use crate::error::ServeError;
 use crate::op::{Ack, Gate};
@@ -243,26 +249,14 @@ impl PadMachine {
     /// persisted suffix after a reload, so suffix order is creation
     /// order in every incarnation.
     pub fn bundles(&self) -> Vec<BundleHandle> {
-        let mut pool = self.engine.dmi().bundles();
-        pool.sort_by_key(|b| self.mint_rank(b.resource()));
-        pool
+        let pad = self.engine.dmi().reader();
+        canonical(pad.runs(), pad.bundles(), |b| b.resource())
     }
 
     /// Live scraps in canonical order — selector space for scrap refs.
     pub fn scraps(&self) -> Vec<ScrapHandle> {
-        let mut pool = self.engine.dmi().all_scraps();
-        pool.sort_by_key(|s| self.mint_rank(s.resource()));
-        pool
-    }
-
-    /// The creation-order sort key for a minted resource: its numeric
-    /// `name:N` suffix, with nameless oddities ranked last by raw atom.
-    fn mint_rank(&self, resource: trim::Atom) -> (u64, u64) {
-        let name = self.engine.dmi().store().atoms().resolve(resource);
-        match name.rsplit_once(':').and_then(|(_, n)| n.parse::<u64>().ok()) {
-            Some(n) => (n, 0),
-            None => (u64::MAX, resource.index() as u64),
-        }
+        let pad = self.engine.dmi().reader();
+        canonical(pad.runs(), pad.all_scraps(), |s| s.resource())
     }
 
     fn bundle_at(&self, selector: Option<u64>) -> Option<BundleHandle> {
@@ -450,9 +444,11 @@ impl PadMachine {
 
     /// The pad's *logical* digest: bundle and scrap content keyed by
     /// canonical position, plus the mark count and
-    /// [`MarkManager::digest`] (mark identities, kinds and addresses).
-    /// The mark part is maintained by the manager as marks change, so
-    /// a publish no longer walks the marks; it still walks the pad.
+    /// [`MarkManager::digest`] (mark identities, kinds and addresses),
+    /// which the manager keeps as marks change. Replay mirrors, reopened
+    /// pads and [`PadOp::Inspect`] report it; [`PadView::digest`] runs
+    /// the same function over a published snapshot, and only a caller
+    /// that asks pays for the walk, never the publish.
     ///
     /// Deliberately excluded, because they legitimately diverge between
     /// a live faulted run and a clean replay of its acked ops: minted
@@ -460,88 +456,127 @@ impl PadMachine {
     /// un-intern) and mark excerpts (captured through a possibly-flaky
     /// module at creation time).
     pub fn digest(&self) -> u64 {
-        let dmi = self.engine.dmi();
-        let bundles = self.bundles();
-        let scraps = self.scraps();
-        let bundle_index: BTreeMap<BundleHandle, usize> =
-            bundles.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-        let scrap_index: BTreeMap<ScrapHandle, usize> =
-            scraps.iter().enumerate().map(|(i, s)| (*s, i)).collect();
-
-        let mut h = Fnv::new();
-        h.write(b"pad-digest-v2");
-        h.write_u64(bundles.len() as u64);
-        for b in &bundles {
-            let Ok(data) = dmi.bundle(*b) else { continue };
-            h.write(b"B");
-            h.write(data.name.as_bytes());
-            h.write_u64(data.pos.0 as u64);
-            h.write_u64(data.pos.1 as u64);
-            h.write_u64(data.width as u64);
-            h.write_u64(data.height as u64);
-            // Membership lists come back in atom order, which is not
-            // reload-stable; hash them as sorted sets of canonical
-            // positions.
-            let mut nested: Vec<u64> = data
-                .nested
-                .iter()
-                .map(|n| bundle_index.get(n).map_or(u64::MAX, |i| *i as u64))
-                .collect();
-            nested.sort_unstable();
-            for i in nested {
-                h.write_u64(i);
-            }
-            let mut members: Vec<u64> = data
-                .scraps
-                .iter()
-                .map(|s| scrap_index.get(s).map_or(u64::MAX, |i| *i as u64))
-                .collect();
-            members.sort_unstable();
-            for i in members {
-                h.write_u64(i);
-            }
-        }
-        h.write_u64(scraps.len() as u64);
-        for s in &scraps {
-            let Ok(data) = dmi.scrap(*s) else { continue };
-            h.write(b"S");
-            h.write(data.name.as_bytes());
-            h.write_u64(data.pos.0 as u64);
-            h.write_u64(data.pos.1 as u64);
-            h.write_u64(data.marks.len() as u64);
-            let mut mark_ids: Vec<String> = data
-                .marks
-                .iter()
-                .filter_map(|handle| dmi.mark_handle(*handle).ok().map(|mh| mh.mark_id))
-                .collect();
-            mark_ids.sort_unstable();
-            for id in mark_ids {
-                h.write(id.as_bytes());
-            }
-            if let Ok(mut notes) = dmi.annotations(*s) {
-                notes.sort_unstable();
-                for note in notes {
-                    h.write(b"A");
-                    h.write(note.as_bytes());
-                }
-            }
-            if let Ok(links) = dmi.scrap_links(*s) {
-                let mut targets: Vec<u64> = links
-                    .into_iter()
-                    .map(|to| scrap_index.get(&to).map_or(u64::MAX, |i| *i as u64))
-                    .collect();
-                targets.sort_unstable();
-                for to in targets {
-                    h.write(b"L");
-                    h.write_u64(to);
-                }
-            }
-        }
         let marks = self.engine.marks();
-        h.write_u64(marks.len() as u64);
-        h.write_u64(marks.digest());
-        h.finish()
+        digest_of(&self.engine.dmi().reader(), marks.len(), marks.digest())
     }
+
+    /// A [`PadView`] of the pad as it stands: a snapshot of the triples
+    /// (O(delta)) and the two mark scalars.
+    pub(crate) fn view(&mut self) -> PadView {
+        let snapshot = self.engine.dmi_mut().snapshot();
+        let marks = self.engine.marks();
+        PadView { snapshot, marks_len: marks.len(), marks_digest: marks.digest() }
+    }
+}
+
+/// `pool` in canonical (creation) order: by the numeric `name:N`
+/// suffix of each handle's resource (see [`PadMachine::bundles`]). The
+/// keys are computed once per element, and the sort is stable.
+fn canonical<R: Runs + ?Sized, H>(
+    runs: &R,
+    mut pool: Vec<H>,
+    resource: fn(&H) -> trim::Atom,
+) -> Vec<H> {
+    pool.sort_by_cached_key(|h| mint_rank(runs, resource(h)));
+    pool
+}
+
+/// The creation-order sort key for a minted resource: its numeric
+/// `name:N` suffix, with nameless oddities ranked last by raw atom.
+fn mint_rank<R: Runs + ?Sized>(runs: &R, resource: trim::Atom) -> (u64, u64) {
+    let name = runs.resolve(resource);
+    match name.rsplit_once(':').and_then(|(_, n)| n.parse::<u64>().ok()) {
+        Some(n) => (n, 0),
+        None => (u64::MAX, resource.index() as u64),
+    }
+}
+
+/// The one digest function behind [`PadMachine::digest`] (live pad)
+/// and [`PadView::digest`] (published snapshot), over either's reader.
+fn digest_of<R: Runs + ?Sized>(
+    pad: &PadReader<'_, R>,
+    marks_len: usize,
+    marks_digest: u64,
+) -> u64 {
+    let bundles = canonical(pad.runs(), pad.bundles(), |b| b.resource());
+    let scraps = canonical(pad.runs(), pad.all_scraps(), |s| s.resource());
+    let bundle_index: BTreeMap<BundleHandle, usize> =
+        bundles.iter().enumerate().map(|(i, b)| (*b, i)).collect();
+    let scrap_index: BTreeMap<ScrapHandle, usize> =
+        scraps.iter().enumerate().map(|(i, s)| (*s, i)).collect();
+
+    let mut h = Fnv::new();
+    h.write(b"pad-digest-v2");
+    h.write_u64(bundles.len() as u64);
+    for b in &bundles {
+        let Ok(data) = pad.bundle(*b) else { continue };
+        h.write(b"B");
+        h.write(data.name.as_bytes());
+        h.write_u64(data.pos.0 as u64);
+        h.write_u64(data.pos.1 as u64);
+        h.write_u64(data.width as u64);
+        h.write_u64(data.height as u64);
+        // Membership lists come back in atom order, which is not
+        // reload-stable; hash them as sorted sets of canonical
+        // positions.
+        let mut nested: Vec<u64> = data
+            .nested
+            .iter()
+            .map(|n| bundle_index.get(n).map_or(u64::MAX, |i| *i as u64))
+            .collect();
+        nested.sort_unstable();
+        for i in nested {
+            h.write_u64(i);
+        }
+        let mut members: Vec<u64> = data
+            .scraps
+            .iter()
+            .map(|s| scrap_index.get(s).map_or(u64::MAX, |i| *i as u64))
+            .collect();
+        members.sort_unstable();
+        for i in members {
+            h.write_u64(i);
+        }
+    }
+    h.write_u64(scraps.len() as u64);
+    for s in &scraps {
+        let Ok(data) = pad.scrap(*s) else { continue };
+        h.write(b"S");
+        h.write(data.name.as_bytes());
+        h.write_u64(data.pos.0 as u64);
+        h.write_u64(data.pos.1 as u64);
+        h.write_u64(data.marks.len() as u64);
+        let mut mark_ids: Vec<String> = data
+            .marks
+            .iter()
+            .filter_map(|handle| pad.mark_handle(*handle).ok().map(|mh| mh.mark_id))
+            .collect();
+        mark_ids.sort_unstable();
+        for id in mark_ids {
+            h.write(id.as_bytes());
+        }
+        if let Ok(mut notes) = pad.annotations(*s) {
+            notes.sort_unstable();
+            for note in notes {
+                h.write(b"A");
+                h.write(note.as_bytes());
+            }
+        }
+        if let Ok(links) = pad.scrap_links(*s) {
+            let mut targets: Vec<u64> = links
+                .into_iter()
+                .map(|to| scrap_index.get(&to).map_or(u64::MAX, |i| *i as u64))
+                .collect();
+            targets.sort_unstable();
+            for to in targets {
+                h.write(b"L");
+                h.write_u64(to);
+            }
+        }
+    }
+    h.write_u64(marks_len as u64);
+    h.write_u64(marks_digest);
+    h.finish()
 }
 
 /// FNV-1a, inlined so the digest is stable and dependency-free.
@@ -571,6 +606,32 @@ impl Fnv {
     }
 }
 
+/// What pad readers see: the pad's triples as of the last durable
+/// batch, as a [`trim::Snapshot`], plus the two mark scalars the digest
+/// reads. Publishing one copies the store's delta and reads two
+/// counters; nothing walks the pad until a reader asks for
+/// [`PadView::digest`].
+#[derive(Debug, Clone)]
+pub struct PadView {
+    snapshot: Snapshot,
+    marks_len: usize,
+    marks_digest: u64,
+}
+
+impl PadView {
+    /// The Bundle-Scrap reads over this view's triples — the same code
+    /// the live DMI reads through.
+    pub fn reader(&self) -> PadReader<'_, Snapshot> {
+        PadReader::new(&self.snapshot)
+    }
+
+    /// The pad's logical digest as of this view: [`PadMachine::digest`]'s
+    /// function, run over the snapshot now.
+    pub fn digest(&self) -> u64 {
+        digest_of(&self.reader(), self.marks_len, self.marks_digest)
+    }
+}
+
 // ---------------------------------------------------------------------
 // The live machine and the service
 // ---------------------------------------------------------------------
@@ -590,6 +651,9 @@ pub struct LivePad {
     compact_threshold: u64,
     /// An applied [`PadOp::Compact`] asks the batch's commit to compact.
     compact_requested: bool,
+    /// The last snapshot published, to tell when a publish carries a new
+    /// base.
+    published: Snapshot,
 }
 
 /// Build (or reopen) the machine from disk. A missing file means a
@@ -619,7 +683,7 @@ fn build_machine(
 impl Machine for LivePad {
     type Op = PadOp;
     type Outcome = PadOutcome;
-    type View = u64;
+    type View = PadView;
     type Checkpoint = PadCheckpoint;
 
     fn checkpoint(&mut self) -> PadCheckpoint {
@@ -683,8 +747,15 @@ impl Machine for LivePad {
         Ok(())
     }
 
-    fn publish(&mut self, _: &Ledger) -> u64 {
-        self.machine.digest()
+    /// A snapshot of the triples and the two mark scalars: O(delta),
+    /// never a walk of the pad.
+    fn publish(&mut self, ledger: &Ledger) -> PadView {
+        let view = self.machine.view();
+        if !view.snapshot.shares_base(&self.published) {
+            ledger.count(|s| s.snapshot_rebuilds += 1);
+        }
+        self.published = view.snapshot.clone();
+        view
     }
 }
 
@@ -709,25 +780,34 @@ impl PadService {
         let path = path.to_path_buf();
         let (service, ()) = Supervisor::start(config, clock, move |config| {
             let compact_threshold = config.compact_threshold;
-            let machine = build_machine(&vfs, &path, &mut factory, compact_threshold)
+            let mut machine = build_machine(&vfs, &path, &mut factory, compact_threshold)
                 .map_err(|e| ServeError::Io { detail: e.to_string() })?;
-            let pad = LivePad { machine, vfs, path, factory, compact_threshold, compact_requested: false };
+            let published = machine.engine_mut().dmi_mut().snapshot();
+            let pad = LivePad {
+                machine,
+                vfs,
+                path,
+                factory,
+                compact_threshold,
+                compact_requested: false,
+                published,
+            };
             Ok((pad, ()))
         })?;
         Ok(service)
     }
 
-    /// The most recently published logical pad digest (updated after
-    /// every batch; readers never block on the writer).
+    /// The logical digest of the most recently published view,
+    /// computed now by the caller (readers never block on the writer).
     pub fn digest(&self) -> u64 {
-        self.view()
+        self.view().digest()
     }
 }
 
 impl PadSessionHandle {
-    /// The most recently published logical pad digest.
+    /// The logical digest of the most recently published view.
     pub fn digest(&self) -> u64 {
-        self.view()
+        self.view().digest()
     }
 }
 
@@ -958,6 +1038,150 @@ mod tests {
         drop(rig.service);
         let reopened = ward_reopen(&*rig.vfs, Path::new(PAD)).unwrap();
         assert_eq!(live, reopened.digest(), "live == post-shutdown on-disk digest");
+    }
+
+    /// The writer's own digest of the pad, from an Inspect's outcome.
+    fn inspected(session: &PadSessionHandle) -> u64 {
+        match session.submit(PadOp::Inspect).unwrap().outcome {
+            PadOutcome::Inspected { digest, .. } => digest,
+            other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+
+    #[test]
+    fn views_digest_like_the_writer_after_every_op_kind() {
+        let rig = open_rig(FaultProfile::healthy(), PadConfig::default());
+        let session = rig.service.session();
+        let bundle = PadOp::CreateBundle {
+            name: "meds".into(),
+            pos: (5, 5),
+            width: 300,
+            height: 200,
+            parent: None,
+        };
+        let nested = PadOp::CreateBundle {
+            name: "labs".into(),
+            pos: (9, 9),
+            width: 90,
+            height: 60,
+            parent: Some(0),
+        };
+        let rebind = PadOp::Rebind { scrap: 1, doc: ward_doc(2), paragraph: 1, start: 2, len: 7 };
+        let mut acked = Vec::new();
+        for op in [
+            bundle,
+            nested,
+            create_mark_op(0),
+            create_mark_op(1),
+            create_mark_op(2),
+            PadOp::Annotate { scrap: 0, text: "check dosage".into() },
+            PadOp::Link { from: 0, to: 1 },
+            PadOp::Link { from: 2, to: 2 }, // refused and rolled back
+            PadOp::ChaosPanic { detail: "contained".into() },
+            PadOp::Resolve { scrap: 1 },
+            PadOp::Extract { scrap: 2 },
+            rebind,
+            PadOp::Repair,
+            PadOp::Commit,
+            PadOp::Undo, // across the commit before it
+            PadOp::Redo,
+            PadOp::Annotate { scrap: 2, text: "recheck".into() },
+            PadOp::Compact,
+            PadOp::Undo, // the compaction truncated the journal: refused
+            PadOp::Inspect,
+        ] {
+            if let Ok(ack) = session.submit(op.clone()) {
+                acked.push((ack.order, op.clone()));
+            }
+            let view = rig.service.view();
+            assert_eq!(view.digest(), inspected(&session), "view vs writer after {op:?}");
+        }
+        let live = rig.service.digest();
+        assert_eq!(live, replay_digest(&acked), "view == serialized replay of acked ops");
+
+        drop(rig.service);
+        let mut reopened = ward_reopen(&*rig.vfs, Path::new(PAD)).unwrap();
+        assert_eq!(reopened.digest(), live, "reopened machine == last view");
+        assert_eq!(reopened.view().digest(), live, "reopened view == last view");
+    }
+
+    #[test]
+    fn the_digest_value_is_pinned() {
+        // `pad-digest-v2` as computed before the digest moved onto the
+        // reader: a fixed script of every mutation kind must keep this
+        // exact value, on the live machine and on a view of it.
+        let mut machine = ward_mirror();
+        for op in [
+            PadOp::CreateBundle {
+                name: "meds".into(),
+                pos: (5, -5),
+                width: 300,
+                height: 200,
+                parent: None,
+            },
+            PadOp::CreateBundle {
+                name: "labs".into(),
+                pos: (9, 9),
+                width: 90,
+                height: 60,
+                parent: Some(0),
+            },
+            create_mark_op(0),
+            create_mark_op(1),
+            PadOp::CreateMark {
+                doc: ward_doc(2),
+                paragraph: 3,
+                start: 1,
+                len: 9,
+                label: "k".into(),
+                pos: (1, 2),
+                bundle: Some(1),
+            },
+            PadOp::Annotate { scrap: 0, text: "check dosage".into() },
+            PadOp::Annotate { scrap: 0, text: "a second note".into() },
+            PadOp::Link { from: 0, to: 1 },
+            PadOp::Link { from: 2, to: 0 },
+            PadOp::Rebind { scrap: 1, doc: ward_doc(3), paragraph: 2, start: 1, len: 5 },
+            PadOp::Annotate { scrap: 2, text: "undone".into() },
+            PadOp::Undo,
+        ] {
+            machine.apply(&op).unwrap();
+        }
+        assert_eq!(machine.digest(), 0x2ae6_2d52_c772_35a8);
+        assert_eq!(machine.view().digest(), 0x2ae6_2d52_c772_35a8);
+    }
+
+    #[test]
+    fn an_early_view_keeps_its_digest_across_later_batches_and_folds() {
+        let config = PadConfig { queue_capacity: 1_024, ..PadConfig::default() };
+        let rig = open_rig(FaultProfile::healthy(), config);
+        let session = rig.service.session();
+        session.submit(create_mark_op(0)).unwrap();
+        let early = rig.service.view();
+        let digest = early.digest();
+        let rebuilds = rig.service.stats().snapshot_rebuilds;
+        // Each bundle adds six triples: enough of them to fold the
+        // store's delta into a new base at least once.
+        let tickets: Vec<_> = (0..trim::TripleStore::FOLD_LIMIT as i64 / 6 + 8)
+            .map(|i| {
+                let op = PadOp::CreateBundle {
+                    name: format!("bundle {i}"),
+                    pos: (i, i),
+                    width: 5,
+                    height: 5,
+                    parent: None,
+                };
+                session.enqueue(op).unwrap()
+            })
+            .collect();
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+        session.submit(PadOp::Compact).unwrap();
+        assert!(rig.service.stats().snapshot_rebuilds > rebuilds, "a fold publishes a new base");
+        assert_ne!(rig.service.digest(), digest);
+        assert_eq!(early.digest(), digest, "an old view still reads its own base");
+        assert_eq!(early.reader().all_scraps().len(), 1);
     }
 
     #[test]

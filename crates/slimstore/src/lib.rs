@@ -36,6 +36,10 @@
 //!   the metamodel can describe gets a safe manipulation interface for
 //!   free.
 //!
+//! [`SlimPadDmi`]'s reads live in one [`PadReader`], generic over
+//! [`trim::Runs`], so the same code reads the live store and a
+//! published [`trim::Snapshot`].
+//!
 //! Both DMIs guarantee the paper's consistency property: "Only the
 //! interfaces are presented to SLIMPad, which allows the DMI to guarantee
 //! consistency between the triple representation and the application
@@ -45,11 +49,13 @@
 pub mod error;
 pub mod generic;
 pub mod query;
+pub mod reader;
 pub mod slimpad_dmi;
 
 pub use error::DmiError;
 pub use generic::GenericDmi;
 pub use query::{InstanceQuery, ValuePred};
+pub use reader::PadReader;
 pub use slimpad_dmi::{
     BundleData, BundleHandle, MarkHandleData, MarkHandleHandle, PadData, PadHandle, ScrapData,
     ScrapHandle, SlimPadDmi,

@@ -147,7 +147,7 @@ impl SlimPadDmi {
         q.pattern(b, conf, bundle_c).pattern(b, content, Value::Resource(scrap.resource()));
         let rows = q.solve(store).ok()?;
         rows.first().and_then(|row| match row[0] {
-            Value::Resource(a) => Some(BundleHandle::from_resource(a)),
+            Value::Resource(a) => Some(BundleHandle(a)),
             _ => None,
         })
     }
@@ -172,7 +172,7 @@ impl SlimPadDmi {
             .filter_map(|row| match row[0] {
                 Value::Resource(a) => store
                     .value_str(row[1])
-                    .map(|t| (ScrapHandle::from_resource(a), t.to_string())),
+                    .map(|t| (ScrapHandle(a), t.to_string())),
                 _ => None,
             })
             .collect()

@@ -22,30 +22,32 @@
 //! back to the operation's starting revision via TRIM's change journal.
 
 use crate::error::DmiError;
+use crate::reader::{Construct, PadReader, Vocab};
 use metamodel::builtin;
 use metamodel::encode::encode_model;
 use metamodel::vocab;
 use metamodel::ConformanceReport;
 use slimio::{Recovered, Vfs};
 use std::path::Path;
-use trim::{Atom, ConjQuery, LogReport, StoreLog, TriplePattern, TripleStore, Value};
+use std::sync::OnceLock;
+use trim::{Atom, LogReport, StoreLog, TriplePattern, TripleStore, Value};
 
 /// Handle to a SlimPad object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PadHandle(Atom);
+pub struct PadHandle(pub(crate) Atom);
 
 /// Handle to a Bundle object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BundleHandle(Atom);
+pub struct BundleHandle(pub(crate) Atom);
 
 /// Handle to a Scrap object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ScrapHandle(Atom);
+pub struct ScrapHandle(pub(crate) Atom);
 
 /// Handle to a MarkHandle object (the indirection of Figure 3: a scrap's
 /// mark handle carries a mark id resolved by the Mark Manager).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MarkHandleHandle(Atom);
+pub struct MarkHandleHandle(pub(crate) Atom);
 
 macro_rules! impl_resource_accessor {
     ($ty:ty) => {
@@ -63,21 +65,6 @@ impl_resource_accessor!(PadHandle);
 impl_resource_accessor!(BundleHandle);
 impl_resource_accessor!(ScrapHandle);
 impl_resource_accessor!(MarkHandleHandle);
-
-macro_rules! impl_resource_constructor {
-    ($ty:ty) => {
-        impl $ty {
-            /// Rewrap a store resource returned by a triple-level query
-            /// (e.g. a conjunctive-join binding) as a typed handle.
-            pub(crate) fn from_resource(atom: Atom) -> Self {
-                Self(atom)
-            }
-        }
-    };
-}
-
-impl_resource_constructor!(BundleHandle);
-impl_resource_constructor!(ScrapHandle);
 
 /// Read-only snapshot of a pad.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,9 +102,15 @@ pub struct MarkHandleData {
 
 /// The SLIMPad Data Manipulation Interface (paper Figure 10's
 /// `SlimPadDMI`, `store : TrimManager`).
+///
+/// Its reads are a [`PadReader`] over the store (see
+/// [`SlimPadDmi::reader`]); the same reader serves a published
+/// [`trim::Snapshot`].
 #[derive(Debug)]
 pub struct SlimPadDmi {
     store: TripleStore,
+    /// The reader vocabulary, kept once every atom of it exists.
+    vocab: OnceLock<Vocab>,
 }
 
 impl Default for SlimPadDmi {
@@ -131,19 +124,33 @@ fn coord_text(pos: (i64, i64)) -> String {
     format!("{},{}", pos.0, pos.1)
 }
 
-/// Decode a Coordinate literal.
-fn parse_coord(text: &str) -> Option<(i64, i64)> {
-    let (x, y) = text.split_once(',')?;
-    Some((x.trim().parse().ok()?, y.trim().parse().ok()?))
-}
-
 impl SlimPadDmi {
     /// A fresh DMI over an empty store (with the Bundle-Scrap model
     /// encoded into it, so the store is self-describing).
     pub fn new() -> Self {
         let mut store = TripleStore::new();
         encode_model(&mut store, &builtin::bundle_scrap());
-        SlimPadDmi { store }
+        Self::over(store)
+    }
+
+    fn over(store: TripleStore) -> Self {
+        SlimPadDmi { store, vocab: OnceLock::new() }
+    }
+
+    /// The read-only reader over this DMI's store: every read below
+    /// delegates to it.
+    pub fn reader(&self) -> PadReader<'_, TripleStore> {
+        let vocab = match self.vocab.get() {
+            Some(vocab) => *vocab,
+            None => {
+                let vocab = Vocab::find(&self.store);
+                if vocab.is_complete() {
+                    let _ = self.vocab.set(vocab);
+                }
+                vocab
+            }
+        };
+        PadReader::with_vocab(&self.store, vocab)
     }
 
     // ---- small internal helpers -------------------------------------------
@@ -164,23 +171,8 @@ impl SlimPadDmi {
         id
     }
 
-    fn is_instance_of(&self, id: Atom, construct: &str) -> bool {
-        let Some(conf_p) = self.store.find_atom(vocab::CONFORMS_TO) else {
-            return false;
-        };
-        let Some(c) = self.store.find_atom(&vocab::construct_res("bundle-scrap", construct))
-        else {
-            return false;
-        };
-        self.store.object_of(id, conf_p) == Some(Value::Resource(c))
-    }
-
-    fn require(&self, id: Atom, construct: &str, what: &'static str) -> Result<(), DmiError> {
-        if self.is_instance_of(id, construct) {
-            Ok(())
-        } else {
-            Err(DmiError::NotFound { what, id: self.store.resolve(id).to_string() })
-        }
+    fn require(&self, id: Atom, construct: Construct) -> Result<(), DmiError> {
+        self.reader().require(id, construct)
     }
 
     fn set_literal(&mut self, subject: Atom, property: &str, value: &str) {
@@ -189,42 +181,14 @@ impl SlimPadDmi {
         self.store.set_unique(subject, p, v);
     }
 
-    fn literal_of(&self, subject: Atom, property: &str) -> Option<String> {
-        let p = self.store.find_atom(property)?;
-        self.store.object_of(subject, p).and_then(|v| self.store.value_str(v).map(str::to_string))
+    fn links_of(&self, subject: Atom, property: fn(&Vocab) -> Option<Atom>) -> Vec<Atom> {
+        let reader = self.reader();
+        reader.links_of(subject, property(reader.vocab()))
     }
 
-    fn links_of(&self, subject: Atom, property: &str) -> Vec<Atom> {
-        let Some(p) = self.store.find_atom(property) else {
-            return Vec::new();
-        };
-        let mut out: Vec<Atom> = self
-            .store
-            .select(&TriplePattern::default().with_subject(subject).with_property(p))
-            .into_iter()
-            .filter_map(|t| match t.object {
-                Value::Resource(a) => Some(a),
-                Value::Literal(_) => None,
-            })
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    fn incoming_links(&self, target: Atom, property: &str) -> Vec<Atom> {
-        let Some(p) = self.store.find_atom(property) else {
-            return Vec::new();
-        };
-        let mut out: Vec<Atom> = self
-            .store
-            .select(
-                &TriplePattern::default().with_property(p).with_object(Value::Resource(target)),
-            )
-            .into_iter()
-            .map(|t| t.subject)
-            .collect();
-        out.sort_unstable();
-        out
+    fn incoming_links(&self, target: Atom, property: fn(&Vocab) -> Option<Atom>) -> Vec<Atom> {
+        let reader = self.reader();
+        reader.incoming_links(target, property(reader.vocab()))
     }
 
     // ---- Create_* (Figure 10) ---------------------------------------------
@@ -237,7 +201,7 @@ impl SlimPadDmi {
         root_bundle: Option<BundleHandle>,
     ) -> Result<PadHandle, DmiError> {
         if let Some(b) = root_bundle {
-            self.require(b.0, "Bundle", "Bundle")?;
+            self.require(b.0, Construct::Bundle)?;
         }
         let id = self.create_instance("SlimPad");
         self.set_literal(id, "padName", pad_name);
@@ -293,7 +257,7 @@ impl SlimPadDmi {
 
     /// `Update_padName(SlimPad, newPadName)`.
     pub fn update_pad_name(&mut self, pad: PadHandle, new_name: &str) -> Result<(), DmiError> {
-        self.require(pad.0, "SlimPad", "SlimPad")?;
+        self.require(pad.0, Construct::SlimPad)?;
         self.set_literal(pad.0, "padName", new_name);
         Ok(())
     }
@@ -304,9 +268,9 @@ impl SlimPadDmi {
         pad: PadHandle,
         new_root: Option<BundleHandle>,
     ) -> Result<(), DmiError> {
-        self.require(pad.0, "SlimPad", "SlimPad")?;
+        self.require(pad.0, Construct::SlimPad)?;
         if let Some(b) = new_root {
-            self.require(b.0, "Bundle", "Bundle")?;
+            self.require(b.0, Construct::Bundle)?;
         }
         let p = self.store.atom("rootBundle");
         self.store.remove_matching(&TriplePattern::default().with_subject(pad.0).with_property(p));
@@ -318,7 +282,7 @@ impl SlimPadDmi {
 
     /// `Update_bundleName(Bundle, newName)`.
     pub fn update_bundle_name(&mut self, b: BundleHandle, name: &str) -> Result<(), DmiError> {
-        self.require(b.0, "Bundle", "Bundle")?;
+        self.require(b.0, Construct::Bundle)?;
         self.set_literal(b.0, "bundleName", name);
         Ok(())
     }
@@ -326,7 +290,7 @@ impl SlimPadDmi {
     /// `Update_bundlePos(Bundle, newPos)` — moving a bundle is the
     /// paper's core 2-D manipulation.
     pub fn update_bundle_pos(&mut self, b: BundleHandle, pos: (i64, i64)) -> Result<(), DmiError> {
-        self.require(b.0, "Bundle", "Bundle")?;
+        self.require(b.0, Construct::Bundle)?;
         self.set_literal(b.0, "bundlePos", &coord_text(pos));
         Ok(())
     }
@@ -338,7 +302,7 @@ impl SlimPadDmi {
         width: i64,
         height: i64,
     ) -> Result<(), DmiError> {
-        self.require(b.0, "Bundle", "Bundle")?;
+        self.require(b.0, Construct::Bundle)?;
         self.set_literal(b.0, "bundleWidth", &width.to_string());
         self.set_literal(b.0, "bundleHeight", &height.to_string());
         Ok(())
@@ -347,14 +311,14 @@ impl SlimPadDmi {
     /// `Update_scrapName(Scrap, newName)` — "a scrap that can be named
     /// and moved around".
     pub fn update_scrap_name(&mut self, s: ScrapHandle, name: &str) -> Result<(), DmiError> {
-        self.require(s.0, "Scrap", "Scrap")?;
+        self.require(s.0, Construct::Scrap)?;
         self.set_literal(s.0, "scrapName", name);
         Ok(())
     }
 
     /// `Update_scrapPos(Scrap, newPos)`.
     pub fn update_scrap_pos(&mut self, s: ScrapHandle, pos: (i64, i64)) -> Result<(), DmiError> {
-        self.require(s.0, "Scrap", "Scrap")?;
+        self.require(s.0, Construct::Scrap)?;
         self.set_literal(s.0, "scrapPos", &coord_text(pos));
         Ok(())
     }
@@ -368,12 +332,12 @@ impl SlimPadDmi {
         parent: BundleHandle,
         child: BundleHandle,
     ) -> Result<(), DmiError> {
-        self.require(parent.0, "Bundle", "Bundle")?;
-        self.require(child.0, "Bundle", "Bundle")?;
+        self.require(parent.0, Construct::Bundle)?;
+        self.require(child.0, Construct::Bundle)?;
         if parent == child {
             return Err(DmiError::Structure { message: "a bundle cannot nest inside itself".into() });
         }
-        if !self.incoming_links(child.0, "nestedBundle").is_empty() {
+        if !self.incoming_links(child.0, |v| v.nested_bundle).is_empty() {
             return Err(DmiError::Structure {
                 message: "bundle already nests in another bundle".into(),
             });
@@ -396,7 +360,7 @@ impl SlimPadDmi {
         parent: BundleHandle,
         child: BundleHandle,
     ) -> Result<(), DmiError> {
-        self.require(parent.0, "Bundle", "Bundle")?;
+        self.require(parent.0, Construct::Bundle)?;
         let p = self.store.atom("nestedBundle");
         let removed = self.store.remove(trim::Triple {
             subject: parent.0,
@@ -411,9 +375,9 @@ impl SlimPadDmi {
 
     /// Place a scrap into a bundle. A scrap lives in at most one bundle.
     pub fn add_scrap(&mut self, bundle: BundleHandle, scrap: ScrapHandle) -> Result<(), DmiError> {
-        self.require(bundle.0, "Bundle", "Bundle")?;
-        self.require(scrap.0, "Scrap", "Scrap")?;
-        if !self.incoming_links(scrap.0, "bundleContent").is_empty() {
+        self.require(bundle.0, Construct::Bundle)?;
+        self.require(scrap.0, Construct::Scrap)?;
+        if !self.incoming_links(scrap.0, |v| v.bundle_content).is_empty() {
             return Err(DmiError::Structure {
                 message: "scrap already belongs to a bundle".into(),
             });
@@ -429,7 +393,7 @@ impl SlimPadDmi {
         bundle: BundleHandle,
         scrap: ScrapHandle,
     ) -> Result<(), DmiError> {
-        self.require(bundle.0, "Bundle", "Bundle")?;
+        self.require(bundle.0, Construct::Bundle)?;
         let p = self.store.atom("bundleContent");
         let removed = self.store.remove(trim::Triple {
             subject: bundle.0,
@@ -450,8 +414,8 @@ impl SlimPadDmi {
         scrap: ScrapHandle,
         handle: MarkHandleHandle,
     ) -> Result<(), DmiError> {
-        self.require(scrap.0, "Scrap", "Scrap")?;
-        self.require(handle.0, "MarkHandle", "MarkHandle")?;
+        self.require(scrap.0, Construct::Scrap)?;
+        self.require(handle.0, Construct::MarkHandle)?;
         let p = self.store.atom("scrapMark");
         self.store.insert(scrap.0, p, Value::Resource(handle.0));
         Ok(())
@@ -464,8 +428,8 @@ impl SlimPadDmi {
         scrap: ScrapHandle,
         handle: MarkHandleHandle,
     ) -> Result<(), DmiError> {
-        self.require(scrap.0, "Scrap", "Scrap")?;
-        let marks = self.links_of(scrap.0, "scrapMark");
+        self.require(scrap.0, Construct::Scrap)?;
+        let marks = self.links_of(scrap.0, |v| v.scrap_mark);
         if !marks.contains(&handle.0) {
             return Err(DmiError::Structure { message: "mark handle not on that scrap".into() });
         }
@@ -489,7 +453,7 @@ impl SlimPadDmi {
     /// Attach an annotation to a scrap ("initial feedback from clinicians
     /// indicates annotations on scraps would be useful", paper §5).
     pub fn add_annotation(&mut self, scrap: ScrapHandle, text: &str) -> Result<(), DmiError> {
-        self.require(scrap.0, "Scrap", "Scrap")?;
+        self.require(scrap.0, Construct::Scrap)?;
         let p = self.store.atom("scrapAnnotation");
         let v = self.store.literal_value(text);
         self.store.insert(scrap.0, p, v);
@@ -498,23 +462,12 @@ impl SlimPadDmi {
 
     /// A scrap's annotations, sorted.
     pub fn annotations(&self, scrap: ScrapHandle) -> Result<Vec<String>, DmiError> {
-        self.require(scrap.0, "Scrap", "Scrap")?;
-        let Some(p) = self.store.find_atom("scrapAnnotation") else {
-            return Ok(Vec::new());
-        };
-        let mut out: Vec<String> = self
-            .store
-            .select(&TriplePattern::default().with_subject(scrap.0).with_property(p))
-            .into_iter()
-            .filter_map(|t| self.store.value_str(t.object).map(str::to_string))
-            .collect();
-        out.sort();
-        Ok(out)
+        self.reader().annotations(scrap)
     }
 
     /// Remove one annotation; errors if it is not present.
     pub fn remove_annotation(&mut self, scrap: ScrapHandle, text: &str) -> Result<(), DmiError> {
-        self.require(scrap.0, "Scrap", "Scrap")?;
+        self.require(scrap.0, Construct::Scrap)?;
         let p = self.store.atom("scrapAnnotation");
         let v = self.store.literal_value(text);
         if !self.store.remove(trim::Triple { subject: scrap.0, property: p, object: v }) {
@@ -526,8 +479,8 @@ impl SlimPadDmi {
     /// Link two scraps ("explicit links between scraps", paper §3/§6).
     /// Links are directed; self-links are rejected.
     pub fn link_scraps(&mut self, from: ScrapHandle, to: ScrapHandle) -> Result<(), DmiError> {
-        self.require(from.0, "Scrap", "Scrap")?;
-        self.require(to.0, "Scrap", "Scrap")?;
+        self.require(from.0, Construct::Scrap)?;
+        self.require(to.0, Construct::Scrap)?;
         if from == to {
             return Err(DmiError::Structure { message: "a scrap cannot link to itself".into() });
         }
@@ -538,13 +491,12 @@ impl SlimPadDmi {
 
     /// Outgoing scrap links, sorted.
     pub fn scrap_links(&self, from: ScrapHandle) -> Result<Vec<ScrapHandle>, DmiError> {
-        self.require(from.0, "Scrap", "Scrap")?;
-        Ok(self.links_of(from.0, "scrapLink").into_iter().map(ScrapHandle).collect())
+        self.reader().scrap_links(from)
     }
 
     /// Remove a link; errors if it is not present.
     pub fn unlink_scraps(&mut self, from: ScrapHandle, to: ScrapHandle) -> Result<(), DmiError> {
-        self.require(from.0, "Scrap", "Scrap")?;
+        self.require(from.0, Construct::Scrap)?;
         let p = self.store.atom("scrapLink");
         if !self.store.remove(trim::Triple {
             subject: from.0,
@@ -581,7 +533,7 @@ impl SlimPadDmi {
     /// `Delete_SlimPad(SlimPad)` — deletes the pad object only; its
     /// bundle tree survives (pads are views over bundles).
     pub fn delete_slim_pad(&mut self, pad: PadHandle) -> Result<(), DmiError> {
-        self.require(pad.0, "SlimPad", "SlimPad")?;
+        self.require(pad.0, Construct::SlimPad)?;
         self.delete_incoming(pad.0);
         self.delete_subject(pad.0);
         Ok(())
@@ -590,11 +542,11 @@ impl SlimPadDmi {
     /// `Delete_Bundle(Bundle)` — recursive: contained scraps and nested
     /// bundles go with it, and references from parents/pads are cleaned.
     pub fn delete_bundle(&mut self, bundle: BundleHandle) -> Result<(), DmiError> {
-        self.require(bundle.0, "Bundle", "Bundle")?;
-        for scrap in self.links_of(bundle.0, "bundleContent") {
+        self.require(bundle.0, Construct::Bundle)?;
+        for scrap in self.links_of(bundle.0, |v| v.bundle_content) {
             self.delete_scrap(ScrapHandle(scrap))?;
         }
-        for nested in self.links_of(bundle.0, "nestedBundle") {
+        for nested in self.links_of(bundle.0, |v| v.nested_bundle) {
             self.delete_bundle(BundleHandle(nested))?;
         }
         self.delete_incoming(bundle.0);
@@ -605,8 +557,8 @@ impl SlimPadDmi {
     /// `Delete_Scrap(Scrap)` — removes the scrap, its mark handles, and
     /// its containment edge.
     pub fn delete_scrap(&mut self, scrap: ScrapHandle) -> Result<(), DmiError> {
-        self.require(scrap.0, "Scrap", "Scrap")?;
-        for handle in self.links_of(scrap.0, "scrapMark") {
+        self.require(scrap.0, Construct::Scrap)?;
+        for handle in self.links_of(scrap.0, |v| v.scrap_mark) {
             self.delete_subject(handle);
         }
         self.delete_incoming(scrap.0);
@@ -618,112 +570,43 @@ impl SlimPadDmi {
 
     /// Snapshot a pad.
     pub fn pad(&self, pad: PadHandle) -> Result<PadData, DmiError> {
-        self.require(pad.0, "SlimPad", "SlimPad")?;
-        Ok(PadData {
-            name: self.literal_of(pad.0, "padName").unwrap_or_default(),
-            root_bundle: self.links_of(pad.0, "rootBundle").first().copied().map(BundleHandle),
-        })
+        self.reader().pad(pad)
     }
 
     /// Snapshot a bundle.
     pub fn bundle(&self, b: BundleHandle) -> Result<BundleData, DmiError> {
-        self.require(b.0, "Bundle", "Bundle")?;
-        Ok(BundleData {
-            name: self.literal_of(b.0, "bundleName").unwrap_or_default(),
-            pos: self
-                .literal_of(b.0, "bundlePos")
-                .and_then(|t| parse_coord(&t))
-                .unwrap_or((0, 0)),
-            width: self
-                .literal_of(b.0, "bundleWidth")
-                .and_then(|t| t.parse().ok())
-                .unwrap_or(0),
-            height: self
-                .literal_of(b.0, "bundleHeight")
-                .and_then(|t| t.parse().ok())
-                .unwrap_or(0),
-            scraps: self.links_of(b.0, "bundleContent").into_iter().map(ScrapHandle).collect(),
-            nested: self.links_of(b.0, "nestedBundle").into_iter().map(BundleHandle).collect(),
-        })
+        self.reader().bundle(b)
     }
 
     /// Snapshot a scrap.
     pub fn scrap(&self, s: ScrapHandle) -> Result<ScrapData, DmiError> {
-        self.require(s.0, "Scrap", "Scrap")?;
-        Ok(ScrapData {
-            name: self.literal_of(s.0, "scrapName").unwrap_or_default(),
-            pos: self
-                .literal_of(s.0, "scrapPos")
-                .and_then(|t| parse_coord(&t))
-                .unwrap_or((0, 0)),
-            marks: self.links_of(s.0, "scrapMark").into_iter().map(MarkHandleHandle).collect(),
-        })
+        self.reader().scrap(s)
     }
 
     /// Snapshot a mark handle.
     pub fn mark_handle(&self, h: MarkHandleHandle) -> Result<MarkHandleData, DmiError> {
-        self.require(h.0, "MarkHandle", "MarkHandle")?;
-        Ok(MarkHandleData { mark_id: self.literal_of(h.0, "markId").unwrap_or_default() })
+        self.reader().mark_handle(h)
     }
 
     /// All pads in the store.
     pub fn pads(&self) -> Vec<PadHandle> {
-        self.instances_of("SlimPad").into_iter().map(PadHandle).collect()
+        self.reader().pads()
     }
 
     /// All bundles in the store.
     pub fn bundles(&self) -> Vec<BundleHandle> {
-        self.instances_of("Bundle").into_iter().map(BundleHandle).collect()
+        self.reader().bundles()
     }
 
     /// All scraps in the store, contained or free-floating.
     pub fn all_scraps(&self) -> Vec<ScrapHandle> {
-        self.instances_of("Scrap").into_iter().map(ScrapHandle).collect()
-    }
-
-    fn instances_of(&self, construct: &str) -> Vec<Atom> {
-        let Some(conf_p) = self.store.find_atom(vocab::CONFORMS_TO) else {
-            return Vec::new();
-        };
-        let Some(c) = self.store.find_atom(&vocab::construct_res("bundle-scrap", construct))
-        else {
-            return Vec::new();
-        };
-        let mut out: Vec<Atom> = self
-            .store
-            .select(&TriplePattern::default().with_property(conf_p).with_object(Value::Resource(c)))
-            .into_iter()
-            .map(|t| t.subject)
-            .collect();
-        out.sort_unstable();
-        out
+        self.reader().all_scraps()
     }
 
     /// Population counts `(bundles, scraps)` answered by the
-    /// conjunctive engine. A bundle is exactly an instance that
-    /// conforms to `Bundle` and carries a `bundleName` (creation sets
-    /// one, updates replace it), and likewise for scraps, so the
-    /// 2-pattern joins count the same sets as [`Self::bundles`] and
-    /// [`Self::all_scraps`] — but through the planner/merge-join path,
-    /// keeping service-level inspection an end-to-end probe of that
-    /// engine.
+    /// conjunctive engine (see [`PadReader::population_by_join`]).
     pub fn population_by_join(&self) -> (usize, usize) {
-        (self.count_named("Bundle", "bundleName"), self.count_named("Scrap", "scrapName"))
-    }
-
-    fn count_named(&self, construct: &str, name_prop: &str) -> usize {
-        let (Some(conf_p), Some(c), Some(p)) = (
-            self.store.find_atom(vocab::CONFORMS_TO),
-            self.store.find_atom(&vocab::construct_res("bundle-scrap", construct)),
-            self.store.find_atom(name_prop),
-        ) else {
-            return 0;
-        };
-        let mut q = ConjQuery::new();
-        let x = q.var("x");
-        let n = q.var("n");
-        q.pattern(x, conf_p, c).pattern(x, p, n);
-        q.solve(&self.store).map(|rows| rows.len()).unwrap_or(0)
+        self.reader().population_by_join()
     }
 
     /// Subjects whose `property` literal contains `needle`
@@ -786,7 +669,7 @@ impl SlimPadDmi {
     /// integrity check (see [`SlimPadDmi::load_salvage`]).
     pub fn load(path: impl AsRef<Path>) -> Result<(Self, Vec<PadHandle>), DmiError> {
         let store = TripleStore::load(path)?;
-        let dmi = SlimPadDmi { store };
+        let dmi = Self::over(store);
         let pads = dmi.pads();
         Ok((dmi, pads))
     }
@@ -794,7 +677,7 @@ impl SlimPadDmi {
     /// [`load`](SlimPadDmi::load) through an explicit [`Vfs`] backend.
     pub fn load_from(vfs: &dyn Vfs, path: &Path) -> Result<(Self, Vec<PadHandle>), DmiError> {
         let store = TripleStore::load_from(vfs, path)?;
-        let dmi = SlimPadDmi { store };
+        let dmi = Self::over(store);
         let pads = dmi.pads();
         Ok((dmi, pads))
     }
@@ -802,7 +685,7 @@ impl SlimPadDmi {
     /// `load` from XML text.
     pub fn load_xml(text: &str) -> Result<(Self, Vec<PadHandle>), DmiError> {
         let store = TripleStore::from_xml(text)?;
-        let dmi = SlimPadDmi { store };
+        let dmi = Self::over(store);
         let pads = dmi.pads();
         Ok((dmi, pads))
     }
@@ -870,7 +753,7 @@ impl SlimPadDmi {
     ) -> Result<Recovered<(Self, Vec<PadHandle>)>, DmiError> {
         let recovered = TripleStore::load_salvage_from(vfs, path)?;
         Ok(recovered.map(|store| {
-            let dmi = SlimPadDmi { store };
+            let dmi = Self::over(store);
             let pads = dmi.pads();
             (dmi, pads)
         }))
@@ -880,7 +763,7 @@ impl SlimPadDmi {
     pub fn load_xml_salvage(text: &str) -> Result<Recovered<(Self, Vec<PadHandle>)>, DmiError> {
         let recovered = TripleStore::from_xml_salvage(text)?;
         Ok(recovered.map(|store| {
-            let dmi = SlimPadDmi { store };
+            let dmi = Self::over(store);
             let pads = dmi.pads();
             (dmi, pads)
         }))
@@ -891,6 +774,13 @@ impl SlimPadDmi {
     /// shouldn't have to).
     pub fn store(&self) -> &TripleStore {
         &self.store
+    }
+
+    /// An immutable [`trim::Snapshot`] of the store for readers on other
+    /// threads, read through [`PadReader::new`]. It shares the store's
+    /// frozen base, so it costs a copy of the delta since the last fold.
+    pub fn snapshot(&mut self) -> trim::Snapshot {
+        self.store.snapshot()
     }
 
     /// Take a checkpoint of the data state (the TRIM journal revision).
@@ -919,6 +809,7 @@ impl SlimPadDmi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::parse_coord;
 
     /// Build the Figure 4 pad: 'Rounds' with a 'John Smith' bundle
     /// holding two medication scraps and a nested 'Electrolyte' bundle.
@@ -954,6 +845,40 @@ mod tests {
         assert_eq!(jb.scraps.len(), 2);
         assert_eq!(jb.nested, vec![electro]);
         assert_eq!(dmi.bundle(electro).unwrap().scraps.len(), 3);
+    }
+
+    #[test]
+    fn a_reader_over_a_snapshot_reads_like_the_dmi() {
+        let (mut dmi, pad, john, electro) = rounds_pad();
+        let first = dmi.bundle(john).unwrap().scraps[0];
+        let second = dmi.bundle(electro).unwrap().scraps[0];
+        dmi.add_annotation(first, "hold if SBP < 90").unwrap();
+        dmi.link_scraps(first, second).unwrap();
+        assert!(dmi.vocab.get().is_some(), "a fresh DMI's vocabulary is complete and kept");
+        let snapshot = dmi.snapshot();
+        let view = PadReader::new(&snapshot);
+        assert_eq!(view.pads(), dmi.pads());
+        assert_eq!(view.pad(pad).unwrap(), dmi.pad(pad).unwrap());
+        assert_eq!(view.bundles(), dmi.bundles());
+        assert_eq!(view.all_scraps(), dmi.all_scraps());
+        assert_eq!(view.population_by_join(), dmi.population_by_join());
+        for b in dmi.bundles() {
+            assert_eq!(view.bundle(b).unwrap(), dmi.bundle(b).unwrap());
+        }
+        for s in dmi.all_scraps() {
+            let data = dmi.scrap(s).unwrap();
+            assert_eq!(view.scrap(s).unwrap(), data);
+            assert_eq!(view.annotations(s).unwrap(), dmi.annotations(s).unwrap());
+            assert_eq!(view.scrap_links(s).unwrap(), dmi.scrap_links(s).unwrap());
+            for h in data.marks {
+                assert_eq!(view.mark_handle(h).unwrap(), dmi.mark_handle(h).unwrap());
+            }
+        }
+        // The snapshot is frozen: later writes show in the DMI only.
+        dmi.delete_scrap(first).unwrap();
+        assert!(dmi.scrap(first).is_err());
+        assert!(view.scrap(first).is_ok());
+        assert!(matches!(view.bundle(BundleHandle(pad.0)), Err(DmiError::NotFound { .. })));
     }
 
     #[test]

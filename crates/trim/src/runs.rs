@@ -1,12 +1,14 @@
-//! Sorted runs: the one interface the conjunctive engine reads.
+//! Sorted runs: the one interface the conjunctive engine and every
+//! generic reader read.
 //!
 //! [`Runs`] is implemented by the live [`crate::TripleStore`] and by a
 //! [`crate::Snapshot`] of it. Both hold the same layout — three frozen
 //! sorted permutation columns plus a small delta — and each implements
-//! the seeks and the count as one-line calls into that layout's shared
-//! merge code. So every run the engine needs is written once below, over
-//! three "first key ≥ k" seeks, and [`crate::ConjQuery::solve`] runs
-//! unchanged on either.
+//! the seeks, the count and the selection as one-line calls into that
+//! layout's shared merge code. So every run the engine needs is written
+//! once below, over three "first key ≥ k" seeks, and
+//! [`crate::ConjQuery::solve`] runs unchanged on either; so does a
+//! reader written over the trait, such as the SLIM Store's pad reader.
 //!
 //! Each run method returns the first value >= `lo` of one distinct-value
 //! run, answered by one seek. The leapfrog cursors in [`crate::conj`]
@@ -25,8 +27,8 @@ pub type PosKey = (Atom, Value, Atom);
 pub type OspKey = (Value, Atom, Atom);
 
 /// A triple set readable as three sorted permutations. Implementors
-/// supply the seeks, counts and atom names; the runs, probes and join
-/// explain are provided.
+/// supply the seeks, counts, selections and atom names; the runs,
+/// probes, unique-object lookup and join explain are provided.
 pub trait Runs {
     /// The first SPO key >= `from`.
     fn seek_spo(&self, from: SpoKey) -> Option<SpoKey>;
@@ -40,13 +42,29 @@ pub trait Runs {
     /// Number of triples matching `pattern` — the planner's estimates.
     fn count(&self, pattern: &TriplePattern) -> usize;
 
+    /// Every triple matching `pattern`, in the order of the permutation
+    /// that leads with its bound fields (see
+    /// [`crate::TripleStore::select`]).
+    fn select(&self, pattern: &TriplePattern) -> Vec<Triple>;
+
     /// The string for an atom of this triple set.
     fn resolve(&self, a: Atom) -> &str;
+
+    /// The atom for a string, if this triple set knows it.
+    fn find_atom(&self, s: &str) -> Option<Atom>;
 
     /// True if the exact triple is present.
     fn contains(&self, t: &Triple) -> bool {
         let key = (t.subject, t.property, t.object);
         self.seek_spo(key) == Some(key)
+    }
+
+    /// The object of the `(s, p, _)` triple when exactly one exists —
+    /// [`crate::TripleStore::object_of`], answered by two seeks.
+    fn object_of(&self, s: Atom, p: Atom) -> Option<Value> {
+        let first = self.run_object_of_sp_geq(s, p, VALUE_MIN)?;
+        let second = value_succ(first).and_then(|lo| self.run_object_of_sp_geq(s, p, lo));
+        second.is_none().then_some(first)
     }
 
     /// The join tree [`ConjQuery::solve`] will execute — the conjunctive

@@ -152,12 +152,6 @@ impl Snapshot {
         self.0.layout.shares_base(&other.0.layout)
     }
 
-    /// Look up a string among the atoms this snapshot knows; one interned
-    /// after it was taken is absent.
-    pub fn find_atom(&self, s: &str) -> Option<Atom> {
-        self.0.names.get(s)
-    }
-
     /// Iterate every visible triple in SPO order — the store's own
     /// [`crate::TripleStore::iter`] order at this revision.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
@@ -218,8 +212,18 @@ impl Runs for Snapshot {
         self.0.layout.count(pattern)
     }
 
+    fn select(&self, pattern: &TriplePattern) -> Vec<Triple> {
+        self.0.layout.select(pattern)
+    }
+
     fn resolve(&self, a: Atom) -> &str {
         self.0.names.resolve(a)
+    }
+
+    /// Look up a string among the atoms this snapshot knows; one interned
+    /// after it was taken is absent.
+    fn find_atom(&self, s: &str) -> Option<Atom> {
+        self.0.names.get(s)
     }
 }
 
@@ -285,6 +289,51 @@ mod tests {
         assert_eq!(snap.scan_subject("b:1").count(), 2);
         assert_eq!(snap.scan_subject("s:1").count(), 1);
         assert_eq!(snap.scan_subject("zzz").count(), 0);
+    }
+
+    /// The reads a generic reader makes through [`Runs`] — atom lookup,
+    /// subject- and object-led selections, the unique object — answer
+    /// the same on `snap` as on `store`.
+    fn assert_reads_match_store(snap: &Snapshot, store: &TripleStore) {
+        let names = ["b:1", "b:2", "s:1", "s:2", "s:3", "name", "member", "note", "nowhere"];
+        for name in names {
+            assert_eq!(Runs::find_atom(snap, name), Runs::find_atom(store, name), "{name}");
+        }
+        let atoms: Vec<Atom> = names.iter().filter_map(|n| store.find_atom(n)).collect();
+        for &s in &atoms {
+            for &p in &atoms {
+                let pattern = TriplePattern::default().with_subject(s).with_property(p);
+                assert_eq!(Runs::select(snap, &pattern), store.select(&pattern), "{pattern:?}");
+                assert_eq!(Runs::object_of(snap, s, p), store.object_of(s, p), "{s} {p}");
+                assert_eq!(Runs::object_of(store, s, p), store.object_of(s, p), "{s} {p}");
+                let pattern =
+                    TriplePattern::default().with_property(p).with_object(Value::Resource(s));
+                assert_eq!(Runs::select(snap, &pattern), store.select(&pattern), "{pattern:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn reader_primitives_agree_on_store_and_snapshot_across_a_fold() {
+        let mut store = TripleStore::new();
+        store.insert_literal("b:1", "name", "John");
+        store.insert_resource("b:1", "member", "s:1");
+        store.insert_resource("b:1", "member", "s:2");
+        store.insert_literal("s:1", "name", "Lasix");
+        store.insert_literal("s:1", "note", "held");
+        store.insert_literal("s:1", "note", "resumed");
+        assert_reads_match_store(&store.snapshot(), &store);
+        let mut store = folded(store);
+        assert_reads_match_store(&store.snapshot(), &store);
+        // A delta over the folded base: adds, and dels of base triples.
+        store.insert_resource("b:2", "member", "s:3");
+        let moved = store.insert_resource("b:1", "member", "s:2");
+        store.remove(moved);
+        let note = store.insert_literal("s:1", "note", "held");
+        store.remove(note);
+        let snap = store.snapshot();
+        assert!(snap.delta_len() > 0);
+        assert_reads_match_store(&snap, &store);
     }
 
     #[test]

@@ -675,8 +675,16 @@ impl Runs for TripleStore {
         self.layout.count(pattern)
     }
 
+    fn select(&self, pattern: &TriplePattern) -> Vec<Triple> {
+        self.layout.select(pattern)
+    }
+
     fn resolve(&self, a: Atom) -> &str {
         self.atoms.resolve(a)
+    }
+
+    fn find_atom(&self, s: &str) -> Option<Atom> {
+        self.atoms.get(s)
     }
 }
 
