@@ -651,9 +651,6 @@ pub struct LivePad {
     compact_threshold: u64,
     /// An applied [`PadOp::Compact`] asks the batch's commit to compact.
     compact_requested: bool,
-    /// The last snapshot published, to tell when a publish carries a new
-    /// base.
-    published: Snapshot,
 }
 
 /// Build (or reopen) the machine from disk. A missing file means a
@@ -749,13 +746,12 @@ impl Machine for LivePad {
 
     /// A snapshot of the triples and the two mark scalars: O(delta),
     /// never a walk of the pad.
-    fn publish(&mut self, ledger: &Ledger) -> PadView {
-        let view = self.machine.view();
-        if !view.snapshot.shares_base(&self.published) {
-            ledger.count(|s| s.snapshot_rebuilds += 1);
-        }
-        self.published = view.snapshot.clone();
-        view
+    fn publish(&mut self) -> PadView {
+        self.machine.view()
+    }
+
+    fn rebased(old: &PadView, new: &PadView) -> bool {
+        !new.snapshot.shares_base(&old.snapshot)
     }
 }
 
@@ -780,9 +776,8 @@ impl PadService {
         let path = path.to_path_buf();
         let (service, ()) = Supervisor::start(config, clock, move |config| {
             let compact_threshold = config.compact_threshold;
-            let mut machine = build_machine(&vfs, &path, &mut factory, compact_threshold)
+            let machine = build_machine(&vfs, &path, &mut factory, compact_threshold)
                 .map_err(|e| ServeError::Io { detail: e.to_string() })?;
-            let published = machine.engine_mut().dmi_mut().snapshot();
             let pad = LivePad {
                 machine,
                 vfs,
@@ -790,7 +785,6 @@ impl PadService {
                 factory,
                 compact_threshold,
                 compact_requested: false,
-                published,
             };
             Ok((pad, ()))
         })?;

@@ -102,7 +102,13 @@ pub trait Machine: 'static {
     /// steps the repair survives.
     fn repair(&mut self, ledger: &Ledger) -> Result<(), String>;
     /// The view readers see from now on.
-    fn publish(&mut self, ledger: &Ledger) -> Self::View;
+    fn publish(&mut self) -> Self::View;
+    /// Whether `new` no longer shares `old`'s frozen base, which the
+    /// supervisor counts in [`ServeStats::snapshot_rebuilds`]. Views
+    /// without a base never do.
+    fn rebased(_old: &Self::View, _new: &Self::View) -> bool {
+        false
+    }
 }
 
 /// What a [`Machine::commit`] made durable.
@@ -152,7 +158,7 @@ pub struct ServeStats {
     /// Log-tail truncations that failed during a repair; the WAL retries
     /// them before its next append.
     pub repair_failures: u64,
-    /// Views (snapshots or digests) published to readers.
+    /// Views published to readers.
     pub snapshots_published: u64,
     /// Snapshot publishes that carried a freshly folded base, i.e. the
     /// store folded its delta since the previous publish.
@@ -296,9 +302,15 @@ impl<M: Machine> Shared<M> {
         }
     }
 
+    /// Only the writer replaces the view, so it cannot change between
+    /// the comparison and the store.
     fn publish(&self, machine: &mut M) {
-        let view = machine.publish(&self.ledger);
-        self.ledger.count(|s| s.snapshots_published += 1);
+        let view = machine.publish();
+        let rebased = M::rebased(&lock(&self.view), &view);
+        self.ledger.count(|s| {
+            s.snapshots_published += 1;
+            s.snapshot_rebuilds += u64::from(rebased);
+        });
         *lock(&self.view) = view;
     }
 }
@@ -337,7 +349,7 @@ impl<M: Machine> Supervisor<M> {
                     }
                 };
                 let ledger = Ledger::default();
-                let view = machine.publish(&ledger);
+                let view = machine.publish();
                 ledger.count(|s| s.snapshots_published += 1);
                 let shared = Arc::new(Shared {
                     queue: Mutex::new(Queue { items: VecDeque::new(), closed: false, aborted: false }),
@@ -677,8 +689,6 @@ pub struct LiveStore {
     vfs: Arc<dyn Vfs + Send + Sync>,
     store: TripleStore,
     log: StoreLog,
-    /// The last view published, to tell when a publish carries a new base.
-    published: Snapshot,
 }
 
 impl Machine for LiveStore {
@@ -735,13 +745,12 @@ impl Machine for LiveStore {
         self.store.undo_to(self.log.committed_revision()).map_err(|e| e.to_string())
     }
 
-    fn publish(&mut self, ledger: &Ledger) -> Snapshot {
-        let snapshot = self.store.snapshot();
-        if !snapshot.shares_base(&self.published) {
-            ledger.count(|s| s.snapshot_rebuilds += 1);
-        }
-        self.published = snapshot.clone();
-        snapshot
+    fn publish(&mut self) -> Snapshot {
+        self.store.snapshot()
+    }
+
+    fn rebased(old: &Snapshot, new: &Snapshot) -> bool {
+        !new.shares_base(old)
     }
 }
 
@@ -762,10 +771,9 @@ impl Service {
     ) -> Result<(Service, LogReport), ServeError> {
         // The store is `Send`: recover it here, so its memory comes from
         // the caller's allocator arena, and hand it to the writer.
-        let (mut store, mut log, report) = TripleStore::open_logged(&*vfs, snapshot_path)?;
+        let (store, mut log, report) = TripleStore::open_logged(&*vfs, snapshot_path)?;
         log.set_compact_threshold(config.compact_threshold);
-        let published = store.snapshot();
-        let machine = LiveStore { vfs, store, log, published };
+        let machine = LiveStore { vfs, store, log };
         Supervisor::start(config, clock, move |_| Ok((machine, report)))
     }
 
@@ -888,7 +896,7 @@ mod tests {
             Ok(())
         }
 
-        fn publish(&mut self, _: &Ledger) -> Vec<i64> {
+        fn publish(&mut self) -> Vec<i64> {
             self.live.clone()
         }
     }

@@ -10,6 +10,7 @@
 //! against the model.
 
 use crate::generic::{GenericDmi, Instance};
+use crate::reader::Prop;
 use crate::slimpad_dmi::{BundleHandle, ScrapHandle, SlimPadDmi};
 use metamodel::vocab;
 use trim::{ConjQuery, Value};
@@ -119,18 +120,18 @@ impl SlimPadDmi {
     /// Served by the store's literal search: each distinct literal is
     /// tested once, and no scrap is visited unless it matches.
     pub fn find_scraps(&self, needle: &str) -> Vec<ScrapHandle> {
-        self.scraps_by_literal("scrapName", needle)
+        self.scraps_by_literal(Prop::ScrapName, needle)
     }
 
     /// Find bundles whose name contains `needle` (case-insensitive).
     pub fn find_bundles(&self, needle: &str) -> Vec<BundleHandle> {
-        self.bundles_by_literal("bundleName", needle)
+        self.bundles_by_literal(Prop::BundleName, needle)
     }
 
     /// Scraps annotated with text containing `needle`, found through the
     /// literal search on annotation values.
     pub fn find_annotated(&self, needle: &str) -> Vec<ScrapHandle> {
-        self.scraps_by_literal("scrapAnnotation", needle)
+        self.scraps_by_literal(Prop::ScrapAnnotation, needle)
     }
 
     /// The bundle that directly contains a scrap, if any. A two-pattern
@@ -141,7 +142,7 @@ impl SlimPadDmi {
         let store = self.store();
         let conf = store.find_atom(vocab::CONFORMS_TO)?;
         let bundle_c = store.find_atom(&vocab::construct_res("bundle-scrap", "Bundle"))?;
-        let content = store.find_atom("bundleContent")?;
+        let content = store.find_atom(Prop::BundleContent.name())?;
         let mut q = ConjQuery::new();
         let b = q.var("b");
         q.pattern(b, conf, bundle_c).pattern(b, content, Value::Resource(scrap.resource()));
@@ -158,7 +159,7 @@ impl SlimPadDmi {
     fn scrap_rows_in_bundle(&self, bundle: BundleHandle) -> Vec<(ScrapHandle, String)> {
         let store = self.store();
         let (Some(content), Some(name_p)) =
-            (store.find_atom("bundleContent"), store.find_atom("scrapName"))
+            (store.find_atom(Prop::BundleContent.name()), store.find_atom(Prop::ScrapName.name()))
         else {
             return Vec::new();
         };

@@ -36,12 +36,72 @@ impl Construct {
     const ALL: [Construct; 4] =
         [Construct::SlimPad, Construct::Bundle, Construct::Scrap, Construct::MarkHandle];
 
-    fn name(self) -> &'static str {
+    /// The construct's name in the Bundle-Scrap model.
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Construct::SlimPad => "SlimPad",
             Construct::Bundle => "Bundle",
             Construct::Scrap => "Scrap",
             Construct::MarkHandle => "MarkHandle",
+        }
+    }
+}
+
+/// The Bundle-Scrap model's properties, as the DMI writes and the
+/// reader follows them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Prop {
+    PadName,
+    RootBundle,
+    BundleName,
+    BundlePos,
+    BundleWidth,
+    BundleHeight,
+    BundleContent,
+    NestedBundle,
+    ScrapName,
+    ScrapPos,
+    ScrapMark,
+    MarkId,
+    ScrapAnnotation,
+    ScrapLink,
+}
+
+impl Prop {
+    const ALL: [Prop; 14] = [
+        Prop::PadName,
+        Prop::RootBundle,
+        Prop::BundleName,
+        Prop::BundlePos,
+        Prop::BundleWidth,
+        Prop::BundleHeight,
+        Prop::BundleContent,
+        Prop::NestedBundle,
+        Prop::ScrapName,
+        Prop::ScrapPos,
+        Prop::ScrapMark,
+        Prop::MarkId,
+        Prop::ScrapAnnotation,
+        Prop::ScrapLink,
+    ];
+
+    /// The property's atom name.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Prop::PadName => "padName",
+            Prop::RootBundle => "rootBundle",
+            Prop::BundleName => "bundleName",
+            Prop::BundlePos => "bundlePos",
+            Prop::BundleWidth => "bundleWidth",
+            Prop::BundleHeight => "bundleHeight",
+            Prop::BundleContent => "bundleContent",
+            Prop::NestedBundle => "nestedBundle",
+            Prop::ScrapName => "scrapName",
+            Prop::ScrapPos => "scrapPos",
+            Prop::ScrapMark => "scrapMark",
+            Prop::MarkId => "markId",
+            Prop::ScrapAnnotation => "scrapAnnotation",
+            Prop::ScrapLink => "scrapLink",
         }
     }
 }
@@ -52,68 +112,29 @@ impl Construct {
 pub(crate) struct Vocab {
     conforms_to: Option<Atom>,
     constructs: [Option<Atom>; 4],
-    pub(crate) pad_name: Option<Atom>,
-    pub(crate) root_bundle: Option<Atom>,
-    pub(crate) bundle_name: Option<Atom>,
-    pub(crate) bundle_pos: Option<Atom>,
-    pub(crate) bundle_width: Option<Atom>,
-    pub(crate) bundle_height: Option<Atom>,
-    pub(crate) bundle_content: Option<Atom>,
-    pub(crate) nested_bundle: Option<Atom>,
-    pub(crate) scrap_name: Option<Atom>,
-    pub(crate) scrap_pos: Option<Atom>,
-    pub(crate) scrap_mark: Option<Atom>,
-    pub(crate) mark_id: Option<Atom>,
-    pub(crate) scrap_annotation: Option<Atom>,
-    pub(crate) scrap_link: Option<Atom>,
+    props: [Option<Atom>; 14],
 }
 
 impl Vocab {
     /// Look every vocabulary atom up in `runs`.
     pub(crate) fn find<R: Runs + ?Sized>(runs: &R) -> Vocab {
-        let find = |name: &str| runs.find_atom(name);
         Vocab {
-            conforms_to: find(vocab::CONFORMS_TO),
+            conforms_to: runs.find_atom(vocab::CONFORMS_TO),
             constructs: Construct::ALL
-                .map(|c| find(&vocab::construct_res("bundle-scrap", c.name()))),
-            pad_name: find("padName"),
-            root_bundle: find("rootBundle"),
-            bundle_name: find("bundleName"),
-            bundle_pos: find("bundlePos"),
-            bundle_width: find("bundleWidth"),
-            bundle_height: find("bundleHeight"),
-            bundle_content: find("bundleContent"),
-            nested_bundle: find("nestedBundle"),
-            scrap_name: find("scrapName"),
-            scrap_pos: find("scrapPos"),
-            scrap_mark: find("scrapMark"),
-            mark_id: find("markId"),
-            scrap_annotation: find("scrapAnnotation"),
-            scrap_link: find("scrapLink"),
+                .map(|c| runs.find_atom(&vocab::construct_res("bundle-scrap", c.name()))),
+            props: Prop::ALL.map(|p| runs.find_atom(p.name())),
         }
     }
 
     /// True once every atom exists. Atoms are never un-interned, so a
     /// complete vocabulary stays valid for the life of its store.
     pub(crate) fn is_complete(&self) -> bool {
-        let v = self;
-        let properties = [
-            v.pad_name,
-            v.root_bundle,
-            v.bundle_name,
-            v.bundle_pos,
-            v.bundle_width,
-            v.bundle_height,
-            v.bundle_content,
-            v.nested_bundle,
-            v.scrap_name,
-            v.scrap_pos,
-            v.scrap_mark,
-            v.mark_id,
-            v.scrap_annotation,
-            v.scrap_link,
-        ];
-        v.conforms_to.is_some() && v.constructs.iter().chain(&properties).all(Option::is_some)
+        self.conforms_to.is_some()
+            && self.constructs.iter().chain(&self.props).all(Option::is_some)
+    }
+
+    fn prop(&self, p: Prop) -> Option<Atom> {
+        self.props[p as usize]
     }
 }
 
@@ -144,10 +165,6 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
         self.runs
     }
 
-    pub(crate) fn vocab(&self) -> &Vocab {
-        &self.vocab
-    }
-
     fn is_instance_of(&self, id: Atom, construct: Construct) -> bool {
         let c = self.vocab.constructs[construct as usize];
         let (Some(conf_p), Some(c)) = (self.vocab.conforms_to, c) else {
@@ -167,24 +184,24 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
     }
 
     /// The text of the one literal `subject` has under `property`.
-    fn literal_of(&self, subject: Atom, property: Option<Atom>) -> Option<&'a str> {
-        match self.runs.object_of(subject, property?)? {
+    fn literal_of(&self, subject: Atom, property: Prop) -> Option<&'a str> {
+        match self.runs.object_of(subject, self.vocab.prop(property)?)? {
             Value::Literal(a) => Some(self.runs.resolve(a)),
             Value::Resource(_) => None,
         }
     }
 
-    fn number_of(&self, subject: Atom, property: Option<Atom>) -> i64 {
+    fn number_of(&self, subject: Atom, property: Prop) -> i64 {
         self.literal_of(subject, property).and_then(|t| t.parse().ok()).unwrap_or(0)
     }
 
-    fn coord_of(&self, subject: Atom, property: Option<Atom>) -> (i64, i64) {
+    fn coord_of(&self, subject: Atom, property: Prop) -> (i64, i64) {
         self.literal_of(subject, property).and_then(parse_coord).unwrap_or((0, 0))
     }
 
     /// Resources `subject` points at under `property`, in atom order.
-    pub(crate) fn links_of(&self, subject: Atom, property: Option<Atom>) -> Vec<Atom> {
-        let Some(p) = property else {
+    pub(crate) fn links_of(&self, subject: Atom, property: Prop) -> Vec<Atom> {
+        let Some(p) = self.vocab.prop(property) else {
             return Vec::new();
         };
         let mut out: Vec<Atom> = self
@@ -201,7 +218,11 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
     }
 
     /// Subjects pointing at `target` under `property`, in atom order.
-    pub(crate) fn incoming_links(&self, target: Atom, property: Option<Atom>) -> Vec<Atom> {
+    pub(crate) fn incoming_links(&self, target: Atom, property: Prop) -> Vec<Atom> {
+        self.pointing_at(target, self.vocab.prop(property))
+    }
+
+    fn pointing_at(&self, target: Atom, property: Option<Atom>) -> Vec<Atom> {
         let Some(p) = property else {
             return Vec::new();
         };
@@ -220,7 +241,7 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
         let (Some(conf_p), Some(c)) = (self.vocab.conforms_to, c) else {
             return Vec::new();
         };
-        self.incoming_links(c, Some(conf_p))
+        self.pointing_at(c, Some(conf_p))
     }
 
     /// Snapshot a pad.
@@ -228,8 +249,8 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
         let id = pad.resource();
         self.require(id, Construct::SlimPad)?;
         Ok(PadData {
-            name: self.literal_of(id, self.vocab.pad_name).unwrap_or_default().to_string(),
-            root_bundle: self.links_of(id, self.vocab.root_bundle).first().copied().map(BundleHandle),
+            name: self.literal_of(id, Prop::PadName).unwrap_or_default().to_string(),
+            root_bundle: self.links_of(id, Prop::RootBundle).first().copied().map(BundleHandle),
         })
     }
 
@@ -237,14 +258,13 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
     pub fn bundle(&self, b: BundleHandle) -> Result<BundleData, DmiError> {
         let id = b.resource();
         self.require(id, Construct::Bundle)?;
-        let v = &self.vocab;
         Ok(BundleData {
-            name: self.literal_of(id, v.bundle_name).unwrap_or_default().to_string(),
-            pos: self.coord_of(id, v.bundle_pos),
-            width: self.number_of(id, v.bundle_width),
-            height: self.number_of(id, v.bundle_height),
-            scraps: self.links_of(id, v.bundle_content).into_iter().map(ScrapHandle).collect(),
-            nested: self.links_of(id, v.nested_bundle).into_iter().map(BundleHandle).collect(),
+            name: self.literal_of(id, Prop::BundleName).unwrap_or_default().to_string(),
+            pos: self.coord_of(id, Prop::BundlePos),
+            width: self.number_of(id, Prop::BundleWidth),
+            height: self.number_of(id, Prop::BundleHeight),
+            scraps: self.links_of(id, Prop::BundleContent).into_iter().map(ScrapHandle).collect(),
+            nested: self.links_of(id, Prop::NestedBundle).into_iter().map(BundleHandle).collect(),
         })
     }
 
@@ -252,11 +272,10 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
     pub fn scrap(&self, s: ScrapHandle) -> Result<ScrapData, DmiError> {
         let id = s.resource();
         self.require(id, Construct::Scrap)?;
-        let v = &self.vocab;
         Ok(ScrapData {
-            name: self.literal_of(id, v.scrap_name).unwrap_or_default().to_string(),
-            pos: self.coord_of(id, v.scrap_pos),
-            marks: self.links_of(id, v.scrap_mark).into_iter().map(MarkHandleHandle).collect(),
+            name: self.literal_of(id, Prop::ScrapName).unwrap_or_default().to_string(),
+            pos: self.coord_of(id, Prop::ScrapPos),
+            marks: self.links_of(id, Prop::ScrapMark).into_iter().map(MarkHandleHandle).collect(),
         })
     }
 
@@ -265,7 +284,7 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
         let id = h.resource();
         self.require(id, Construct::MarkHandle)?;
         Ok(MarkHandleData {
-            mark_id: self.literal_of(id, self.vocab.mark_id).unwrap_or_default().to_string(),
+            mark_id: self.literal_of(id, Prop::MarkId).unwrap_or_default().to_string(),
         })
     }
 
@@ -273,7 +292,7 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
     pub fn annotations(&self, scrap: ScrapHandle) -> Result<Vec<String>, DmiError> {
         let id = scrap.resource();
         self.require(id, Construct::Scrap)?;
-        let Some(p) = self.vocab.scrap_annotation else {
+        let Some(p) = self.vocab.prop(Prop::ScrapAnnotation) else {
             return Ok(Vec::new());
         };
         let mut out: Vec<String> = self
@@ -293,7 +312,7 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
     pub fn scrap_links(&self, from: ScrapHandle) -> Result<Vec<ScrapHandle>, DmiError> {
         let id = from.resource();
         self.require(id, Construct::Scrap)?;
-        Ok(self.links_of(id, self.vocab.scrap_link).into_iter().map(ScrapHandle).collect())
+        Ok(self.links_of(id, Prop::ScrapLink).into_iter().map(ScrapHandle).collect())
     }
 
     /// All pads.
@@ -321,14 +340,17 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
     /// engine.
     pub fn population_by_join(&self) -> (usize, usize) {
         (
-            self.count_named(Construct::Bundle, self.vocab.bundle_name),
-            self.count_named(Construct::Scrap, self.vocab.scrap_name),
+            self.count_named(Construct::Bundle, Prop::BundleName),
+            self.count_named(Construct::Scrap, Prop::ScrapName),
         )
     }
 
-    fn count_named(&self, construct: Construct, name_p: Option<Atom>) -> usize {
-        let (Some(conf_p), Some(c), Some(p)) =
-            (self.vocab.conforms_to, self.vocab.constructs[construct as usize], name_p)
+    fn count_named(&self, construct: Construct, name: Prop) -> usize {
+        let (Some(conf_p), Some(c), Some(p)) = (
+            self.vocab.conforms_to,
+            self.vocab.constructs[construct as usize],
+            self.vocab.prop(name),
+        )
         else {
             return 0;
         };

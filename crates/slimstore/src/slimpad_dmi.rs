@@ -22,7 +22,7 @@
 //! back to the operation's starting revision via TRIM's change journal.
 
 use crate::error::DmiError;
-use crate::reader::{Construct, PadReader, Vocab};
+use crate::reader::{Construct, PadReader, Prop, Vocab};
 use metamodel::builtin;
 use metamodel::encode::encode_model;
 use metamodel::vocab;
@@ -155,13 +155,9 @@ impl SlimPadDmi {
 
     // ---- small internal helpers -------------------------------------------
 
-    fn construct_atom(&mut self, construct: &str) -> Atom {
-        self.store.atom(&vocab::construct_res("bundle-scrap", construct))
-    }
-
-    fn create_instance(&mut self, construct: &str) -> Atom {
-        let id = self.store.fresh_resource(construct);
-        let c = self.construct_atom(construct);
+    fn create_instance(&mut self, construct: Construct) -> Atom {
+        let id = self.store.fresh_resource(construct.name());
+        let c = self.store.atom(&vocab::construct_res("bundle-scrap", construct.name()));
         let type_p = self.store.atom(vocab::TYPE);
         let conf_p = self.store.atom(vocab::CONFORMS_TO);
         self.store.insert_all([
@@ -175,20 +171,22 @@ impl SlimPadDmi {
         self.reader().require(id, construct)
     }
 
-    fn set_literal(&mut self, subject: Atom, property: &str, value: &str) {
-        let p = self.store.atom(property);
+    fn prop_atom(&mut self, property: Prop) -> Atom {
+        self.store.atom(property.name())
+    }
+
+    fn set_literal(&mut self, subject: Atom, property: Prop, value: &str) {
+        let p = self.prop_atom(property);
         let v = self.store.literal_value(value);
         self.store.set_unique(subject, p, v);
     }
 
-    fn links_of(&self, subject: Atom, property: fn(&Vocab) -> Option<Atom>) -> Vec<Atom> {
-        let reader = self.reader();
-        reader.links_of(subject, property(reader.vocab()))
+    fn links_of(&self, subject: Atom, property: Prop) -> Vec<Atom> {
+        self.reader().links_of(subject, property)
     }
 
-    fn incoming_links(&self, target: Atom, property: fn(&Vocab) -> Option<Atom>) -> Vec<Atom> {
-        let reader = self.reader();
-        reader.incoming_links(target, property(reader.vocab()))
+    fn incoming_links(&self, target: Atom, property: Prop) -> Vec<Atom> {
+        self.reader().incoming_links(target, property)
     }
 
     // ---- Create_* (Figure 10) ---------------------------------------------
@@ -203,10 +201,10 @@ impl SlimPadDmi {
         if let Some(b) = root_bundle {
             self.require(b.0, Construct::Bundle)?;
         }
-        let id = self.create_instance("SlimPad");
-        self.set_literal(id, "padName", pad_name);
+        let id = self.create_instance(Construct::SlimPad);
+        self.set_literal(id, Prop::PadName, pad_name);
         if let Some(b) = root_bundle {
-            let p = self.store.atom("rootBundle");
+            let p = self.prop_atom(Prop::RootBundle);
             self.store.insert(id, p, Value::Resource(b.0));
         }
         Ok(PadHandle(id))
@@ -220,11 +218,11 @@ impl SlimPadDmi {
         width: i64,
         height: i64,
     ) -> BundleHandle {
-        let id = self.create_instance("Bundle");
-        self.set_literal(id, "bundleName", name);
-        self.set_literal(id, "bundlePos", &coord_text(pos));
-        self.set_literal(id, "bundleWidth", &width.to_string());
-        self.set_literal(id, "bundleHeight", &height.to_string());
+        let id = self.create_instance(Construct::Bundle);
+        self.set_literal(id, Prop::BundleName, name);
+        self.set_literal(id, Prop::BundlePos, &coord_text(pos));
+        self.set_literal(id, Prop::BundleWidth, &width.to_string());
+        self.set_literal(id, Prop::BundleHeight, &height.to_string());
         BundleHandle(id)
     }
 
@@ -237,19 +235,19 @@ impl SlimPadDmi {
         pos: (i64, i64),
         mark_id: &str,
     ) -> Result<ScrapHandle, DmiError> {
-        let id = self.create_instance("Scrap");
-        self.set_literal(id, "scrapName", name);
-        self.set_literal(id, "scrapPos", &coord_text(pos));
+        let id = self.create_instance(Construct::Scrap);
+        self.set_literal(id, Prop::ScrapName, name);
+        self.set_literal(id, Prop::ScrapPos, &coord_text(pos));
         let handle = self.create_mark_handle(mark_id);
-        let p = self.store.atom("scrapMark");
+        let p = self.prop_atom(Prop::ScrapMark);
         self.store.insert(id, p, Value::Resource(handle.0));
         Ok(ScrapHandle(id))
     }
 
     /// `Create_MarkHandle(markId)`.
     pub fn create_mark_handle(&mut self, mark_id: &str) -> MarkHandleHandle {
-        let id = self.create_instance("MarkHandle");
-        self.set_literal(id, "markId", mark_id);
+        let id = self.create_instance(Construct::MarkHandle);
+        self.set_literal(id, Prop::MarkId, mark_id);
         MarkHandleHandle(id)
     }
 
@@ -258,7 +256,7 @@ impl SlimPadDmi {
     /// `Update_padName(SlimPad, newPadName)`.
     pub fn update_pad_name(&mut self, pad: PadHandle, new_name: &str) -> Result<(), DmiError> {
         self.require(pad.0, Construct::SlimPad)?;
-        self.set_literal(pad.0, "padName", new_name);
+        self.set_literal(pad.0, Prop::PadName, new_name);
         Ok(())
     }
 
@@ -272,7 +270,7 @@ impl SlimPadDmi {
         if let Some(b) = new_root {
             self.require(b.0, Construct::Bundle)?;
         }
-        let p = self.store.atom("rootBundle");
+        let p = self.prop_atom(Prop::RootBundle);
         self.store.remove_matching(&TriplePattern::default().with_subject(pad.0).with_property(p));
         if let Some(b) = new_root {
             self.store.insert(pad.0, p, Value::Resource(b.0));
@@ -283,7 +281,7 @@ impl SlimPadDmi {
     /// `Update_bundleName(Bundle, newName)`.
     pub fn update_bundle_name(&mut self, b: BundleHandle, name: &str) -> Result<(), DmiError> {
         self.require(b.0, Construct::Bundle)?;
-        self.set_literal(b.0, "bundleName", name);
+        self.set_literal(b.0, Prop::BundleName, name);
         Ok(())
     }
 
@@ -291,7 +289,7 @@ impl SlimPadDmi {
     /// paper's core 2-D manipulation.
     pub fn update_bundle_pos(&mut self, b: BundleHandle, pos: (i64, i64)) -> Result<(), DmiError> {
         self.require(b.0, Construct::Bundle)?;
-        self.set_literal(b.0, "bundlePos", &coord_text(pos));
+        self.set_literal(b.0, Prop::BundlePos, &coord_text(pos));
         Ok(())
     }
 
@@ -303,8 +301,8 @@ impl SlimPadDmi {
         height: i64,
     ) -> Result<(), DmiError> {
         self.require(b.0, Construct::Bundle)?;
-        self.set_literal(b.0, "bundleWidth", &width.to_string());
-        self.set_literal(b.0, "bundleHeight", &height.to_string());
+        self.set_literal(b.0, Prop::BundleWidth, &width.to_string());
+        self.set_literal(b.0, Prop::BundleHeight, &height.to_string());
         Ok(())
     }
 
@@ -312,14 +310,14 @@ impl SlimPadDmi {
     /// and moved around".
     pub fn update_scrap_name(&mut self, s: ScrapHandle, name: &str) -> Result<(), DmiError> {
         self.require(s.0, Construct::Scrap)?;
-        self.set_literal(s.0, "scrapName", name);
+        self.set_literal(s.0, Prop::ScrapName, name);
         Ok(())
     }
 
     /// `Update_scrapPos(Scrap, newPos)`.
     pub fn update_scrap_pos(&mut self, s: ScrapHandle, pos: (i64, i64)) -> Result<(), DmiError> {
         self.require(s.0, Construct::Scrap)?;
-        self.set_literal(s.0, "scrapPos", &coord_text(pos));
+        self.set_literal(s.0, Prop::ScrapPos, &coord_text(pos));
         Ok(())
     }
 
@@ -337,7 +335,7 @@ impl SlimPadDmi {
         if parent == child {
             return Err(DmiError::Structure { message: "a bundle cannot nest inside itself".into() });
         }
-        if !self.incoming_links(child.0, |v| v.nested_bundle).is_empty() {
+        if !self.incoming_links(child.0, Prop::NestedBundle).is_empty() {
             return Err(DmiError::Structure {
                 message: "bundle already nests in another bundle".into(),
             });
@@ -349,7 +347,7 @@ impl SlimPadDmi {
                 message: "nesting would create a bundle cycle".into(),
             });
         }
-        let p = self.store.atom("nestedBundle");
+        let p = self.prop_atom(Prop::NestedBundle);
         self.store.insert(parent.0, p, Value::Resource(child.0));
         Ok(())
     }
@@ -361,7 +359,7 @@ impl SlimPadDmi {
         child: BundleHandle,
     ) -> Result<(), DmiError> {
         self.require(parent.0, Construct::Bundle)?;
-        let p = self.store.atom("nestedBundle");
+        let p = self.prop_atom(Prop::NestedBundle);
         let removed = self.store.remove(trim::Triple {
             subject: parent.0,
             property: p,
@@ -377,12 +375,12 @@ impl SlimPadDmi {
     pub fn add_scrap(&mut self, bundle: BundleHandle, scrap: ScrapHandle) -> Result<(), DmiError> {
         self.require(bundle.0, Construct::Bundle)?;
         self.require(scrap.0, Construct::Scrap)?;
-        if !self.incoming_links(scrap.0, |v| v.bundle_content).is_empty() {
+        if !self.incoming_links(scrap.0, Prop::BundleContent).is_empty() {
             return Err(DmiError::Structure {
                 message: "scrap already belongs to a bundle".into(),
             });
         }
-        let p = self.store.atom("bundleContent");
+        let p = self.prop_atom(Prop::BundleContent);
         self.store.insert(bundle.0, p, Value::Resource(scrap.0));
         Ok(())
     }
@@ -394,7 +392,7 @@ impl SlimPadDmi {
         scrap: ScrapHandle,
     ) -> Result<(), DmiError> {
         self.require(bundle.0, Construct::Bundle)?;
-        let p = self.store.atom("bundleContent");
+        let p = self.prop_atom(Prop::BundleContent);
         let removed = self.store.remove(trim::Triple {
             subject: bundle.0,
             property: p,
@@ -416,7 +414,7 @@ impl SlimPadDmi {
     ) -> Result<(), DmiError> {
         self.require(scrap.0, Construct::Scrap)?;
         self.require(handle.0, Construct::MarkHandle)?;
-        let p = self.store.atom("scrapMark");
+        let p = self.prop_atom(Prop::ScrapMark);
         self.store.insert(scrap.0, p, Value::Resource(handle.0));
         Ok(())
     }
@@ -429,7 +427,7 @@ impl SlimPadDmi {
         handle: MarkHandleHandle,
     ) -> Result<(), DmiError> {
         self.require(scrap.0, Construct::Scrap)?;
-        let marks = self.links_of(scrap.0, |v| v.scrap_mark);
+        let marks = self.links_of(scrap.0, Prop::ScrapMark);
         if !marks.contains(&handle.0) {
             return Err(DmiError::Structure { message: "mark handle not on that scrap".into() });
         }
@@ -438,7 +436,7 @@ impl SlimPadDmi {
                 message: "a scrap must keep at least one mark (scrapMark 1..*)".into(),
             });
         }
-        let p = self.store.atom("scrapMark");
+        let p = self.prop_atom(Prop::ScrapMark);
         self.store.remove(trim::Triple {
             subject: scrap.0,
             property: p,
@@ -454,7 +452,7 @@ impl SlimPadDmi {
     /// indicates annotations on scraps would be useful", paper §5).
     pub fn add_annotation(&mut self, scrap: ScrapHandle, text: &str) -> Result<(), DmiError> {
         self.require(scrap.0, Construct::Scrap)?;
-        let p = self.store.atom("scrapAnnotation");
+        let p = self.prop_atom(Prop::ScrapAnnotation);
         let v = self.store.literal_value(text);
         self.store.insert(scrap.0, p, v);
         Ok(())
@@ -468,7 +466,7 @@ impl SlimPadDmi {
     /// Remove one annotation; errors if it is not present.
     pub fn remove_annotation(&mut self, scrap: ScrapHandle, text: &str) -> Result<(), DmiError> {
         self.require(scrap.0, Construct::Scrap)?;
-        let p = self.store.atom("scrapAnnotation");
+        let p = self.prop_atom(Prop::ScrapAnnotation);
         let v = self.store.literal_value(text);
         if !self.store.remove(trim::Triple { subject: scrap.0, property: p, object: v }) {
             return Err(DmiError::Structure { message: "annotation not present".into() });
@@ -484,7 +482,7 @@ impl SlimPadDmi {
         if from == to {
             return Err(DmiError::Structure { message: "a scrap cannot link to itself".into() });
         }
-        let p = self.store.atom("scrapLink");
+        let p = self.prop_atom(Prop::ScrapLink);
         self.store.insert(from.0, p, Value::Resource(to.0));
         Ok(())
     }
@@ -497,7 +495,7 @@ impl SlimPadDmi {
     /// Remove a link; errors if it is not present.
     pub fn unlink_scraps(&mut self, from: ScrapHandle, to: ScrapHandle) -> Result<(), DmiError> {
         self.require(from.0, Construct::Scrap)?;
-        let p = self.store.atom("scrapLink");
+        let p = self.prop_atom(Prop::ScrapLink);
         if !self.store.remove(trim::Triple {
             subject: from.0,
             property: p,
@@ -543,10 +541,10 @@ impl SlimPadDmi {
     /// bundles go with it, and references from parents/pads are cleaned.
     pub fn delete_bundle(&mut self, bundle: BundleHandle) -> Result<(), DmiError> {
         self.require(bundle.0, Construct::Bundle)?;
-        for scrap in self.links_of(bundle.0, |v| v.bundle_content) {
+        for scrap in self.links_of(bundle.0, Prop::BundleContent) {
             self.delete_scrap(ScrapHandle(scrap))?;
         }
-        for nested in self.links_of(bundle.0, |v| v.nested_bundle) {
+        for nested in self.links_of(bundle.0, Prop::NestedBundle) {
             self.delete_bundle(BundleHandle(nested))?;
         }
         self.delete_incoming(bundle.0);
@@ -558,7 +556,7 @@ impl SlimPadDmi {
     /// its containment edge.
     pub fn delete_scrap(&mut self, scrap: ScrapHandle) -> Result<(), DmiError> {
         self.require(scrap.0, Construct::Scrap)?;
-        for handle in self.links_of(scrap.0, |v| v.scrap_mark) {
+        for handle in self.links_of(scrap.0, Prop::ScrapMark) {
             self.delete_subject(handle);
         }
         self.delete_incoming(scrap.0);
@@ -615,8 +613,8 @@ impl SlimPadDmi {
     /// literal once) instead of a walk over every instance. Sorted by atom
     /// and deduplicated —
     /// the same order `instances_of` produces.
-    fn subjects_with_literal(&self, property: &str, needle: &str) -> Vec<Atom> {
-        let Some(p) = self.store.find_atom(property) else {
+    fn subjects_with_literal(&self, property: Prop, needle: &str) -> Vec<Atom> {
+        let Some(p) = self.store.find_atom(property.name()) else {
             return Vec::new();
         };
         let mut out: Vec<Atom> = self
@@ -633,12 +631,12 @@ impl SlimPadDmi {
 
     /// Scrap handles matched through the literal search (handle
     /// construction lives here, where the handle internals are visible).
-    pub(crate) fn scraps_by_literal(&self, property: &str, needle: &str) -> Vec<ScrapHandle> {
+    pub(crate) fn scraps_by_literal(&self, property: Prop, needle: &str) -> Vec<ScrapHandle> {
         self.subjects_with_literal(property, needle).into_iter().map(ScrapHandle).collect()
     }
 
     /// Bundle handles matched through the literal search.
-    pub(crate) fn bundles_by_literal(&self, property: &str, needle: &str) -> Vec<BundleHandle> {
+    pub(crate) fn bundles_by_literal(&self, property: Prop, needle: &str) -> Vec<BundleHandle> {
         self.subjects_with_literal(property, needle).into_iter().map(BundleHandle).collect()
     }
 

@@ -15,6 +15,7 @@ use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::sync::Arc;
 
+use crate::atom::Atom;
 use crate::plan::{Access, IndexKind, Plan};
 use crate::runs::{OspKey, PosKey, SpoKey};
 use crate::store::{Triple, TriplePattern};
@@ -321,6 +322,14 @@ impl<F: Form> Layout<F> {
     pub(crate) fn spo_matches(&self, pattern: &TriplePattern) -> impl Iterator<Item = Triple> + '_ {
         let (lo, hi) = pattern.bounds();
         self.spo.triples(lo, hi)
+    }
+
+    /// The one `(s, p, _)` triple, if exactly one exists.
+    pub(crate) fn unique(&self, s: Atom, p: Atom) -> Option<Triple> {
+        let pattern = TriplePattern::default().with_subject(s).with_property(p);
+        let mut matches = self.spo_matches(&pattern);
+        let first = matches.next()?;
+        matches.next().is_none().then_some(first)
     }
 
     /// The triples matching `pattern`, in the order of the permutation

@@ -27,8 +27,8 @@ pub type PosKey = (Atom, Value, Atom);
 pub type OspKey = (Value, Atom, Atom);
 
 /// A triple set readable as three sorted permutations. Implementors
-/// supply the seeks, counts, selections and atom names; the runs,
-/// probes, unique-object lookup and join explain are provided.
+/// supply the seeks, counts, selections, unique-object lookup and atom
+/// names; the runs, probes and join explain are provided.
 pub trait Runs {
     /// The first SPO key >= `from`.
     fn seek_spo(&self, from: SpoKey) -> Option<SpoKey>;
@@ -53,18 +53,14 @@ pub trait Runs {
     /// The atom for a string, if this triple set knows it.
     fn find_atom(&self, s: &str) -> Option<Atom>;
 
+    /// The object of the `(s, p, _)` triple when exactly one exists (see
+    /// [`crate::TripleStore::object_of`]).
+    fn object_of(&self, s: Atom, p: Atom) -> Option<Value>;
+
     /// True if the exact triple is present.
     fn contains(&self, t: &Triple) -> bool {
         let key = (t.subject, t.property, t.object);
         self.seek_spo(key) == Some(key)
-    }
-
-    /// The object of the `(s, p, _)` triple when exactly one exists —
-    /// [`crate::TripleStore::object_of`], answered by two seeks.
-    fn object_of(&self, s: Atom, p: Atom) -> Option<Value> {
-        let first = self.run_object_of_sp_geq(s, p, VALUE_MIN)?;
-        let second = value_succ(first).and_then(|lo| self.run_object_of_sp_geq(s, p, lo));
-        second.is_none().then_some(first)
     }
 
     /// The join tree [`ConjQuery::solve`] will execute — the conjunctive

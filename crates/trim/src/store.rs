@@ -509,11 +509,7 @@ impl TripleStore {
     /// The single triple matching `(subject, property, _)`, if exactly one
     /// exists.
     pub fn get_unique(&self, subject: Atom, property: Atom) -> Option<Triple> {
-        let pattern =
-            TriplePattern::default().with_subject(subject).with_property(property);
-        let mut matches = self.layout.spo_matches(&pattern);
-        let first = matches.next()?;
-        matches.next().is_none().then_some(first)
+        self.layout.unique(subject, property)
     }
 
     /// The object of the unique `(subject, property, _)` triple.
@@ -676,7 +672,7 @@ impl Runs for TripleStore {
     }
 
     fn select(&self, pattern: &TriplePattern) -> Vec<Triple> {
-        self.layout.select(pattern)
+        TripleStore::select(self, pattern)
     }
 
     fn resolve(&self, a: Atom) -> &str {
@@ -684,7 +680,11 @@ impl Runs for TripleStore {
     }
 
     fn find_atom(&self, s: &str) -> Option<Atom> {
-        self.atoms.get(s)
+        TripleStore::find_atom(self, s)
+    }
+
+    fn object_of(&self, s: Atom, p: Atom) -> Option<Value> {
+        TripleStore::object_of(self, s, p)
     }
 }
 
