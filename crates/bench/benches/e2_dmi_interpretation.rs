@@ -1,8 +1,11 @@
 //! E2 — the cost of *interpreting* manipulations through a DMI
 //! (paper §6). Three tiers of the same create/update/read workload:
-//! native structs (no interpretation), the hand-written SlimPadDMI
-//! (fixed interpretation over triples), and the runtime-generated
-//! GenericDmi (model-validated interpretation — the §4.4 future work).
+//! native structs (no interpretation), the Figure 10 façade
+//! (`SlimPadDmi`: typed handles and the structural rules a model cannot
+//! state, writing through the DMI generated from the Bundle-Scrap model
+//! and reading through `PadReader`), and that generated `GenericDmi`
+//! driven directly by connector name (model-validated interpretation —
+//! the §4.4 future work).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use slim_bench::{build_native_pad, build_pad, NativeScrap};
@@ -19,7 +22,7 @@ fn create_workload(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("native", N), |b| {
         b.iter(|| black_box(build_native_pad(N)))
     });
-    group.bench_function(BenchmarkId::new("handwritten_dmi", N), |b| {
+    group.bench_function(BenchmarkId::new("figure10_facade", N), |b| {
         b.iter(|| black_box(build_pad(N)))
     });
     group.bench_function(BenchmarkId::new("generated_dmi", N), |b| {
@@ -58,7 +61,7 @@ fn update_workload(c: &mut Criterion) {
             black_box(&pad);
         })
     });
-    group.bench_function("handwritten_dmi", |b| {
+    group.bench_function("figure10_facade", |b| {
         let mut dmi = build_pad(N);
         let bundle = dmi.bundles()[0];
         let scraps = dmi.bundle(bundle).unwrap().scraps;
@@ -86,7 +89,7 @@ fn read_workload(c: &mut Criterion) {
             black_box(total)
         })
     });
-    group.bench_function("handwritten_dmi", |b| {
+    group.bench_function("figure10_facade", |b| {
         let dmi = build_pad(N);
         let bundle = dmi.bundles()[0];
         let scraps = dmi.bundle(bundle).unwrap().scraps;

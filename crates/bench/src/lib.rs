@@ -21,7 +21,7 @@ use superimposed::{DocKind, SuperimposedSystem};
 /// measured at.
 pub const BENCH_TRIPLES: usize = 50_000;
 
-/// Build a pad with one bundle of `n` scraps through the hand-written DMI.
+/// Build a pad with one bundle of `n` scraps through the Figure 10 DMI.
 pub fn build_pad(n: usize) -> SlimPadDmi {
     let mut dmi = SlimPadDmi::new();
     let bundle = dmi.create_bundle("Patient", (10, 10), 800, 600);

@@ -25,7 +25,9 @@
 //!
 //! * `cargo run -p slim-bench --bin bench-serve --release` — full run,
 //!   writes `BENCH_serve.json` in the current directory.
-//! * `-- --quick` — shorter measurement windows for CI smoke runs.
+//! * `-- --quick` — shorter reader and saturation windows and fewer
+//!   latency rounds, for CI smoke runs; the pad rows measure the same
+//!   thing in both modes.
 //! * `-- --check BENCH_serve.json` — additionally gate the run against the
 //!   committed baseline: see `checks` below and DESIGN.md §10 "Bench
 //!   gates".
@@ -59,9 +61,11 @@ const QUICK_PAD: &str = "bench/quick-pad.xml";
 const QUICK_SEED: u64 = 0xC0FFEE;
 /// Ops each of the two Quick-corpus pad sessions submits, in every mode.
 const PAD_QUICK_OPS: u64 = 100;
-/// The plain-insert window behind the Quick-corpus pad ratio, in every
-/// mode.
-const PAD_QUICK_WINDOW: Duration = Duration::from_millis(400);
+/// The window of the pad-op mix and of the plain inserts behind both pad
+/// ratios, in every mode: the plain-insert rate depends on the window,
+/// so a quick run's ratios gate against a full-run baseline like for
+/// like only if both runs use the same one.
+const PAD_WINDOW: Duration = Duration::from_millis(400);
 /// Reader-session counts measured under the hot writer.
 const READER_SESSIONS: [usize; 3] = [1, 4, 16];
 /// Sessions that keep the writer committing while readers are measured.
@@ -291,8 +295,10 @@ fn measure_plain_inserts(window: Duration) -> f64 {
 /// Pad-op mix throughput: two sessions blocking-submit the fixed
 /// rotation against a fresh `PadService` over healthy resolver parts.
 /// Engine refusals (e.g. a link landing on one scrap) are typed and
-/// counted, never fatal; the ledger must balance at shutdown.
-fn measure_pad_mix(window: Duration) -> PadMixResult {
+/// counted, never fatal; the ledger must balance at shutdown. Both the
+/// mix and its plain-insert denominator run for [`PAD_WINDOW`].
+fn measure_pad_mix() -> PadMixResult {
+    let window = PAD_WINDOW;
     let vfs: Arc<MemVfs> = Arc::new(MemVfs::new());
     // Frozen MockClock: ward_factory needs one, and a never-advancing
     // clock keeps the generous deadline from ever tripping. Wall time
@@ -387,7 +393,7 @@ fn pad_quick_op(i: u64, rng: &mut StdRng, docs: usize) -> PadOp {
 /// and opened by a `PadService` whose writer regenerates the corpus for
 /// its mark modules; then two sessions blocking-submit
 /// [`PAD_QUICK_OPS`] ops each. Set-up is not timed. The ratio's plain
-/// inserts are measured over [`PAD_QUICK_WINDOW`]: the row measures the
+/// inserts are measured over [`PAD_WINDOW`]: the row measures the
 /// same thing in quick and full runs, so a quick CI run gates against a
 /// full-run baseline like for like.
 fn measure_pad_quick() -> PadQuickResult {
@@ -430,7 +436,7 @@ fn measure_pad_quick() -> PadQuickResult {
     let stats = service.shutdown();
     assert_eq!(stats.unaccounted(), 0, "Quick-corpus pad dropped ops silently: {stats:?}");
     let ops_per_sec = stats.acked as f64 / secs;
-    let plain_insert_ops_per_sec = measure_plain_inserts(PAD_QUICK_WINDOW);
+    let plain_insert_ops_per_sec = measure_plain_inserts(PAD_WINDOW);
     PadQuickResult {
         acked: stats.acked,
         engine_refusals: stats.engine_refusals,
@@ -456,7 +462,7 @@ fn measure(quick: bool) -> Report {
 
     let (saturation_attempts, saturation_acked, saturation_shed) = measure_saturation(window);
 
-    let pad_mix = measure_pad_mix(window);
+    let pad_mix = measure_pad_mix();
     let pad_quick = measure_pad_quick();
 
     Report {

@@ -5,7 +5,7 @@
 //! feel, in a computerized tool." (paper §3)
 //!
 //! The crate assembles the whole stack: the Bundle-Scrap data through the
-//! hand-written DMI (`slimstore`), marks through the Mark Manager
+//! Figure 10 DMI (`slimstore`), marks through the Mark Manager
 //! (`marks`), and live base applications (`basedocs`). On top it adds
 //! what the application layer owns:
 //!

@@ -10,18 +10,24 @@
 //! free — including models loaded from a store at runtime
 //! (`decode_model`), which is "schema-later" all the way down.
 //!
-//! The hand-written [`crate::SlimPadDmi`] and this generic one coexist so
-//! the E2 experiment can measure what the interpretive layer costs.
+//! It is also the one write path of [`crate::SlimPadDmi`]: the Figure 10
+//! operations are a typed façade over a `GenericDmi` for
+//! [`metamodel::builtin::bundle_scrap`], so the Bundle-Scrap
+//! cardinalities, value kinds and link targets are enforced here, from
+//! the model, and nowhere else.
 
 use crate::error::DmiError;
 use metamodel::encode::encode_model;
 use metamodel::vocab;
-use metamodel::{Cardinality, ConformanceReport, ConstructKind, ModelDef};
-use trim::{Atom, ConjQuery, TriplePattern, TripleStore, Value};
+use metamodel::{
+    Cardinality, ConformanceReport, ConnectorDef, ConnectorKind, ConstructKind, ModelDef,
+};
+use std::sync::Arc;
+use trim::{Atom, ConjQuery, Triple, TriplePattern, TripleStore, Value};
 
 /// An instance handle minted by a [`GenericDmi`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Instance(Atom);
+pub struct Instance(pub(crate) Atom);
 
 /// A value to assign through a connector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,14 +42,26 @@ pub enum DmiValue {
 #[derive(Debug)]
 pub struct GenericDmi {
     store: TripleStore,
-    model: ModelDef,
+    model: Arc<ModelDef>,
 }
 
 impl GenericDmi {
     /// Derive a DMI for `model` over a fresh store.
     pub fn new(model: ModelDef) -> Self {
+        Self::encoded(Arc::new(model))
+    }
+
+    /// [`Self::new`] for a model shared with other DMIs.
+    pub(crate) fn encoded(model: Arc<ModelDef>) -> Self {
         let mut store = TripleStore::new();
         encode_model(&mut store, &model);
+        Self::with_model(store, model)
+    }
+
+    /// A DMI for `model` over an existing store, taking the model as
+    /// given rather than decoding it from the store — so a salvaged store
+    /// that lost some model triples still gets the whole model.
+    pub(crate) fn with_model(store: TripleStore, model: Arc<ModelDef>) -> Self {
         GenericDmi { store, model }
     }
 
@@ -53,7 +71,7 @@ impl GenericDmi {
         let model = metamodel::encode::decode_model(&store, model_name).map_err(|e| {
             DmiError::Structure { message: format!("cannot derive DMI: {e}") }
         })?;
-        Ok(GenericDmi { store, model })
+        Ok(Self::with_model(store, Arc::new(model)))
     }
 
     /// The model this DMI enforces.
@@ -83,28 +101,37 @@ impl GenericDmi {
         Ok(Instance(id))
     }
 
-    /// Resolve the connector an instance may use, honouring inheritance.
+    /// Resolve the connector an instance may use, honouring inheritance,
+    /// and the kind of construct it targets.
     fn connector_for(
         &self,
         instance: Instance,
         connector: &str,
-    ) -> Result<(&metamodel::ConnectorDef, ConstructKind), DmiError> {
-        let construct = self.construct_of(instance)?;
+    ) -> Result<(&ConnectorDef, ConstructKind), DmiError> {
+        let construct = self.construct_name(instance)?;
+        // Connector names are unique in a model; the instance may use the
+        // connector if it starts at its construct or at an ancestor.
         let def = self
             .model
-            .connectors_from(&construct)
-            .into_iter()
-            .find(|c| c.name == connector)
+            .find_connector(connector)
+            .filter(|c| {
+                c.kind != ConnectorKind::Generalization && self.assignable(&c.from, construct)
+            })
             .ok_or_else(|| DmiError::NoSuchConnector {
-                construct: construct.clone(),
+                construct: construct.to_string(),
                 connector: connector.to_string(),
             })?;
-        let target_kind = self
-            .model
-            .find_construct(&def.to)
-            .map(|c| c.kind)
-            .unwrap_or(ConstructKind::Construct);
+        let target_kind =
+            self.model.find_construct(&def.to).map_or(ConstructKind::Construct, |c| c.kind);
         Ok((def, target_kind))
+    }
+
+    /// The stored form of a value (interning a text).
+    fn object(&mut self, value: &DmiValue) -> Value {
+        match value {
+            DmiValue::Text(t) => self.store.literal_value(t),
+            DmiValue::Link(i) => Value::Resource(i.0),
+        }
     }
 
     /// `Update_<connector>` / `set<Connector>`: assign a value, enforcing
@@ -117,104 +144,96 @@ impl GenericDmi {
         value: DmiValue,
     ) -> Result<(), DmiError> {
         let (def, target_kind) = self.connector_for(instance, connector)?;
-        let cardinality = def.cardinality;
-        let target_construct = def.to.clone();
-        let connector_name = def.name.clone();
         // Value-kind validation.
-        let object = match (&value, target_kind) {
-            (DmiValue::Text(t), ConstructKind::Literal | ConstructKind::Mark) => {
-                self.store.literal_value(t)
-            }
+        match (&value, target_kind) {
+            (DmiValue::Text(_), ConstructKind::Literal | ConstructKind::Mark) => {}
             (DmiValue::Link(target), ConstructKind::Construct) => {
                 // Target typing (with generalization).
-                let tc = self.construct_of(*target)?;
-                if !self.assignable(&target_construct, &tc) {
+                let tc = self.construct_name(*target)?;
+                if !self.assignable(&def.to, tc) {
                     return Err(DmiError::Structure {
                         message: format!(
-                            "connector {connector_name:?} expects {target_construct:?}, got {tc:?}"
+                            "connector {connector:?} expects {:?}, got {tc:?}",
+                            def.to
                         ),
                     });
                 }
-                Value::Resource(target.0)
             }
             (DmiValue::Text(_), ConstructKind::Construct) => {
                 return Err(DmiError::WrongValueKind {
-                    connector: connector_name,
+                    connector: connector.to_string(),
                     expected: "link",
                 })
             }
             (DmiValue::Link(_), _) => {
                 return Err(DmiError::WrongValueKind {
-                    connector: connector_name,
+                    connector: connector.to_string(),
                     expected: "text",
                 })
             }
-        };
-        let p = self.store.atom(&connector_name);
-        match cardinality {
-            Cardinality::One | Cardinality::OptionalOne => {
-                self.store.set_unique(instance.0, p, object);
-            }
-            Cardinality::Many | Cardinality::OneOrMore => {
-                self.store.insert(instance.0, p, object);
-            }
+        }
+        let single = matches!(def.cardinality, Cardinality::One | Cardinality::OptionalOne);
+        let p = self.store.atom(connector);
+        let object = self.object(&value);
+        if single {
+            self.store.set_unique(instance.0, p, object);
+        } else {
+            self.store.insert(instance.0, p, object);
         }
         Ok(())
     }
 
-    /// Remove one value of a connector. Refuses to drop below a `1..`
-    /// cardinality floor.
+    /// Remove one value of a connector. A value that is not there is a
+    /// `Structure` error; one whose removal would drop the connector
+    /// below a `1..` cardinality floor is a `Cardinality` error.
     pub fn unset(
         &mut self,
         instance: Instance,
         connector: &str,
         value: &DmiValue,
     ) -> Result<(), DmiError> {
-        let (def, _) = self.connector_for(instance, connector)?;
-        let cardinality = def.cardinality;
-        let connector_name = def.name.clone();
-        let p = self.store.atom(&connector_name);
-        let current =
-            self.store.count(&TriplePattern::default().with_subject(instance.0).with_property(p));
-        if !cardinality.admits(current.saturating_sub(1)) {
+        let cardinality = self.connector_for(instance, connector)?.0.cardinality;
+        let property = self.store.atom(connector);
+        let object = self.object(value);
+        let triple = Triple { subject: instance.0, property, object };
+        if !self.store.contains(&triple) {
+            return Err(DmiError::Structure { message: "value not present".into() });
+        }
+        let left = self
+            .store
+            .count(&TriplePattern::default().with_subject(instance.0).with_property(property))
+            - 1;
+        if !cardinality.admits(left) {
             return Err(DmiError::Cardinality {
                 message: format!(
-                    "removing a value would leave {} values for {connector_name:?} ({} required)",
-                    current.saturating_sub(1),
-                    cardinality
+                    "removing a value would leave {left} values for {connector:?} ({cardinality} required)"
                 ),
             });
         }
-        let object = match value {
-            DmiValue::Text(t) => self.store.literal_value(t),
-            DmiValue::Link(i) => Value::Resource(i.0),
-        };
-        let removed =
-            self.store.remove(trim::Triple { subject: instance.0, property: p, object });
-        if !removed {
-            return Err(DmiError::Structure { message: "value not present".into() });
-        }
+        self.store.remove(triple);
         Ok(())
     }
 
-    /// Delete an instance: its triples and incoming instance links.
+    /// Delete an instance: its triples and incoming instance links, in
+    /// one batch.
     pub fn delete(&mut self, instance: Instance) -> Result<(), DmiError> {
-        self.construct_of(instance)?; // must be live
-        self.store.remove_matching(&TriplePattern::default().with_subject(instance.0));
-        let incoming: Vec<trim::Triple> = self
-            .store
-            .select(&TriplePattern::default().with_object(Value::Resource(instance.0)))
-            .into_iter()
-            .filter(|t| {
-                let s = self.store.resolve(t.subject);
-                !s.starts_with("construct:")
-                    && !s.starts_with("connector:")
-                    && !s.starts_with("model:")
-            })
-            .collect();
-        for t in incoming {
-            self.store.remove(t);
-        }
+        self.construct_name(instance)?; // must be live
+        let mut doomed = self.store.select(&TriplePattern::default().with_subject(instance.0));
+        // Keep the model encoding intact: only instance-level triples
+        // reference instance resources, but never touch triples whose
+        // subject is a model element.
+        doomed.extend(
+            self.store
+                .select(&TriplePattern::default().with_object(Value::Resource(instance.0)))
+                .into_iter()
+                .filter(|t| {
+                    let s = self.store.resolve(t.subject);
+                    !s.starts_with("construct:")
+                        && !s.starts_with("connector:")
+                        && !s.starts_with("model:")
+                }),
+        );
+        self.store.remove_all(doomed);
         Ok(())
     }
 
@@ -222,40 +241,43 @@ impl GenericDmi {
 
     /// The construct an instance conforms to.
     pub fn construct_of(&self, instance: Instance) -> Result<String, DmiError> {
-        let conf_p = self.store.find_atom(vocab::CONFORMS_TO).ok_or(DmiError::NotFound {
-            what: "instance",
-            id: String::new(),
-        })?;
-        let prefix = format!("{}:{}.", vocab::prefix::CONSTRUCT, self.model.name);
-        match self.store.object_of(instance.0, conf_p) {
+        self.construct_name(instance).map(str::to_string)
+    }
+
+    /// [`Self::construct_of`], borrowed from the store's atom table.
+    fn construct_name(&self, instance: Instance) -> Result<&str, DmiError> {
+        let conf_p = self
+            .store
+            .find_atom(vocab::CONFORMS_TO)
+            .ok_or(DmiError::NotFound { what: "instance", id: String::new() })?;
+        let construct = match self.store.object_of(instance.0, conf_p) {
             Some(Value::Resource(c)) => self
                 .store
                 .resolve(c)
-                .strip_prefix(&prefix)
-                .map(str::to_string)
-                .ok_or_else(|| DmiError::NotFound {
-                    what: "instance",
-                    id: self.store.resolve(instance.0).to_string(),
-                }),
-            _ => Err(DmiError::NotFound {
-                what: "instance",
-                id: self.store.resolve(instance.0).to_string(),
-            }),
-        }
+                .strip_prefix(vocab::prefix::CONSTRUCT)
+                .and_then(|s| s.strip_prefix(':'))
+                .and_then(|s| s.strip_prefix(self.model.name.as_str()))
+                .and_then(|s| s.strip_prefix('.')),
+            _ => None,
+        };
+        construct.ok_or_else(|| DmiError::NotFound {
+            what: "instance",
+            id: self.store.resolve(instance.0).to_string(),
+        })
     }
 
     fn assignable(&self, target: &str, candidate: &str) -> bool {
         if target == candidate {
             return true;
         }
-        let mut frontier = vec![candidate.to_string()];
+        let mut frontier = vec![candidate];
         while let Some(cur) = frontier.pop() {
             for conn in self.model.connectors() {
-                if conn.kind == metamodel::ConnectorKind::Generalization && conn.from == cur {
+                if conn.kind == ConnectorKind::Generalization && conn.from == cur {
                     if conn.to == target {
                         return true;
                     }
-                    frontier.push(conn.to.clone());
+                    frontier.push(&conn.to);
                 }
             }
         }
@@ -358,6 +380,13 @@ impl GenericDmi {
     /// The underlying store (read-only).
     pub fn store(&self) -> &TripleStore {
         &self.store
+    }
+
+    /// The underlying store, for the journal and log operations a façade
+    /// forwards (checkpoint rollback, snapshots, WAL commits). Instance
+    /// data is written through the operations above.
+    pub(crate) fn store_mut(&mut self) -> &mut TripleStore {
+        &mut self.store
     }
 
     /// Serialize store (model + instances) to XML.

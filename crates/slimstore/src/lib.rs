@@ -20,14 +20,8 @@
 //! application manipulate data in its desired format, while storing the
 //! data using our generic representation." (paper §4.4)
 //!
-//! Two DMIs are provided:
+//! There is one DMI, with a typed face for SLIMPad:
 //!
-//! * [`SlimPadDmi`] — the hand-written DMI of paper Figure 10, with the
-//!   paper's exact operation surface (`Create_SlimPad`, `Create_Bundle`,
-//!   `Update_padName`, `Delete_Bundle`, `save`, `load`, …, in Rust
-//!   casing) over the Bundle-Scrap model. "For SLIMPad, we generated the
-//!   application data structures and DMI manually, based on the
-//!   application model."
 //! * [`GenericDmi`] — the paper's stated direction, implemented: "We are
 //!   working towards automatically generating specialized DMIs from data
 //!   models." Given any [`metamodel::ModelDef`], it derives a DMI at
@@ -35,12 +29,21 @@
 //!   model's constructs, connectors, and cardinalities — so *every* model
 //!   the metamodel can describe gets a safe manipulation interface for
 //!   free.
+//! * [`SlimPadDmi`] — the paper's Figure 10 operation surface
+//!   (`Create_SlimPad`, `Create_Bundle`, `Update_padName`,
+//!   `Delete_Bundle`, `save`, `load`, …, in Rust casing) with typed
+//!   handles. The paper "generated the application data structures and
+//!   DMI manually, based on the application model"; here it is a façade
+//!   over the `GenericDmi` for [`metamodel::builtin::bundle_scrap`], so
+//!   the model is the one place the Bundle-Scrap rules live, and the
+//!   façade adds only the rules a model cannot state (single parents,
+//!   acyclic nesting, recursive deletes).
 //!
 //! [`SlimPadDmi`]'s reads live in one [`PadReader`], generic over
 //! [`trim::Runs`], so the same code reads the live store and a
 //! published [`trim::Snapshot`].
 //!
-//! Both DMIs guarantee the paper's consistency property: "Only the
+//! The DMI guarantees the paper's consistency property: "Only the
 //! interfaces are presented to SLIMPad, which allows the DMI to guarantee
 //! consistency between the triple representation and the application
 //! data." Failed multi-triple operations roll back through TRIM's change

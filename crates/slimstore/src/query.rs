@@ -12,8 +12,7 @@
 use crate::generic::{GenericDmi, Instance};
 use crate::reader::Prop;
 use crate::slimpad_dmi::{BundleHandle, ScrapHandle, SlimPadDmi};
-use metamodel::vocab;
-use trim::{ConjQuery, Value};
+use trim::Atom;
 
 /// A predicate over one connector's values.
 #[derive(Debug, Clone)]
@@ -120,100 +119,68 @@ impl SlimPadDmi {
     /// Served by the store's literal search: each distinct literal is
     /// tested once, and no scrap is visited unless it matches.
     pub fn find_scraps(&self, needle: &str) -> Vec<ScrapHandle> {
-        self.scraps_by_literal(Prop::ScrapName, needle)
+        self.subjects_with_literal(Prop::ScrapName, needle, ScrapHandle)
     }
 
     /// Find bundles whose name contains `needle` (case-insensitive).
     pub fn find_bundles(&self, needle: &str) -> Vec<BundleHandle> {
-        self.bundles_by_literal(Prop::BundleName, needle)
+        self.subjects_with_literal(Prop::BundleName, needle, BundleHandle)
     }
 
     /// Scraps annotated with text containing `needle`, found through the
     /// literal search on annotation values.
     pub fn find_annotated(&self, needle: &str) -> Vec<ScrapHandle> {
-        self.scraps_by_literal(Prop::ScrapAnnotation, needle)
+        self.subjects_with_literal(Prop::ScrapAnnotation, needle, ScrapHandle)
     }
 
-    /// The bundle that directly contains a scrap, if any. A two-pattern
-    /// conjunctive join — `(?b conformsTo Bundle) ⋈ (?b bundleContent
-    /// scrap)` — so the answer comes off the OSP run for the scrap, not
-    /// a scan over every bundle's contents.
+    /// Handles of the subjects whose `property` literal contains
+    /// `needle` (case-insensitive), answered by the store's literal
+    /// search ([`trim::TripleStore::find_literals`], which tests each
+    /// distinct literal once) instead of a walk over every instance.
+    /// Sorted by atom and deduplicated, the order the reader lists
+    /// instances in.
+    fn subjects_with_literal<H>(
+        &self,
+        property: Prop,
+        needle: &str,
+        handle: fn(Atom) -> H,
+    ) -> Vec<H> {
+        let store = self.store();
+        let Some(p) = store.find_atom(property.name()) else {
+            return Vec::new();
+        };
+        let mut out: Vec<Atom> = store
+            .find_literals(needle)
+            .into_iter()
+            .filter(|t| t.property == p)
+            .map(|t| t.subject)
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out.into_iter().map(handle).collect()
+    }
+
+    /// The bundle that directly contains a scrap, if any (see
+    /// [`crate::PadReader::containing_bundle`]).
     pub fn containing_bundle(&self, scrap: ScrapHandle) -> Option<BundleHandle> {
-        let store = self.store();
-        let conf = store.find_atom(vocab::CONFORMS_TO)?;
-        let bundle_c = store.find_atom(&vocab::construct_res("bundle-scrap", "Bundle"))?;
-        let content = store.find_atom(Prop::BundleContent.name())?;
-        let mut q = ConjQuery::new();
-        let b = q.var("b");
-        q.pattern(b, conf, bundle_c).pattern(b, content, Value::Resource(scrap.resource()));
-        let rows = q.solve(store).ok()?;
-        rows.first().and_then(|row| match row[0] {
-            Value::Resource(a) => Some(BundleHandle(a)),
-            _ => None,
-        })
-    }
-
-    /// Scraps directly contained in `bundle`, with their labels, via
-    /// the membership join `(bundle bundleContent ?s) ⋈ (?s scrapName
-    /// ?n)` — rows come back sorted by scrap handle.
-    fn scrap_rows_in_bundle(&self, bundle: BundleHandle) -> Vec<(ScrapHandle, String)> {
-        let store = self.store();
-        let (Some(content), Some(name_p)) =
-            (store.find_atom(Prop::BundleContent.name()), store.find_atom(Prop::ScrapName.name()))
-        else {
-            return Vec::new();
-        };
-        let mut q = ConjQuery::new();
-        let (s, n) = (q.var("s"), q.var("n"));
-        q.pattern(bundle.resource(), content, s).pattern(s, name_p, n);
-        let Ok(rows) = q.solve(store) else {
-            return Vec::new();
-        };
-        rows.into_iter()
-            .filter_map(|row| match row[0] {
-                Value::Resource(a) => store
-                    .value_str(row[1])
-                    .map(|t| (ScrapHandle(a), t.to_string())),
-                _ => None,
-            })
-            .collect()
+        self.reader().containing_bundle(scrap)
     }
 
     /// Scraps directly contained in `bundle`, in handle order.
     pub fn scraps_in_bundle(&self, bundle: BundleHandle) -> Vec<ScrapHandle> {
-        self.scrap_rows_in_bundle(bundle).into_iter().map(|(s, _)| s).collect()
+        self.reader().scraps_in_bundle(bundle)
     }
 
-    /// [`SlimPadDmi::find_scraps`] restricted to one bundle: scraps in
-    /// `bundle` whose label contains `needle` (case-insensitive). The
-    /// membership join narrows to the bundle's scraps first; only those
-    /// labels are examined.
+    /// [`SlimPadDmi::find_scraps`] restricted to one bundle (see
+    /// [`crate::PadReader::find_scraps_in_bundle`]).
     pub fn find_scraps_in_bundle(&self, bundle: BundleHandle, needle: &str) -> Vec<ScrapHandle> {
-        let needle = needle.to_lowercase();
-        self.scrap_rows_in_bundle(bundle)
-            .into_iter()
-            .filter(|(_, name)| name.to_lowercase().contains(&needle))
-            .map(|(s, _)| s)
-            .collect()
+        self.reader().find_scraps_in_bundle(bundle, needle)
     }
 
     /// The chain of bundles from the outermost ancestor down to the one
     /// directly containing `scrap` — breadcrumbs for displays.
     pub fn bundle_path(&self, scrap: ScrapHandle) -> Vec<BundleHandle> {
-        let Some(mut current) = self.containing_bundle(scrap) else {
-            return Vec::new();
-        };
-        let mut path = vec![current];
-        while let Some(parent) = self
-            .bundles()
-            .into_iter()
-            .find(|b| self.bundle(*b).map(|d| d.nested.contains(&current)).unwrap_or(false))
-        {
-            path.push(parent);
-            current = parent;
-        }
-        path.reverse();
-        path
+        self.reader().bundle_path(scrap)
     }
 }
 

@@ -136,6 +136,10 @@ impl Vocab {
     fn prop(&self, p: Prop) -> Option<Atom> {
         self.props[p as usize]
     }
+
+    fn construct(&self, c: Construct) -> Option<Atom> {
+        self.constructs[c as usize]
+    }
 }
 
 /// Decode a Coordinate literal `"x,y"`.
@@ -166,8 +170,8 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
     }
 
     fn is_instance_of(&self, id: Atom, construct: Construct) -> bool {
-        let c = self.vocab.constructs[construct as usize];
-        let (Some(conf_p), Some(c)) = (self.vocab.conforms_to, c) else {
+        let (Some(conf_p), Some(c)) = (self.vocab.conforms_to, self.vocab.construct(construct))
+        else {
             return false;
         };
         self.runs.object_of(id, conf_p) == Some(Value::Resource(c))
@@ -237,8 +241,8 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
     }
 
     fn instances_of(&self, construct: Construct) -> Vec<Atom> {
-        let c = self.vocab.constructs[construct as usize];
-        let (Some(conf_p), Some(c)) = (self.vocab.conforms_to, c) else {
+        let (Some(conf_p), Some(c)) = (self.vocab.conforms_to, self.vocab.construct(construct))
+        else {
             return Vec::new();
         };
         self.pointing_at(c, Some(conf_p))
@@ -330,6 +334,85 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
         self.instances_of(Construct::Scrap).into_iter().map(ScrapHandle).collect()
     }
 
+    /// The bundle that directly contains a scrap, if any. A two-pattern
+    /// conjunctive join — `(?b conformsTo Bundle) ⋈ (?b bundleContent
+    /// scrap)` — so the answer comes off the OSP run for the scrap, not
+    /// a scan over every bundle's contents.
+    pub fn containing_bundle(&self, scrap: ScrapHandle) -> Option<BundleHandle> {
+        let conf_p = self.vocab.conforms_to?;
+        let bundle_c = self.vocab.construct(Construct::Bundle)?;
+        let content = self.vocab.prop(Prop::BundleContent)?;
+        let mut q = ConjQuery::new();
+        let b = q.var("b");
+        q.pattern(b, conf_p, bundle_c).pattern(b, content, Value::Resource(scrap.resource()));
+        let rows = q.solve(self.runs).ok()?;
+        rows.first().and_then(|row| match row[0] {
+            Value::Resource(a) => Some(BundleHandle(a)),
+            Value::Literal(_) => None,
+        })
+    }
+
+    /// Scraps directly contained in `bundle`, with their labels, via
+    /// the membership join `(bundle bundleContent ?s) ⋈ (?s scrapName
+    /// ?n)` — rows come back sorted by scrap handle.
+    fn scrap_rows_in_bundle(&self, bundle: BundleHandle) -> Vec<(ScrapHandle, &'a str)> {
+        let (Some(content), Some(name_p)) =
+            (self.vocab.prop(Prop::BundleContent), self.vocab.prop(Prop::ScrapName))
+        else {
+            return Vec::new();
+        };
+        let mut q = ConjQuery::new();
+        let (s, n) = (q.var("s"), q.var("n"));
+        q.pattern(bundle.resource(), content, s).pattern(s, name_p, n);
+        let Ok(rows) = q.solve(self.runs) else {
+            return Vec::new();
+        };
+        rows.into_iter()
+            .filter_map(|row| match (row[0], row[1]) {
+                (Value::Resource(s), Value::Literal(n)) => {
+                    Some((ScrapHandle(s), self.runs.resolve(n)))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Scraps directly contained in `bundle`, in handle order.
+    pub fn scraps_in_bundle(&self, bundle: BundleHandle) -> Vec<ScrapHandle> {
+        self.scrap_rows_in_bundle(bundle).into_iter().map(|(s, _)| s).collect()
+    }
+
+    /// Scraps in `bundle` whose label contains `needle`
+    /// (case-insensitive). The membership join narrows to the bundle's
+    /// scraps first; only those labels are examined.
+    pub fn find_scraps_in_bundle(&self, bundle: BundleHandle, needle: &str) -> Vec<ScrapHandle> {
+        let needle = needle.to_lowercase();
+        self.scrap_rows_in_bundle(bundle)
+            .into_iter()
+            .filter(|(_, name)| name.to_lowercase().contains(&needle))
+            .map(|(s, _)| s)
+            .collect()
+    }
+
+    /// The chain of bundles from the outermost ancestor down to the one
+    /// directly containing `scrap` — breadcrumbs for displays. Each step
+    /// up is one `nestedBundle` lookup on the child; a cycle in a damaged
+    /// store ends the walk.
+    pub fn bundle_path(&self, scrap: ScrapHandle) -> Vec<BundleHandle> {
+        let mut path: Vec<BundleHandle> = self.containing_bundle(scrap).into_iter().collect();
+        while let Some(parent) = path.last().and_then(|child| {
+            self.incoming_links(child.resource(), Prop::NestedBundle).first().copied()
+        }) {
+            let parent = BundleHandle(parent);
+            if path.contains(&parent) {
+                break;
+            }
+            path.push(parent);
+        }
+        path.reverse();
+        path
+    }
+
     /// Population counts `(bundles, scraps)` answered by the
     /// conjunctive engine. A bundle is exactly an instance that
     /// conforms to `Bundle` and carries a `bundleName` (creation sets
@@ -346,11 +429,8 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
     }
 
     fn count_named(&self, construct: Construct, name: Prop) -> usize {
-        let (Some(conf_p), Some(c), Some(p)) = (
-            self.vocab.conforms_to,
-            self.vocab.constructs[construct as usize],
-            self.vocab.prop(name),
-        )
+        let (Some(conf_p), Some(c), Some(p)) =
+            (self.vocab.conforms_to, self.vocab.construct(construct), self.vocab.prop(name))
         else {
             return 0;
         };
@@ -359,5 +439,46 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
         let n = q.var("n");
         q.pattern(x, conf_p, c).pattern(x, p, n);
         q.solve(self.runs).map(|rows| rows.len()).unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use metamodel::{builtin, ConnectorKind, ConstructKind};
+
+    #[test]
+    fn the_reader_tables_are_the_bundle_scrap_model() {
+        // `Vocab` indexes its arrays by discriminant, so `ALL` must list
+        // each variant once, in order.
+        for (i, p) in Prop::ALL.iter().enumerate() {
+            assert_eq!(*p as usize, i, "{p:?}");
+        }
+        for (i, c) in Construct::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i, "{c:?}");
+        }
+        let model = builtin::bundle_scrap();
+        let connectors: Vec<&str> = model
+            .connectors()
+            .iter()
+            .filter(|c| c.kind != ConnectorKind::Generalization)
+            .map(|c| c.name.as_str())
+            .collect();
+        for p in Prop::ALL {
+            assert!(connectors.contains(&p.name()), "{p:?} is not a model connector");
+        }
+        assert_eq!(Prop::ALL.len(), connectors.len(), "a model connector has no Prop");
+        assert_eq!(connectors.len(), 14);
+        let constructs: Vec<&str> = model
+            .constructs()
+            .iter()
+            .filter(|c| c.kind == ConstructKind::Construct)
+            .map(|c| c.name.as_str())
+            .collect();
+        for c in Construct::ALL {
+            assert!(constructs.contains(&c.name()), "{c:?} is not a model construct");
+        }
+        assert_eq!(Construct::ALL.len(), constructs.len(), "a model construct has no Construct");
+        assert_eq!(constructs.len(), 4);
     }
 }

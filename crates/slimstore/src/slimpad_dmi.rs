@@ -1,4 +1,5 @@
-//! The hand-written SLIMPad DMI of paper Figure 10.
+//! The SLIMPad DMI of paper Figure 10, as a typed façade over the DMI
+//! generated from the Bundle-Scrap model.
 //!
 //! "When SLIMPad needs to create a Bundle, it calls the Create_Bundle
 //! operation in the DMI, which creates a Bundle object for SLIMPad plus
@@ -12,25 +13,33 @@
 //! operations, which is what lets the DMI "guarantee consistency between
 //! the triple representation and the application data".
 //!
-//! Structural rules enforced here (from Figure 3's cardinalities):
-//! * every scrap carries at least one mark handle (`scrapMark 1..*`);
-//! * a scrap belongs to at most one bundle, a bundle nests in at most one
-//!   parent (the `0..1` ends of `bundleContent`/`nestedBundle`);
-//! * bundle nesting is acyclic.
+//! The paper built SLIMPad's DMI by hand; here every write goes through
+//! one [`GenericDmi`] derived from [`builtin::bundle_scrap`], and every
+//! read through a [`PadReader`]. The model enforces what Figure 3 states:
+//! single-valued attributes replace, values have the right kind, links
+//! target the right construct, and a scrap keeps at least one mark
+//! handle (`scrapMark 1..*`). This façade checks its typed handles and
+//! adds the rules a model cannot state:
+//! * a scrap belongs to at most one bundle, and a bundle nests in at most
+//!   one parent;
+//! * bundle nesting is acyclic, and no bundle nests in itself;
+//! * no scrap links to itself;
+//! * `Delete_Bundle` deletes the bundle's scraps and nested bundles;
+//! * a scrap's mark handles are deleted with it, or when detached.
 //!
-//! Multi-triple operations are atomic: on any failure the store is rolled
-//! back to the operation's starting revision via TRIM's change journal.
+//! Multi-triple operations are undone as a unit by rolling the store
+//! back to a [`checkpoint`](SlimPadDmi::checkpoint) through TRIM's change
+//! journal.
 
 use crate::error::DmiError;
+use crate::generic::{DmiValue, GenericDmi, Instance};
 use crate::reader::{Construct, PadReader, Prop, Vocab};
 use metamodel::builtin;
-use metamodel::encode::encode_model;
-use metamodel::vocab;
-use metamodel::ConformanceReport;
+use metamodel::{ConformanceReport, ModelDef};
 use slimio::{Recovered, Vfs};
 use std::path::Path;
-use std::sync::OnceLock;
-use trim::{Atom, LogReport, StoreLog, TriplePattern, TripleStore, Value};
+use std::sync::{Arc, OnceLock};
+use trim::{Atom, LogReport, StoreLog, TripleStore};
 
 /// Handle to a SlimPad object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -103,12 +112,13 @@ pub struct MarkHandleData {
 /// The SLIMPad Data Manipulation Interface (paper Figure 10's
 /// `SlimPadDMI`, `store : TrimManager`).
 ///
-/// Its reads are a [`PadReader`] over the store (see
-/// [`SlimPadDmi::reader`]); the same reader serves a published
+/// Its writes go through a [`GenericDmi`] over the Bundle-Scrap model;
+/// its reads are a [`PadReader`] over the same store (see
+/// [`SlimPadDmi::reader`]), and the same reader serves a published
 /// [`trim::Snapshot`].
 #[derive(Debug)]
 pub struct SlimPadDmi {
-    store: TripleStore,
+    dmi: GenericDmi,
     /// The reader vocabulary, kept once every atom of it exists.
     vocab: OnceLock<Vocab>,
 }
@@ -117,6 +127,12 @@ impl Default for SlimPadDmi {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The Bundle-Scrap model, built once and shared by every pad DMI.
+fn bundle_scrap() -> Arc<ModelDef> {
+    static MODEL: OnceLock<Arc<ModelDef>> = OnceLock::new();
+    Arc::clone(MODEL.get_or_init(|| Arc::new(builtin::bundle_scrap())))
 }
 
 /// Encode `(x, y)` as the Coordinate literal `"x,y"`.
@@ -128,42 +144,49 @@ impl SlimPadDmi {
     /// A fresh DMI over an empty store (with the Bundle-Scrap model
     /// encoded into it, so the store is self-describing).
     pub fn new() -> Self {
-        let mut store = TripleStore::new();
-        encode_model(&mut store, &builtin::bundle_scrap());
-        Self::over(store)
+        SlimPadDmi { dmi: GenericDmi::encoded(bundle_scrap()), vocab: OnceLock::new() }
     }
 
-    fn over(store: TripleStore) -> Self {
-        SlimPadDmi { store, vocab: OnceLock::new() }
+    /// The DMI over a loaded store, and the pads found in it. The model
+    /// is the builtin one, not decoded from the store, so a salvaged
+    /// store that lost model triples still loads.
+    fn loaded(store: TripleStore) -> (Self, Vec<PadHandle>) {
+        let dmi = SlimPadDmi {
+            dmi: GenericDmi::with_model(store, bundle_scrap()),
+            vocab: OnceLock::new(),
+        };
+        let pads = dmi.pads();
+        (dmi, pads)
     }
 
     /// The read-only reader over this DMI's store: every read below
     /// delegates to it.
     pub fn reader(&self) -> PadReader<'_, TripleStore> {
+        let store = self.dmi.store();
         let vocab = match self.vocab.get() {
             Some(vocab) => *vocab,
             None => {
-                let vocab = Vocab::find(&self.store);
+                let vocab = Vocab::find(store);
                 if vocab.is_complete() {
                     let _ = self.vocab.set(vocab);
                 }
                 vocab
             }
         };
-        PadReader::with_vocab(&self.store, vocab)
+        PadReader::with_vocab(store, vocab)
     }
 
     // ---- small internal helpers -------------------------------------------
 
-    fn create_instance(&mut self, construct: Construct) -> Atom {
-        let id = self.store.fresh_resource(construct.name());
-        let c = self.store.atom(&vocab::construct_res("bundle-scrap", construct.name()));
-        let type_p = self.store.atom(vocab::TYPE);
-        let conf_p = self.store.atom(vocab::CONFORMS_TO);
-        self.store.insert_all([
-            trim::Triple { subject: id, property: type_p, object: Value::Resource(c) },
-            trim::Triple { subject: id, property: conf_p, object: Value::Resource(c) },
-        ]);
+    /// Mint an instance of `construct` carrying the literal `texts`.
+    /// Cannot fail: every [`Construct`] is a structural construct of the
+    /// model and every [`Prop`] one of its connectors (pinned by the
+    /// reader's tests).
+    fn create(&mut self, construct: Construct, texts: &[(Prop, &str)]) -> Atom {
+        let id = self.dmi.create(construct.name()).expect("a Bundle-Scrap construct").0;
+        for &(property, text) in texts {
+            self.set_text(id, property, text).expect("a literal of a fresh Bundle-Scrap instance");
+        }
         id
     }
 
@@ -171,22 +194,34 @@ impl SlimPadDmi {
         self.reader().require(id, construct)
     }
 
-    fn prop_atom(&mut self, property: Prop) -> Atom {
-        self.store.atom(property.name())
+    fn set_text(&mut self, subject: Atom, property: Prop, text: &str) -> Result<(), DmiError> {
+        self.dmi.set(Instance(subject), property.name(), DmiValue::Text(text.to_string()))
     }
 
-    fn set_literal(&mut self, subject: Atom, property: Prop, value: &str) {
-        let p = self.prop_atom(property);
-        let v = self.store.literal_value(value);
-        self.store.set_unique(subject, p, v);
+    fn link(&mut self, subject: Atom, property: Prop, target: Atom) -> Result<(), DmiError> {
+        self.dmi.set(Instance(subject), property.name(), DmiValue::Link(Instance(target)))
+    }
+
+    fn unlink(&mut self, subject: Atom, property: Prop, target: Atom) -> Result<(), DmiError> {
+        self.dmi.unset(Instance(subject), property.name(), &DmiValue::Link(Instance(target)))
     }
 
     fn links_of(&self, subject: Atom, property: Prop) -> Vec<Atom> {
         self.reader().links_of(subject, property)
     }
 
-    fn incoming_links(&self, target: Atom, property: Prop) -> Vec<Atom> {
-        self.reader().incoming_links(target, property)
+    /// Delete mark handle objects, skipping any that are no longer live
+    /// (a damaged store can hold a link to one).
+    fn delete_mark_handles(
+        &mut self,
+        handles: impl IntoIterator<Item = Atom>,
+    ) -> Result<(), DmiError> {
+        for handle in handles {
+            if self.require(handle, Construct::MarkHandle).is_ok() {
+                self.dmi.delete(Instance(handle))?;
+            }
+        }
+        Ok(())
     }
 
     // ---- Create_* (Figure 10) ---------------------------------------------
@@ -201,11 +236,9 @@ impl SlimPadDmi {
         if let Some(b) = root_bundle {
             self.require(b.0, Construct::Bundle)?;
         }
-        let id = self.create_instance(Construct::SlimPad);
-        self.set_literal(id, Prop::PadName, pad_name);
+        let id = self.create(Construct::SlimPad, &[(Prop::PadName, pad_name)]);
         if let Some(b) = root_bundle {
-            let p = self.prop_atom(Prop::RootBundle);
-            self.store.insert(id, p, Value::Resource(b.0));
+            self.link(id, Prop::RootBundle, b.0)?;
         }
         Ok(PadHandle(id))
     }
@@ -218,12 +251,15 @@ impl SlimPadDmi {
         width: i64,
         height: i64,
     ) -> BundleHandle {
-        let id = self.create_instance(Construct::Bundle);
-        self.set_literal(id, Prop::BundleName, name);
-        self.set_literal(id, Prop::BundlePos, &coord_text(pos));
-        self.set_literal(id, Prop::BundleWidth, &width.to_string());
-        self.set_literal(id, Prop::BundleHeight, &height.to_string());
-        BundleHandle(id)
+        BundleHandle(self.create(
+            Construct::Bundle,
+            &[
+                (Prop::BundleName, name),
+                (Prop::BundlePos, &coord_text(pos)),
+                (Prop::BundleWidth, &width.to_string()),
+                (Prop::BundleHeight, &height.to_string()),
+            ],
+        ))
     }
 
     /// `Create_Scrap(scrapName, scrapPos, markId)` — Figure 3 requires at
@@ -235,20 +271,18 @@ impl SlimPadDmi {
         pos: (i64, i64),
         mark_id: &str,
     ) -> Result<ScrapHandle, DmiError> {
-        let id = self.create_instance(Construct::Scrap);
-        self.set_literal(id, Prop::ScrapName, name);
-        self.set_literal(id, Prop::ScrapPos, &coord_text(pos));
+        let id = self.create(
+            Construct::Scrap,
+            &[(Prop::ScrapName, name), (Prop::ScrapPos, &coord_text(pos))],
+        );
         let handle = self.create_mark_handle(mark_id);
-        let p = self.prop_atom(Prop::ScrapMark);
-        self.store.insert(id, p, Value::Resource(handle.0));
+        self.link(id, Prop::ScrapMark, handle.0)?;
         Ok(ScrapHandle(id))
     }
 
     /// `Create_MarkHandle(markId)`.
     pub fn create_mark_handle(&mut self, mark_id: &str) -> MarkHandleHandle {
-        let id = self.create_instance(Construct::MarkHandle);
-        self.set_literal(id, Prop::MarkId, mark_id);
-        MarkHandleHandle(id)
+        MarkHandleHandle(self.create(Construct::MarkHandle, &[(Prop::MarkId, mark_id)]))
     }
 
     // ---- Update_* (Figure 10) ---------------------------------------------
@@ -256,8 +290,7 @@ impl SlimPadDmi {
     /// `Update_padName(SlimPad, newPadName)`.
     pub fn update_pad_name(&mut self, pad: PadHandle, new_name: &str) -> Result<(), DmiError> {
         self.require(pad.0, Construct::SlimPad)?;
-        self.set_literal(pad.0, Prop::PadName, new_name);
-        Ok(())
+        self.set_text(pad.0, Prop::PadName, new_name)
     }
 
     /// `Update_rootBundle(SlimPad, newRootBundle)`.
@@ -267,30 +300,31 @@ impl SlimPadDmi {
         new_root: Option<BundleHandle>,
     ) -> Result<(), DmiError> {
         self.require(pad.0, Construct::SlimPad)?;
-        if let Some(b) = new_root {
-            self.require(b.0, Construct::Bundle)?;
+        match new_root {
+            Some(b) => {
+                self.require(b.0, Construct::Bundle)?;
+                self.link(pad.0, Prop::RootBundle, b.0)
+            }
+            None => {
+                for old in self.links_of(pad.0, Prop::RootBundle) {
+                    self.unlink(pad.0, Prop::RootBundle, old)?;
+                }
+                Ok(())
+            }
         }
-        let p = self.prop_atom(Prop::RootBundle);
-        self.store.remove_matching(&TriplePattern::default().with_subject(pad.0).with_property(p));
-        if let Some(b) = new_root {
-            self.store.insert(pad.0, p, Value::Resource(b.0));
-        }
-        Ok(())
     }
 
     /// `Update_bundleName(Bundle, newName)`.
     pub fn update_bundle_name(&mut self, b: BundleHandle, name: &str) -> Result<(), DmiError> {
         self.require(b.0, Construct::Bundle)?;
-        self.set_literal(b.0, Prop::BundleName, name);
-        Ok(())
+        self.set_text(b.0, Prop::BundleName, name)
     }
 
     /// `Update_bundlePos(Bundle, newPos)` — moving a bundle is the
     /// paper's core 2-D manipulation.
     pub fn update_bundle_pos(&mut self, b: BundleHandle, pos: (i64, i64)) -> Result<(), DmiError> {
         self.require(b.0, Construct::Bundle)?;
-        self.set_literal(b.0, Prop::BundlePos, &coord_text(pos));
-        Ok(())
+        self.set_text(b.0, Prop::BundlePos, &coord_text(pos))
     }
 
     /// `Update_bundleWidth/Height(Bundle, …)` — resize.
@@ -301,24 +335,21 @@ impl SlimPadDmi {
         height: i64,
     ) -> Result<(), DmiError> {
         self.require(b.0, Construct::Bundle)?;
-        self.set_literal(b.0, Prop::BundleWidth, &width.to_string());
-        self.set_literal(b.0, Prop::BundleHeight, &height.to_string());
-        Ok(())
+        self.set_text(b.0, Prop::BundleWidth, &width.to_string())?;
+        self.set_text(b.0, Prop::BundleHeight, &height.to_string())
     }
 
     /// `Update_scrapName(Scrap, newName)` — "a scrap that can be named
     /// and moved around".
     pub fn update_scrap_name(&mut self, s: ScrapHandle, name: &str) -> Result<(), DmiError> {
         self.require(s.0, Construct::Scrap)?;
-        self.set_literal(s.0, Prop::ScrapName, name);
-        Ok(())
+        self.set_text(s.0, Prop::ScrapName, name)
     }
 
     /// `Update_scrapPos(Scrap, newPos)`.
     pub fn update_scrap_pos(&mut self, s: ScrapHandle, pos: (i64, i64)) -> Result<(), DmiError> {
         self.require(s.0, Construct::Scrap)?;
-        self.set_literal(s.0, Prop::ScrapPos, &coord_text(pos));
-        Ok(())
+        self.set_text(s.0, Prop::ScrapPos, &coord_text(pos))
     }
 
     // ---- containment -------------------------------------------------------
@@ -335,21 +366,18 @@ impl SlimPadDmi {
         if parent == child {
             return Err(DmiError::Structure { message: "a bundle cannot nest inside itself".into() });
         }
-        if !self.incoming_links(child.0, Prop::NestedBundle).is_empty() {
+        if !self.reader().incoming_links(child.0, Prop::NestedBundle).is_empty() {
             return Err(DmiError::Structure {
                 message: "bundle already nests in another bundle".into(),
             });
         }
         // Acyclicity: parent must not be reachable from child.
-        let reachable = self.store.view(child.0);
-        if reachable.resources.contains(&parent.0) {
+        if self.dmi.store().view(child.0).resources.contains(&parent.0) {
             return Err(DmiError::Structure {
                 message: "nesting would create a bundle cycle".into(),
             });
         }
-        let p = self.prop_atom(Prop::NestedBundle);
-        self.store.insert(parent.0, p, Value::Resource(child.0));
-        Ok(())
+        self.link(parent.0, Prop::NestedBundle, child.0)
     }
 
     /// Detach a nested bundle from its parent (it becomes free-floating).
@@ -359,30 +387,19 @@ impl SlimPadDmi {
         child: BundleHandle,
     ) -> Result<(), DmiError> {
         self.require(parent.0, Construct::Bundle)?;
-        let p = self.prop_atom(Prop::NestedBundle);
-        let removed = self.store.remove(trim::Triple {
-            subject: parent.0,
-            property: p,
-            object: Value::Resource(child.0),
-        });
-        if !removed {
-            return Err(DmiError::Structure { message: "bundle is not nested there".into() });
-        }
-        Ok(())
+        self.unlink(parent.0, Prop::NestedBundle, child.0)
     }
 
     /// Place a scrap into a bundle. A scrap lives in at most one bundle.
     pub fn add_scrap(&mut self, bundle: BundleHandle, scrap: ScrapHandle) -> Result<(), DmiError> {
         self.require(bundle.0, Construct::Bundle)?;
         self.require(scrap.0, Construct::Scrap)?;
-        if !self.incoming_links(scrap.0, Prop::BundleContent).is_empty() {
+        if !self.reader().incoming_links(scrap.0, Prop::BundleContent).is_empty() {
             return Err(DmiError::Structure {
                 message: "scrap already belongs to a bundle".into(),
             });
         }
-        let p = self.prop_atom(Prop::BundleContent);
-        self.store.insert(bundle.0, p, Value::Resource(scrap.0));
-        Ok(())
+        self.link(bundle.0, Prop::BundleContent, scrap.0)
     }
 
     /// Take a scrap out of a bundle (it becomes free-floating).
@@ -392,16 +409,7 @@ impl SlimPadDmi {
         scrap: ScrapHandle,
     ) -> Result<(), DmiError> {
         self.require(bundle.0, Construct::Bundle)?;
-        let p = self.prop_atom(Prop::BundleContent);
-        let removed = self.store.remove(trim::Triple {
-            subject: bundle.0,
-            property: p,
-            object: Value::Resource(scrap.0),
-        });
-        if !removed {
-            return Err(DmiError::Structure { message: "scrap is not in that bundle".into() });
-        }
-        Ok(())
+        self.unlink(bundle.0, Prop::BundleContent, scrap.0)
     }
 
     /// `setScrapMark` extension: attach an additional mark handle to a
@@ -414,36 +422,19 @@ impl SlimPadDmi {
     ) -> Result<(), DmiError> {
         self.require(scrap.0, Construct::Scrap)?;
         self.require(handle.0, Construct::MarkHandle)?;
-        let p = self.prop_atom(Prop::ScrapMark);
-        self.store.insert(scrap.0, p, Value::Resource(handle.0));
-        Ok(())
+        self.link(scrap.0, Prop::ScrapMark, handle.0)
     }
 
-    /// Detach a mark handle; refuses to remove a scrap's last mark
-    /// (`scrapMark` is `1..*`). The handle object itself is deleted.
+    /// Detach a mark handle; the model refuses to remove a scrap's last
+    /// mark (`scrapMark` is `1..*`). The handle object itself is deleted.
     pub fn remove_scrap_mark(
         &mut self,
         scrap: ScrapHandle,
         handle: MarkHandleHandle,
     ) -> Result<(), DmiError> {
         self.require(scrap.0, Construct::Scrap)?;
-        let marks = self.links_of(scrap.0, Prop::ScrapMark);
-        if !marks.contains(&handle.0) {
-            return Err(DmiError::Structure { message: "mark handle not on that scrap".into() });
-        }
-        if marks.len() == 1 {
-            return Err(DmiError::Cardinality {
-                message: "a scrap must keep at least one mark (scrapMark 1..*)".into(),
-            });
-        }
-        let p = self.prop_atom(Prop::ScrapMark);
-        self.store.remove(trim::Triple {
-            subject: scrap.0,
-            property: p,
-            object: Value::Resource(handle.0),
-        });
-        self.delete_subject(handle.0);
-        Ok(())
+        self.unlink(scrap.0, Prop::ScrapMark, handle.0)?;
+        self.delete_mark_handles([handle.0])
     }
 
     // ---- §6 extensions: annotations and scrap links --------------------------
@@ -452,10 +443,7 @@ impl SlimPadDmi {
     /// indicates annotations on scraps would be useful", paper §5).
     pub fn add_annotation(&mut self, scrap: ScrapHandle, text: &str) -> Result<(), DmiError> {
         self.require(scrap.0, Construct::Scrap)?;
-        let p = self.prop_atom(Prop::ScrapAnnotation);
-        let v = self.store.literal_value(text);
-        self.store.insert(scrap.0, p, v);
-        Ok(())
+        self.set_text(scrap.0, Prop::ScrapAnnotation, text)
     }
 
     /// A scrap's annotations, sorted.
@@ -466,12 +454,8 @@ impl SlimPadDmi {
     /// Remove one annotation; errors if it is not present.
     pub fn remove_annotation(&mut self, scrap: ScrapHandle, text: &str) -> Result<(), DmiError> {
         self.require(scrap.0, Construct::Scrap)?;
-        let p = self.prop_atom(Prop::ScrapAnnotation);
-        let v = self.store.literal_value(text);
-        if !self.store.remove(trim::Triple { subject: scrap.0, property: p, object: v }) {
-            return Err(DmiError::Structure { message: "annotation not present".into() });
-        }
-        Ok(())
+        let text = DmiValue::Text(text.to_string());
+        self.dmi.unset(Instance(scrap.0), Prop::ScrapAnnotation.name(), &text)
     }
 
     /// Link two scraps ("explicit links between scraps", paper §3/§6).
@@ -482,9 +466,7 @@ impl SlimPadDmi {
         if from == to {
             return Err(DmiError::Structure { message: "a scrap cannot link to itself".into() });
         }
-        let p = self.prop_atom(Prop::ScrapLink);
-        self.store.insert(from.0, p, Value::Resource(to.0));
-        Ok(())
+        self.link(from.0, Prop::ScrapLink, to.0)
     }
 
     /// Outgoing scrap links, sorted.
@@ -495,46 +477,16 @@ impl SlimPadDmi {
     /// Remove a link; errors if it is not present.
     pub fn unlink_scraps(&mut self, from: ScrapHandle, to: ScrapHandle) -> Result<(), DmiError> {
         self.require(from.0, Construct::Scrap)?;
-        let p = self.prop_atom(Prop::ScrapLink);
-        if !self.store.remove(trim::Triple {
-            subject: from.0,
-            property: p,
-            object: Value::Resource(to.0),
-        }) {
-            return Err(DmiError::Structure { message: "scraps are not linked".into() });
-        }
-        Ok(())
+        self.unlink(from.0, Prop::ScrapLink, to.0)
     }
 
     // ---- Delete_* (Figure 10) ----------------------------------------------
-
-    fn delete_subject(&mut self, id: Atom) {
-        self.store.remove_matching(&TriplePattern::default().with_subject(id));
-    }
-
-    fn delete_incoming(&mut self, id: Atom) {
-        let incoming: Vec<trim::Triple> = self
-            .store
-            .select(&TriplePattern::default().with_object(Value::Resource(id)))
-            .into_iter()
-            // Keep the model encoding intact: only instance-level triples
-            // reference instance resources, but be safe and never touch
-            // triples whose subject is a model element.
-            .filter(|t| {
-                let s = self.store.resolve(t.subject);
-                !s.starts_with("construct:") && !s.starts_with("connector:") && !s.starts_with("model:")
-            })
-            .collect();
-        self.store.remove_all(incoming);
-    }
 
     /// `Delete_SlimPad(SlimPad)` — deletes the pad object only; its
     /// bundle tree survives (pads are views over bundles).
     pub fn delete_slim_pad(&mut self, pad: PadHandle) -> Result<(), DmiError> {
         self.require(pad.0, Construct::SlimPad)?;
-        self.delete_incoming(pad.0);
-        self.delete_subject(pad.0);
-        Ok(())
+        self.dmi.delete(Instance(pad.0))
     }
 
     /// `Delete_Bundle(Bundle)` — recursive: contained scraps and nested
@@ -547,21 +499,15 @@ impl SlimPadDmi {
         for nested in self.links_of(bundle.0, Prop::NestedBundle) {
             self.delete_bundle(BundleHandle(nested))?;
         }
-        self.delete_incoming(bundle.0);
-        self.delete_subject(bundle.0);
-        Ok(())
+        self.dmi.delete(Instance(bundle.0))
     }
 
     /// `Delete_Scrap(Scrap)` — removes the scrap, its mark handles, and
     /// its containment edge.
     pub fn delete_scrap(&mut self, scrap: ScrapHandle) -> Result<(), DmiError> {
         self.require(scrap.0, Construct::Scrap)?;
-        for handle in self.links_of(scrap.0, Prop::ScrapMark) {
-            self.delete_subject(handle);
-        }
-        self.delete_incoming(scrap.0);
-        self.delete_subject(scrap.0);
-        Ok(())
+        self.delete_mark_handles(self.links_of(scrap.0, Prop::ScrapMark))?;
+        self.dmi.delete(Instance(scrap.0))
     }
 
     // ---- reads (the application-data interfaces) ----------------------------
@@ -607,39 +553,6 @@ impl SlimPadDmi {
         self.reader().population_by_join()
     }
 
-    /// Subjects whose `property` literal contains `needle`
-    /// (case-insensitive), answered by the store's literal search
-    /// ([`trim::TripleStore::find_literals`], which tests each distinct
-    /// literal once) instead of a walk over every instance. Sorted by atom
-    /// and deduplicated —
-    /// the same order `instances_of` produces.
-    fn subjects_with_literal(&self, property: Prop, needle: &str) -> Vec<Atom> {
-        let Some(p) = self.store.find_atom(property.name()) else {
-            return Vec::new();
-        };
-        let mut out: Vec<Atom> = self
-            .store
-            .find_literals(needle)
-            .into_iter()
-            .filter(|t| t.property == p)
-            .map(|t| t.subject)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Scrap handles matched through the literal search (handle
-    /// construction lives here, where the handle internals are visible).
-    pub(crate) fn scraps_by_literal(&self, property: Prop, needle: &str) -> Vec<ScrapHandle> {
-        self.subjects_with_literal(property, needle).into_iter().map(ScrapHandle).collect()
-    }
-
-    /// Bundle handles matched through the literal search.
-    pub(crate) fn bundles_by_literal(&self, property: Prop, needle: &str) -> Vec<BundleHandle> {
-        self.subjects_with_literal(property, needle).into_iter().map(BundleHandle).collect()
-    }
-
     // ---- persistence and inspection (Figure 10: save/load) ------------------
 
     /// `save(fileName)` — persist the whole store (model + instances)
@@ -647,45 +560,36 @@ impl SlimPadDmi {
     /// installed atomically, so a crash mid-save leaves the previous
     /// version intact.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), DmiError> {
-        self.store.save(path)?;
+        self.dmi.store().save(path)?;
         Ok(())
     }
 
     /// [`save`](SlimPadDmi::save) through an explicit [`Vfs`] backend.
     pub fn save_to(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), DmiError> {
-        self.store.save_to(vfs, path)?;
+        self.dmi.store().save_to(vfs, path)?;
         Ok(())
     }
 
     /// The XML text `save` would write.
     pub fn save_xml(&self) -> String {
-        self.store.to_xml()
+        self.dmi.save_xml()
     }
 
     /// `load(fileName) : SlimPad` — load a store and return the DMI plus
     /// the pads found inside. Strict: refuses files that fail their
     /// integrity check (see [`SlimPadDmi::load_salvage`]).
     pub fn load(path: impl AsRef<Path>) -> Result<(Self, Vec<PadHandle>), DmiError> {
-        let store = TripleStore::load(path)?;
-        let dmi = Self::over(store);
-        let pads = dmi.pads();
-        Ok((dmi, pads))
+        Ok(Self::loaded(TripleStore::load(path)?))
     }
 
     /// [`load`](SlimPadDmi::load) through an explicit [`Vfs`] backend.
     pub fn load_from(vfs: &dyn Vfs, path: &Path) -> Result<(Self, Vec<PadHandle>), DmiError> {
-        let store = TripleStore::load_from(vfs, path)?;
-        let dmi = Self::over(store);
-        let pads = dmi.pads();
-        Ok((dmi, pads))
+        Ok(Self::loaded(TripleStore::load_from(vfs, path)?))
     }
 
     /// `load` from XML text.
     pub fn load_xml(text: &str) -> Result<(Self, Vec<PadHandle>), DmiError> {
-        let store = TripleStore::from_xml(text)?;
-        let dmi = Self::over(store);
-        let pads = dmi.pads();
-        Ok((dmi, pads))
+        Ok(Self::loaded(TripleStore::from_xml(text)?))
     }
 
     // ---- logged persistence (write-ahead log commit path) -------------------
@@ -699,7 +603,7 @@ impl SlimPadDmi {
         vfs: &dyn Vfs,
         snapshot_path: &Path,
     ) -> Result<(StoreLog, LogReport), DmiError> {
-        Ok(StoreLog::attach(vfs, snapshot_path, &mut self.store)?)
+        Ok(StoreLog::attach(vfs, snapshot_path, self.dmi.store_mut())?)
     }
 
     /// Group-commit every change since the last commit to the log, with
@@ -713,7 +617,7 @@ impl SlimPadDmi {
         log: &mut StoreLog,
         aux: &[(&str, &[u8])],
     ) -> Result<trim::CommitOutcome, DmiError> {
-        Ok(log.commit_with_aux(vfs, &mut self.store, aux)?)
+        Ok(log.commit_with_aux(vfs, self.dmi.store_mut(), aux)?)
     }
 
     /// Truncate any unacknowledged log suffix a failed commit may have
@@ -730,7 +634,7 @@ impl SlimPadDmi {
         log: &mut StoreLog,
         payload: &str,
     ) -> Result<(), DmiError> {
-        Ok(log.compact_with(vfs, &mut self.store, payload)?)
+        Ok(log.compact_with(vfs, self.dmi.store_mut(), payload)?)
     }
 
     /// Salvage a store from a damaged file: every triple in the longest
@@ -749,41 +653,31 @@ impl SlimPadDmi {
         vfs: &dyn Vfs,
         path: &Path,
     ) -> Result<Recovered<(Self, Vec<PadHandle>)>, DmiError> {
-        let recovered = TripleStore::load_salvage_from(vfs, path)?;
-        Ok(recovered.map(|store| {
-            let dmi = Self::over(store);
-            let pads = dmi.pads();
-            (dmi, pads)
-        }))
+        Ok(TripleStore::load_salvage_from(vfs, path)?.map(Self::loaded))
     }
 
     /// Salvage from XML text (see [`SlimPadDmi::load_salvage`]).
     pub fn load_xml_salvage(text: &str) -> Result<Recovered<(Self, Vec<PadHandle>)>, DmiError> {
-        let recovered = TripleStore::from_xml_salvage(text)?;
-        Ok(recovered.map(|store| {
-            let dmi = Self::over(store);
-            let pads = dmi.pads();
-            (dmi, pads)
-        }))
+        Ok(TripleStore::from_xml_salvage(text)?.map(Self::loaded))
     }
 
     /// Read access to the underlying triples (the paper's point is that
     /// applications *can* see the generic representation, they just
     /// shouldn't have to).
     pub fn store(&self) -> &TripleStore {
-        &self.store
+        self.dmi.store()
     }
 
     /// An immutable [`trim::Snapshot`] of the store for readers on other
     /// threads, read through [`PadReader::new`]. It shares the store's
     /// frozen base, so it costs a copy of the delta since the last fold.
     pub fn snapshot(&mut self) -> trim::Snapshot {
-        self.store.snapshot()
+        self.dmi.store_mut().snapshot()
     }
 
     /// Take a checkpoint of the data state (the TRIM journal revision).
     pub fn checkpoint(&self) -> trim::Revision {
-        self.store.revision()
+        self.dmi.store().revision()
     }
 
     /// Roll the data back to a checkpoint taken with
@@ -793,14 +687,14 @@ impl SlimPadDmi {
     /// Handles minted after the checkpoint dangle afterwards (they report
     /// [`DmiError::NotFound`] like any deleted object's handles).
     pub fn rollback(&mut self, to: trim::Revision) -> Result<(), DmiError> {
-        self.store.undo_to(to)?;
+        self.dmi.store_mut().undo_to(to)?;
         Ok(())
     }
 
     /// Run the metamodel conformance checker over the store — the DMI's
     /// consistency guarantee, made checkable.
     pub fn check(&self) -> ConformanceReport {
-        metamodel::check_conformance(&self.store, &builtin::bundle_scrap())
+        self.dmi.check()
     }
 }
 
@@ -830,6 +724,52 @@ mod tests {
             dmi.add_scrap(electro, s).unwrap();
         }
         (dmi, pad, john, electro)
+    }
+
+    #[test]
+    fn figure10_ops_write_the_pinned_triples() {
+        // The exact triples the Figure 10 operations write, pinned as
+        // `Snapshot::digest` values (a hash of the triples by name, so
+        // atom numbering does not enter). Both were recorded from the
+        // hand-written DMI this façade replaced: the Figure 4 pad, then a
+        // script through every update, containment, mark, annotation,
+        // link and delete operation.
+        let (mut dmi, pad, john, electro) = rounds_pad();
+        assert_eq!(dmi.snapshot().digest(), 0x744a_595b_25a4_fe5f);
+        assert_eq!(dmi.store().len(), 194);
+        let scraps = dmi.bundle(john).unwrap().scraps;
+        let (lasix, capt) = (scraps[0], scraps[1]);
+        let k = dmi.bundle(electro).unwrap().scraps[1];
+        dmi.update_pad_name(pad, "Weekend Rounds").unwrap();
+        dmi.update_bundle_name(electro, "Lytes").unwrap();
+        dmi.update_bundle_pos(john, (50, 60)).unwrap();
+        dmi.update_bundle_size(john, 500, 400).unwrap();
+        dmi.update_scrap_name(lasix, "Lasix 80 IV bid").unwrap();
+        dmi.update_scrap_pos(lasix, (25, 45)).unwrap();
+        dmi.add_annotation(lasix, "hold if SBP < 90").unwrap();
+        dmi.add_annotation(lasix, "renal dosing").unwrap();
+        dmi.remove_annotation(lasix, "renal dosing").unwrap();
+        dmi.link_scraps(lasix, k).unwrap();
+        dmi.link_scraps(capt, lasix).unwrap();
+        dmi.unlink_scraps(capt, lasix).unwrap();
+        let first = dmi.scrap(capt).unwrap().marks[0];
+        let extra = dmi.create_mark_handle("mark:9");
+        dmi.add_scrap_mark(capt, extra).unwrap();
+        dmi.remove_scrap_mark(capt, first).unwrap();
+        let other = dmi.create_bundle("Other", (0, 0), 10, 10);
+        dmi.remove_nested_bundle(john, electro).unwrap();
+        dmi.add_nested_bundle(other, electro).unwrap();
+        dmi.remove_scrap(john, capt).unwrap();
+        dmi.add_scrap(other, capt).unwrap();
+        let night = dmi.create_slim_pad("Night", None).unwrap();
+        dmi.update_root_bundle(night, Some(other)).unwrap();
+        dmi.update_root_bundle(pad, None).unwrap();
+        dmi.delete_scrap(k).unwrap();
+        dmi.delete_slim_pad(night).unwrap();
+        dmi.delete_bundle(other).unwrap();
+        assert!(dmi.check().is_conformant(), "{:?}", dmi.check().violations);
+        assert_eq!(dmi.snapshot().digest(), 0x1023_7f33_bdd9_60e0);
+        assert_eq!(dmi.store().len(), 151);
     }
 
     #[test]
