@@ -27,7 +27,12 @@
 //! recorded with its writer-assigned serialization order, replayed in
 //! `(epoch, order)` order into a fresh **single-session** machine, and
 //! the replay's digest must equal both the live service's final view and
-//! a from-disk reopen. Refusals are checked the other way around: the
+//! a from-disk reopen. A read-only op answered from the published view
+//! ([`Machine::read`]) is acked with the view's position as its order;
+//! the replay places it just before the writer op with that order, and
+//! the target checks its acked answer against the single-session
+//! machine there, so a view that diverges is flagged at the read that
+//! saw it. Refusals are checked the other way around: the
 //! drills' refused markers must leave the view untouched, and the
 //! ledger must balance — every submission ends in exactly one typed
 //! bucket, nothing is silently dropped.
@@ -150,7 +155,12 @@ pub enum Action<O> {
 }
 
 type Op<T> = <<T as Target>::M as Machine>::Op;
+type Answer<T> = <<T as Target>::M as Machine>::Outcome;
 type View<T> = <<T as Target>::M as Machine>::View;
+
+/// One acknowledged op as the replay sees it: `(epoch, order, op, what
+/// its ack reported)`.
+pub type Acked<T> = (u64, u64, Op<T>, Answer<T>);
 
 /// What differs between the two soaks: the machine, its traffic, its
 /// oracles, and its extra drills.
@@ -194,8 +204,9 @@ pub trait Target: Sized {
     fn digest(view: &View<Self>) -> u64;
     /// Digest of a fresh single-session machine after replaying `ops` in
     /// order. An op the replay refuses is a divergence: its ack promised
-    /// it applied.
-    fn replay(ops: &[&(u64, u64, Op<Self>)], divergences: &mut Vec<String>) -> u64;
+    /// it applied. So is a read-only op whose acked answer differs from
+    /// the machine's at its place in the order.
+    fn replay(ops: &[&Acked<Self>], divergences: &mut Vec<String>) -> u64;
     /// Digest of the durable on-disk state.
     fn disk_digest(disk: &dyn Vfs, divergences: &mut Vec<String>) -> u64;
     /// Stop injecting machine-level faults before the drills.
@@ -227,7 +238,7 @@ pub fn run<T: Target>(config: &ChaosConfig) -> ChaosReport {
     let serve_config = serve_config();
 
     let mut books = Books::default();
-    let mut acked: Vec<(u64, u64, Op<T>)> = Vec::new();
+    let mut acked: Vec<Acked<T>> = Vec::new();
     let mut recovery = None;
 
     // Slow-clock chaos: stalls big enough that ops queued across a few
@@ -263,7 +274,9 @@ pub fn run<T: Target>(config: &ChaosConfig) -> ChaosReport {
     let service = if config.crash {
         books.stats += service.abort(); // the crash: queued work refused, writer gone
         disk.disarm();
-        let epoch1_replay = replay::<T>(&acked, &mut books.divergences);
+        // The final replay re-checks every epoch-1 op, so a refused
+        // replay or a diverging read is reported there, once.
+        let epoch1_replay = replay::<T>(&acked, &mut Vec::new());
         let (service, report) =
             target.open(&disk, &clock).expect("chaos service recovers after torn-append crash");
         recovery = report;
@@ -340,7 +353,7 @@ pub fn run<T: Target>(config: &ChaosConfig) -> ChaosReport {
     clock.advance(serve_config.op_deadline_ms + 1); // age the queue past its deadlines
     gate.open();
     match park.wait() {
-        Ok(ack) => acked.push((2, ack.order, T::park_op(gate.clone()))),
+        Ok(ack) => acked.push((2, ack.order, T::park_op(gate.clone()), ack.outcome)),
         Err(e) => divergences.push(format!("park op refused: {e}")),
     }
     for (k, ticket) in fills.into_iter().enumerate() {
@@ -441,9 +454,10 @@ pub fn run<T: Target>(config: &ChaosConfig) -> ChaosReport {
 }
 
 /// What one session thread observed.
-struct Outcome<O> {
-    /// Acknowledged ops with their writer serialization order.
-    acked: Vec<(u64, O)>,
+struct Outcome<O, A> {
+    /// Acknowledged ops with their writer serialization order and
+    /// acked answer.
+    acked: Vec<(u64, O, A)>,
     /// Write submissions made.
     attempts: u64,
     /// Invariant violations (read-your-writes).
@@ -456,7 +470,7 @@ fn spawn_epoch<T: Target>(
     service: &Supervisor<T::M>,
     config: &ChaosConfig,
     epoch: u64,
-) -> Vec<JoinHandle<Outcome<Op<T>>>> {
+) -> Vec<JoinHandle<Outcome<Op<T>, Answer<T>>>> {
     (0..config.sessions)
         .map(|s| {
             let session = service.session();
@@ -468,16 +482,16 @@ fn spawn_epoch<T: Target>(
 }
 
 fn join_epoch<T: Target>(
-    threads: Vec<JoinHandle<Outcome<Op<T>>>>,
+    threads: Vec<JoinHandle<Outcome<Op<T>, Answer<T>>>>,
     epoch: u64,
-    acked: &mut Vec<(u64, u64, Op<T>)>,
+    acked: &mut Vec<Acked<T>>,
     books: &mut Books,
 ) {
     for t in threads {
         let out = t.join().expect("session threads never panic");
         books.attempts += out.attempts;
         books.divergences.extend(out.divergences);
-        acked.extend(out.acked.into_iter().map(|(order, op)| (epoch, order, op)));
+        acked.extend(out.acked.into_iter().map(|(order, op, answer)| (epoch, order, op, answer)));
     }
 }
 
@@ -506,7 +520,7 @@ fn drive<T: Target>(
     session: Session<T::M>,
     script: Vec<Action<Op<T>>>,
     tag: String,
-) -> Outcome<Op<T>> {
+) -> Outcome<Op<T>, Answer<T>> {
     let mut out = Outcome { acked: Vec::new(), attempts: 0, divergences: Vec::new() };
     for (i, action) in script.into_iter().enumerate() {
         let op = match action {
@@ -523,16 +537,18 @@ fn drive<T: Target>(
         if !T::visible(&session, &op) {
             out.divergences.push(format!("{tag}: acked op {i} invisible in the next view"));
         }
-        out.acked.push((ack.order, op));
+        out.acked.push((ack.order, op, ack.outcome));
     }
     out
 }
 
 /// The serialized single-session oracle: replay every acknowledged op in
-/// `(epoch, order)` order into a fresh machine and digest it.
-fn replay<T: Target>(acked: &[(u64, u64, Op<T>)], divergences: &mut Vec<String>) -> u64 {
-    let mut ordered: Vec<&(u64, u64, Op<T>)> = acked.iter().collect();
-    ordered.sort_by_key(|(epoch, order, _)| (*epoch, *order));
+/// `(epoch, order)` order into a fresh machine and digest it. A read
+/// acked at view position P saw every writer op ordered before P and
+/// none after, so it sorts just before the writer op with order P.
+fn replay<T: Target>(acked: &[Acked<T>], divergences: &mut Vec<String>) -> u64 {
+    let mut ordered: Vec<&Acked<T>> = acked.iter().collect();
+    ordered.sort_by_key(|(epoch, order, op, _)| (*epoch, *order, T::M::read(op).is_none()));
     T::replay(&ordered, divergences)
 }
 
@@ -667,9 +683,9 @@ impl Target for Triples {
         view.digest()
     }
 
-    fn replay(ops: &[&(u64, u64, ServeOp)], _: &mut Vec<String>) -> u64 {
+    fn replay(ops: &[&Acked<Self>], _: &mut Vec<String>) -> u64 {
         let mut model = TripleStore::new();
-        for (_, _, op) in ops {
+        for (_, _, op, ()) in ops {
             op.apply_to(&mut model);
         }
         model.snapshot().digest()

@@ -21,7 +21,7 @@ use slimserve::{
 use superimposed::marks::resilience::{BreakerConfig, MockClock};
 use superimposed::marks::{FaultProfile, FlakyControl, RetryPolicy};
 
-use crate::chaos::{serve_config, Action, Books, Target};
+use crate::chaos::{serve_config, Acked, Action, Books, Target};
 use crate::trace::TraceOp;
 use crate::Profile;
 
@@ -177,13 +177,22 @@ impl Target for Pads {
         view.digest()
     }
 
-    fn replay(ops: &[&(u64, u64, PadOp)], divergences: &mut Vec<String>) -> u64 {
+    /// An acked [`PadOp::Inspect`] was answered from the view at its
+    /// position, so it must equal the mirror's own Inspect there.
+    fn replay(ops: &[&Acked<Self>], divergences: &mut Vec<String>) -> u64 {
         let mut mirror = ward_mirror();
-        for (epoch, order, op) in ops {
-            if let Err(e) = mirror.apply(op) {
-                divergences.push(format!(
+        for (epoch, order, op, acked) in ops {
+            match mirror.apply(op) {
+                Ok(mirrored) if matches!(op, PadOp::Inspect) && mirrored != *acked => {
+                    divergences.push(format!(
+                        "acked Inspect (epoch {epoch}, view position {order}) reported \
+                         {acked:?}, the mirror there {mirrored:?}"
+                    ))
+                }
+                Ok(_) => {}
+                Err(e) => divergences.push(format!(
                     "acked op (epoch {epoch}, order {order}) {op:?} refused in mirror replay: {e}"
-                ));
+                )),
             }
         }
         mirror.digest()

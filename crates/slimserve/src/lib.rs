@@ -13,7 +13,9 @@
 //!   [`trim::TripleStore::snapshot`]) and scan them, or join them with
 //!   [`trim::ConjQuery::solve`], on their own thread.
 //! * [`LivePad`] ([`PadService`]): the pad engine — marks, excerpts,
-//!   bundles, undo — whose readers get its logical digest.
+//!   bundles, undo — whose readers get a [`PadView`] of its triples and
+//!   whose [`PadOp::Inspect`] is answered from that view on the
+//!   submitting session's thread, never queueing behind writes.
 //!
 //! What the supervisor guarantees for both:
 //!
@@ -23,7 +25,9 @@
 //!   ([`Ack`]) is sent only after the frame is durable and the new view
 //!   is published, and carries the writer-assigned serialization order
 //!   so a differential harness can replay acknowledged ops into a
-//!   single-session model.
+//!   single-session model. A read-only op ([`Machine::read`]) skips the
+//!   queue: it is answered from the published view and acked at the
+//!   view's position.
 //! * **Faults are contained.** Every op runs under `catch_unwind` with a
 //!   checkpoint: a panicking or refused op is rolled back and refused
 //!   with [`ServeError::Panicked`] or [`ServeError::Engine`] — the
@@ -59,6 +63,6 @@ pub use pad::{
     PadServeStats, PadService, PadSessionHandle, PadView, WARD_DOCS, WARD_PARAGRAPHS,
 };
 pub use service::{
-    Durable, Ledger, LiveStore, Machine, ServeConfig, ServeStats, Service, Session, SessionHandle,
-    Supervisor,
+    Durable, Ledger, LiveStore, Machine, Read, ServeConfig, ServeStats, Service, Session,
+    SessionHandle, Supervisor,
 };

@@ -140,12 +140,20 @@ fn value_of(store: &mut TripleStore, v: &SnapValue) -> Value {
 /// run in ascending `order` into a fresh single-session machine yields
 /// exactly the service's final state — the invariant the chaos harness
 /// checks differentially.
+///
+/// A read-only op answered from the published view (see
+/// [`crate::Machine::read`]) is acknowledged at once, with the view's
+/// position as its `order`: the view reflects exactly the writer ops
+/// ordered before it, so a replay places the read just before the
+/// writer op carrying the same `order`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ack<O = ()> {
-    /// Writer-assigned position in the global serialization.
+    /// Writer-assigned position in the global serialization; for a read,
+    /// the position of the view it was answered from.
     pub order: u64,
     /// WAL frame that made the batch durable; `None` when the batch
-    /// turned out to be a no-op (nothing needed writing).
+    /// turned out to be a no-op (nothing needed writing), and for a
+    /// read, which writes nothing.
     pub durable_seq: Option<u64>,
     /// What the op did (`()` for triple ops).
     pub outcome: O,
@@ -182,6 +190,13 @@ pub struct Ticket<A = Ack> {
 impl<A> Ticket<A> {
     pub(crate) fn new(slot: Arc<Slot<A>>) -> Self {
         Ticket { slot }
+    }
+
+    /// A ticket whose verdict is already in.
+    pub(crate) fn ready(verdict: Result<A, ServeError>) -> Self {
+        let slot = Slot::default();
+        slot.resolve(verdict);
+        Ticket::new(Arc::new(slot))
     }
 
     /// Block until the op's verdict arrives.

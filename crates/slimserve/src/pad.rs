@@ -27,6 +27,18 @@
 //!   [`PadMachine`] reproduces that digest exactly — and so does
 //!   reopening the on-disk state after a crash. That three-way equality
 //!   is the `slimgen --chaos-pad` verdict.
+//! * **Inspect never queues.** [`PadOp::Inspect`] is the pad's
+//!   read-only op ([`Machine::read`]): the submitting session answers
+//!   it from a clone of the published view, on its own thread, so a
+//!   look at the pad never holds up a writer op and never waits behind
+//!   one. Its ack carries `durable_seq: None` and, as its order, the
+//!   view's position (the writer acks the view reflects).
+//!   [`PadMachine::apply`] still answers it, for replay mirrors.
+//! * **Selectors resolve against a memo.** Canonical order is a pure
+//!   function of a store's set of bundles (or scraps), so the machine
+//!   keeps the last set with its canonical order and re-sorts only when
+//!   the set changed; a selector op then costs one instance scan, not a
+//!   name lookup and parse per instance.
 //! * **Mark resolution degrades, never hangs.** Resolution runs through
 //!   the [`marks::ResilientResolver`] (deadlines, per-module breakers,
 //!   quarantine); a [`marks::FlakyModule`] can be armed through its
@@ -40,7 +52,6 @@
 //! recoveries) and never excerpts (which legitimately diverge under
 //! injected base-layer faults).
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -55,7 +66,9 @@ use trim::{Runs, Snapshot};
 
 use crate::error::ServeError;
 use crate::op::{Ack, Gate};
-use crate::service::{Durable, Ledger, Machine, ServeConfig, ServeStats, Session, Supervisor};
+use crate::service::{
+    Durable, Ledger, Machine, Read, ServeConfig, ServeStats, Session, Supervisor,
+};
 
 impl From<PadError> for ServeError {
     /// A typed domain refusal from the pad engine: the op was rolled
@@ -108,7 +121,11 @@ pub enum PadOp {
     Undo,
     /// Re-apply the most recently undone op.
     Redo,
-    /// Read the pad's logical digest and population counts.
+    /// Read the pad's logical digest and population counts. Read-only:
+    /// a [`PadService`] answers it from the published [`PadView`] on the
+    /// submitting session's thread, without entering the writer's queue,
+    /// and acks it with the view's position as its order and no durable
+    /// frame. [`PadMachine::apply`] answers it from the live pad.
     Inspect,
     /// Force a durable commit (each batch commits anyway; this
     /// exercises the explicit path).
@@ -195,12 +212,23 @@ pub struct PadMachine {
     undo_ops: Vec<(trim::Revision, PadOp)>,
     /// Ops undone and eligible for redo (cleared by any new mutation).
     redo_ops: Vec<PadOp>,
+    /// Selector space for bundle references, kept across ops.
+    bundle_order: Canonical<BundleHandle>,
+    /// Selector space for scrap references, kept across ops.
+    scrap_order: Canonical<ScrapHandle>,
 }
 
 impl PadMachine {
     /// Wrap an engine (live or replay) into a machine.
     pub fn new(engine: PadSession, search: ExcerptSearch) -> Self {
-        PadMachine { engine, search, undo_ops: Vec::new(), redo_ops: Vec::new() }
+        PadMachine {
+            engine,
+            search,
+            undo_ops: Vec::new(),
+            redo_ops: Vec::new(),
+            bundle_order: Canonical::default(),
+            scrap_order: Canonical::default(),
+        }
     }
 
     /// The wrapped engine.
@@ -208,8 +236,11 @@ impl PadMachine {
         &self.engine
     }
 
-    /// The wrapped engine, mutably.
+    /// The wrapped engine, mutably. The caller may replace its store,
+    /// so the selector memos are dropped.
     pub fn engine_mut(&mut self) -> &mut PadSession {
+        self.bundle_order = Canonical::default();
+        self.scrap_order = Canonical::default();
         &mut self.engine
     }
 
@@ -248,32 +279,29 @@ impl PadMachine {
     /// monotonic within an incarnation and resume past the highest
     /// persisted suffix after a reload, so suffix order is creation
     /// order in every incarnation.
-    pub fn bundles(&self) -> Vec<BundleHandle> {
+    ///
+    /// Answered from a memo of the last bundle set, re-sorted only when
+    /// the set has changed since.
+    pub fn bundles(&mut self) -> &[BundleHandle] {
         let pad = self.engine.dmi().reader();
-        canonical(pad.runs(), pad.bundles(), |b| b.resource())
+        self.bundle_order.of(pad.runs(), pad.bundles(), |b| b.resource())
     }
 
     /// Live scraps in canonical order — selector space for scrap refs.
-    pub fn scraps(&self) -> Vec<ScrapHandle> {
+    /// Memoised like [`PadMachine::bundles`].
+    pub fn scraps(&mut self) -> &[ScrapHandle] {
         let pad = self.engine.dmi().reader();
-        canonical(pad.runs(), pad.all_scraps(), |s| s.resource())
+        self.scrap_order.of(pad.runs(), pad.all_scraps(), |s| s.resource())
     }
 
-    fn bundle_at(&self, selector: Option<u64>) -> Option<BundleHandle> {
-        let sel = selector?;
-        let pool = self.bundles();
-        if pool.is_empty() {
-            return None; // fall back to the root bundle
-        }
-        Some(pool[(sel % pool.len() as u64) as usize])
+    /// The selected bundle; `None` (the root bundle) when there is no
+    /// selector or no bundle.
+    fn bundle_at(&mut self, selector: Option<u64>) -> Option<BundleHandle> {
+        pick(self.bundles(), selector?)
     }
 
-    fn scrap_at(&self, selector: u64) -> Result<ScrapHandle, PadError> {
-        let pool = self.scraps();
-        if pool.is_empty() {
-            return Err(PadError::File { message: "no scraps on the pad".into() });
-        }
-        Ok(pool[(selector % pool.len() as u64) as usize])
+    fn scrap_at(&mut self, selector: u64) -> Result<ScrapHandle, PadError> {
+        pick(self.scraps(), selector).ok_or_else(no_scraps)
     }
 
     fn text_address(doc: &str, paragraph: u64, start: u64, len: u64) -> MarkAddress {
@@ -326,8 +354,9 @@ impl PadMachine {
             }
             PadOp::Link { from, to } => {
                 let cp = self.engine.dmi().checkpoint();
-                let from = self.scrap_at(*from)?;
-                let to = self.scrap_at(*to)?;
+                let scraps = self.scraps();
+                let (from, to) =
+                    pick(scraps, *from).zip(pick(scraps, *to)).ok_or_else(no_scraps)?;
                 self.engine.dmi_mut().link_scraps(from, to)?;
                 self.record_undo(cp, op.clone());
                 Ok(PadOutcome::Applied)
@@ -402,18 +431,11 @@ impl PadMachine {
                 self.redo_ops.pop();
                 Ok(PadOutcome::Stepped(true))
             }
-            // Population counts come from the conjunctive join engine
-            // (the planner/merge-join path readers use), not a linear
-            // instance scan; the invisible root bundle is excluded as
-            // before.
+            // A service answers this from its published view; a replay
+            // mirror answers it here, by the same function.
             PadOp::Inspect => {
-                let (bundles, scraps) = self.engine.dmi().population_by_join();
-                Ok(PadOutcome::Inspected {
-                    digest: self.digest(),
-                    bundles: bundles.saturating_sub(1),
-                    scraps,
-                    marks: self.engine.marks().len(),
-                })
+                let marks = self.engine.marks();
+                Ok(inspected(&self.engine.dmi().reader(), marks.len(), marks.digest()))
             }
             // Durability hints: the live writer commits every batch and
             // compacts after the batch's commit; in apply (and so in a
@@ -469,6 +491,51 @@ impl PadMachine {
     }
 }
 
+/// The `selector`-th of `pool`, modulo its length; `None` when empty.
+fn pick<H: Copy>(pool: &[H], selector: u64) -> Option<H> {
+    let len = pool.len() as u64;
+    (len > 0).then(|| pool[(selector % len) as usize])
+}
+
+fn no_scraps() -> PadError {
+    PadError::File { message: "no scraps on the pad".into() }
+}
+
+/// One instance set's canonical order, kept until the set changes.
+/// Within one store canonical order is a pure function of the set —
+/// atoms are never un-interned, so a handle's name never changes — and
+/// comparing the set costs far less than re-sorting it, which resolves
+/// and parses every instance's name.
+struct Canonical<H> {
+    /// The set last seen, in atom order as the reader returns it.
+    set: Vec<H>,
+    /// `set` in canonical order.
+    order: Vec<H>,
+}
+
+impl<H> Default for Canonical<H> {
+    fn default() -> Self {
+        Canonical { set: Vec::new(), order: Vec::new() }
+    }
+}
+
+impl<H: Copy + PartialEq> Canonical<H> {
+    /// `set` in canonical order, re-sorted only if it differs from the
+    /// set last seen.
+    fn of<R: Runs + ?Sized>(
+        &mut self,
+        runs: &R,
+        set: Vec<H>,
+        resource: fn(&H) -> trim::Atom,
+    ) -> &[H] {
+        if set != self.set {
+            self.order = canonical(runs, set.clone(), resource);
+            self.set = set;
+        }
+        &self.order
+    }
+}
+
 /// `pool` in canonical (creation) order: by the numeric `name:N`
 /// suffix of each handle's resource (see [`PadMachine::bundles`]). The
 /// keys are computed once per element, and the sort is stable.
@@ -491,6 +558,24 @@ fn mint_rank<R: Runs + ?Sized>(runs: &R, resource: trim::Atom) -> (u64, u64) {
     }
 }
 
+/// [`PadOp::Inspect`]'s answer over a live pad's or a view's reader.
+/// Population counts come from the conjunctive join engine (the
+/// planner/merge-join path readers use), not a linear instance scan;
+/// the invisible root bundle is not counted.
+fn inspected<R: Runs + ?Sized>(
+    pad: &PadReader<'_, R>,
+    marks_len: usize,
+    marks_digest: u64,
+) -> PadOutcome {
+    let (bundles, scraps) = pad.population_by_join();
+    PadOutcome::Inspected {
+        digest: digest_of(pad, marks_len, marks_digest),
+        bundles: bundles.saturating_sub(1),
+        scraps,
+        marks: marks_len,
+    }
+}
+
 /// The one digest function behind [`PadMachine::digest`] (live pad)
 /// and [`PadView::digest`] (published snapshot), over either's reader.
 fn digest_of<R: Runs + ?Sized>(
@@ -500,10 +585,8 @@ fn digest_of<R: Runs + ?Sized>(
 ) -> u64 {
     let bundles = canonical(pad.runs(), pad.bundles(), |b| b.resource());
     let scraps = canonical(pad.runs(), pad.all_scraps(), |s| s.resource());
-    let bundle_index: BTreeMap<BundleHandle, usize> =
-        bundles.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-    let scrap_index: BTreeMap<ScrapHandle, usize> =
-        scraps.iter().enumerate().map(|(i, s)| (*s, i)).collect();
+    let bundle_index = Positions::of(&bundles);
+    let scrap_index = Positions::of(&scraps);
 
     let mut h = Fnv::new();
     h.write(b"pad-digest-v2");
@@ -522,7 +605,7 @@ fn digest_of<R: Runs + ?Sized>(
         let mut nested: Vec<u64> = data
             .nested
             .iter()
-            .map(|n| bundle_index.get(n).map_or(u64::MAX, |i| *i as u64))
+            .map(|n| bundle_index.get(*n))
             .collect();
         nested.sort_unstable();
         for i in nested {
@@ -531,7 +614,7 @@ fn digest_of<R: Runs + ?Sized>(
         let mut members: Vec<u64> = data
             .scraps
             .iter()
-            .map(|s| scrap_index.get(s).map_or(u64::MAX, |i| *i as u64))
+            .map(|s| scrap_index.get(*s))
             .collect();
         members.sort_unstable();
         for i in members {
@@ -540,43 +623,46 @@ fn digest_of<R: Runs + ?Sized>(
     }
     h.write_u64(scraps.len() as u64);
     for s in &scraps {
-        let Ok(data) = pad.scrap(*s) else { continue };
+        let Ok(data) = pad.scrap_record(*s) else { continue };
         h.write(b"S");
         h.write(data.name.as_bytes());
         h.write_u64(data.pos.0 as u64);
         h.write_u64(data.pos.1 as u64);
         h.write_u64(data.marks.len() as u64);
-        let mut mark_ids: Vec<String> = data
-            .marks
-            .iter()
-            .filter_map(|handle| pad.mark_handle(*handle).ok().map(|mh| mh.mark_id))
-            .collect();
-        mark_ids.sort_unstable();
-        for id in mark_ids {
+        for id in data.mark_ids {
             h.write(id.as_bytes());
         }
-        if let Ok(mut notes) = pad.annotations(*s) {
-            notes.sort_unstable();
-            for note in notes {
-                h.write(b"A");
-                h.write(note.as_bytes());
-            }
+        for note in data.annotations {
+            h.write(b"A");
+            h.write(note.as_bytes());
         }
-        if let Ok(links) = pad.scrap_links(*s) {
-            let mut targets: Vec<u64> = links
-                .into_iter()
-                .map(|to| scrap_index.get(&to).map_or(u64::MAX, |i| *i as u64))
-                .collect();
-            targets.sort_unstable();
-            for to in targets {
-                h.write(b"L");
-                h.write_u64(to);
-            }
+        let mut targets: Vec<u64> = data.links.iter().map(|to| scrap_index.get(*to)).collect();
+        targets.sort_unstable();
+        for to in targets {
+            h.write(b"L");
+            h.write_u64(to);
         }
     }
     h.write_u64(marks_len as u64);
     h.write_u64(marks_digest);
     h.finish()
+}
+
+/// Each handle's canonical position, looked up by binary search.
+struct Positions<H>(Vec<(H, u64)>);
+
+impl<H: Copy + Ord> Positions<H> {
+    fn of(canonical: &[H]) -> Self {
+        let mut index: Vec<(H, u64)> =
+            canonical.iter().enumerate().map(|(i, h)| (*h, i as u64)).collect();
+        index.sort_unstable();
+        Positions(index)
+    }
+
+    /// `h`'s position; `u64::MAX` for a handle not in the set.
+    fn get(&self, h: H) -> u64 {
+        self.0.binary_search_by_key(&h, |(k, _)| *k).map_or(u64::MAX, |i| self.0[i].1)
+    }
 }
 
 /// FNV-1a, inlined so the digest is stable and dependency-free.
@@ -629,6 +715,13 @@ impl PadView {
     /// function, run over the snapshot now.
     pub fn digest(&self) -> u64 {
         digest_of(&self.reader(), self.marks_len, self.marks_digest)
+    }
+
+    /// [`PadOp::Inspect`]'s answer as of this view — what
+    /// [`PadMachine::apply`] would answer on the pad it was published
+    /// from.
+    pub fn inspect(&self) -> PadOutcome {
+        inspected(&self.reader(), self.marks_len, self.marks_digest)
     }
 }
 
@@ -718,7 +811,9 @@ impl Machine for LivePad {
     /// log just stays long — but it is counted.
     fn commit(&mut self, ledger: &Ledger) -> Result<Durable, String> {
         let vfs = &*self.vfs;
-        let engine = self.machine.engine_mut();
+        // Committing and compacting keep the store, so the selector
+        // memos stay valid: reach the engine past `engine_mut`.
+        let engine = &mut self.machine.engine;
         let seq = match engine.commit(vfs).map_err(|e| e.to_string())? {
             trim::CommitOutcome::Committed { seq, .. } => Some(seq),
             _ => None,
@@ -735,7 +830,7 @@ impl Machine for LivePad {
     /// history. Best effort: if the truncation fails, it is counted and
     /// the reopen still runs against whatever is durable.
     fn repair(&mut self, ledger: &Ledger) -> Result<(), String> {
-        let truncated = self.machine.engine_mut().repair_log(&*self.vfs);
+        let truncated = self.machine.engine.repair_log(&*self.vfs);
         ledger.ok_or_count(truncated, |s| s.repair_failures += 1);
         self.machine =
             build_machine(&self.vfs, &self.path, &mut self.factory, self.compact_threshold)
@@ -752,6 +847,16 @@ impl Machine for LivePad {
 
     fn rebased(old: &PadView, new: &PadView) -> bool {
         !new.snapshot.shares_base(&old.snapshot)
+    }
+
+    /// Inspect is answered from the view; every other op needs the
+    /// writer (Extract and Resolve need its `!Send` base applications
+    /// and live mark manager).
+    fn read(op: &PadOp) -> Option<Read<Self>> {
+        match op {
+            PadOp::Inspect => Some(PadView::inspect),
+            _ => None,
+        }
     }
 }
 
@@ -1034,14 +1139,6 @@ mod tests {
         assert_eq!(live, reopened.digest(), "live == post-shutdown on-disk digest");
     }
 
-    /// The writer's own digest of the pad, from an Inspect's outcome.
-    fn inspected(session: &PadSessionHandle) -> u64 {
-        match session.submit(PadOp::Inspect).unwrap().outcome {
-            PadOutcome::Inspected { digest, .. } => digest,
-            other => panic!("unexpected outcome {other:?}"),
-        }
-    }
-
     #[test]
     fn views_digest_like_the_writer_after_every_op_kind() {
         let rig = open_rig(FaultProfile::healthy(), PadConfig::default());
@@ -1087,8 +1184,10 @@ mod tests {
             if let Ok(ack) = session.submit(op.clone()) {
                 acked.push((ack.order, op.clone()));
             }
+            // The snapshot-side digest against a live-store machine's:
+            // a mirror that replayed the acked prefix.
             let view = rig.service.view();
-            assert_eq!(view.digest(), inspected(&session), "view vs writer after {op:?}");
+            assert_eq!(view.digest(), replay_digest(&acked), "view vs live store after {op:?}");
         }
         let live = rig.service.digest();
         assert_eq!(live, replay_digest(&acked), "view == serialized replay of acked ops");
@@ -1402,9 +1501,9 @@ mod tests {
         let gate = Gate::new();
         let park = session.enqueue(PadOp::ChaosPark(gate.clone())).unwrap();
         gate.wait_arrived();
-        let t1 = session.enqueue(PadOp::Inspect).unwrap();
-        let t2 = session.enqueue(PadOp::Inspect).unwrap();
-        let err = session.enqueue(PadOp::Inspect).unwrap_err();
+        let t1 = session.enqueue(PadOp::Commit).unwrap();
+        let t2 = session.enqueue(PadOp::Commit).unwrap();
+        let err = session.enqueue(PadOp::Commit).unwrap_err();
         match err {
             ServeError::Overloaded { queue_len: 2, capacity: 2, retry_after_ms } => {
                 assert_eq!(retry_after_ms, 100);
@@ -1418,6 +1517,141 @@ mod tests {
         let stats = rig.service.stats();
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.shed_backoff_ms, 100);
+    }
+
+    #[test]
+    fn inspect_is_answered_from_the_view_while_the_writer_is_parked() {
+        let rig = open_rig(FaultProfile::healthy(), PadConfig::default());
+        let session = rig.service.session();
+        for i in 0..3 {
+            session.submit(create_mark_op(i)).unwrap();
+        }
+        let gate = Gate::new();
+        let park = session.enqueue(PadOp::ChaosPark(gate.clone())).unwrap();
+        gate.wait_arrived();
+        let queued = session.enqueue(create_mark_op(3)).unwrap();
+        // The writer is parked with an op queued behind it; the read
+        // still comes straight back, from the view of the first three.
+        let read = session.submit(PadOp::Inspect);
+        let view = rig.service.view();
+        gate.open(); // before any assertion, so a failure cannot hang the writer
+        let ack = read.unwrap();
+        assert_eq!(ack.outcome, view.inspect());
+        assert!(matches!(ack.outcome, PadOutcome::Inspected { scraps: 3, marks: 3, .. }));
+        assert_eq!((ack.order, ack.durable_seq), (3, None), "the view's position, no frame");
+        park.wait().unwrap();
+        let after = queued.wait().unwrap();
+        assert_eq!(after.order, 4, "the read took no writer order");
+        let stats = rig.service.stats();
+        assert_eq!((stats.submitted, stats.acked), (6, 6));
+        assert_eq!(stats.unaccounted(), 0);
+    }
+
+    #[test]
+    fn reads_are_admitted_like_writes() {
+        let rig = open_rig(
+            FaultProfile::healthy(),
+            PadConfig { breaker: small_breaker(), ..PadConfig::default() },
+        );
+        let session = rig.service.session();
+        for _ in 0..2 {
+            let _ = session.submit(PadOp::ChaosPanic { detail: "boom".into() }).unwrap_err();
+        }
+        let err = session.submit(PadOp::Inspect).unwrap_err();
+        assert!(matches!(err, ServeError::Quarantined { .. }), "{err:?}");
+        // Past the cooldown the breaker half-opens; a successful read is
+        // the probe that closes it.
+        rig.clock.advance(500);
+        session.submit(PadOp::Inspect).unwrap();
+        assert!(matches!(session.breaker_state(), marks::resilience::BreakerState::Closed { .. }));
+        let stats = rig.service.shutdown();
+        assert_eq!(stats.quarantine_rejections, 1);
+        assert_eq!(stats.unaccounted(), 0);
+        let err = session.submit(PadOp::Inspect).unwrap_err();
+        assert_eq!(err, ServeError::Closed);
+    }
+
+    /// Drive a [`LivePad`] the way the writer does, on this thread, and
+    /// check after every step that its selector memos equal a fresh
+    /// canonical sort of the pad.
+    #[test]
+    fn selector_memos_match_a_fresh_sort_after_every_op_kind() {
+        fn fresh(machine: &mut PadMachine) {
+            let pad = machine.engine.dmi().reader();
+            let bundles = canonical(pad.runs(), pad.bundles(), |b| b.resource());
+            let scraps = canonical(pad.runs(), pad.all_scraps(), |s| s.resource());
+            assert_eq!(machine.bundles(), &bundles[..]);
+            assert_eq!(machine.scraps(), &scraps[..]);
+        }
+        /// One op as the writer serves it: checkpoint, contained apply,
+        /// rollback on refusal, commit on success (a failed commit
+        /// repairs).
+        fn step(pad: &mut LivePad, op: PadOp, ledger: &Ledger) -> bool {
+            let checkpoint = pad.checkpoint();
+            let verdict = crate::service::quiet_catch_unwind(|| pad.apply(&op, ledger))
+                .unwrap_or_else(|detail| Err(ServeError::Panicked { detail }));
+            let ok = match verdict {
+                Ok(_) => pad.commit(ledger).map_err(|_| pad.repair(ledger).unwrap()).is_ok(),
+                Err(_) => {
+                    pad.rollback(checkpoint).unwrap();
+                    false
+                }
+            };
+            fresh(&mut pad.machine);
+            ok
+        }
+        let vfs = Arc::new(FaultVfs::unarmed(MemVfs::new()));
+        let dyn_vfs: Arc<dyn Vfs + Send + Sync> = vfs.clone();
+        let mut factory = ward_factory(
+            MockClock::new(),
+            FaultProfile::healthy(),
+            FlakyControl::new(0),
+            quick_policy(),
+            small_breaker(),
+            2,
+        );
+        let machine = build_machine(&dyn_vfs, Path::new(PAD), &mut factory, 1 << 20).unwrap();
+        let mut pad = LivePad {
+            machine,
+            vfs: dyn_vfs,
+            path: PathBuf::from(PAD),
+            factory,
+            compact_threshold: 1 << 20,
+            compact_requested: false,
+        };
+        let ledger = Ledger::default();
+        let bundle = |parent| PadOp::CreateBundle {
+            name: "b".into(),
+            pos: (1, 2),
+            width: 3,
+            height: 4,
+            parent,
+        };
+        for op in [bundle(None), bundle(Some(0)), create_mark_op(0), create_mark_op(1)] {
+            assert!(step(&mut pad, op, &ledger));
+        }
+        // Refused after a partial effect: a scrap, then a self-link, in
+        // one contained step.
+        let checkpoint = pad.checkpoint();
+        pad.apply(&create_mark_op(2), &ledger).unwrap();
+        fresh(&mut pad.machine);
+        assert!(pad.apply(&PadOp::Link { from: 2, to: 2 }, &ledger).is_err());
+        pad.rollback(checkpoint).unwrap();
+        // As many scraps as the memo holds, one of them different: the
+        // memo must tell the sets apart, not just their sizes.
+        assert!(step(&mut pad, create_mark_op(3), &ledger));
+        assert!(!step(&mut pad, PadOp::ChaosPanic { detail: "contained".into() }, &ledger));
+        assert!(step(&mut pad, create_mark_op(6), &ledger));
+        assert!(step(&mut pad, PadOp::Undo, &ledger), "undo across the last commit");
+        assert!(step(&mut pad, bundle(Some(1)), &ledger));
+        assert!(step(&mut pad, PadOp::Compact, &ledger));
+        assert!(step(&mut pad, create_mark_op(4), &ledger));
+        // A failed commit repairs: the machine is rebuilt from disk.
+        vfs.rearm(FaultConfig::new(FaultOp::Append, FaultMode::Fail, 0, 0));
+        assert!(!step(&mut pad, create_mark_op(5), &ledger));
+        assert!(step(&mut pad, PadOp::Link { from: 0, to: 1 }, &ledger));
+        assert_eq!(pad.machine.scraps().len(), 4);
+        assert_eq!(pad.machine.bundles().len(), 4, "the root and three created bundles");
     }
 
     #[test]

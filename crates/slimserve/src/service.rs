@@ -8,7 +8,7 @@
 //!    │   └─ Ack / typed  Overloaded when full,      │  deadline check → Timeout
 //!    │      refusal      Quarantined when the       │  catch_unwind  → Panicked
 //!    │                   session's breaker is open) │  Machine::apply, or rollback
-//!    └──view()                                      │ per batch:
+//!    └──view() / read op                            │ per batch:
 //!         ▲                                         │  Machine::commit (1 sync)
 //!         └──────────── publish ◀───────────────────┘  then publish, then ack
 //! ```
@@ -21,9 +21,18 @@
 //! in one session's op is rolled back and refused without the other
 //! sessions noticing more than a momentary queue delay.
 //!
+//! An op the machine declares read-only ([`Machine::read`]) never enters
+//! the queue: after the same admission as a write, the submitting
+//! session answers it from a clone of the published view, on its own
+//! thread, and acks it at once. Its [`Ack::order`] is the view's
+//! position — the number of writer acks the view reflects — so a replay
+//! places it just before the writer op with that order; its
+//! `durable_seq` is `None`, since no frame was written.
+//!
 //! Two machines ship: [`LiveStore`], a logged [`TripleStore`] publishing
 //! [`Snapshot`]s (the [`Service`]), and [`crate::LivePad`], the pad
-//! engine publishing its logical digest (the [`crate::PadService`]).
+//! engine publishing a [`crate::PadView`] and answering
+//! [`crate::PadOp::Inspect`] from it (the [`crate::PadService`]).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -109,7 +118,18 @@ pub trait Machine: 'static {
     fn rebased(_old: &Self::View, _new: &Self::View) -> bool {
         false
     }
+    /// How to answer `op` from a published view, if it is read-only:
+    /// the session then runs the returned function on its own thread
+    /// and the op never reaches the writer. Decided from the op alone,
+    /// so a write pays nothing for the check. The default sends every
+    /// op to the writer.
+    fn read(_op: &Self::Op) -> Option<Read<Self>> {
+        None
+    }
 }
+
+/// How a [`Machine`] answers a read-only op from its published view.
+pub type Read<M> = fn(&<M as Machine>::View) -> <M as Machine>::Outcome;
 
 /// What a [`Machine::commit`] made durable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -127,9 +147,11 @@ pub struct Durable {
 /// which the chaos harness checks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Ops accepted into the queue.
+    /// Ops admitted: queued for the writer, or read-only ops answered
+    /// from the published view.
     pub submitted: u64,
-    /// Ops durably committed and acknowledged.
+    /// Ops durably committed and acknowledged, plus read-only ops
+    /// answered from the published view.
     pub acked: u64,
     /// Ops shed at admission (queue full).
     pub shed: u64,
@@ -197,7 +219,9 @@ impl std::ops::AddAssign for ServeStats {
 impl ServeStats {
     /// Submissions minus every accounted verdict — zero when no op was
     /// silently dropped. Admission refusals (shed, quarantine, closed)
-    /// never enter `submitted`, so the balance is over the queue only.
+    /// never enter `submitted`, so the balance is over admitted ops only;
+    /// a read answered from the view enters `submitted` and `acked`
+    /// together.
     pub fn unaccounted(&self) -> i64 {
         self.submitted as i64
             - (self.acked
@@ -269,10 +293,18 @@ struct Queue<M: Machine> {
     aborted: bool,
 }
 
+/// The view readers see, with its position: the number of writer acks
+/// it reflects, which is the order the next writer ack will get.
+#[derive(Clone)]
+struct Published<V> {
+    view: V,
+    position: u64,
+}
+
 struct Shared<M: Machine> {
     queue: Mutex<Queue<M>>,
     not_empty: Condvar,
-    view: Mutex<M::View>,
+    view: Mutex<Published<M::View>>,
     sessions: Mutex<BTreeMap<u64, Breaker>>,
     next_session: AtomicU64,
     ledger: Ledger,
@@ -302,16 +334,17 @@ impl<M: Machine> Shared<M> {
         }
     }
 
+    /// Publish the machine's view as reflecting `position` writer acks.
     /// Only the writer replaces the view, so it cannot change between
     /// the comparison and the store.
-    fn publish(&self, machine: &mut M) {
+    fn publish(&self, machine: &mut M, position: u64) {
         let view = machine.publish();
-        let rebased = M::rebased(&lock(&self.view), &view);
+        let rebased = M::rebased(&lock(&self.view).view, &view);
         self.ledger.count(|s| {
             s.snapshots_published += 1;
             s.snapshot_rebuilds += u64::from(rebased);
         });
-        *lock(&self.view) = view;
+        *lock(&self.view) = Published { view, position };
     }
 }
 
@@ -354,7 +387,7 @@ impl<M: Machine> Supervisor<M> {
                 let shared = Arc::new(Shared {
                     queue: Mutex::new(Queue { items: VecDeque::new(), closed: false, aborted: false }),
                     not_empty: Condvar::new(),
-                    view: Mutex::new(view),
+                    view: Mutex::new(Published { view, position: 0 }),
                     sessions: Mutex::new(BTreeMap::new()),
                     next_session: AtomicU64::new(0),
                     ledger,
@@ -389,7 +422,7 @@ impl<M: Machine> Supervisor<M> {
 
     /// The most recently published view.
     pub fn view(&self) -> M::View {
-        lock(&self.shared.view).clone()
+        lock(&self.shared.view).view.clone()
     }
 
     /// Counters so far.
@@ -456,7 +489,8 @@ impl<M: Machine> Session<M> {
 
     /// Submit an op without waiting. Admission refusals (quarantine,
     /// overload, closed) surface immediately; the returned [`Ticket`]
-    /// carries the rest.
+    /// carries the rest. A read-only op ([`Machine::read`]) is answered
+    /// from the published view before this returns.
     pub fn enqueue(&self, op: M::Op) -> Result<Ticket<Ack<M::Outcome>>, ServeError> {
         let shared = &self.shared;
         let now = shared.clock.now_ms();
@@ -474,6 +508,10 @@ impl<M: Machine> Session<M> {
         let mut q = lock(&shared.queue);
         if q.closed || shared.writer_gone.load(Ordering::Acquire) {
             return refuse(ServeError::Closed);
+        }
+        if let Some(read) = M::read(&op) {
+            drop(q);
+            return Ok(Ticket::ready(Ok(self.read(read))));
         }
         let capacity = shared.config.queue_capacity;
         if q.items.len() >= capacity {
@@ -497,9 +535,25 @@ impl<M: Machine> Session<M> {
         Ok(Ticket::new(slot))
     }
 
+    /// Answer an admitted read-only op from a clone of the published
+    /// view, computed after the view lock is released so a publish never
+    /// waits on it. Counted as submitted and acked, and credited to the
+    /// session's breaker, like a write that succeeded.
+    fn read(&self, read: Read<M>) -> Ack<M::Outcome> {
+        let shared = &self.shared;
+        let Published { view, position } = lock(&shared.view).clone();
+        let outcome = read(&view);
+        shared.ledger.count(|s| {
+            s.submitted += 1;
+            s.acked += 1;
+        });
+        shared.note(self.id, true);
+        Ack { order: position, durable_seq: None, outcome }
+    }
+
     /// The most recently published view.
     pub fn view(&self) -> M::View {
-        lock(&self.shared.view).clone()
+        lock(&self.shared.view).view.clone()
     }
 
     /// This session's breaker state (quarantine observability).
@@ -609,7 +663,7 @@ impl<M: Machine> Writer<M> {
 
         // Phase 3: publish, then acknowledge. Publishing first means "my
         // ack implies a view at least as new as my op".
-        shared.publish(machine);
+        shared.publish(machine, self.next_order + applied.len() as u64);
         for (p, outcome) in applied {
             let ack = Ack { order: self.next_order, durable_seq: durable.seq, outcome };
             self.next_order += 1;
@@ -628,7 +682,7 @@ impl<M: Machine> Writer<M> {
     fn refuse_and_repair(&mut self, applied: Vec<(Pending<M>, M::Outcome)>, detail: String) {
         if let Some(machine) = self.machine.as_mut() {
             match machine.repair(&self.shared.ledger) {
-                Ok(()) => self.shared.publish(machine),
+                Ok(()) => self.shared.publish(machine, self.next_order),
                 Err(_) => self.machine = None,
             }
         }
@@ -662,7 +716,7 @@ fn install_quiet_hook() {
     });
 }
 
-fn quiet_catch_unwind<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+pub(crate) fn quiet_catch_unwind<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     install_quiet_hook();
     QUIET.with(|q| q.set(true));
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(f));

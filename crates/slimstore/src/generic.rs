@@ -38,6 +38,15 @@ pub enum DmiValue {
     Link(Instance),
 }
 
+/// A value as [`GenericDmi::set_as`] assigns it: borrowed text, or a
+/// link to an instance together with the construct the caller checked
+/// it conforms to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Typed<'a> {
+    Text(&'a str),
+    Link(Instance, &'a str),
+}
+
 /// A runtime-generated DMI for an arbitrary model.
 #[derive(Debug)]
 pub struct GenericDmi {
@@ -108,7 +117,15 @@ impl GenericDmi {
         instance: Instance,
         connector: &str,
     ) -> Result<(&ConnectorDef, ConstructKind), DmiError> {
-        let construct = self.construct_name(instance)?;
+        self.connector_of(self.construct_name(instance)?, connector)
+    }
+
+    /// [`Self::connector_for`] an instance of `construct`.
+    fn connector_of(
+        &self,
+        construct: &str,
+        connector: &str,
+    ) -> Result<(&ConnectorDef, ConstructKind), DmiError> {
         // Connector names are unique in a model; the instance may use the
         // connector if it starts at its construct or at an ancestor.
         let def = self
@@ -143,13 +160,54 @@ impl GenericDmi {
         connector: &str,
         value: DmiValue,
     ) -> Result<(), DmiError> {
-        let (def, target_kind) = self.connector_for(instance, connector)?;
+        let single = {
+            let typed = match &value {
+                DmiValue::Text(text) => Typed::Text(text),
+                DmiValue::Link(target) => Typed::Link(*target, self.construct_name(*target)?),
+            };
+            self.check_set(self.construct_name(instance)?, connector, typed)?
+        };
+        let object = self.object(&value);
+        self.assign(instance, connector, object, single);
+        Ok(())
+    }
+
+    /// [`Self::set`] on an instance the caller has checked conforms to
+    /// `construct`, with the value's link target checked the same way —
+    /// so a typed façade resolves each instance's construct once. The
+    /// model's checks are [`Self::set`]'s.
+    pub(crate) fn set_as(
+        &mut self,
+        instance: Instance,
+        construct: &str,
+        connector: &str,
+        value: Typed<'_>,
+    ) -> Result<(), DmiError> {
+        let single = self.check_set(construct, connector, value)?;
+        let object = match value {
+            Typed::Text(text) => self.store.literal_value(text),
+            Typed::Link(target, _) => Value::Resource(target.0),
+        };
+        self.assign(instance, connector, object, single);
+        Ok(())
+    }
+
+    /// Check that an instance of `construct` may take `value` through
+    /// `connector`: the connector is its own, the value has the right
+    /// kind and a link the right target. True when the connector is
+    /// single-valued.
+    fn check_set(
+        &self,
+        construct: &str,
+        connector: &str,
+        value: Typed<'_>,
+    ) -> Result<bool, DmiError> {
+        let (def, target_kind) = self.connector_of(construct, connector)?;
         // Value-kind validation.
-        match (&value, target_kind) {
-            (DmiValue::Text(_), ConstructKind::Literal | ConstructKind::Mark) => {}
-            (DmiValue::Link(target), ConstructKind::Construct) => {
+        match (value, target_kind) {
+            (Typed::Text(_), ConstructKind::Literal | ConstructKind::Mark) => {}
+            (Typed::Link(_, tc), ConstructKind::Construct) => {
                 // Target typing (with generalization).
-                let tc = self.construct_name(*target)?;
                 if !self.assignable(&def.to, tc) {
                     return Err(DmiError::Structure {
                         message: format!(
@@ -159,28 +217,31 @@ impl GenericDmi {
                     });
                 }
             }
-            (DmiValue::Text(_), ConstructKind::Construct) => {
+            (Typed::Text(_), ConstructKind::Construct) => {
                 return Err(DmiError::WrongValueKind {
                     connector: connector.to_string(),
                     expected: "link",
                 })
             }
-            (DmiValue::Link(_), _) => {
+            (Typed::Link(..), _) => {
                 return Err(DmiError::WrongValueKind {
                     connector: connector.to_string(),
                     expected: "text",
                 })
             }
         }
-        let single = matches!(def.cardinality, Cardinality::One | Cardinality::OptionalOne);
+        Ok(matches!(def.cardinality, Cardinality::One | Cardinality::OptionalOne))
+    }
+
+    /// Store a checked value: single-valued connectors replace,
+    /// multi-valued ones append.
+    fn assign(&mut self, instance: Instance, connector: &str, object: Value, single: bool) {
         let p = self.store.atom(connector);
-        let object = self.object(&value);
         if single {
             self.store.set_unique(instance.0, p, object);
         } else {
             self.store.insert(instance.0, p, object);
         }
-        Ok(())
     }
 
     /// Remove one value of a connector. A value that is not there is a

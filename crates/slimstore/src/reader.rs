@@ -12,10 +12,17 @@
 //! once, when it is built. A [`SlimPadDmi`] keeps that lookup across
 //! calls once every atom of it exists.
 //!
+//! A record read (a pad, bundle, scrap or mark handle, a scrap's
+//! annotations or links, or a whole [`ScrapRecord`]) scans the
+//! instance's triples once and takes every field from that row, under
+//! the same rules a single-field read applies: a field is the unique
+//! object under its property, a link list the resources under it in
+//! atom order.
+//!
 //! [`SlimPadDmi`]: crate::SlimPadDmi
 
 use metamodel::vocab;
-use trim::{Atom, ConjQuery, Runs, TriplePattern, Value};
+use trim::{Atom, ConjQuery, Runs, Triple, TriplePattern, Value};
 
 use crate::error::DmiError;
 use crate::slimpad_dmi::{
@@ -148,6 +155,58 @@ pub(crate) fn parse_coord(text: &str) -> Option<(i64, i64)> {
     Some((x.trim().parse().ok()?, y.trim().parse().ok()?))
 }
 
+/// One scrap's whole content, borrowed from the triple set — what a
+/// walk over every scrap (the pad digest) reads, without a copy per
+/// string.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScrapRecord<'a> {
+    /// The scrap's label.
+    pub name: &'a str,
+    /// Its position.
+    pub pos: (i64, i64),
+    /// Its mark handles, in handle order.
+    pub marks: Vec<MarkHandleHandle>,
+    /// The mark ids behind those of `marks` that are live mark handles,
+    /// sorted.
+    pub mark_ids: Vec<&'a str>,
+    /// Its annotations, sorted.
+    pub annotations: Vec<&'a str>,
+    /// Its outgoing scrap links, in handle order.
+    pub links: Vec<ScrapHandle>,
+}
+
+/// One subject's triples, as one range scan returns them. A record
+/// takes every field from its row, so it costs one seek however many
+/// fields it has.
+struct Row(Vec<Triple>);
+
+impl Row {
+    /// The triples under `property`; none for a property the triple
+    /// set has never interned.
+    fn of(&self, property: Option<Atom>) -> impl Iterator<Item = Triple> + '_ {
+        self.0.iter().copied().filter(move |t| Some(t.property) == property)
+    }
+}
+
+/// The object of the one triple in `triples`, if there is exactly one
+/// — the rule [`Runs::object_of`] applies to one subject and property.
+fn only(mut triples: impl Iterator<Item = Triple>) -> Option<Value> {
+    let first = triples.next()?;
+    triples.next().is_none().then_some(first.object)
+}
+
+/// The resources among `triples`, in atom order.
+fn resources(triples: impl Iterator<Item = Triple>) -> Vec<Atom> {
+    let mut out: Vec<Atom> = triples
+        .filter_map(|t| match t.object {
+            Value::Resource(a) => Some(a),
+            Value::Literal(_) => None,
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
 /// Read-only Bundle-Scrap queries over one triple set.
 pub struct PadReader<'a, R: Runs + ?Sized> {
     runs: &'a R,
@@ -169,12 +228,15 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
         self.runs
     }
 
+    /// Whether `conforms`, a subject's unique `conformsTo` object,
+    /// names `construct`.
+    fn names_construct(&self, conforms: Option<Value>, construct: Construct) -> bool {
+        self.vocab.construct(construct).is_some_and(|c| conforms == Some(Value::Resource(c)))
+    }
+
     fn is_instance_of(&self, id: Atom, construct: Construct) -> bool {
-        let (Some(conf_p), Some(c)) = (self.vocab.conforms_to, self.vocab.construct(construct))
-        else {
-            return false;
-        };
-        self.runs.object_of(id, conf_p) == Some(Value::Resource(c))
+        let conforms = self.vocab.conforms_to.and_then(|p| self.runs.object_of(id, p));
+        self.names_construct(conforms, construct)
     }
 
     /// `NotFound` unless `id` conforms to `construct`.
@@ -182,25 +244,50 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
         if self.is_instance_of(id, construct) {
             Ok(())
         } else {
-            let id = self.runs.resolve(id).to_string();
-            Err(DmiError::NotFound { what: construct.name(), id })
+            Err(self.not_found(id, construct))
         }
     }
 
-    /// The text of the one literal `subject` has under `property`.
-    fn literal_of(&self, subject: Atom, property: Prop) -> Option<&'a str> {
-        match self.runs.object_of(subject, self.vocab.prop(property)?)? {
-            Value::Literal(a) => Some(self.runs.resolve(a)),
-            Value::Resource(_) => None,
+    fn not_found(&self, id: Atom, construct: Construct) -> DmiError {
+        DmiError::NotFound { what: construct.name(), id: self.runs.resolve(id).to_string() }
+    }
+
+    /// Every triple of `id`, which must conform to `construct`
+    /// (`NotFound` otherwise): one range scan for a whole record.
+    fn row(&self, id: Atom, construct: Construct) -> Result<Row, DmiError> {
+        let row = Row(self.runs.select(&TriplePattern::default().with_subject(id)));
+        if self.names_construct(only(row.of(self.vocab.conforms_to)), construct) {
+            Ok(row)
+        } else {
+            Err(self.not_found(id, construct))
         }
     }
 
-    fn number_of(&self, subject: Atom, property: Prop) -> i64 {
-        self.literal_of(subject, property).and_then(|t| t.parse().ok()).unwrap_or(0)
+    /// The triples of `row` under `property`.
+    fn field<'r>(&self, row: &'r Row, property: Prop) -> impl Iterator<Item = Triple> + 'r {
+        row.of(self.vocab.prop(property))
     }
 
-    fn coord_of(&self, subject: Atom, property: Prop) -> (i64, i64) {
-        self.literal_of(subject, property).and_then(parse_coord).unwrap_or((0, 0))
+    /// The text of the one literal `row` has under `property`; empty
+    /// when there is none, or more than one.
+    fn text(&self, row: &Row, property: Prop) -> &'a str {
+        match only(self.field(row, property)) {
+            Some(Value::Literal(a)) => self.runs.resolve(a),
+            _ => "",
+        }
+    }
+
+    fn number(&self, row: &Row, property: Prop) -> i64 {
+        self.text(row, property).parse().unwrap_or(0)
+    }
+
+    fn coord(&self, row: &Row, property: Prop) -> (i64, i64) {
+        parse_coord(self.text(row, property)).unwrap_or((0, 0))
+    }
+
+    /// Resources `row` points at under `property`, in atom order.
+    fn links(&self, row: &Row, property: Prop) -> Vec<Atom> {
+        resources(self.field(row, property))
     }
 
     /// Resources `subject` points at under `property`, in atom order.
@@ -208,17 +295,8 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
         let Some(p) = self.vocab.prop(property) else {
             return Vec::new();
         };
-        let mut out: Vec<Atom> = self
-            .runs
-            .select(&TriplePattern::default().with_subject(subject).with_property(p))
-            .into_iter()
-            .filter_map(|t| match t.object {
-                Value::Resource(a) => Some(a),
-                Value::Literal(_) => None,
-            })
-            .collect();
-        out.sort_unstable();
-        out
+        let pattern = TriplePattern::default().with_subject(subject).with_property(p);
+        resources(self.runs.select(&pattern).into_iter())
     }
 
     /// Subjects pointing at `target` under `property`, in atom order.
@@ -250,73 +328,91 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
 
     /// Snapshot a pad.
     pub fn pad(&self, pad: PadHandle) -> Result<PadData, DmiError> {
-        let id = pad.resource();
-        self.require(id, Construct::SlimPad)?;
+        let row = self.row(pad.resource(), Construct::SlimPad)?;
         Ok(PadData {
-            name: self.literal_of(id, Prop::PadName).unwrap_or_default().to_string(),
-            root_bundle: self.links_of(id, Prop::RootBundle).first().copied().map(BundleHandle),
+            name: self.text(&row, Prop::PadName).to_string(),
+            root_bundle: self.links(&row, Prop::RootBundle).first().copied().map(BundleHandle),
         })
     }
 
     /// Snapshot a bundle.
     pub fn bundle(&self, b: BundleHandle) -> Result<BundleData, DmiError> {
-        let id = b.resource();
-        self.require(id, Construct::Bundle)?;
+        let row = self.row(b.resource(), Construct::Bundle)?;
         Ok(BundleData {
-            name: self.literal_of(id, Prop::BundleName).unwrap_or_default().to_string(),
-            pos: self.coord_of(id, Prop::BundlePos),
-            width: self.number_of(id, Prop::BundleWidth),
-            height: self.number_of(id, Prop::BundleHeight),
-            scraps: self.links_of(id, Prop::BundleContent).into_iter().map(ScrapHandle).collect(),
-            nested: self.links_of(id, Prop::NestedBundle).into_iter().map(BundleHandle).collect(),
+            name: self.text(&row, Prop::BundleName).to_string(),
+            pos: self.coord(&row, Prop::BundlePos),
+            width: self.number(&row, Prop::BundleWidth),
+            height: self.number(&row, Prop::BundleHeight),
+            scraps: self.links(&row, Prop::BundleContent).into_iter().map(ScrapHandle).collect(),
+            nested: self.links(&row, Prop::NestedBundle).into_iter().map(BundleHandle).collect(),
         })
     }
 
     /// Snapshot a scrap.
     pub fn scrap(&self, s: ScrapHandle) -> Result<ScrapData, DmiError> {
-        let id = s.resource();
-        self.require(id, Construct::Scrap)?;
+        let row = self.row(s.resource(), Construct::Scrap)?;
         Ok(ScrapData {
-            name: self.literal_of(id, Prop::ScrapName).unwrap_or_default().to_string(),
-            pos: self.coord_of(id, Prop::ScrapPos),
-            marks: self.links_of(id, Prop::ScrapMark).into_iter().map(MarkHandleHandle).collect(),
+            name: self.text(&row, Prop::ScrapName).to_string(),
+            pos: self.coord(&row, Prop::ScrapPos),
+            marks: self.links(&row, Prop::ScrapMark).into_iter().map(MarkHandleHandle).collect(),
         })
     }
 
     /// Snapshot a mark handle.
     pub fn mark_handle(&self, h: MarkHandleHandle) -> Result<MarkHandleData, DmiError> {
-        let id = h.resource();
-        self.require(id, Construct::MarkHandle)?;
-        Ok(MarkHandleData {
-            mark_id: self.literal_of(id, Prop::MarkId).unwrap_or_default().to_string(),
-        })
+        Ok(MarkHandleData { mark_id: self.mark_id(h)?.to_string() })
+    }
+
+    /// The mark id a mark handle carries, borrowed.
+    fn mark_id(&self, h: MarkHandleHandle) -> Result<&'a str, DmiError> {
+        let row = self.row(h.resource(), Construct::MarkHandle)?;
+        Ok(self.text(&row, Prop::MarkId))
     }
 
     /// A scrap's annotations, sorted.
     pub fn annotations(&self, scrap: ScrapHandle) -> Result<Vec<String>, DmiError> {
-        let id = scrap.resource();
-        self.require(id, Construct::Scrap)?;
-        let Some(p) = self.vocab.prop(Prop::ScrapAnnotation) else {
-            return Ok(Vec::new());
-        };
-        let mut out: Vec<String> = self
-            .runs
-            .select(&TriplePattern::default().with_subject(id).with_property(p))
-            .into_iter()
+        let row = self.row(scrap.resource(), Construct::Scrap)?;
+        Ok(self.annotations_in(&row).into_iter().map(str::to_string).collect())
+    }
+
+    /// The annotations in a scrap's row, sorted and borrowed.
+    fn annotations_in(&self, row: &Row) -> Vec<&'a str> {
+        let mut out: Vec<&'a str> = self
+            .field(row, Prop::ScrapAnnotation)
             .filter_map(|t| match t.object {
-                Value::Literal(a) => Some(self.runs.resolve(a).to_string()),
+                Value::Literal(a) => Some(self.runs.resolve(a)),
                 Value::Resource(_) => None,
             })
             .collect();
-        out.sort();
-        Ok(out)
+        out.sort_unstable();
+        out
     }
 
     /// Outgoing scrap links, sorted.
     pub fn scrap_links(&self, from: ScrapHandle) -> Result<Vec<ScrapHandle>, DmiError> {
-        let id = from.resource();
-        self.require(id, Construct::Scrap)?;
-        Ok(self.links_of(id, Prop::ScrapLink).into_iter().map(ScrapHandle).collect())
+        let row = self.row(from.resource(), Construct::Scrap)?;
+        Ok(self.links(&row, Prop::ScrapLink).into_iter().map(ScrapHandle).collect())
+    }
+
+    /// A scrap's whole content — [`Self::scrap`], the mark ids behind
+    /// its handles ([`Self::mark_handle`]), [`Self::annotations`] and
+    /// [`Self::scrap_links`] — from one read of the scrap and one of
+    /// each mark handle, copying no string.
+    pub fn scrap_record(&self, s: ScrapHandle) -> Result<ScrapRecord<'a>, DmiError> {
+        let row = self.row(s.resource(), Construct::Scrap)?;
+        let marks: Vec<MarkHandleHandle> =
+            self.links(&row, Prop::ScrapMark).into_iter().map(MarkHandleHandle).collect();
+        let mut mark_ids: Vec<&'a str> =
+            marks.iter().filter_map(|h| self.mark_id(*h).ok()).collect();
+        mark_ids.sort_unstable();
+        Ok(ScrapRecord {
+            name: self.text(&row, Prop::ScrapName),
+            pos: self.coord(&row, Prop::ScrapPos),
+            marks,
+            mark_ids,
+            annotations: self.annotations_in(&row),
+            links: self.links(&row, Prop::ScrapLink).into_iter().map(ScrapHandle).collect(),
+        })
     }
 
     /// All pads.

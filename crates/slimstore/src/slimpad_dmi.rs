@@ -32,7 +32,7 @@
 //! journal.
 
 use crate::error::DmiError;
-use crate::generic::{DmiValue, GenericDmi, Instance};
+use crate::generic::{DmiValue, GenericDmi, Instance, Typed};
 use crate::reader::{Construct, PadReader, Prop, Vocab};
 use metamodel::builtin;
 use metamodel::{ConformanceReport, ModelDef};
@@ -135,6 +135,14 @@ fn bundle_scrap() -> Arc<ModelDef> {
     Arc::clone(MODEL.get_or_init(|| Arc::new(builtin::bundle_scrap())))
 }
 
+/// An instance the façade has checked conforms to `construct`. Writes
+/// take one, so the generated DMI does not resolve the construct again.
+#[derive(Debug, Clone, Copy)]
+struct Checked {
+    id: Atom,
+    construct: Construct,
+}
+
 /// Encode `(x, y)` as the Coordinate literal `"x,y"`.
 fn coord_text(pos: (i64, i64)) -> String {
     format!("{},{}", pos.0, pos.1)
@@ -182,24 +190,29 @@ impl SlimPadDmi {
     /// Cannot fail: every [`Construct`] is a structural construct of the
     /// model and every [`Prop`] one of its connectors (pinned by the
     /// reader's tests).
-    fn create(&mut self, construct: Construct, texts: &[(Prop, &str)]) -> Atom {
+    fn create(&mut self, construct: Construct, texts: &[(Prop, &str)]) -> Checked {
         let id = self.dmi.create(construct.name()).expect("a Bundle-Scrap construct").0;
+        let instance = Checked { id, construct };
         for &(property, text) in texts {
-            self.set_text(id, property, text).expect("a literal of a fresh Bundle-Scrap instance");
+            self.set_text(instance, property, text)
+                .expect("a literal of a fresh Bundle-Scrap instance");
         }
-        id
+        instance
     }
 
-    fn require(&self, id: Atom, construct: Construct) -> Result<(), DmiError> {
-        self.reader().require(id, construct)
+    fn require(&self, id: Atom, construct: Construct) -> Result<Checked, DmiError> {
+        self.reader().require(id, construct)?;
+        Ok(Checked { id, construct })
     }
 
-    fn set_text(&mut self, subject: Atom, property: Prop, text: &str) -> Result<(), DmiError> {
-        self.dmi.set(Instance(subject), property.name(), DmiValue::Text(text.to_string()))
+    fn set_text(&mut self, subject: Checked, property: Prop, text: &str) -> Result<(), DmiError> {
+        let Checked { id, construct } = subject;
+        self.dmi.set_as(Instance(id), construct.name(), property.name(), Typed::Text(text))
     }
 
-    fn link(&mut self, subject: Atom, property: Prop, target: Atom) -> Result<(), DmiError> {
-        self.dmi.set(Instance(subject), property.name(), DmiValue::Link(Instance(target)))
+    fn link(&mut self, subject: Checked, property: Prop, target: Checked) -> Result<(), DmiError> {
+        let to = Typed::Link(Instance(target.id), target.construct.name());
+        self.dmi.set_as(Instance(subject.id), subject.construct.name(), property.name(), to)
     }
 
     fn unlink(&mut self, subject: Atom, property: Prop, target: Atom) -> Result<(), DmiError> {
@@ -233,14 +246,12 @@ impl SlimPadDmi {
         pad_name: &str,
         root_bundle: Option<BundleHandle>,
     ) -> Result<PadHandle, DmiError> {
-        if let Some(b) = root_bundle {
-            self.require(b.0, Construct::Bundle)?;
+        let root = root_bundle.map(|b| self.require(b.0, Construct::Bundle)).transpose()?;
+        let pad = self.create(Construct::SlimPad, &[(Prop::PadName, pad_name)]);
+        if let Some(root) = root {
+            self.link(pad, Prop::RootBundle, root)?;
         }
-        let id = self.create(Construct::SlimPad, &[(Prop::PadName, pad_name)]);
-        if let Some(b) = root_bundle {
-            self.link(id, Prop::RootBundle, b.0)?;
-        }
-        Ok(PadHandle(id))
+        Ok(PadHandle(pad.id))
     }
 
     /// `Create_Bundle(bundleName, bundlePos, bundleWidth, bundleHeight)`.
@@ -251,7 +262,7 @@ impl SlimPadDmi {
         width: i64,
         height: i64,
     ) -> BundleHandle {
-        BundleHandle(self.create(
+        let bundle = self.create(
             Construct::Bundle,
             &[
                 (Prop::BundleName, name),
@@ -259,7 +270,8 @@ impl SlimPadDmi {
                 (Prop::BundleWidth, &width.to_string()),
                 (Prop::BundleHeight, &height.to_string()),
             ],
-        ))
+        );
+        BundleHandle(bundle.id)
     }
 
     /// `Create_Scrap(scrapName, scrapPos, markId)` — Figure 3 requires at
@@ -271,26 +283,26 @@ impl SlimPadDmi {
         pos: (i64, i64),
         mark_id: &str,
     ) -> Result<ScrapHandle, DmiError> {
-        let id = self.create(
+        let scrap = self.create(
             Construct::Scrap,
             &[(Prop::ScrapName, name), (Prop::ScrapPos, &coord_text(pos))],
         );
-        let handle = self.create_mark_handle(mark_id);
-        self.link(id, Prop::ScrapMark, handle.0)?;
-        Ok(ScrapHandle(id))
+        let handle = self.create(Construct::MarkHandle, &[(Prop::MarkId, mark_id)]);
+        self.link(scrap, Prop::ScrapMark, handle)?;
+        Ok(ScrapHandle(scrap.id))
     }
 
     /// `Create_MarkHandle(markId)`.
     pub fn create_mark_handle(&mut self, mark_id: &str) -> MarkHandleHandle {
-        MarkHandleHandle(self.create(Construct::MarkHandle, &[(Prop::MarkId, mark_id)]))
+        MarkHandleHandle(self.create(Construct::MarkHandle, &[(Prop::MarkId, mark_id)]).id)
     }
 
     // ---- Update_* (Figure 10) ---------------------------------------------
 
     /// `Update_padName(SlimPad, newPadName)`.
     pub fn update_pad_name(&mut self, pad: PadHandle, new_name: &str) -> Result<(), DmiError> {
-        self.require(pad.0, Construct::SlimPad)?;
-        self.set_text(pad.0, Prop::PadName, new_name)
+        let pad = self.require(pad.0, Construct::SlimPad)?;
+        self.set_text(pad, Prop::PadName, new_name)
     }
 
     /// `Update_rootBundle(SlimPad, newRootBundle)`.
@@ -299,15 +311,15 @@ impl SlimPadDmi {
         pad: PadHandle,
         new_root: Option<BundleHandle>,
     ) -> Result<(), DmiError> {
-        self.require(pad.0, Construct::SlimPad)?;
+        let pad = self.require(pad.0, Construct::SlimPad)?;
         match new_root {
             Some(b) => {
-                self.require(b.0, Construct::Bundle)?;
-                self.link(pad.0, Prop::RootBundle, b.0)
+                let root = self.require(b.0, Construct::Bundle)?;
+                self.link(pad, Prop::RootBundle, root)
             }
             None => {
-                for old in self.links_of(pad.0, Prop::RootBundle) {
-                    self.unlink(pad.0, Prop::RootBundle, old)?;
+                for old in self.links_of(pad.id, Prop::RootBundle) {
+                    self.unlink(pad.id, Prop::RootBundle, old)?;
                 }
                 Ok(())
             }
@@ -316,15 +328,15 @@ impl SlimPadDmi {
 
     /// `Update_bundleName(Bundle, newName)`.
     pub fn update_bundle_name(&mut self, b: BundleHandle, name: &str) -> Result<(), DmiError> {
-        self.require(b.0, Construct::Bundle)?;
-        self.set_text(b.0, Prop::BundleName, name)
+        let bundle = self.require(b.0, Construct::Bundle)?;
+        self.set_text(bundle, Prop::BundleName, name)
     }
 
     /// `Update_bundlePos(Bundle, newPos)` — moving a bundle is the
     /// paper's core 2-D manipulation.
     pub fn update_bundle_pos(&mut self, b: BundleHandle, pos: (i64, i64)) -> Result<(), DmiError> {
-        self.require(b.0, Construct::Bundle)?;
-        self.set_text(b.0, Prop::BundlePos, &coord_text(pos))
+        let bundle = self.require(b.0, Construct::Bundle)?;
+        self.set_text(bundle, Prop::BundlePos, &coord_text(pos))
     }
 
     /// `Update_bundleWidth/Height(Bundle, …)` — resize.
@@ -334,22 +346,22 @@ impl SlimPadDmi {
         width: i64,
         height: i64,
     ) -> Result<(), DmiError> {
-        self.require(b.0, Construct::Bundle)?;
-        self.set_text(b.0, Prop::BundleWidth, &width.to_string())?;
-        self.set_text(b.0, Prop::BundleHeight, &height.to_string())
+        let bundle = self.require(b.0, Construct::Bundle)?;
+        self.set_text(bundle, Prop::BundleWidth, &width.to_string())?;
+        self.set_text(bundle, Prop::BundleHeight, &height.to_string())
     }
 
     /// `Update_scrapName(Scrap, newName)` — "a scrap that can be named
     /// and moved around".
     pub fn update_scrap_name(&mut self, s: ScrapHandle, name: &str) -> Result<(), DmiError> {
-        self.require(s.0, Construct::Scrap)?;
-        self.set_text(s.0, Prop::ScrapName, name)
+        let scrap = self.require(s.0, Construct::Scrap)?;
+        self.set_text(scrap, Prop::ScrapName, name)
     }
 
     /// `Update_scrapPos(Scrap, newPos)`.
     pub fn update_scrap_pos(&mut self, s: ScrapHandle, pos: (i64, i64)) -> Result<(), DmiError> {
-        self.require(s.0, Construct::Scrap)?;
-        self.set_text(s.0, Prop::ScrapPos, &coord_text(pos))
+        let scrap = self.require(s.0, Construct::Scrap)?;
+        self.set_text(scrap, Prop::ScrapPos, &coord_text(pos))
     }
 
     // ---- containment -------------------------------------------------------
@@ -361,8 +373,8 @@ impl SlimPadDmi {
         parent: BundleHandle,
         child: BundleHandle,
     ) -> Result<(), DmiError> {
-        self.require(parent.0, Construct::Bundle)?;
-        self.require(child.0, Construct::Bundle)?;
+        let outer = self.require(parent.0, Construct::Bundle)?;
+        let inner = self.require(child.0, Construct::Bundle)?;
         if parent == child {
             return Err(DmiError::Structure { message: "a bundle cannot nest inside itself".into() });
         }
@@ -377,7 +389,7 @@ impl SlimPadDmi {
                 message: "nesting would create a bundle cycle".into(),
             });
         }
-        self.link(parent.0, Prop::NestedBundle, child.0)
+        self.link(outer, Prop::NestedBundle, inner)
     }
 
     /// Detach a nested bundle from its parent (it becomes free-floating).
@@ -392,14 +404,14 @@ impl SlimPadDmi {
 
     /// Place a scrap into a bundle. A scrap lives in at most one bundle.
     pub fn add_scrap(&mut self, bundle: BundleHandle, scrap: ScrapHandle) -> Result<(), DmiError> {
-        self.require(bundle.0, Construct::Bundle)?;
-        self.require(scrap.0, Construct::Scrap)?;
-        if !self.reader().incoming_links(scrap.0, Prop::BundleContent).is_empty() {
+        let bundle = self.require(bundle.0, Construct::Bundle)?;
+        let scrap = self.require(scrap.0, Construct::Scrap)?;
+        if !self.reader().incoming_links(scrap.id, Prop::BundleContent).is_empty() {
             return Err(DmiError::Structure {
                 message: "scrap already belongs to a bundle".into(),
             });
         }
-        self.link(bundle.0, Prop::BundleContent, scrap.0)
+        self.link(bundle, Prop::BundleContent, scrap)
     }
 
     /// Take a scrap out of a bundle (it becomes free-floating).
@@ -420,9 +432,9 @@ impl SlimPadDmi {
         scrap: ScrapHandle,
         handle: MarkHandleHandle,
     ) -> Result<(), DmiError> {
-        self.require(scrap.0, Construct::Scrap)?;
-        self.require(handle.0, Construct::MarkHandle)?;
-        self.link(scrap.0, Prop::ScrapMark, handle.0)
+        let scrap = self.require(scrap.0, Construct::Scrap)?;
+        let handle = self.require(handle.0, Construct::MarkHandle)?;
+        self.link(scrap, Prop::ScrapMark, handle)
     }
 
     /// Detach a mark handle; the model refuses to remove a scrap's last
@@ -442,8 +454,8 @@ impl SlimPadDmi {
     /// Attach an annotation to a scrap ("initial feedback from clinicians
     /// indicates annotations on scraps would be useful", paper §5).
     pub fn add_annotation(&mut self, scrap: ScrapHandle, text: &str) -> Result<(), DmiError> {
-        self.require(scrap.0, Construct::Scrap)?;
-        self.set_text(scrap.0, Prop::ScrapAnnotation, text)
+        let scrap = self.require(scrap.0, Construct::Scrap)?;
+        self.set_text(scrap, Prop::ScrapAnnotation, text)
     }
 
     /// A scrap's annotations, sorted.
@@ -461,12 +473,12 @@ impl SlimPadDmi {
     /// Link two scraps ("explicit links between scraps", paper §3/§6).
     /// Links are directed; self-links are rejected.
     pub fn link_scraps(&mut self, from: ScrapHandle, to: ScrapHandle) -> Result<(), DmiError> {
-        self.require(from.0, Construct::Scrap)?;
-        self.require(to.0, Construct::Scrap)?;
+        let source = self.require(from.0, Construct::Scrap)?;
+        let target = self.require(to.0, Construct::Scrap)?;
         if from == to {
             return Err(DmiError::Structure { message: "a scrap cannot link to itself".into() });
         }
-        self.link(from.0, Prop::ScrapLink, to.0)
+        self.link(source, Prop::ScrapLink, target)
     }
 
     /// Outgoing scrap links, sorted.
