@@ -15,7 +15,7 @@
 //! * `cargo run -p slim-bench --bin wal-verify -- PATH/pad.xml` —
 //!   verify a real on-disk pair; exit 1 if any damage was found.
 //! * `-- --self-test` — build a known-good pair in memory, verify it,
-//!   then damage it in five distinct ways and check each is caught.
+//!   then damage it in six distinct ways and check each is caught.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -301,10 +301,19 @@ pub fn verify_pair(vfs: &dyn Vfs, snapshot_path: &Path) -> FsckReport {
 // Self-test: build a pair in memory, verify, damage, verify again
 // ---------------------------------------------------------------------
 
+/// What [`build_fixture`] left behind.
+struct Fixture {
+    /// Bundles on the live pad (the invisible root included).
+    bundles: usize,
+    /// Byte offset of the third frame in the log.
+    third_frame_at: usize,
+}
+
 /// Build a known-good logged pad on `vfs` at `path`: a snapshot plus a
-/// 2-frame log whose first frame carries two marks' records and whose
-/// second carries a tombstone for one of them.
-fn build_fixture(vfs: &dyn Vfs, path: &Path) {
+/// 3-frame log whose first frame carries two marks' records, whose
+/// second carries a tombstone for one of them, and whose third undoes
+/// across the second, so it begins with compensation records.
+fn build_fixture(vfs: &dyn Vfs, path: &Path) -> Fixture {
     use superimposed::basedocs::{textdoc::TextTarget, Span, TextAddress};
     use superimposed::marks::MarkAddress;
 
@@ -319,23 +328,29 @@ fn build_fixture(vfs: &dyn Vfs, path: &Path) {
     let spare = pad.marks_mut().create_mark_at(address).expect("mint mark 2");
     pad.place_mark(&mark, Some("vitals"), (20, 20), Some(bundle)).expect("place");
     pad.commit(vfs).expect("commit 1");
+    pad.begin_op();
     pad.create_bundle("Labs", (30, 30), 160, 120, None).expect("bundle 2");
     pad.marks_mut().remove(&spare).expect("remove mark 2");
     pad.commit(vfs).expect("commit 2");
+    let third_frame_at = pad.log().expect("logged").log_bytes() as usize;
+    assert!(pad.undo().expect("undo"), "undo across commit 2");
+    pad.create_bundle("Meds", (50, 50), 160, 120, None).expect("bundle 3");
+    pad.commit(vfs).expect("commit 3");
+    Fixture { bundles: pad.dmi().bundles().len(), third_frame_at }
 }
 
-/// Clean fixture plus four damage drills; panics (exit 101) on any
+/// Clean fixture plus six damage drills; panics (exit 101) on any
 /// missed detection.
 fn self_test() {
     let snap = Path::new("fsck/pad.xml");
     let wal = StoreLog::wal_path(snap);
 
     let vfs = MemVfs::new();
-    build_fixture(&vfs, snap);
+    let fixture = build_fixture(&vfs, snap);
     let clean = verify_pair(&vfs, snap);
     print!("{}", clean.render());
     assert!(!clean.damaged(), "clean fixture reported damage:\n{}", clean.render());
-    assert!(clean.frames >= 2, "fixture should commit at least two frames");
+    assert_eq!(clean.frames, 3, "fixture should commit three frames");
     assert_eq!(
         (clean.mark_records, clean.mark_tombstones),
         (1, 1),
@@ -343,6 +358,14 @@ fn self_test() {
     );
     let pristine_log = vfs.read(&wal).expect("log exists");
     let pristine_snap = vfs.read(snap).expect("snapshot exists");
+    // The undo across commit 2 is logged, not compacted: recovery
+    // replays the compensating frame to the live pad's bundles.
+    let third = &scan_wal(&pristine_log).expect("clean log").frames[2];
+    let summary = verify_frame_payload(third.seq, &third.payload).expect("third frame decodes");
+    assert!(summary.removes > 0, "the third frame takes bundle 2 back");
+    let (recovered, _) =
+        PadSession::open_logged(&vfs, snap, MarkManager::new()).expect("recover fixture");
+    assert_eq!(recovered.dmi().bundles().len(), fixture.bundles, "recovered bundle count");
 
     // Drill 1: flip one byte inside the last frame's payload.
     let mut torn = pristine_log.clone();
@@ -382,7 +405,14 @@ fn self_test() {
     vfs.write(&wal, &torn).expect("inject");
     assert!(verify_pair(&vfs, snap).damaged(), "damaged mark record went undetected");
 
-    println!("self-test: clean pair verifies, all 5 damage drills detected");
+    // Drill 6: flip one byte inside the frame that begins with
+    // compensation records.
+    let mut torn = pristine_log.clone();
+    torn[(fixture.third_frame_at + pristine_log.len()) / 2] ^= 0x01;
+    vfs.write(&wal, &torn).expect("inject");
+    assert!(verify_pair(&vfs, snap).damaged(), "flipped compensating-frame byte went undetected");
+
+    println!("self-test: clean pair verifies, all 6 damage drills detected");
 }
 
 fn usage() -> ! {

@@ -6,10 +6,13 @@ use crate::module::{MarkModule, Resolution};
 use basedocs::DocKind;
 use slimio::{Integrity, Recovered, StdVfs, Vfs};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::path::Path;
 use xmlkit::{Element, XmlWriter};
+
+/// How many resolutions [`MarkManager::resolution_log`] keeps.
+pub const RESOLUTION_LOG_LEN: usize = 256;
 
 /// On-disk format version for the mark store.
 const FORMAT_VERSION: &str = "1";
@@ -188,9 +191,9 @@ pub struct MarkManager {
     /// The mark store (sorted for deterministic iteration/persistence).
     marks: BTreeMap<MarkId, Mark>,
     next_id: u64,
-    /// `(mark id, module name)` pairs, in resolution order — the audit
-    /// trail of Figure 7's arrows.
-    resolution_log: Vec<(MarkId, String)>,
+    /// The last [`RESOLUTION_LOG_LEN`] `(mark id, module name)` pairs,
+    /// in resolution order — the audit trail of Figure 7's arrows.
+    resolution_log: VecDeque<(MarkId, String)>,
     /// Undo journal of the open checkpoint: `(mark, its value before the
     /// change)` for every change since [`MarkManager::checkpoint`], in
     /// order. `None` until a checkpoint is taken, so callers that never
@@ -216,7 +219,7 @@ impl Default for MarkManager {
             modules: HashMap::new(),
             marks: BTreeMap::new(),
             next_id: 0,
-            resolution_log: Vec::new(),
+            resolution_log: VecDeque::new(),
             journal: None,
             changed: BTreeSet::new(),
             replaced: true,
@@ -368,7 +371,7 @@ impl MarkManager {
         let module = self.default_module(address.kind())?;
         let resolution = module.resolve(&address)?;
         let name = module.module_name().to_string();
-        self.resolution_log.push((mark_id.to_string(), name));
+        self.log_resolution(mark_id, name);
         Ok(resolution)
     }
 
@@ -378,7 +381,7 @@ impl MarkManager {
         let address = mark.address.clone();
         let module = self.named_module(address.kind(), module_name)?;
         let resolution = module.resolve(&address)?;
-        self.resolution_log.push((mark_id.to_string(), module_name.to_string()));
+        self.log_resolution(mark_id, module_name.to_string());
         Ok(resolution)
     }
 
@@ -405,9 +408,17 @@ impl MarkManager {
         Ok(old)
     }
 
-    /// The resolution audit trail.
-    pub fn resolution_log(&self) -> &[(MarkId, String)] {
+    /// The resolution audit trail: the last [`RESOLUTION_LOG_LEN`]
+    /// resolutions, oldest first.
+    pub fn resolution_log(&self) -> &VecDeque<(MarkId, String)> {
         &self.resolution_log
+    }
+
+    fn log_resolution(&mut self, mark_id: &str, module_name: String) {
+        if self.resolution_log.len() == RESOLUTION_LOG_LEN {
+            self.resolution_log.pop_front();
+        }
+        self.resolution_log.push_back((mark_id.to_string(), module_name));
     }
 
     // ---- checkpoints ------------------------------------------------------------
@@ -850,6 +861,21 @@ mod tests {
         assert_eq!(res.style, ResolutionStyle::InContext);
         assert!(res.display.contains("[Lasix]"));
         assert_eq!(mgr.resolution_log(), &[(id, "excel".to_string())]);
+    }
+
+    #[test]
+    fn the_resolution_log_keeps_only_the_newest_entries() {
+        let (mut mgr, sheet_app, _) = manager_with_apps();
+        sheet_app.borrow_mut().select("meds.xls", "Sheet1", "A1").unwrap();
+        let first = mgr.create_mark(DocKind::Spreadsheet).unwrap();
+        let last = mgr.create_mark(DocKind::Spreadsheet).unwrap();
+        mgr.resolve(&first).unwrap();
+        for _ in 0..RESOLUTION_LOG_LEN {
+            mgr.resolve_with(&last, "excel").unwrap();
+        }
+        let log = mgr.resolution_log();
+        assert_eq!(log.len(), RESOLUTION_LOG_LEN);
+        assert!(log.iter().all(|(id, _)| *id == last), "the oldest entry went first");
     }
 
     #[test]

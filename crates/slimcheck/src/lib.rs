@@ -65,6 +65,9 @@ pub enum Mutation {
     /// Log recovery skips the tail frame's CRC check: a corrupted tail
     /// replays garbage instead of being truncated at the damage.
     WalSkipTailCrc,
+    /// Commit drops the compensation prefix: after an undo across a
+    /// commit, the committed changes it took back come back on reopen.
+    WalDropCompensation,
     /// The join executor skips the ground re-check on repeated
     /// variables: `(?x p ?x)` degenerates from the diagonal into "some
     /// subject and some object under p".
@@ -77,12 +80,13 @@ pub enum Mutation {
 
 impl Mutation {
     /// All seeded bugs (excludes `None`).
-    pub const ALL: [Mutation; 7] = [
+    pub const ALL: [Mutation; 8] = [
         Mutation::SkipSubjectIndex,
         Mutation::LossySetUnique,
         Mutation::UndoNoop,
         Mutation::SkipPosIndexOnRemove,
         Mutation::WalSkipTailCrc,
+        Mutation::WalDropCompensation,
         Mutation::ConjSkipRepeatedVarDedup,
         Mutation::ConjWrongPosRun,
     ];
@@ -96,6 +100,7 @@ impl Mutation {
             Mutation::UndoNoop => "undo-noop",
             Mutation::SkipPosIndexOnRemove => "skip-pos-on-remove",
             Mutation::WalSkipTailCrc => "wal-skip-tail-crc",
+            Mutation::WalDropCompensation => "wal-drop-compensation",
             Mutation::ConjSkipRepeatedVarDedup => "conj-skip-repeated-var-dedup",
             Mutation::ConjWrongPosRun => "conj-wrong-pos-run",
         }
@@ -104,7 +109,7 @@ impl Mutation {
     /// The layer whose sweep exercises this seeded bug.
     pub fn layer(self) -> Layer {
         match self {
-            Mutation::WalSkipTailCrc => Layer::Wal,
+            Mutation::WalSkipTailCrc | Mutation::WalDropCompensation => Layer::Wal,
             Mutation::ConjSkipRepeatedVarDedup | Mutation::ConjWrongPosRun => Layer::Conj,
             _ => Layer::Store,
         }
@@ -120,8 +125,9 @@ impl Mutation {
             Mutation::SkipPosIndexOnRemove => 3,
             // [Insert, Commit, CorruptTail] plants and observes it; the
             // shrinker sometimes keeps one extra op while minimizing the
-            // flip offset.
-            Mutation::WalSkipTailCrc => 5,
+            // flip offset. [Insert, Commit, Undo, Commit] plants and
+            // observes a dropped compensation prefix.
+            Mutation::WalSkipTailCrc | Mutation::WalDropCompensation => 5,
             // Two inserts plant a non-diagonal subject/object pair (or
             // one insert gives a shared-object join something to lose);
             // one query observes the divergence.

@@ -36,6 +36,12 @@ pub enum StoreOp {
     /// victim operation and misbehavior, `tear_seed` the torn length),
     /// then check the crash-safety invariants on the post-crash disk.
     CrashSave { fault: usize, mode: usize, tear_seed: u64 },
+    /// Commit the journal's delta to the store's write-ahead log.
+    Commit,
+    /// A commit that fails in place at its append or sync (`fault`),
+    /// failing or tearing (`mode`): then repair the log and undo to the
+    /// durable state (`rewind`), or retry the commit.
+    FaultCommit { fault: usize, mode: usize, tear_seed: u64, rewind: bool },
 }
 
 pub fn store_op_strategy() -> impl Strategy<Value = StoreOp> {
@@ -44,6 +50,8 @@ pub fn store_op_strategy() -> impl Strategy<Value = StoreOp> {
         // Insert twice: growth-biased sequences reach interesting states.
         field.clone().prop_map(|(s, p, o, res)| StoreOp::Insert { s, p, o, res }),
         field.clone().prop_map(|(s, p, o, res)| StoreOp::Insert { s, p, o, res }),
+        // Remove twice: removes must often hit an inserted triple.
+        field.clone().prop_map(|(s, p, o, res)| StoreOp::Remove { s, p, o, res }),
         field.clone().prop_map(|(s, p, o, res)| StoreOp::Remove { s, p, o, res }),
         field.prop_map(|(s, p, o, res)| StoreOp::SetUnique { s, p, o, res }),
         (
@@ -63,6 +71,15 @@ pub fn store_op_strategy() -> impl Strategy<Value = StoreOp> {
         Just(StoreOp::Save),
         (0usize..3, 0usize..3, any::<u64>())
             .prop_map(|(fault, mode, tear_seed)| StoreOp::CrashSave { fault, mode, tear_seed }),
+        Just(StoreOp::Commit),
+        (0usize..2, 0usize..2, any::<u64>(), any::<bool>()).prop_map(
+            |(fault, mode, tear_seed, rewind)| StoreOp::FaultCommit {
+                fault,
+                mode,
+                tear_seed,
+                rewind
+            }
+        ),
     ]
 }
 
@@ -308,6 +325,11 @@ pub enum WalOp {
     /// Crash during a commit: `fault` picks append/sync, `mode` the
     /// misbehavior, `tear_seed` the torn length; then reboot + recover.
     CrashCommit { fault: usize, mode: usize, tear_seed: u64 },
+    /// A commit that fails in place at its append or sync (`fault`),
+    /// failing or tearing (`mode`), and the process lives on: then
+    /// repair the log and undo to the durable state (`rewind`), or
+    /// retry the commit; a reopen must recover the acknowledged state.
+    FaultCommit { fault: usize, mode: usize, tear_seed: u64, rewind: bool },
     /// Crash at one of the eight compaction steps (write/sync/rename/
     /// sync_dir for the snapshot install, then again for the log reset).
     CrashCompact { step: usize, mode: usize, tear_seed: u64 },
@@ -348,6 +370,9 @@ pub fn wal_op_strategy() -> impl Strategy<Value = WalOp> {
         Just(WalOp::Reopen),
         (0usize..2, 0usize..3, any::<u64>())
             .prop_map(|(fault, mode, tear_seed)| WalOp::CrashCommit { fault, mode, tear_seed }),
+        (0usize..2, 0usize..2, any::<u64>(), any::<bool>()).prop_map(
+            |(fault, mode, tear_seed, rewind)| WalOp::FaultCommit { fault, mode, tear_seed, rewind }
+        ),
         (0usize..8, 0usize..3, any::<u64>())
             .prop_map(|(step, mode, tear_seed)| WalOp::CrashCompact { step, mode, tear_seed }),
         (any::<u64>(), any::<u8>())

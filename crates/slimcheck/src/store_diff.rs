@@ -4,7 +4,9 @@
 //! checked against a snapshot stack and every save round-tripped —
 //! including crash saves through the fault-injecting VFS. The store
 //! folds its delta every few changes, so every sequence crosses folds
-//! and undoes across them.
+//! and undoes across them. A write-ahead log rides along: commits,
+//! undos across them and commits that fail in place must all reopen to
+//! the last acknowledged commit.
 //!
 //! Every check here panics on divergence; the harness in `lib.rs` catches
 //! the panic, shrinks the sequence, and reports a replay seed.
@@ -14,14 +16,20 @@ use crate::Mutation;
 use slimio::{FaultConfig, FaultMode, FaultOp, FaultVfs, MemVfs, Vfs};
 use std::collections::BTreeSet;
 use std::path::Path;
-use trim::{NaiveStore, PatternShape, Plan, Revision, Triple, TriplePattern, TripleStore, Value};
+use trim::{
+    NaiveStore, PatternShape, Plan, Revision, StoreLog, Triple, TriplePattern, TripleStore, Value,
+};
 
 const SAVE_PATH: &str = "slimcheck/store.xml";
+/// The snapshot the store's log extends (never written: the log is
+/// bound to its absence).
+const LOG_PATH: &str = "slimcheck/store-log.xml";
 /// Changed triples past which the store folds its delta: small, so
 /// folds are common.
 const FOLD_LIMIT: usize = 3;
 const FAULT_OPS: [FaultOp; 3] = [FaultOp::Write, FaultOp::Sync, FaultOp::Rename];
 const FAULT_MODES: [FaultMode; 3] = [FaultMode::Fail, FaultMode::Torn, FaultMode::SilentTorn];
+const COMMIT_FAULTS: [FaultOp; 2] = [FaultOp::Append, FaultOp::Sync];
 
 type ModelTriple = (String, String, String, bool);
 /// A query shape: optional subject/property indices and an optional
@@ -34,6 +42,7 @@ pub fn check(ops: &[StoreOp], mutation: Mutation) {
     for op in ops {
         world.apply(op, mutation);
         world.verify();
+        world.secondary_index_probe();
     }
     world.pattern_sweep();
     // Index invariants run once at the end of the sequence, *after* the
@@ -56,20 +65,32 @@ struct World {
     disk: MemVfs,
     /// Contents of the last successful durable save, if any.
     last_good: Option<BTreeSet<ModelTriple>>,
+    log: StoreLog,
+    /// Contents of the last acknowledged commit.
+    acked: BTreeSet<ModelTriple>,
+    /// `checkpoints` as of the last commit: a rewind to the durable
+    /// state puts the journal's history back to what it was then.
+    durable_checkpoints: Vec<(Revision, BTreeSet<ModelTriple>)>,
 }
 
 impl World {
     fn new() -> Self {
-        let store = TripleStore::new().with_fold_limit(FOLD_LIMIT);
+        let mut store = TripleStore::new().with_fold_limit(FOLD_LIMIT);
+        let disk = MemVfs::new();
+        let (log, _) = StoreLog::attach(&disk, Path::new(LOG_PATH), &mut store)
+            .expect("attaching a fresh log cannot fail");
         let checkpoints = vec![(store.revision(), BTreeSet::new())];
         World {
             store,
             naive: NaiveStore::new(),
             oracle: BTreeSet::new(),
             ever_inserted: BTreeSet::new(),
+            durable_checkpoints: checkpoints.clone(),
             checkpoints,
-            disk: MemVfs::new(),
+            disk,
             last_good: None,
+            log,
+            acked: BTreeSet::new(),
         }
     }
 
@@ -173,7 +194,67 @@ impl World {
                 self.crash_save(fault, mode, tear_seed);
                 self.torn_destination_salvage(tear_seed);
             }
+            StoreOp::Commit => self.commit(),
+            StoreOp::FaultCommit { fault, mode, tear_seed, rewind } => {
+                self.fault_commit(fault, mode, tear_seed, rewind)
+            }
         }
+    }
+
+    /// A commit that fails in place, then one of its two endings: a log
+    /// repair plus a rewind to the durable state, or a retry.
+    fn fault_commit(&mut self, fault: usize, mode: usize, tear_seed: u64, rewind: bool) {
+        let config = FaultConfig::new(
+            COMMIT_FAULTS[fault % COMMIT_FAULTS.len()],
+            FAULT_MODES[mode % 2], // Fail or Torn: the commit reports it
+            0,
+            tear_seed,
+        );
+        let vfs = FaultVfs::new(std::mem::take(&mut self.disk), config);
+        let result = self.log.commit(&vfs, &mut self.store);
+        let fired = vfs.fault_fired();
+        self.disk = vfs.into_inner();
+        if !fired {
+            result.expect("unfaulted commit on MemVfs cannot fail");
+            self.committed();
+            return;
+        }
+        assert!(result.is_err(), "a faulted commit reported success");
+        if rewind {
+            self.log.repair(&self.disk).expect("log repair on MemVfs cannot fail");
+            self.store.undo_to_durable();
+            self.oracle = self.acked.clone();
+            self.rebuild_naive();
+            self.checkpoints = self.durable_checkpoints.clone();
+            self.reopen_check("a rewound faulted commit");
+        } else {
+            self.commit();
+        }
+    }
+
+    /// Commit the journal's delta to the log; a reopen must then recover
+    /// exactly the live contents.
+    fn commit(&mut self) {
+        self.log.commit(&self.disk, &mut self.store).expect("commit on MemVfs cannot fail");
+        self.committed();
+    }
+
+    fn committed(&mut self) {
+        self.acked = self.oracle.clone();
+        self.durable_checkpoints = self.checkpoints.clone();
+        self.reopen_check("a commit");
+    }
+
+    /// Recover the logged store from a copy of the disk: it must hold
+    /// exactly the last acknowledged commit.
+    fn reopen_check(&self, after: &str) {
+        let (store, _, _) = TripleStore::open_logged(&self.disk.clone(), Path::new(LOG_PATH))
+            .unwrap_or_else(|e| panic!("reopen after {after} failed: {e}"));
+        assert_eq!(
+            contents(&store),
+            self.acked,
+            "reopen after {after} diverged from the acked commit"
+        );
     }
 
     fn rebuild_naive(&mut self) {
@@ -344,6 +425,20 @@ impl World {
             "count for shape `{}` diverged from oracle",
             expected_shape.name()
         );
+    }
+
+    /// Per-step probe of the secondary indexes: every property-bound
+    /// (POS) and object-bound (OSP) shape, so an entry a change left
+    /// stale is seen before a later change can paper over it.
+    fn secondary_index_probe(&mut self) {
+        for p in 0..PROPS.len() {
+            self.query_shape(None, Some(p), None);
+        }
+        for o in 0..OBJECTS.len() {
+            for res in [false, true] {
+                self.query_shape(None, None, Some((o, res)));
+            }
+        }
     }
 
     /// Per-step agreement: contents and length. (Index *invariants* run

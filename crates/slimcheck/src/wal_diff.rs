@@ -16,7 +16,12 @@
 //!   state or the compacted one, nothing else;
 //! * a corrupted log byte ([`WalOp::CorruptTail`]) yields some commit
 //!   boundary (CRC salvage truncates at the damage) or a typed refusal —
-//!   never a state no commit ever acknowledged.
+//!   never a state no commit ever acknowledged;
+//! * a commit that fails in place ([`WalOp::FaultCommit`]) has two
+//!   correct endings: a repair plus [`TripleStore::undo_to_durable`]
+//!   lands exactly on the last acknowledged commit, and a retry persists
+//!   the same delta — also after an [`WalOp::Undo`] that crossed a
+//!   commit, whose delta starts with the compensation prefix.
 //!
 //! A second *sibling* session (its own snapshot + log at a sibling path
 //! on the same disk) runs alongside the main one. The `Sibling*` ops
@@ -29,6 +34,9 @@
 //!
 //! [`Mutation::WalSkipTailCrc`] disables the tail frame's CRC check in
 //! recovery; the `CorruptTail` op is what must catch it.
+//! [`Mutation::WalDropCompensation`] commits without the compensation
+//! prefix; an undo across a commit, then a commit, is what must catch
+//! it.
 
 use crate::ops::{WalOp, OBJECTS, PROPS, SUBJECTS};
 use crate::Mutation;
@@ -40,6 +48,8 @@ use trim::{CommitOutcome, Revision, StoreLog, Triple, TripleStore, TrimError, Va
 const SNAP_PATH: &str = "slimcheck/wal-store.xml";
 const SIB_PATH: &str = "slimcheck/wal-sibling.xml";
 const COMMIT_FAULTS: [FaultOp; 2] = [FaultOp::Append, FaultOp::Sync];
+/// Modes in which a faulted commit reports its failure.
+const ERR_MODES: [FaultMode; 2] = [FaultMode::Fail, FaultMode::Torn];
 const COMPACT_FAULTS: [FaultOp; 4] =
     [FaultOp::Write, FaultOp::Sync, FaultOp::Rename, FaultOp::SyncDir];
 const FAULT_MODES: [FaultMode; 3] = [FaultMode::Fail, FaultMode::Torn, FaultMode::SilentTorn];
@@ -84,6 +94,9 @@ struct World {
     /// `(journal revision, oracle snapshot)` pairs for `Undo`; reset on
     /// every reopen, which truncates the journal.
     checkpoints: Vec<(Revision, State)>,
+    /// `checkpoints` as of the last commit: a rewind to the durable
+    /// state puts the journal's history back to what it was then.
+    durable_checkpoints: Vec<(Revision, State)>,
     /// The second session: its own logged store at a sibling path.
     sib_store: TripleStore,
     sib_log: StoreLog,
@@ -109,6 +122,7 @@ impl World {
             oracle: State::new(),
             acked: State::new(),
             boundaries: vec![State::new()],
+            durable_checkpoints: checkpoints.clone(),
             checkpoints,
             sib_store,
             sib_log,
@@ -156,6 +170,10 @@ impl World {
                     .expect("compact on MemVfs cannot fail");
                 self.acked = self.oracle.clone();
                 self.boundaries = vec![self.oracle.clone()];
+                self.durable_checkpoints = self.checkpoints.clone();
+            }
+            WalOp::FaultCommit { fault, mode, tear_seed, rewind } => {
+                self.fault_commit(fault, mode, tear_seed, rewind)
             }
             WalOp::Reopen => self.reopen(),
             WalOp::CrashCommit { fault, mode, tear_seed } => {
@@ -190,11 +208,48 @@ impl World {
     }
 
     fn commit(&mut self) {
-        let outcome = self
-            .log
-            .commit(&self.disk, &mut self.store)
-            .expect("commit on MemVfs cannot fail");
-        self.note_outcome(outcome);
+        let outcome = if self.mutation == Mutation::WalDropCompensation {
+            self.log.testonly_commit_dropping_compensation(&self.disk, &mut self.store)
+        } else {
+            self.log.commit(&self.disk, &mut self.store)
+        };
+        self.note_outcome(outcome.expect("commit on MemVfs cannot fail"));
+    }
+
+    /// A commit that fails in place (the process lives on), then one of
+    /// its two endings: `rewind` repairs the log and undoes the store to
+    /// the durable state, which must be the acknowledged one; otherwise
+    /// the retried commit must persist what the failed one attempted.
+    /// Either way a reopen must recover the acknowledged state.
+    fn fault_commit(&mut self, fault: usize, mode: usize, tear_seed: u64, rewind: bool) {
+        let op = COMMIT_FAULTS[fault % COMMIT_FAULTS.len()];
+        let mode = ERR_MODES[mode % ERR_MODES.len()];
+        let config = FaultConfig::new(op, mode, 0, tear_seed);
+        let disk = std::mem::replace(&mut self.disk, MemVfs::new());
+        let vfs = FaultVfs::new(disk, config);
+        let result = self.log.commit(&vfs, &mut self.store);
+        let fired = vfs.fault_fired();
+        self.disk = vfs.into_inner();
+        if !fired {
+            self.note_outcome(result.expect("unfaulted commit on MemVfs cannot fail"));
+            return;
+        }
+        assert!(result.is_err(), "a commit faulted with {mode:?} at {op:?} reported success");
+        if rewind {
+            self.log.repair(&self.disk).expect("log repair on MemVfs cannot fail");
+            self.store.undo_to_durable();
+            self.oracle = self.acked.clone();
+            self.checkpoints = self.durable_checkpoints.clone();
+        } else {
+            self.commit();
+        }
+        let (store, _) = open_pair(&mut self.disk.clone(), self.mutation, snap())
+            .expect("reopen after a faulted commit must work");
+        assert_eq!(
+            contents(&store),
+            self.acked,
+            "faulted commit {op:?}/{mode:?} (rewind: {rewind}) recovered an unacknowledged state"
+        );
     }
 
     /// Fold a successful (unfaulted) commit outcome into the model.
@@ -212,16 +267,8 @@ impl World {
                 self.acked = self.oracle.clone();
                 self.boundaries.push(self.oracle.clone());
             }
-            CommitOutcome::NeedsFullSnapshot => {
-                // Nothing was persisted; compaction re-establishes
-                // durability (the same recovery adopters perform).
-                self.log
-                    .compact(&self.disk, &mut self.store)
-                    .expect("compact on MemVfs cannot fail");
-                self.acked = self.oracle.clone();
-                self.boundaries = vec![self.oracle.clone()];
-            }
         }
+        self.durable_checkpoints = self.checkpoints.clone();
     }
 
     /// Fold a successful (unfaulted) sibling commit into its model.
@@ -234,12 +281,6 @@ impl World {
                 );
             }
             CommitOutcome::Committed { .. } => {
-                self.sib_acked = self.sib_oracle.clone();
-            }
-            CommitOutcome::NeedsFullSnapshot => {
-                self.sib_log
-                    .compact(&self.disk, &mut self.sib_store)
-                    .expect("sibling compact on MemVfs cannot fail");
                 self.sib_acked = self.sib_oracle.clone();
             }
         }
@@ -257,6 +298,7 @@ impl World {
         assert_eq!(got, self.acked, "graceful reopen diverged from the acknowledged commit");
         self.oracle = self.acked.clone();
         self.checkpoints = vec![(self.store.revision(), self.oracle.clone())];
+        self.durable_checkpoints = self.checkpoints.clone();
         self.reopen_sibling_exact("graceful reopen");
     }
 
@@ -294,6 +336,7 @@ impl World {
         self.acked = got.clone();
         self.oracle = got.clone();
         self.checkpoints = vec![(self.store.revision(), self.oracle.clone())];
+        self.durable_checkpoints = self.checkpoints.clone();
         self.reopen_sibling_exact(context);
         got
     }
@@ -340,6 +383,7 @@ impl World {
         );
         self.oracle = self.acked.clone();
         self.checkpoints = vec![(self.store.revision(), self.oracle.clone())];
+        self.durable_checkpoints = self.checkpoints.clone();
     }
 
     /// Crash mid-commit (halting fault at the log append or sync), then
@@ -355,8 +399,8 @@ impl World {
         let fired = vfs.fault_fired();
         self.disk = vfs.into_inner();
         if !fired {
-            // The commit never reached the faulted op — it was Clean or
-            // NeedsFullSnapshot and did no log I/O. A plain outcome.
+            // The commit never reached the faulted op — it was Clean and
+            // did no log I/O. A plain outcome.
             self.note_outcome(result.expect("unfaulted commit on MemVfs cannot fail"));
             return;
         }
@@ -394,6 +438,7 @@ impl World {
             result.expect("unfaulted compact on MemVfs cannot fail");
             self.acked = attempted.clone();
             self.boundaries = vec![attempted];
+            self.durable_checkpoints = self.checkpoints.clone();
             return;
         }
         let prev_acked = self.acked.clone();
@@ -495,4 +540,42 @@ fn contents(store: &TripleStore) -> State {
             )
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Commit, undo below it, new changes, then a commit that fails in
+    /// place: both endings — rewind and retry — agree with the model,
+    /// and a commit that drops the compensation prefix does not.
+    #[test]
+    fn undo_across_a_commit_then_a_faulted_commit_has_two_endings() {
+        for rewind in [true, false] {
+            for fault in 0..COMMIT_FAULTS.len() {
+                let ops = [
+                    WalOp::Insert { s: 0, p: 0, o: 0, res: true },
+                    WalOp::Checkpoint,
+                    WalOp::Insert { s: 1, p: 1, o: 1, res: false },
+                    WalOp::Commit,
+                    WalOp::Undo { back: 1 },
+                    WalOp::Insert { s: 2, p: 2, o: 2, res: true },
+                    WalOp::FaultCommit { fault, mode: 1, tear_seed: 3, rewind },
+                    WalOp::Undo { back: 1 },
+                    WalOp::Commit,
+                    WalOp::Reopen,
+                ];
+                check(&ops, Mutation::None);
+            }
+        }
+        let ops = [
+            WalOp::Insert { s: 0, p: 0, o: 0, res: true },
+            WalOp::Commit,
+            WalOp::Undo { back: 0 },
+            WalOp::Commit,
+        ];
+        check(&ops, Mutation::None);
+        let caught = std::panic::catch_unwind(|| check(&ops, Mutation::WalDropCompensation));
+        assert!(caught.is_err(), "a commit without its compensation prefix must diverge");
+    }
 }

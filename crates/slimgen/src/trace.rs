@@ -30,6 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use superimposed::slimio::Vfs;
 use superimposed::slimstore::{BundleHandle, ScrapHandle};
+use superimposed::slimpad::PadCommit;
 use superimposed::trim::CommitOutcome;
 use superimposed::SuperimposedSystem;
 
@@ -314,12 +315,14 @@ impl Driver {
                 }
                 let outcome = pad.commit(vfs).expect("commit against a healthy vfs");
                 match outcome {
-                    CommitOutcome::Clean => self.digest.update(b"commit-clean"),
-                    CommitOutcome::Committed { ops, .. } => {
+                    PadCommit::Logged(CommitOutcome::Clean) => self.digest.update(b"commit-clean"),
+                    PadCommit::Logged(CommitOutcome::Committed { ops, .. }) => {
                         self.digest.update(b"commit");
                         self.digest.update_u64(ops as u64);
                     }
-                    CommitOutcome::NeedsFullSnapshot => self.digest.update(b"commit-compacted"),
+                    // Only a replaced mark store compacts; no trace op
+                    // replaces it.
+                    PadCommit::Compacted => self.digest.update(b"commit-compacted"),
                 }
             }
         }

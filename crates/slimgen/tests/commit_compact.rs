@@ -1,14 +1,14 @@
 //! Commit and compaction behaviour under a soak-sized store: log growth
 //! stays proportional to the *changes*, never the store; the compaction
-//! threshold is tunable and honoured; and the `NeedsFullSnapshot`
-//! commit outcome auto-compacts into a durable state.
+//! threshold is tunable and honoured; and an undo across a commit is
+//! logged as one more frame, not a compaction.
 
 use std::path::Path;
 
 use slimgen::corpus;
 use slimgen::Profile;
 use superimposed::slimio::MemVfs;
-use superimposed::slimpad::PadSession;
+use superimposed::slimpad::{PadCommit, PadSession};
 use superimposed::trim::CommitOutcome;
 
 const PAD: &str = "commit-compact.pad";
@@ -26,7 +26,7 @@ fn log_growth_is_proportional_to_changes_not_store_size() {
     let pad = &mut corpus.system.pad;
     let snapshot_bytes = pad.save_xml().len() as u64;
 
-    assert!(matches!(pad.commit(&vfs), Ok(CommitOutcome::Clean)));
+    assert!(matches!(pad.commit(&vfs), Ok(PadCommit::Logged(CommitOutcome::Clean))));
     let base = pad.log().expect("logged").log_bytes();
 
     // A handful of bundle creations against a store holding hundreds of
@@ -36,7 +36,10 @@ fn log_growth_is_proportional_to_changes_not_store_size() {
         pad.create_bundle(&format!("delta {i}"), (i, i), 10, 10, None).expect("bundle");
     }
     let outcome = pad.commit(&vfs).expect("commit");
-    assert!(matches!(outcome, CommitOutcome::Committed { .. }), "got {outcome:?}");
+    assert!(
+        matches!(outcome, PadCommit::Logged(CommitOutcome::Committed { .. })),
+        "got {outcome:?}"
+    );
     let delta = pad.log().expect("logged").log_bytes() - base;
     assert!(delta > 0);
     assert!(
@@ -46,7 +49,7 @@ fn log_growth_is_proportional_to_changes_not_store_size() {
 
     // Committing nothing costs nothing.
     let before = pad.log().expect("logged").log_bytes();
-    assert!(matches!(pad.commit(&vfs), Ok(CommitOutcome::Clean)));
+    assert!(matches!(pad.commit(&vfs), Ok(PadCommit::Logged(CommitOutcome::Clean))));
     assert_eq!(pad.log().expect("logged").log_bytes(), before);
 }
 
@@ -83,27 +86,31 @@ fn compaction_threshold_is_tunable_and_honoured() {
 }
 
 #[test]
-fn needs_full_snapshot_auto_compacts_into_a_durable_state() {
+fn undo_across_a_commit_is_logged_as_one_frame() {
     let (mut corpus, vfs) = logged_corpus();
     let pad = &mut corpus.system.pad;
     pad.commit(&vfs).expect("baseline commit");
+    let snapshot = vfs.bytes(PAD).expect("snapshot");
 
-    // Undo across the commit boundary: the incremental path cannot
-    // persist this, so commit() reports NeedsFullSnapshot and compacts
-    // internally (the PadSession contract: on Ok the state is durable).
+    // Undo across the commit boundary: the next frame takes the
+    // committed bundle back, then adds the new one.
     pad.begin_op();
     pad.create_bundle("inside the op", (2, 2), 10, 10, None).expect("bundle");
     pad.commit(&vfs).expect("commit mid-op");
     assert!(pad.undo().expect("undo"), "there was a checkpoint to undo to");
     pad.create_bundle("after the undo", (3, 3), 10, 10, None).expect("bundle");
     let outcome = pad.commit(&vfs).expect("commit after boundary-crossing undo");
-    assert_eq!(outcome, CommitOutcome::NeedsFullSnapshot);
+    assert!(
+        matches!(outcome, PadCommit::Logged(CommitOutcome::Committed { .. })),
+        "got {outcome:?}"
+    );
+    assert_eq!(vfs.bytes(PAD), Some(snapshot), "no compaction");
 
     let expected_bundles = pad.dmi().bundles().len();
     let manager = corpus.system.fresh_manager().expect("fresh manager");
     let (reopened, report) =
         PadSession::open_logged(&vfs, Path::new(PAD), manager).expect("reopen");
-    assert_eq!(report.frames_replayed, 0, "auto-compaction folded the log");
+    assert_eq!(report.frames_replayed, 2, "both frames replay");
     assert_eq!(
         reopened.dmi().bundles().len(),
         expected_bundles,

@@ -134,6 +134,18 @@ fn check_version(root: &Element) -> Result<(), PadError> {
     }
 }
 
+/// What a [`PadSession::commit`] did. Either way, on `Ok` the current
+/// state is durable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PadCommit {
+    /// The log took the change since the last commit, if there was one.
+    Logged(trim::CommitOutcome),
+    /// The whole mark store had been replaced, which per-mark records
+    /// cannot express, so the commit compacted the log into a fresh
+    /// snapshot.
+    Compacted,
+}
+
 /// Session statistics: what a status bar would show.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PadStats {
@@ -630,18 +642,19 @@ impl PadSession {
     /// per mark changed since the last persist
     /// ([`MarkManager::changed_records`]; an empty value is a
     /// tombstone) and a `marks/next` record with the id counter. The
-    /// frame's size follows the changed marks, not the mark store.
+    /// frame's size follows the changed marks, not the mark store. An
+    /// undo that crossed the previous commit costs no more: the frame
+    /// begins with the inverses of the committed changes it took back
+    /// (see [`trim::StoreLog::commit`]).
     ///
-    /// Two cases compact instead, returning
-    /// [`CommitOutcome::NeedsFullSnapshot`](trim::CommitOutcome): an
-    /// undo crossed the previous commit boundary, or the whole mark
-    /// store was replaced ([`MarkManager::replaced`]: a manager swapped
-    /// in through [`marks_mut`](PadSession::marks_mut), or a load).
-    /// Either way, on `Ok` the current state is durable.
-    pub fn commit(&mut self, vfs: &dyn Vfs) -> Result<trim::CommitOutcome, PadError> {
+    /// One case compacts instead, returning [`PadCommit::Compacted`]:
+    /// the whole mark store was replaced ([`MarkManager::replaced`]: a
+    /// manager swapped in through [`marks_mut`](PadSession::marks_mut),
+    /// or a load). Either way, on `Ok` the current state is durable.
+    pub fn commit(&mut self, vfs: &dyn Vfs) -> Result<PadCommit, PadError> {
         if self.log.is_some() && self.marks.replaced() {
             self.compact(vfs)?;
-            return Ok(trim::CommitOutcome::NeedsFullSnapshot);
+            return Ok(PadCommit::Compacted);
         }
         let log = self.log.as_mut().ok_or_else(no_log_error)?;
         let records = self.marks.changed_records();
@@ -655,13 +668,11 @@ impl PadSession {
         }
         let aux: Vec<(&str, &[u8])> = aux.iter().map(|(k, v)| (k.as_str(), v.as_slice())).collect();
         let outcome = self.dmi.commit_log_with_aux(vfs, log, &aux)?;
-        match outcome {
-            trim::CommitOutcome::NeedsFullSnapshot => self.compact(vfs)?,
-            // A frame carrying aux is never clean, so the records rode it.
-            trim::CommitOutcome::Committed { .. } => self.marks.mark_persisted(),
-            trim::CommitOutcome::Clean => {}
+        // A frame carrying aux is never clean, so the records rode it.
+        if let trim::CommitOutcome::Committed { .. } = outcome {
+            self.marks.mark_persisted();
         }
-        Ok(outcome)
+        Ok(PadCommit::Logged(outcome))
     }
 
     /// Fold the log into a fresh snapshot of the combined pad file
@@ -703,9 +714,9 @@ impl PadSession {
     }
 
     /// Override the log-size threshold at which
-    /// [`should_compact`](PadSession::should_compact) (and the
-    /// `NeedsFullSnapshot` auto-compaction) trigger. No-op on unlogged
-    /// sessions; soak harnesses lower it to exercise compaction cheaply.
+    /// [`should_compact`](PadSession::should_compact) reports true. No-op
+    /// on unlogged sessions; soak harnesses lower it to exercise
+    /// compaction cheaply.
     pub fn set_compact_threshold(&mut self, bytes: u64) {
         if let Some(log) = self.log.as_mut() {
             log.set_compact_threshold(bytes);
@@ -1198,7 +1209,7 @@ mod tests {
         let snapshot_before = vfs.bytes(path).unwrap().to_vec();
         assert!(matches!(
             pad.commit(&vfs).unwrap(),
-            trim::CommitOutcome::Committed { .. }
+            PadCommit::Logged(trim::CommitOutcome::Committed { .. })
         ));
         // The delta went to the log; the snapshot was not rewritten.
         assert_eq!(vfs.bytes(path).unwrap(), &snapshot_before[..]);
@@ -1206,11 +1217,11 @@ mod tests {
         pad.dmi_mut().add_annotation(scrap, "hold if SBP < 90").unwrap();
         assert!(matches!(
             pad.commit(&vfs).unwrap(),
-            trim::CommitOutcome::Committed { .. }
+            PadCommit::Logged(trim::CommitOutcome::Committed { .. })
         ));
         // Nothing changed since: a clean commit writes nothing.
         let log_len = pad.log().unwrap().log_bytes();
-        assert!(matches!(pad.commit(&vfs).unwrap(), trim::CommitOutcome::Clean));
+        assert_eq!(pad.commit(&vfs).unwrap(), PadCommit::Logged(trim::CommitOutcome::Clean));
         assert_eq!(pad.log().unwrap().log_bytes(), log_len);
 
         let (mut pad2, report) =
@@ -1275,28 +1286,31 @@ mod tests {
     }
 
     #[test]
-    fn commit_after_cross_boundary_undo_compacts_internally() {
+    fn commit_after_cross_boundary_undo_logs_a_compensating_frame() {
         use slimio::MemVfs;
         let path = Path::new("rounds.slimpad.xml");
         let vfs = MemVfs::new();
         let (mut pad, _, _) = session();
         pad.enable_logging(&vfs, path).unwrap();
+        let snapshot = vfs.bytes(path).unwrap().to_vec();
 
         pad.begin_op();
         pad.create_bundle("Oops", (0, 0), 10, 10, None).unwrap();
         pad.commit(&vfs).unwrap();
-        // Undo back across the acknowledged commit: the journal suffix no
-        // longer describes the delta, so commit falls back to compaction.
+        // Undo back across the acknowledged commit: the next frame takes
+        // "Oops" back before it adds "Kept".
         assert!(pad.undo().unwrap());
         pad.create_bundle("Kept", (5, 5), 10, 10, None).unwrap();
         let outcome = pad.commit(&vfs).unwrap();
-        assert_eq!(outcome, trim::CommitOutcome::NeedsFullSnapshot);
+        assert!(
+            matches!(outcome, PadCommit::Logged(trim::CommitOutcome::Committed { .. })),
+            "{outcome:?}"
+        );
+        assert_eq!(vfs.bytes(path).unwrap(), &snapshot[..], "the snapshot was not rewritten");
 
-        // The state is durable regardless: reopen sees it, from the
-        // snapshot alone (the compaction reset the log).
         let (pad2, report) =
             PadSession::open_logged(&vfs, path, MarkManager::new()).unwrap();
-        assert_eq!(report.frames_replayed, 0);
+        assert_eq!(report.frames_replayed, 2);
         assert_eq!(surface_bundles(&pad2), ["Kept"]);
     }
 
@@ -1384,9 +1398,9 @@ mod tests {
         manager.create_mark(DocKind::Spreadsheet).unwrap();
         manager.create_mark(DocKind::Spreadsheet).unwrap();
         *pad.marks_mut() = manager;
-        assert_eq!(pad.commit(&vfs).unwrap(), trim::CommitOutcome::NeedsFullSnapshot);
+        assert_eq!(pad.commit(&vfs).unwrap(), PadCommit::Compacted);
         assert_ne!(vfs.bytes(path).unwrap(), &snapshot_before[..], "the snapshot was rewritten");
-        assert!(matches!(pad.commit(&vfs).unwrap(), trim::CommitOutcome::Clean));
+        assert_eq!(pad.commit(&vfs).unwrap(), PadCommit::Logged(trim::CommitOutcome::Clean));
 
         let (pad2, report) =
             PadSession::open_logged(&vfs, path, reload_manager(&excel)).unwrap();

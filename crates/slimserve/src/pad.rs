@@ -60,7 +60,7 @@ use basedocs::{DocKind, Span, TextAddress};
 use marks::resilience::{BreakerConfig, Clock};
 use marks::{MarkAddress, MarkCheckpoint, MarkManager, ResilientResolver};
 use slimio::Vfs;
-use slimpad::{PadError, PadSession};
+use slimpad::{PadCommit, PadError, PadSession};
 use slimstore::{BundleHandle, PadReader, ScrapHandle};
 use trim::{Runs, Snapshot};
 
@@ -410,9 +410,10 @@ impl PadMachine {
                     .pop()
                     .ok_or_else(|| PadError::File { message: "nothing to undo".into() })?;
                 if let Err(e) = self.engine.dmi_mut().rollback(cp) {
-                    // The journal no longer reaches the checkpoint (a
-                    // compaction truncated it): put the entry back and
-                    // refuse; nothing changed.
+                    // The journal no longer reaches the checkpoint. Only a
+                    // load or a log attach truncates it, and both start a
+                    // machine with no undo entries, so this is defensive:
+                    // put the entry back and refuse; nothing changed.
                     self.undo_ops.push((cp, undone));
                     return Err(e.into());
                 }
@@ -559,17 +560,16 @@ fn mint_rank<R: Runs + ?Sized>(runs: &R, resource: trim::Atom) -> (u64, u64) {
 }
 
 /// [`PadOp::Inspect`]'s answer over a live pad's or a view's reader.
-/// Population counts come from the conjunctive join engine (the
-/// planner/merge-join path readers use), not a linear instance scan;
-/// the invisible root bundle is not counted.
+/// Population counts are the lengths of the lists the digest walk
+/// builds; the invisible root bundle is not counted.
 fn inspected<R: Runs + ?Sized>(
     pad: &PadReader<'_, R>,
     marks_len: usize,
     marks_digest: u64,
 ) -> PadOutcome {
-    let (bundles, scraps) = pad.population_by_join();
+    let (digest, bundles, scraps) = digest_walk(pad, marks_len, marks_digest);
     PadOutcome::Inspected {
-        digest: digest_of(pad, marks_len, marks_digest),
+        digest,
         bundles: bundles.saturating_sub(1),
         scraps,
         marks: marks_len,
@@ -583,6 +583,16 @@ fn digest_of<R: Runs + ?Sized>(
     marks_len: usize,
     marks_digest: u64,
 ) -> u64 {
+    digest_walk(pad, marks_len, marks_digest).0
+}
+
+/// The digest walk: the pad's logical digest, plus how many bundles
+/// and scraps it listed.
+fn digest_walk<R: Runs + ?Sized>(
+    pad: &PadReader<'_, R>,
+    marks_len: usize,
+    marks_digest: u64,
+) -> (u64, usize, usize) {
     let bundles = canonical(pad.runs(), pad.bundles(), |b| b.resource());
     let scraps = canonical(pad.runs(), pad.all_scraps(), |s| s.resource());
     let bundle_index = Positions::of(&bundles);
@@ -645,7 +655,7 @@ fn digest_of<R: Runs + ?Sized>(
     }
     h.write_u64(marks_len as u64);
     h.write_u64(marks_digest);
-    h.finish()
+    (h.finish(), bundles.len(), scraps.len())
 }
 
 /// Each handle's canonical position, looked up by binary search.
@@ -814,13 +824,14 @@ impl Machine for LivePad {
         // Committing and compacting keep the store, so the selector
         // memos stay valid: reach the engine past `engine_mut`.
         let engine = &mut self.machine.engine;
-        let seq = match engine.commit(vfs).map_err(|e| e.to_string())? {
-            trim::CommitOutcome::Committed { seq, .. } => Some(seq),
-            _ => None,
+        let (seq, compacted) = match engine.commit(vfs).map_err(|e| e.to_string())? {
+            PadCommit::Logged(trim::CommitOutcome::Committed { seq, .. }) => (Some(seq), false),
+            PadCommit::Logged(trim::CommitOutcome::Clean) => (None, false),
+            PadCommit::Compacted => (None, true),
         };
         let due = std::mem::take(&mut self.compact_requested) || engine.should_compact();
-        let compacted =
-            due && ledger.ok_or_count(engine.compact(vfs), |s| s.compaction_failures += 1);
+        let compacted = compacted
+            || due && ledger.ok_or_count(engine.compact(vfs), |s| s.compaction_failures += 1);
         Ok(Durable { seq, compacted })
     }
 
@@ -1159,6 +1170,7 @@ mod tests {
         };
         let rebind = PadOp::Rebind { scrap: 1, doc: ward_doc(2), paragraph: 1, start: 2, len: 7 };
         let mut acked = Vec::new();
+        let mut undos = Vec::new();
         for op in [
             bundle,
             nested,
@@ -1178,11 +1190,17 @@ mod tests {
             PadOp::Redo,
             PadOp::Annotate { scrap: 2, text: "recheck".into() },
             PadOp::Compact,
-            PadOp::Undo, // the compaction truncated the journal: refused
+            PadOp::Undo, // takes back the annotation, compacted or not
             PadOp::Inspect,
         ] {
-            if let Ok(ack) = session.submit(op.clone()) {
-                acked.push((ack.order, op.clone()));
+            match session.submit(op.clone()) {
+                Ok(ack) => {
+                    if op == PadOp::Undo {
+                        undos.push((ack.order, ack.outcome));
+                    }
+                    acked.push((ack.order, op.clone()));
+                }
+                Err(e) => assert!(op != PadOp::Undo, "{op:?} refused: {e}"),
             }
             // The snapshot-side digest against a live-store machine's:
             // a mirror that replayed the acked prefix.
@@ -1191,6 +1209,16 @@ mod tests {
         }
         let live = rig.service.digest();
         assert_eq!(live, replay_digest(&acked), "view == serialized replay of acked ops");
+        // Each acked Undo answered what the mirror answers at its position.
+        assert_eq!(undos.len(), 2);
+        let mut mirror = ward_mirror();
+        acked.sort_by_key(|(order, _)| *order);
+        for (order, op) in &acked {
+            let outcome = mirror.apply(op).expect("acked ops replay cleanly");
+            if let Some((_, live)) = undos.iter().find(|(o, _)| o == order) {
+                assert_eq!(&outcome, live, "Undo at {order}");
+            }
+        }
 
         drop(rig.service);
         let mut reopened = ward_reopen(&*rig.vfs, Path::new(PAD)).unwrap();
@@ -1574,6 +1602,43 @@ mod tests {
     /// Drive a [`LivePad`] the way the writer does, on this thread, and
     /// check after every step that its selector memos equal a fresh
     /// canonical sort of the pad.
+    /// A writer's machine over a new pad on `vfs`, driven directly.
+    fn live_pad(vfs: Arc<dyn Vfs + Send + Sync>) -> LivePad {
+        let mut factory = ward_factory(
+            MockClock::new(),
+            FaultProfile::healthy(),
+            FlakyControl::new(0),
+            quick_policy(),
+            small_breaker(),
+            2,
+        );
+        let machine = build_machine(&vfs, Path::new(PAD), &mut factory, 1 << 20).unwrap();
+        LivePad {
+            machine,
+            vfs,
+            path: PathBuf::from(PAD),
+            factory,
+            compact_threshold: 1 << 20,
+            compact_requested: false,
+        }
+    }
+
+    #[test]
+    fn a_commit_over_a_replaced_mark_store_reports_its_compaction() {
+        let mut pad = live_pad(Arc::new(MemVfs::new()));
+        let ledger = Ledger::default();
+        assert!(!pad.commit(&ledger).unwrap().compacted, "nothing to write");
+        // A manager swapped in whole: per-mark records cannot express it,
+        // so the engine's commit compacts, and says so.
+        let manager = (pad.factory)().unwrap().manager;
+        *pad.machine.engine.marks_mut() = manager;
+        let durable = pad.commit(&ledger).unwrap();
+        assert!(durable.compacted);
+        assert_eq!(durable.seq, None);
+        assert!(!pad.commit(&ledger).unwrap().compacted, "the replacement is durable");
+        assert_eq!(ledger.read().compaction_failures, 0);
+    }
+
     #[test]
     fn selector_memos_match_a_fresh_sort_after_every_op_kind() {
         fn fresh(machine: &mut PadMachine) {
@@ -1601,24 +1666,7 @@ mod tests {
             ok
         }
         let vfs = Arc::new(FaultVfs::unarmed(MemVfs::new()));
-        let dyn_vfs: Arc<dyn Vfs + Send + Sync> = vfs.clone();
-        let mut factory = ward_factory(
-            MockClock::new(),
-            FaultProfile::healthy(),
-            FlakyControl::new(0),
-            quick_policy(),
-            small_breaker(),
-            2,
-        );
-        let machine = build_machine(&dyn_vfs, Path::new(PAD), &mut factory, 1 << 20).unwrap();
-        let mut pad = LivePad {
-            machine,
-            vfs: dyn_vfs,
-            path: PathBuf::from(PAD),
-            factory,
-            compact_threshold: 1 << 20,
-            compact_requested: false,
-        };
+        let mut pad = live_pad(vfs.clone());
         let ledger = Ledger::default();
         let bundle = |parent| PadOp::CreateBundle {
             name: "b".into(),

@@ -774,10 +774,6 @@ impl Machine for LiveStore {
         let seq = match self.log.commit(vfs, &mut self.store).map_err(|e| e.to_string())? {
             CommitOutcome::Clean => None,
             CommitOutcome::Committed { seq, .. } => Some(seq),
-            CommitOutcome::NeedsFullSnapshot => {
-                self.log.compact(vfs, &mut self.store).map_err(|e| e.to_string())?;
-                return Ok(Durable { seq: None, compacted: true });
-            }
         };
         // Opportunistic compaction: the commit above is already durable,
         // so a compaction failure here refuses nothing — the log just
@@ -793,10 +789,11 @@ impl Machine for LiveStore {
     /// doomed frame fully readable, and a cold reopen would adopt the
     /// refused batch as real history. If the truncation itself fails,
     /// the poisoned WAL handle retries it before the next append. Then
-    /// undo the store to its last durable revision.
+    /// undo the store to its last durable state.
     fn repair(&mut self, ledger: &Ledger) -> Result<(), String> {
         ledger.ok_or_count(self.log.repair(&*self.vfs), |s| s.repair_failures += 1);
-        self.store.undo_to(self.log.committed_revision()).map_err(|e| e.to_string())
+        self.store.undo_to_durable();
+        Ok(())
     }
 
     fn publish(&mut self) -> Snapshot {

@@ -515,8 +515,7 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
     /// one, updates replace it), and likewise for scraps, so the
     /// 2-pattern joins count the same sets as [`Self::bundles`] and
     /// [`Self::all_scraps`] — but through the planner/merge-join path,
-    /// keeping service-level inspection an end-to-end probe of that
-    /// engine.
+    /// which makes them an independent check on those lists.
     pub fn population_by_join(&self) -> (usize, usize) {
         (
             self.count_named(Construct::Bundle, Prop::BundleName),

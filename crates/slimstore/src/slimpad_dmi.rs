@@ -620,9 +620,7 @@ impl SlimPadDmi {
 
     /// Group-commit every change since the last commit to the log, with
     /// sidecar aux records (e.g. the pad's per-mark records) riding in the
-    /// same frame: one frame, one sync. See [`trim::CommitOutcome`] — in
-    /// particular, `NeedsFullSnapshot` means nothing was persisted and
-    /// the caller must [`compact_log_with`](SlimPadDmi::compact_log_with).
+    /// same frame: one frame, one sync. See [`StoreLog::commit`].
     pub fn commit_log_with_aux(
         &mut self,
         vfs: &dyn Vfs,

@@ -39,6 +39,14 @@ impl Change {
             Change::Insert(t) | Change::Remove(t) => *t,
         }
     }
+
+    /// The change that takes this one back.
+    pub fn inverse(self) -> Change {
+        match self {
+            Change::Insert(t) => Change::Remove(t),
+            Change::Remove(t) => Change::Insert(t),
+        }
+    }
 }
 
 /// An append-only log of [`Change`]s with a current [`Revision`].
@@ -46,19 +54,25 @@ impl Change {
 /// The journal retains full history from the store's creation (or last
 /// `clear`); `base` tracks how many leading entries have been truncated
 /// so `undo` can refuse to cross a truncation point.
+///
+/// It also knows where the *durability boundary* is — the state a log
+/// last persisted ([`Journal::mark_durable`]) — so the net change from
+/// that state to the current one is always derivable
+/// ([`Journal::durable_delta`]), even after an undo crossed it.
 #[derive(Debug, Default)]
 pub struct Journal {
     changes: Vec<Change>,
     /// Revision number of `changes[0]` (0 unless truncated).
     base: u64,
-    /// Low-water mark: the lowest revision the store has been rewound to
-    /// (via [`Journal::take_since`]) since the last
-    /// [`Journal::reset_low_water`] or [`Journal::truncate`]. A durability
-    /// layer that remembers "everything up to revision R is persisted"
-    /// checks this to detect an undo that crossed R — in that case the
-    /// entries after R in the journal are no longer the delta between the
-    /// persisted state and the current one.
-    low: u64,
+    /// The durability boundary as an index into `changes`: the durable
+    /// state followed by `compensation` is the state after
+    /// `changes[..durable]`. Revision numbers repeat after an undo, so
+    /// the boundary is kept here, not as a revision.
+    durable: usize,
+    /// The compensation prefix: the inverses of the durable entries an
+    /// undo took back since the last [`Journal::mark_durable`], newest
+    /// first.
+    compensation: Vec<Change>,
 }
 
 impl Journal {
@@ -100,7 +114,8 @@ impl Journal {
     }
 
     /// Remove and return all entries recorded after `rev` (oldest first);
-    /// the store undoes them in reverse.
+    /// the store undoes them in reverse. Durable entries among them are
+    /// kept as their inverses in the compensation prefix.
     ///
     /// # Errors
     ///
@@ -117,37 +132,55 @@ impl Journal {
             // Future revision: nothing to take.
             return Ok(Vec::new());
         }
-        self.low = self.low.min(rev.0);
-        Ok(self.changes.split_off(keep))
+        let taken = self.changes.split_off(keep);
+        if keep < self.durable {
+            let undone = &taken[..self.durable - keep];
+            self.compensation.extend(undone.iter().rev().map(|c| c.inverse()));
+            self.durable = keep;
+        }
+        Ok(taken)
     }
 
     /// Drop history up to the current revision, freeing memory. Undo can
-    /// no longer cross this point.
+    /// no longer cross this point, and the current state becomes the
+    /// durability boundary.
     pub fn truncate(&mut self) {
         self.base += self.changes.len() as u64;
         self.changes.clear();
-        // Rewinding below the truncation point is now impossible.
-        self.low = self.base;
+        self.mark_durable();
     }
 
-    /// The oldest revision retained history can reach (the truncation
-    /// point).
-    pub fn earliest(&self) -> Revision {
-        Revision(self.base)
+    /// Declare the current state durable: a log has persisted
+    /// [`Journal::durable_delta`].
+    pub fn mark_durable(&mut self) {
+        self.durable = self.changes.len();
+        self.compensation.clear();
     }
 
-    /// The lowest revision rewound to since the last
-    /// [`Journal::reset_low_water`] (or [`Journal::truncate`]). See the
-    /// field documentation for the durability contract.
-    pub fn low_water(&self) -> Revision {
-        Revision(self.low)
+    /// The inverses of the durable changes an undo took back since the
+    /// last [`Journal::mark_durable`], newest first.
+    pub fn compensation(&self) -> &[Change] {
+        &self.compensation
     }
 
-    /// Declare the current revision a durability boundary: raise the
-    /// low-water mark to it so a later rewind below this point is
-    /// detectable.
-    pub fn reset_low_water(&mut self) {
-        self.low = self.base + self.changes.len() as u64;
+    /// The net change from the durable state to the current one, in
+    /// order: the compensation prefix, then every entry recorded since
+    /// the boundary.
+    pub fn durable_delta(&self) -> impl Iterator<Item = &Change> + '_ {
+        self.compensation.iter().chain(&self.changes[self.durable..])
+    }
+
+    /// Rewind the history to the durable state: remove and return the
+    /// entries recorded since the boundary (oldest first; the store
+    /// undoes them in reverse), then put back the durable entries the
+    /// compensation prefix stands for and return them too (oldest
+    /// first; the store re-applies them in order).
+    pub(crate) fn rewind_to_durable(&mut self) -> (Vec<Change>, Vec<Change>) {
+        let undone = self.changes.split_off(self.durable);
+        let redone: Vec<Change> = self.compensation.drain(..).rev().map(|c| c.inverse()).collect();
+        self.changes.extend_from_slice(&redone);
+        self.durable = self.changes.len();
+        (undone, redone)
     }
 
     /// Iterate over retained entries, oldest first.
@@ -231,31 +264,63 @@ mod tests {
     }
 
     #[test]
-    fn low_water_tracks_rewinds_across_the_boundary() {
+    fn a_rewind_below_the_boundary_keeps_a_compensation_prefix() {
         let mut j = Journal::new();
         j.record(Change::Insert(t(1)));
         j.record(Change::Insert(t(2)));
-        j.reset_low_water();
+        j.mark_durable();
         let boundary = j.revision();
-        assert_eq!(j.low_water(), boundary);
-        // Rewinding to (not below) the boundary leaves the mark alone.
+        assert_eq!(j.durable_delta().count(), 0);
+        // Rewinding to (not below) the boundary owes the log nothing.
         j.record(Change::Insert(t(3)));
         j.take_since(boundary).unwrap();
-        assert_eq!(j.low_water(), boundary);
-        // Rewinding below it is flagged until the next reset.
+        assert!(j.compensation().is_empty());
+        assert_eq!(j.durable_delta().count(), 0);
+        // Rewinding below it keeps the undone durable entries' inverses,
+        // newest first, ahead of whatever is recorded next.
         j.take_since(Revision::start()).unwrap();
-        assert!(j.low_water() < boundary);
-        j.reset_low_water();
-        assert_eq!(j.low_water(), j.revision());
+        assert_eq!(j.compensation(), [Change::Remove(t(2)), Change::Remove(t(1))]);
+        j.record(Change::Insert(t(4)));
+        let delta: Vec<Change> = j.durable_delta().copied().collect();
+        assert_eq!(delta, [Change::Remove(t(2)), Change::Remove(t(1)), Change::Insert(t(4))]);
+        // A second rewind below the (moved) boundary extends the prefix.
+        j.take_since(Revision::start()).unwrap();
+        assert_eq!(j.durable_delta().count(), 2);
+        j.mark_durable();
+        assert!(j.compensation().is_empty());
+        assert_eq!(j.durable_delta().count(), 0);
     }
 
     #[test]
-    fn truncate_raises_the_low_water_mark() {
+    fn rewind_to_durable_puts_back_the_compensated_entries() {
         let mut j = Journal::new();
         j.record(Change::Insert(t(1)));
+        j.record(Change::Remove(t(2)));
+        j.mark_durable();
+        let boundary = j.revision();
+        j.take_since(Revision(1)).unwrap();
+        j.record(Change::Insert(t(3)));
+        let (undone, redone) = j.rewind_to_durable();
+        assert_eq!(undone, [Change::Insert(t(3))]);
+        assert_eq!(redone, [Change::Remove(t(2))]);
+        assert_eq!(j.revision(), boundary);
+        let history: Vec<Change> = j.iter().copied().collect();
+        assert_eq!(history, [Change::Insert(t(1)), Change::Remove(t(2))]);
+        assert_eq!(j.durable_delta().count(), 0);
+    }
+
+    #[test]
+    fn truncate_makes_the_current_state_durable() {
+        let mut j = Journal::new();
+        j.record(Change::Insert(t(1)));
+        j.mark_durable();
+        j.take_since(Revision::start()).unwrap();
+        j.record(Change::Insert(t(2)));
+        assert_eq!(j.durable_delta().count(), 2);
         j.truncate();
-        assert_eq!(j.low_water(), j.revision());
-        assert_eq!(j.earliest(), j.revision());
+        assert!(j.compensation().is_empty());
+        assert_eq!(j.durable_delta().count(), 0);
+        assert!(matches!(j.take_since(Revision::start()), Err(TrimError::UndoPastStart { .. })));
     }
 
     #[test]

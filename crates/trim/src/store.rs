@@ -581,13 +581,33 @@ impl TripleStore {
     pub fn undo_to(&mut self, rev: Revision) -> Result<(), crate::TrimError> {
         let undone = self.journal.take_since(rev)?;
         for change in undone.into_iter().rev() {
-            match change {
-                Change::Insert(t) => self.layout.remove(t),
-                Change::Remove(t) => self.layout.insert(t),
-            };
+            self.replay(change.inverse());
         }
         self.settle();
         Ok(())
+    }
+
+    /// Undo back to the state a log last made durable
+    /// ([`crate::StoreLog::commit`] or a load): take back every change
+    /// since, and re-apply the durable changes an undo took back. The
+    /// journal's history is then the durable history again.
+    pub fn undo_to_durable(&mut self) {
+        let (undone, redone) = self.journal.rewind_to_durable();
+        for change in undone.into_iter().rev() {
+            self.replay(change.inverse());
+        }
+        for change in redone {
+            self.replay(change);
+        }
+        self.settle();
+    }
+
+    /// Apply a change to the layout without journaling it.
+    fn replay(&mut self, change: Change) {
+        match change {
+            Change::Insert(t) => self.layout.insert(t),
+            Change::Remove(t) => self.layout.remove(t),
+        };
     }
 
     // ---- stats and invariants ---------------------------------------------

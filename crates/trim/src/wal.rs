@@ -2,8 +2,10 @@
 //!
 //! Rewriting the whole sealed XML artifact on every save is O(store);
 //! with a log in front of it, a commit costs O(changes since the last
-//! commit): the journal suffix is encoded as one CRC-framed record batch
-//! and appended with a single sync (group commit, [`slimio::Wal`]).
+//! commit): the journal's net change since then is encoded as one
+//! CRC-framed record batch and appended with a single sync (group
+//! commit, [`slimio::Wal`]). An undo that crossed the last commit adds
+//! the inverses of the committed changes it took back to that batch.
 //! The full `to_xml` rewrite survives as the *compaction* step, run
 //! periodically to bound log length and restart time.
 //!
@@ -35,7 +37,7 @@
 //! pad keys one per changed mark, `marks/<id>`) logs only what changed
 //! and recovers the newest value of each.
 
-use crate::journal::{Change, Revision};
+use crate::journal::Change;
 use crate::store::{Triple, TripleStore, Value};
 use crate::TrimError;
 use slimio::{crc32, Vfs, Wal, WalFrame, WalReport};
@@ -104,29 +106,25 @@ impl std::fmt::Display for LogReport {
     }
 }
 
-/// The result of a [`StoreLog::commit`].
+/// The result of a [`StoreLog::commit`]. Either way, on `Ok` the
+/// current state is durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitOutcome {
     /// Nothing changed since the last commit; nothing was written.
     Clean,
     /// One frame holding `ops` store operations was group-committed with
-    /// sequence number `seq`.
+    /// sequence number `seq`. After an undo that crossed the previous
+    /// commit, the frame begins with the compensation prefix
+    /// ([`crate::Journal::compensation`]).
     Committed { seq: u64, ops: usize },
-    /// The delta since the last commit could not be derived — an undo
-    /// crossed the commit boundary, or the journal was truncated.
-    /// **Nothing was persisted**: the caller must run a compaction
-    /// ([`StoreLog::compact`] or [`StoreLog::compact_with`]) to make the
-    /// current state durable.
-    NeedsFullSnapshot,
 }
 
-/// A write-ahead log attached to a snapshot file, tracking which store
-/// revision is durably committed.
+/// A write-ahead log attached to a snapshot file. Which state is durable
+/// is the store journal's to know ([`crate::Journal::mark_durable`]).
 #[derive(Debug, Clone)]
 pub struct StoreLog {
     snapshot_path: PathBuf,
     wal: Wal,
-    committed: Revision,
     compact_threshold: u64,
 }
 
@@ -146,8 +144,9 @@ impl StoreLog {
     /// and a report of what recovery found.
     ///
     /// After this call `store` holds the last-committed state, its
-    /// journal is truncated (replay is not undoable), and subsequent
-    /// [`StoreLog::commit`] calls persist exactly the journal suffix.
+    /// journal is truncated (replay is not undoable) and durable, and
+    /// subsequent [`StoreLog::commit`] calls persist the journal's
+    /// [`durable_delta`](crate::Journal::durable_delta).
     pub fn attach(
         vfs: &dyn Vfs,
         snapshot_path: &Path,
@@ -184,7 +183,7 @@ impl StoreLog {
         report.frames_replayed = frames.len();
         report.ops_replayed = replay_frames(store, &frames, &mut report.aux)?;
         // Replay restores committed state; it is not an edit the user can
-        // undo, and the commit boundary starts here.
+        // undo, and the durability boundary starts here.
         store.journal_mut().truncate();
         // Frames may have interned ids the snapshot did not hold; keep
         // future mints past every name ever seen.
@@ -192,15 +191,22 @@ impl StoreLog {
         let log = StoreLog {
             snapshot_path: snapshot_path.to_path_buf(),
             wal,
-            committed: store.revision(),
             compact_threshold: DEFAULT_COMPACT_THRESHOLD,
         };
         Ok((log, report))
     }
 
-    /// Group-commit every store change since the last commit as one log
-    /// frame: one append, one sync, regardless of how many operations
-    /// the batch holds. See [`CommitOutcome`] for the three results.
+    /// Group-commit the net store change since the last commit as one
+    /// log frame: one append, one sync, regardless of how many operations
+    /// the batch holds. See [`CommitOutcome`] for the two results.
+    ///
+    /// The frame holds the journal's
+    /// [`durable_delta`](crate::Journal::durable_delta): after an undo
+    /// that crossed the last commit, the inverses of the committed
+    /// changes it took back, then the changes made since. On an error
+    /// nothing is durable and the delta stays pending: retry the commit,
+    /// or [`repair`](StoreLog::repair) the log and
+    /// [`undo_to_durable`](TripleStore::undo_to_durable).
     pub fn commit(
         &mut self,
         vfs: &dyn Vfs,
@@ -218,28 +224,36 @@ impl StoreLog {
         store: &mut TripleStore,
         aux: &[(&str, &[u8])],
     ) -> Result<CommitOutcome, TrimError> {
-        let rev = store.revision();
-        {
-            let journal = store.journal();
-            // The journal suffix after `committed` is the delta between
-            // the persisted state and the current one only if (a) history
-            // still reaches back to `committed` and (b) no undo rewound
-            // below it since the last commit. Otherwise only a full
-            // snapshot can re-establish durability.
-            if journal.earliest() > self.committed || journal.low_water() < self.committed {
-                return Ok(CommitOutcome::NeedsFullSnapshot);
-            }
+        self.commit_impl(vfs, store, aux, true)
+    }
+
+    /// [`StoreLog::commit`] that logs the changes since the boundary but
+    /// drops the compensation prefix — exists only for the slimcheck
+    /// mutation harness.
+    #[doc(hidden)]
+    pub fn testonly_commit_dropping_compensation(
+        &mut self,
+        vfs: &dyn Vfs,
+        store: &mut TripleStore,
+    ) -> Result<CommitOutcome, TrimError> {
+        self.commit_impl(vfs, store, &[], false)
+    }
+
+    fn commit_impl(
+        &mut self,
+        vfs: &dyn Vfs,
+        store: &mut TripleStore,
+        aux: &[(&str, &[u8])],
+        compensate: bool,
+    ) -> Result<CommitOutcome, TrimError> {
+        let journal = store.journal();
+        let skip = if compensate { 0 } else { journal.compensation().len() };
+        let (payload, ops) = encode_records(store, journal.durable_delta().skip(skip), aux);
+        if ops == 0 && aux.is_empty() {
+            return Ok(CommitOutcome::Clean);
         }
-        let (payload, ops) = {
-            let changes = store.journal().since(self.committed);
-            if changes.is_empty() && aux.is_empty() {
-                return Ok(CommitOutcome::Clean);
-            }
-            (encode_records(store, changes, aux), changes.len())
-        };
         let seq = self.wal.append(vfs, &payload)?;
-        self.committed = rev;
-        store.journal_mut().reset_low_water();
+        store.journal_mut().mark_durable();
         Ok(CommitOutcome::Committed { seq, ops })
     }
 
@@ -286,8 +300,7 @@ impl StoreLog {
         let sealed = slimio::seal(payload);
         slimio::install_atomic(vfs, &self.snapshot_path, sealed.as_bytes())?;
         self.wal.reset(vfs, crc32(sealed.as_bytes()))?;
-        self.committed = store.revision();
-        store.journal_mut().reset_low_water();
+        store.journal_mut().mark_durable();
         Ok(())
     }
 
@@ -300,11 +313,6 @@ impl StoreLog {
     /// Tune the [`StoreLog::should_compact`] threshold (bytes of log).
     pub fn set_compact_threshold(&mut self, bytes: u64) {
         self.compact_threshold = bytes;
-    }
-
-    /// The store revision whose effects are durably committed.
-    pub fn committed_revision(&self) -> Revision {
-        self.committed
     }
 
     /// Acknowledged log length in bytes (header + committed frames).
@@ -340,10 +348,17 @@ fn push_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     buf.extend_from_slice(b);
 }
 
-/// Encode a journal suffix (plus aux records) as one frame payload.
-fn encode_records(store: &TripleStore, changes: &[Change], aux: &[(&str, &[u8])]) -> Vec<u8> {
+/// Encode store changes (plus aux records) as one frame payload; returns
+/// it with the number of changes.
+fn encode_records<'a>(
+    store: &TripleStore,
+    changes: impl Iterator<Item = &'a Change>,
+    aux: &[(&str, &[u8])],
+) -> (Vec<u8>, usize) {
     let mut buf = Vec::new();
+    let mut ops = 0;
     for change in changes {
+        ops += 1;
         let (tag, t) = match change {
             Change::Insert(t) => (REC_INSERT, t),
             Change::Remove(t) => (REC_REMOVE, t),
@@ -367,7 +382,7 @@ fn encode_records(store: &TripleStore, changes: &[Change], aux: &[(&str, &[u8])]
         push_str(&mut buf, key);
         push_bytes(&mut buf, value);
     }
-    buf
+    (buf, ops)
 }
 
 struct Cursor<'a> {
@@ -511,6 +526,7 @@ fn replay_frames(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Revision;
     use slimio::{FaultConfig, FaultMode, FaultOp, FaultVfs, MemVfs};
 
     const SNAP: &str = "store.xml";
@@ -553,11 +569,11 @@ mod tests {
         let outcome = log.commit(&vfs, &mut store).unwrap();
         assert!(matches!(outcome, CommitOutcome::Committed { seq: 0, ops: 2 }));
 
-        let (recovered, log2, report) = reopen(&mut vfs);
+        let (recovered, _, report) = reopen(&mut vfs);
         assert_eq!(report.frames_replayed, 1);
         assert_eq!(report.ops_replayed, 2);
         assert_eq!(contents(&recovered), contents(&store));
-        assert_eq!(log2.committed_revision(), recovered.revision());
+        assert_eq!(recovered.journal().durable_delta().count(), 0);
     }
 
     #[test]
@@ -620,31 +636,85 @@ mod tests {
     }
 
     #[test]
-    fn undo_across_the_commit_boundary_forces_a_snapshot() {
+    fn undo_across_the_commit_boundary_commits_a_compensating_frame() {
         let mut vfs = MemVfs::new();
         let (mut store, mut log, _) = reopen(&mut vfs);
         store.insert_literal("a", "p", "v");
         let mark = store.revision();
         store.insert_literal("b", "p", "v");
         log.commit(&vfs, &mut store).unwrap();
-        // Rewind below the committed revision: the journal suffix no
-        // longer describes the delta from the persisted state.
+        // Rewind below the committed revision, then change something: the
+        // frame takes "b" back first, then adds "c".
         store.undo_to(mark).unwrap();
         store.insert_literal("c", "p", "v");
+        let snapshot_before = vfs.bytes(SNAP);
         let outcome = log.commit(&vfs, &mut store).unwrap();
-        assert_eq!(outcome, CommitOutcome::NeedsFullSnapshot);
-        // Nothing was persisted by that call; compaction re-establishes
-        // durability and subsequent commits are incremental again.
-        log.compact(&vfs, &mut store).unwrap();
-        let (recovered, mut log2, report) = reopen(&mut vfs);
-        assert_eq!(report.frames_replayed, 0);
+        assert!(matches!(outcome, CommitOutcome::Committed { seq: 1, ops: 2 }), "{outcome:?}");
+        assert_eq!(vfs.bytes(SNAP), snapshot_before, "no snapshot rewrite");
+        let (mut recovered, mut log2, report) = reopen(&mut vfs);
+        assert_eq!(report.frames_replayed, 2);
         assert_eq!(contents(&recovered), contents(&store));
-        let mut recovered = recovered;
+        // Undo straight back to the start: the frame is compensation only.
+        store.undo_to(Revision::start()).unwrap();
+        let outcome = log.commit(&vfs, &mut store).unwrap();
+        assert!(matches!(outcome, CommitOutcome::Committed { ops: 2, .. }), "{outcome:?}");
+        assert!(contents(&store).is_empty());
+        assert!(contents(&reopen(&mut vfs).0).is_empty());
+        // The recovered pair took the earlier frames as durable history.
         recovered.insert_literal("d", "p", "v");
         assert!(matches!(
             log2.commit(&vfs, &mut recovered).unwrap(),
             CommitOutcome::Committed { ops: 1, .. }
         ));
+    }
+
+    #[test]
+    fn a_faulted_commit_after_an_undo_across_the_boundary_has_two_endings() {
+        let base = {
+            let mut vfs = MemVfs::new();
+            let (mut store, mut log, _) = reopen(&mut vfs);
+            store.insert_literal("a", "p", "v");
+            log.commit(&vfs, &mut store).unwrap();
+            vfs
+        };
+        for rewind in [true, false] {
+            let mut disk = base.clone();
+            let (mut store, mut log, _) = reopen(&mut disk);
+            let mark = store.revision();
+            store.insert_literal("b", "p", "v");
+            store.insert_literal("c", "p", "v");
+            log.commit(&disk, &mut store).unwrap();
+            let committed = contents(&store);
+            // Commit, undo below it, new changes, and a commit that fails
+            // at its append.
+            store.undo_to(mark).unwrap();
+            store.insert_literal("d", "p", "v");
+            let current = contents(&store);
+            let config = FaultConfig::new(FaultOp::Append, FaultMode::Torn, 0, 7);
+            let faulty = FaultVfs::new(disk, config);
+            assert!(log.commit(&faulty, &mut store).is_err());
+            assert!(faulty.fault_fired());
+            let mut disk = faulty.into_inner();
+            if rewind {
+                // Ending one: refuse the batch. The rewind restores exactly
+                // the committed contents and the committed history.
+                log.repair(&disk).unwrap();
+                store.undo_to_durable();
+                assert_eq!(contents(&store), committed);
+                assert_eq!(store.journal().durable_delta().count(), 0);
+                assert_eq!(log.commit(&disk, &mut store).unwrap(), CommitOutcome::Clean);
+                store.undo_to(mark).unwrap();
+                assert_eq!(contents(&store).len(), 1, "the history reaches the boundary again");
+            } else {
+                // Ending two: retry without a rewind; the same delta lands.
+                let outcome = log.commit(&disk, &mut store).unwrap();
+                assert!(matches!(outcome, CommitOutcome::Committed { ops: 3, .. }), "{outcome:?}");
+                assert_eq!(contents(&store), current);
+            }
+            let want = if rewind { committed } else { current };
+            let (recovered, _, _) = reopen(&mut disk);
+            assert_eq!(contents(&recovered), want, "rewind: {rewind}");
+        }
     }
 
     #[test]
@@ -708,8 +778,8 @@ mod tests {
         store.insert_resource("b:1", "nestedBundle", "b:2");
         let t = store.insert_literal("x", "y", "z");
         store.remove(t);
-        let changes = store.journal().since(base);
-        let payload = encode_records(&store, changes, &[("marks/mark:0", b"<mark/>")]);
+        let changes = store.journal().since(base).iter();
+        let (payload, _) = encode_records(&store, changes, &[("marks/mark:0", b"<mark/>")]);
         let summary = verify_frame_payload(0, &payload).unwrap();
         assert_eq!(summary.inserts, 3);
         assert_eq!(summary.removes, 1);
