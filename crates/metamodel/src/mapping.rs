@@ -298,7 +298,7 @@ mod tests {
         // Scraps and mark handles don't appear.
         assert!(out.find_atom("scrapName").is_none());
         assert!(out.find_atom("markId").is_none());
-        // Positions were never mapped.
+        // Bundle positions were never mapped.
         assert!(out.find_atom("bundlePos").is_none());
     }
 

@@ -76,11 +76,15 @@ pub enum Mutation {
     /// wrong index (the property atom misread as an SPO subject),
     /// losing every binding that run would have proposed.
     ConjWrongPosRun,
+    /// The pad writer's digest upkeep forgets to re-hash the bundle
+    /// holding a changed record: the published digest goes stale as
+    /// soon as a contained scrap's own fields change.
+    PadDigestSkipReferrers,
 }
 
 impl Mutation {
     /// All seeded bugs (excludes `None`).
-    pub const ALL: [Mutation; 8] = [
+    pub const ALL: [Mutation; 9] = [
         Mutation::SkipSubjectIndex,
         Mutation::LossySetUnique,
         Mutation::UndoNoop,
@@ -89,6 +93,7 @@ impl Mutation {
         Mutation::WalDropCompensation,
         Mutation::ConjSkipRepeatedVarDedup,
         Mutation::ConjWrongPosRun,
+        Mutation::PadDigestSkipReferrers,
     ];
 
     /// CLI / report name.
@@ -103,6 +108,7 @@ impl Mutation {
             Mutation::WalDropCompensation => "wal-drop-compensation",
             Mutation::ConjSkipRepeatedVarDedup => "conj-skip-repeated-var-dedup",
             Mutation::ConjWrongPosRun => "conj-wrong-pos-run",
+            Mutation::PadDigestSkipReferrers => "pad-digest-skip-referrers",
         }
     }
 
@@ -111,6 +117,7 @@ impl Mutation {
         match self {
             Mutation::WalSkipTailCrc | Mutation::WalDropCompensation => Layer::Wal,
             Mutation::ConjSkipRepeatedVarDedup | Mutation::ConjWrongPosRun => Layer::Conj,
+            Mutation::PadDigestSkipReferrers => Layer::PadServe,
             _ => Layer::Store,
         }
     }
@@ -132,6 +139,10 @@ impl Mutation {
             // one insert gives a shared-object join something to lose);
             // one query observes the divergence.
             Mutation::ConjSkipRepeatedVarDedup | Mutation::ConjWrongPosRun => 3,
+            // A mark places a scrap in the root bundle and an annotation
+            // changes the scrap's own fields under it; the digest check
+            // after the annotation's ack observes the stale bundle.
+            Mutation::PadDigestSkipReferrers => 2,
             _ => 10,
         }
     }
@@ -445,7 +456,7 @@ fn replay_case(
                 layer,
                 mutation,
                 &strategy,
-                |ops| padserve_diff::check(&with_prefix(&prefix, ops)),
+                |ops| padserve_diff::check(&with_prefix(&prefix, ops), mutation),
                 seed,
                 case,
             )

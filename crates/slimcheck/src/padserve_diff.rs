@@ -20,8 +20,13 @@
 //! never advanced, so the schedule — batching, faults, reopens — is a
 //! pure function of the op sequence and the whole check is
 //! deterministic, shrink-safe, and seed-replayable.
+//!
+//! [`Mutation::PadDigestSkipReferrers`] opens the service through its
+//! seeded-bug constructor, whose digest upkeep leaves the bundle holding
+//! a changed scrap stale; the per-ack digest check catches it.
 
 use crate::ops::{PadServeOp, ANNOTATIONS, NAMES};
+use crate::Mutation;
 use marks::resilience::{BreakerConfig, MockClock};
 use marks::{FaultProfile, FlakyControl, RetryPolicy};
 use slimio::{FaultConfig, FaultMode, FaultOp, FaultVfs, MemVfs, Vfs};
@@ -60,7 +65,7 @@ fn config() -> PadConfig {
 
 /// Run `ops` against a live pad service and its mirror; panics on any
 /// divergence.
-pub fn check(ops: &[PadServeOp]) {
+pub fn check(ops: &[PadServeOp], mutation: Mutation) {
     let disk = Arc::new(FaultVfs::unarmed(MemVfs::new()));
     let clock = Arc::new(MockClock::new());
     let control = FlakyControl::new(0);
@@ -73,9 +78,13 @@ pub fn check(ops: &[PadServeOp]) {
         BreakerConfig::default(),
         3,
     );
-    let service =
-        PadService::open(disk.clone(), Path::new(PAD), config(), clock.clone(), factory)
-            .expect("fresh pad service opens on a healthy MemVfs");
+    let open = if mutation == Mutation::PadDigestSkipReferrers {
+        PadService::testonly_open_skipping_bundle_holders
+    } else {
+        PadService::open
+    };
+    let service = open(disk.clone(), Path::new(PAD), config(), clock.clone(), factory)
+        .expect("fresh pad service opens on a healthy MemVfs");
     let main = service.session();
     let sibling = service.session();
     let mut mirror = ward_mirror();
@@ -263,7 +272,7 @@ mod tests {
             PadServeOp::Undo,
             PadServeOp::Compact,
             PadServeOp::Resolve { scrap: 0 },
-        ]);
+        ], Mutation::None);
     }
 
     /// Regression (found by the 128-case sweep, seed
@@ -281,7 +290,7 @@ mod tests {
             PadServeOp::Mark { doc: 6, paragraph: 6, label: 3, pos: (165, 36), bundle: None },
             PadServeOp::SiblingPadOp { mark: true, name: 0, pos: (95, 127), target: Some(12) },
             PadServeOp::SiblingCrashCommit { torn: true, tear_seed: 14895910682995164361 },
-        ]);
+        ], Mutation::None);
     }
 
     /// Refusal-heavy sequences (empty-pad selectors, empty undo stacks)
@@ -298,7 +307,7 @@ mod tests {
             PadServeOp::Create { name: 1, pos: (5, 5), parent: Some(4) },
             PadServeOp::Undo,
             PadServeOp::Undo,
-        ]);
+        ], Mutation::None);
     }
 }
 

@@ -185,8 +185,9 @@ pub trait Target: Sized {
     ) -> Result<(Supervisor<Self::M>, Option<String>), ServeError>;
     /// Map one trace verb onto the machine's ops.
     fn translate(sess: u64, epoch: u64, i: u64, op: &TraceOp) -> Action<Op<Self>>;
-    /// The op spliced in at `sel`'s slot, if any (panics, and so on).
-    fn splice(sess: u64, epoch: u64, i: u64, sel: u64) -> Option<Op<Self>>;
+    /// The ops spliced in at `sel`'s slot in place of the trace's,
+    /// if any (panics, and so on).
+    fn splice(sess: u64, epoch: u64, i: u64, sel: u64) -> Vec<Op<Self>>;
     /// A panicking op.
     fn panic_op(detail: String) -> Op<Self>;
     /// An op that parks the writer on `gate`.
@@ -503,12 +504,14 @@ fn session_script<T: Target>(config: &ChaosConfig, sess: u64, epoch: u64) -> Vec
     trace
         .iter()
         .enumerate()
-        .map(|(i, op)| {
+        .flat_map(|(i, op)| {
             let i = i as u64;
             let sel = mix64(config.seed ^ sess.rotate_left(17), epoch << 32 | i);
-            match T::splice(sess, epoch, i, sel) {
-                Some(op) => Action::Write(op),
-                None => T::translate(sess, epoch, i, op),
+            let spliced = T::splice(sess, epoch, i, sel);
+            if spliced.is_empty() {
+                vec![T::translate(sess, epoch, i, op)]
+            } else {
+                spliced.into_iter().map(Action::Write).collect()
             }
         })
         .collect()
@@ -636,9 +639,11 @@ impl Target for Triples {
         }
     }
 
-    fn splice(sess: u64, epoch: u64, i: u64, sel: u64) -> Option<ServeOp> {
+    fn splice(sess: u64, epoch: u64, i: u64, sel: u64) -> Vec<ServeOp> {
         sel.is_multiple_of(13)
             .then(|| Self::panic_op(format!("chaos panic s{sess} e{epoch} i{i}")))
+            .into_iter()
+            .collect()
     }
 
     fn panic_op(detail: String) -> ServeOp {

@@ -153,11 +153,16 @@ impl Target for Pads {
         })
     }
 
-    fn splice(sess: u64, epoch: u64, i: u64, sel: u64) -> Option<PadOp> {
+    /// Besides panics and redos, an undo right after this session's
+    /// commit: whatever it takes back is durable, so the next batch's
+    /// frame begins with a compensation prefix, and the writer's kept
+    /// digest must fold it in.
+    fn splice(sess: u64, epoch: u64, i: u64, sel: u64) -> Vec<PadOp> {
         match sel % 13 {
-            0 => Some(Self::panic_op(format!("chaos panic s{sess} e{epoch} i{i}"))),
-            1 => Some(PadOp::Redo),
-            _ => None,
+            0 => vec![Self::panic_op(format!("chaos panic s{sess} e{epoch} i{i}"))],
+            1 => vec![PadOp::Redo],
+            2 => vec![PadOp::Commit, PadOp::Undo],
+            _ => Vec::new(),
         }
     }
 
@@ -325,6 +330,21 @@ mod tests {
         let mut config = ChaosConfig::new::<Pads>(Profile::Smoke, 0xFEED);
         config.crash = false;
         assert_clean::<Pads>(&config);
+    }
+
+    /// Every soak takes back a committed op on purpose: at each CI seed
+    /// some session's script undoes right after its commit.
+    #[test]
+    fn every_soak_splices_an_undo_after_a_commit() {
+        for seed in [0xC0FFEE, 0x5eed0f5113, 0xdecafbad11, 0xfeedface42, 0xFEED] {
+            for profile in [Profile::Smoke, Profile::Quick] {
+                let config = ChaosConfig::new::<Pads>(profile, seed);
+                let spliced = (0..config.sessions as u64).any(|s| {
+                    script_lines::<Pads>(&config, s, 0).windows(2).any(|w| w == ["Commit", "Undo"])
+                });
+                assert!(spliced, "no undo after a commit at seed {seed:#x}, {profile:?}");
+            }
+        }
     }
 
     /// Two runs with one seed must make identical scripts (the report

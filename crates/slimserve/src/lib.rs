@@ -50,6 +50,7 @@
 //! [`Service::open`] or [`PadService::open`] — snapshot + log replay —
 //! and resumes serving.
 
+pub mod digest;
 pub mod error;
 pub mod op;
 pub mod pad;

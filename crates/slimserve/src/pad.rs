@@ -20,19 +20,20 @@
 //! * **The view is a snapshot.** After every durable batch the writer
 //!   publishes a [`PadView`]: a [`trim::Snapshot`] of the pad's triples
 //!   (a copy of the store's delta; the frozen base is shared) plus the
-//!   mark count and [`MarkManager::digest`]. Publishing never walks the
-//!   pad. Readers ask the view for the pad's logical digest, computed
-//!   then by the same function [`PadMachine::digest`] runs over a live
-//!   pad. Replaying the acknowledged [`PadOp`]s of a run into a fresh
-//!   [`PadMachine`] reproduces that digest exactly — and so does
-//!   reopening the on-disk state after a crash. That three-way equality
-//!   is the `slimgen --chaos-pad` verdict.
+//!   pad's logical digest and population counts. Publishing never walks
+//!   the pad: the digest (`pad-digest-v3`, a sum of per-record hashes)
+//!   is kept current by re-hashing only the records the batch's net
+//!   change touched. [`PadMachine::digest`] computes the same value
+//!   from scratch. Replaying the acknowledged [`PadOp`]s of a run into a
+//!   fresh [`PadMachine`] reproduces the published digest exactly — and
+//!   so does reopening the on-disk state after a crash. That three-way
+//!   equality is the `slimgen --chaos-pad` verdict.
 //! * **Inspect never queues.** [`PadOp::Inspect`] is the pad's
 //!   read-only op ([`Machine::read`]): the submitting session answers
-//!   it from a clone of the published view, on its own thread, so a
-//!   look at the pad never holds up a writer op and never waits behind
-//!   one. Its ack carries `durable_seq: None` and, as its order, the
-//!   view's position (the writer acks the view reflects).
+//!   it from the published view's scalars, on its own thread, so a
+//!   look at the pad never holds up a writer op, never waits behind
+//!   one, and walks nothing. Its ack carries `durable_seq: None` and, as
+//!   its order, the view's position (the writer acks the view reflects).
 //!   [`PadMachine::apply`] still answers it, for replay mirrors.
 //! * **Selectors resolve against a memo.** Canonical order is a pure
 //!   function of a store's set of bundles (or scraps), so the machine
@@ -46,11 +47,12 @@
 //!   `DegradedExcerpt` fallbacks in the ack rather than a hang or a
 //!   panic.
 //!
-//! The digest is *logical*: bundle and scrap content keyed by canonical
-//! position, mark identities and addresses — never minted resource ids
-//! (which legitimately diverge across rolled-back ops and crash
-//! recoveries) and never excerpts (which legitimately diverge under
-//! injected base-layer faults).
+//! The digest is *logical*: bundle and scrap content, each record naming
+//! what it holds or links to by that record's own content, plus mark
+//! identities and addresses — never minted resource ids (which
+//! legitimately diverge across rolled-back ops and crash recoveries) and
+//! never excerpts (which legitimately diverge under injected base-layer
+//! faults). Its definition is in [`crate::digest`].
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -64,6 +66,7 @@ use slimpad::{PadCommit, PadError, PadSession};
 use slimstore::{BundleHandle, PadReader, ScrapHandle};
 use trim::{Runs, Snapshot};
 
+use crate::digest::{Records, Tally};
 use crate::error::ServeError;
 use crate::op::{Ack, Gate};
 use crate::service::{
@@ -216,6 +219,10 @@ pub struct PadMachine {
     bundle_order: Canonical<BundleHandle>,
     /// Selector space for scrap references, kept across ops.
     scrap_order: Canonical<ScrapHandle>,
+    /// The digest's per-record hashes, which a live writer keeps from
+    /// one publish to the next ([`LivePad`]); `None` elsewhere, and
+    /// until the first publish.
+    records: Option<Records>,
 }
 
 impl PadMachine {
@@ -228,6 +235,7 @@ impl PadMachine {
             redo_ops: Vec::new(),
             bundle_order: Canonical::default(),
             scrap_order: Canonical::default(),
+            records: None,
         }
     }
 
@@ -237,10 +245,11 @@ impl PadMachine {
     }
 
     /// The wrapped engine, mutably. The caller may replace its store,
-    /// so the selector memos are dropped.
+    /// so the selector memos and the kept record hashes are dropped.
     pub fn engine_mut(&mut self) -> &mut PadSession {
         self.bundle_order = Canonical::default();
         self.scrap_order = Canonical::default();
+        self.records = None;
         &mut self.engine
     }
 
@@ -436,7 +445,8 @@ impl PadMachine {
             // mirror answers it here, by the same function.
             PadOp::Inspect => {
                 let marks = self.engine.marks();
-                Ok(inspected(&self.engine.dmi().reader(), marks.len(), marks.digest()))
+                let tally = Records::walk(&self.engine.dmi().reader()).tally();
+                Ok(inspected(tally, marks.len(), marks.digest()))
             }
             // Durability hints: the live writer commits every batch and
             // compacts after the batch's commit; in apply (and so in a
@@ -465,13 +475,13 @@ impl PadMachine {
         Ok(self.engine.dmi().mark_handle(*first)?.mark_id)
     }
 
-    /// The pad's *logical* digest: bundle and scrap content keyed by
-    /// canonical position, plus the mark count and
+    /// The pad's *logical* digest (`pad-digest-v3`, see
+    /// [`crate::digest`]), computed from scratch: a hash per bundle and
+    /// scrap record, summed, plus the mark count and
     /// [`MarkManager::digest`] (mark identities, kinds and addresses),
     /// which the manager keeps as marks change. Replay mirrors, reopened
-    /// pads and [`PadOp::Inspect`] report it; [`PadView::digest`] runs
-    /// the same function over a published snapshot, and only a caller
-    /// that asks pays for the walk, never the publish.
+    /// pads and [`PadOp::Inspect`] report it; a live writer keeps the
+    /// same value current in its [`PadView`]s instead.
     ///
     /// Deliberately excluded, because they legitimately diverge between
     /// a live faulted run and a clean replay of its acked ops: minted
@@ -480,15 +490,43 @@ impl PadMachine {
     /// module at creation time).
     pub fn digest(&self) -> u64 {
         let marks = self.engine.marks();
-        digest_of(&self.engine.dmi().reader(), marks.len(), marks.digest())
+        let tally = Records::walk(&self.engine.dmi().reader()).tally();
+        tally.digest(marks.len(), marks.digest())
     }
 
     /// A [`PadView`] of the pad as it stands: a snapshot of the triples
-    /// (O(delta)) and the two mark scalars.
+    /// (O(delta)), the two mark scalars, and the record tally — the
+    /// kept one if this machine keeps its record hashes, else a walk.
     pub(crate) fn view(&mut self) -> PadView {
+        let tally = match &self.records {
+            Some(records) => records.tally(),
+            None => Records::walk(&self.engine.dmi().reader()).tally(),
+        };
         let snapshot = self.engine.dmi_mut().snapshot();
         let marks = self.engine.marks();
-        PadView { snapshot, marks_len: marks.len(), marks_digest: marks.digest() }
+        PadView { snapshot, marks_len: marks.len(), marks_digest: marks.digest(), tally }
+    }
+
+    /// Start keeping the record hashes, from a walk, unless they are
+    /// kept already.
+    fn keep_records(&mut self) {
+        if self.records.is_none() {
+            self.records = Some(Records::walk(&self.engine.dmi().reader()));
+        }
+    }
+
+    /// Bring the kept record hashes current with the store. They were
+    /// current at the last durability boundary, so the journal's net
+    /// change since then ([`trim::Journal::durable_delta`], compensation
+    /// prefix included) names every subject that changed. Call it before
+    /// the commit that moves the boundary.
+    fn fold_durable_delta(&mut self, skip_bundle_holders: bool) {
+        let Some(records) = self.records.as_mut() else {
+            return;
+        };
+        let pad = self.engine.dmi().reader();
+        let changed = pad.runs().journal().durable_delta().map(|c| c.triple().subject);
+        records.update(&pad, changed, skip_bundle_holders);
     }
 }
 
@@ -559,159 +597,28 @@ fn mint_rank<R: Runs + ?Sized>(runs: &R, resource: trim::Atom) -> (u64, u64) {
     }
 }
 
-/// [`PadOp::Inspect`]'s answer over a live pad's or a view's reader.
-/// Population counts are the lengths of the lists the digest walk
-/// builds; the invisible root bundle is not counted.
-fn inspected<R: Runs + ?Sized>(
-    pad: &PadReader<'_, R>,
-    marks_len: usize,
-    marks_digest: u64,
-) -> PadOutcome {
-    let (digest, bundles, scraps) = digest_walk(pad, marks_len, marks_digest);
+/// [`PadOp::Inspect`]'s answer from a record tally and the two mark
+/// scalars; the invisible root bundle is not counted.
+fn inspected(tally: Tally, marks_len: usize, marks_digest: u64) -> PadOutcome {
     PadOutcome::Inspected {
-        digest,
-        bundles: bundles.saturating_sub(1),
-        scraps,
+        digest: tally.digest(marks_len, marks_digest),
+        bundles: tally.bundles().saturating_sub(1),
+        scraps: tally.scraps(),
         marks: marks_len,
     }
 }
 
-/// The one digest function behind [`PadMachine::digest`] (live pad)
-/// and [`PadView::digest`] (published snapshot), over either's reader.
-fn digest_of<R: Runs + ?Sized>(
-    pad: &PadReader<'_, R>,
-    marks_len: usize,
-    marks_digest: u64,
-) -> u64 {
-    digest_walk(pad, marks_len, marks_digest).0
-}
-
-/// The digest walk: the pad's logical digest, plus how many bundles
-/// and scraps it listed.
-fn digest_walk<R: Runs + ?Sized>(
-    pad: &PadReader<'_, R>,
-    marks_len: usize,
-    marks_digest: u64,
-) -> (u64, usize, usize) {
-    let bundles = canonical(pad.runs(), pad.bundles(), |b| b.resource());
-    let scraps = canonical(pad.runs(), pad.all_scraps(), |s| s.resource());
-    let bundle_index = Positions::of(&bundles);
-    let scrap_index = Positions::of(&scraps);
-
-    let mut h = Fnv::new();
-    h.write(b"pad-digest-v2");
-    h.write_u64(bundles.len() as u64);
-    for b in &bundles {
-        let Ok(data) = pad.bundle(*b) else { continue };
-        h.write(b"B");
-        h.write(data.name.as_bytes());
-        h.write_u64(data.pos.0 as u64);
-        h.write_u64(data.pos.1 as u64);
-        h.write_u64(data.width as u64);
-        h.write_u64(data.height as u64);
-        // Membership lists come back in atom order, which is not
-        // reload-stable; hash them as sorted sets of canonical
-        // positions.
-        let mut nested: Vec<u64> = data
-            .nested
-            .iter()
-            .map(|n| bundle_index.get(*n))
-            .collect();
-        nested.sort_unstable();
-        for i in nested {
-            h.write_u64(i);
-        }
-        let mut members: Vec<u64> = data
-            .scraps
-            .iter()
-            .map(|s| scrap_index.get(*s))
-            .collect();
-        members.sort_unstable();
-        for i in members {
-            h.write_u64(i);
-        }
-    }
-    h.write_u64(scraps.len() as u64);
-    for s in &scraps {
-        let Ok(data) = pad.scrap_record(*s) else { continue };
-        h.write(b"S");
-        h.write(data.name.as_bytes());
-        h.write_u64(data.pos.0 as u64);
-        h.write_u64(data.pos.1 as u64);
-        h.write_u64(data.marks.len() as u64);
-        for id in data.mark_ids {
-            h.write(id.as_bytes());
-        }
-        for note in data.annotations {
-            h.write(b"A");
-            h.write(note.as_bytes());
-        }
-        let mut targets: Vec<u64> = data.links.iter().map(|to| scrap_index.get(*to)).collect();
-        targets.sort_unstable();
-        for to in targets {
-            h.write(b"L");
-            h.write_u64(to);
-        }
-    }
-    h.write_u64(marks_len as u64);
-    h.write_u64(marks_digest);
-    (h.finish(), bundles.len(), scraps.len())
-}
-
-/// Each handle's canonical position, looked up by binary search.
-struct Positions<H>(Vec<(H, u64)>);
-
-impl<H: Copy + Ord> Positions<H> {
-    fn of(canonical: &[H]) -> Self {
-        let mut index: Vec<(H, u64)> =
-            canonical.iter().enumerate().map(|(i, h)| (*h, i as u64)).collect();
-        index.sort_unstable();
-        Positions(index)
-    }
-
-    /// `h`'s position; `u64::MAX` for a handle not in the set.
-    fn get(&self, h: H) -> u64 {
-        self.0.binary_search_by_key(&h, |(k, _)| *k).map_or(u64::MAX, |i| self.0[i].1)
-    }
-}
-
-/// FNV-1a, inlined so the digest is stable and dependency-free.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // Delimit fields so ("ab","c") and ("a","bc") differ.
-        self.0 ^= 0xff;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// What pad readers see: the pad's triples as of the last durable
-/// batch, as a [`trim::Snapshot`], plus the two mark scalars the digest
-/// reads. Publishing one copies the store's delta and reads two
-/// counters; nothing walks the pad until a reader asks for
-/// [`PadView::digest`].
+/// batch, as a [`trim::Snapshot`], plus the scalars the digest is made
+/// of — the two mark scalars and the record counts and sums, which the
+/// writer keeps current. Publishing one copies the store's delta and
+/// a few counters; nothing walks the pad.
 #[derive(Debug, Clone)]
 pub struct PadView {
     snapshot: Snapshot,
     marks_len: usize,
     marks_digest: u64,
+    tally: Tally,
 }
 
 impl PadView {
@@ -721,17 +628,18 @@ impl PadView {
         PadReader::new(&self.snapshot)
     }
 
-    /// The pad's logical digest as of this view: [`PadMachine::digest`]'s
-    /// function, run over the snapshot now.
+    /// The pad's logical digest as of this view: the value
+    /// [`PadMachine::digest`] computes from scratch, read from the
+    /// view's scalars.
     pub fn digest(&self) -> u64 {
-        digest_of(&self.reader(), self.marks_len, self.marks_digest)
+        self.tally.digest(self.marks_len, self.marks_digest)
     }
 
     /// [`PadOp::Inspect`]'s answer as of this view — what
     /// [`PadMachine::apply`] would answer on the pad it was published
-    /// from.
+    /// from — read from the view's scalars.
     pub fn inspect(&self) -> PadOutcome {
-        inspected(&self.reader(), self.marks_len, self.marks_digest)
+        inspected(self.tally, self.marks_len, self.marks_digest)
     }
 }
 
@@ -754,6 +662,10 @@ pub struct LivePad {
     compact_threshold: u64,
     /// An applied [`PadOp::Compact`] asks the batch's commit to compact.
     compact_requested: bool,
+    /// A seeded bug for mutation testing: the digest upkeep leaves the
+    /// bundles holding a changed record stale. Only
+    /// [`PadService::testonly_open_skipping_bundle_holders`] sets it.
+    skip_bundle_holders: bool,
 }
 
 /// Build (or reopen) the machine from disk. A missing file means a
@@ -819,10 +731,16 @@ impl Machine for LivePad {
     /// mid-batch, so a failed commit refuses a batch none of whose
     /// effects are on disk. A failed compaction refuses nothing — the
     /// log just stays long — but it is counted.
+    ///
+    /// The kept digest records take in the batch's net change first,
+    /// while the journal still holds it; a failed commit repairs, and
+    /// the rebuilt machine walks afresh.
     fn commit(&mut self, ledger: &Ledger) -> Result<Durable, String> {
+        self.machine.fold_durable_delta(self.skip_bundle_holders);
         let vfs = &*self.vfs;
         // Committing and compacting keep the store, so the selector
-        // memos stay valid: reach the engine past `engine_mut`.
+        // memos and the record hashes stay valid: reach the engine past
+        // `engine_mut`.
         let engine = &mut self.machine.engine;
         let (seq, compacted) = match engine.commit(vfs).map_err(|e| e.to_string())? {
             PadCommit::Logged(trim::CommitOutcome::Committed { seq, .. }) => (Some(seq), false),
@@ -850,9 +768,12 @@ impl Machine for LivePad {
         Ok(())
     }
 
-    /// A snapshot of the triples and the two mark scalars: O(delta),
-    /// never a walk of the pad.
+    /// A snapshot of the triples and the digest's scalars: O(delta),
+    /// never a walk of the pad — except the first publish of a built or
+    /// rebuilt machine, which walks once to start keeping the record
+    /// hashes.
     fn publish(&mut self) -> PadView {
+        self.machine.keep_records();
         self.machine.view()
     }
 
@@ -887,7 +808,34 @@ impl PadService {
         path: &Path,
         config: PadConfig,
         clock: Arc<dyn Clock + Send + Sync>,
+        factory: PadPartsFactory,
+    ) -> Result<PadService, ServeError> {
+        Self::open_with(vfs, path, config, clock, factory, false)
+    }
+
+    /// [`PadService::open`] with a seeded bug: the writer's digest
+    /// upkeep forgets to re-hash the bundles holding a changed record.
+    /// Exists solely so mutation-testing harnesses (slimcheck
+    /// `--mutate`) can prove they detect it; never call this from
+    /// production code.
+    #[doc(hidden)]
+    pub fn testonly_open_skipping_bundle_holders(
+        vfs: Arc<dyn Vfs + Send + Sync>,
+        path: &Path,
+        config: PadConfig,
+        clock: Arc<dyn Clock + Send + Sync>,
+        factory: PadPartsFactory,
+    ) -> Result<PadService, ServeError> {
+        Self::open_with(vfs, path, config, clock, factory, true)
+    }
+
+    fn open_with(
+        vfs: Arc<dyn Vfs + Send + Sync>,
+        path: &Path,
+        config: PadConfig,
+        clock: Arc<dyn Clock + Send + Sync>,
         mut factory: PadPartsFactory,
+        skip_bundle_holders: bool,
     ) -> Result<PadService, ServeError> {
         let path = path.to_path_buf();
         let (service, ()) = Supervisor::start(config, clock, move |config| {
@@ -901,21 +849,24 @@ impl PadService {
                 factory,
                 compact_threshold,
                 compact_requested: false,
+                skip_bundle_holders,
             };
             Ok((pad, ()))
         })?;
         Ok(service)
     }
 
-    /// The logical digest of the most recently published view,
-    /// computed now by the caller (readers never block on the writer).
+    /// The logical digest of the most recently published view, which
+    /// the writer kept current at publish: reading it walks nothing and
+    /// never blocks on the writer.
     pub fn digest(&self) -> u64 {
         self.view().digest()
     }
 }
 
 impl PadSessionHandle {
-    /// The logical digest of the most recently published view.
+    /// The logical digest of the most recently published view, read
+    /// from its scalars.
     pub fn digest(&self) -> u64 {
         self.view().digest()
     }
@@ -1099,6 +1050,12 @@ mod tests {
         }
     }
 
+    /// The record tally a walk over `view`'s own snapshot computes: what
+    /// the writer's kept tally must equal.
+    fn walked(view: &PadView) -> Tally {
+        Records::walk(&view.reader()).tally()
+    }
+
     /// Replay acked ops into a fresh mirror and return its digest.
     fn replay_digest(acked: &[(u64, PadOp)]) -> u64 {
         let mut ordered: Vec<&(u64, PadOp)> = acked.iter().collect();
@@ -1206,6 +1163,7 @@ mod tests {
             // a mirror that replayed the acked prefix.
             let view = rig.service.view();
             assert_eq!(view.digest(), replay_digest(&acked), "view vs live store after {op:?}");
+            assert_eq!(view.tally, walked(&view), "kept vs walked tally after {op:?}");
         }
         let live = rig.service.digest();
         assert_eq!(live, replay_digest(&acked), "view == serialized replay of acked ops");
@@ -1228,9 +1186,8 @@ mod tests {
 
     #[test]
     fn the_digest_value_is_pinned() {
-        // `pad-digest-v2` as computed before the digest moved onto the
-        // reader: a fixed script of every mutation kind must keep this
-        // exact value, on the live machine and on a view of it.
+        // `pad-digest-v3`: a fixed script of every mutation kind must
+        // keep this exact value, on the live machine and on a view of it.
         let mut machine = ward_mirror();
         for op in [
             PadOp::CreateBundle {
@@ -1268,8 +1225,8 @@ mod tests {
         ] {
             machine.apply(&op).unwrap();
         }
-        assert_eq!(machine.digest(), 0x2ae6_2d52_c772_35a8);
-        assert_eq!(machine.view().digest(), 0x2ae6_2d52_c772_35a8);
+        assert_eq!(machine.digest(), 0xc596_1fa5_5808_6941);
+        assert_eq!(machine.view().digest(), 0xc596_1fa5_5808_6941);
     }
 
     #[test]
@@ -1302,7 +1259,10 @@ mod tests {
         assert!(rig.service.stats().snapshot_rebuilds > rebuilds, "a fold publishes a new base");
         assert_ne!(rig.service.digest(), digest);
         assert_eq!(early.digest(), digest, "an old view still reads its own base");
+        assert_eq!(early.tally, walked(&early), "its kept tally is its own snapshot's");
         assert_eq!(early.reader().all_scraps().len(), 1);
+        let late = rig.service.view();
+        assert_eq!(late.tally, walked(&late));
     }
 
     #[test]
@@ -1620,6 +1580,7 @@ mod tests {
             factory,
             compact_threshold: 1 << 20,
             compact_requested: false,
+            skip_bundle_holders: false,
         }
     }
 
@@ -1700,6 +1661,44 @@ mod tests {
         assert!(step(&mut pad, PadOp::Link { from: 0, to: 1 }, &ledger));
         assert_eq!(pad.machine.scraps().len(), 4);
         assert_eq!(pad.machine.bundles().len(), 4, "the root and three created bundles");
+    }
+
+    #[test]
+    fn a_repaired_writer_keeps_the_digest_of_what_it_reopened() {
+        let vfs = Arc::new(FaultVfs::unarmed(MemVfs::new()));
+        let mut pad = live_pad(vfs.clone());
+        let ledger = Ledger::default();
+        let serve = |pad: &mut LivePad, op: PadOp| {
+            pad.apply(&op, &ledger).unwrap();
+            pad.commit(&ledger)
+        };
+        let bundle = PadOp::CreateBundle {
+            name: "b".into(),
+            pos: (1, 2),
+            width: 3,
+            height: 4,
+            parent: None,
+        };
+        pad.publish();
+        for op in [bundle, create_mark_op(0), create_mark_op(1), PadOp::Link { from: 0, to: 1 }] {
+            serve(&mut pad, op).unwrap();
+            let view = pad.publish();
+            assert_eq!(view.tally, walked(&view));
+        }
+        // The batch's net change is folded in, then its commit fails: the
+        // repair reopens from disk and the next publish walks afresh.
+        vfs.rearm(FaultConfig::new(FaultOp::Append, FaultMode::Fail, 0, 0));
+        serve(&mut pad, PadOp::Annotate { scrap: 1, text: "lost".into() }).unwrap_err();
+        pad.repair(&ledger).unwrap();
+        let view = pad.publish();
+        assert_eq!(view.tally, walked(&view), "the reopened pad's walk");
+        let reopened = ward_reopen(&*vfs, Path::new(PAD)).unwrap();
+        assert_eq!(view.digest(), reopened.digest(), "the refused annotation is gone");
+        // And the rebuilt machine keeps its records from there on.
+        serve(&mut pad, PadOp::Annotate { scrap: 1, text: "kept".into() }).unwrap();
+        let view = pad.publish();
+        assert_eq!(view.tally, walked(&view));
+        assert_ne!(view.digest(), reopened.digest());
     }
 
     #[test]

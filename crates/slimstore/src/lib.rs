@@ -58,7 +58,7 @@ pub mod slimpad_dmi;
 pub use error::DmiError;
 pub use generic::GenericDmi;
 pub use query::{InstanceQuery, ValuePred};
-pub use reader::{PadReader, ScrapRecord};
+pub use reader::{PadReader, Record, ScrapRecord};
 pub use slimpad_dmi::{
     BundleData, BundleHandle, MarkHandleData, MarkHandleHandle, PadData, PadHandle, ScrapData,
     ScrapHandle, SlimPadDmi,

@@ -175,6 +175,15 @@ pub struct ScrapRecord<'a> {
     pub links: Vec<ScrapHandle>,
 }
 
+/// A bundle or a scrap: the instances that hold or link to others.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Record {
+    /// A bundle.
+    Bundle(BundleHandle),
+    /// A scrap.
+    Scrap(ScrapHandle),
+}
+
 /// One subject's triples, as one range scan returns them. A record
 /// takes every field from its row, so it costs one seek however many
 /// fields it has.
@@ -302,6 +311,42 @@ impl<'a, R: Runs + ?Sized> PadReader<'a, R> {
     /// Subjects pointing at `target` under `property`, in atom order.
     pub(crate) fn incoming_links(&self, target: Atom, property: Prop) -> Vec<Atom> {
         self.pointing_at(target, self.vocab.prop(property))
+    }
+
+    /// The bundle or scrap `subject` is, if its unique `conformsTo`
+    /// object names either construct.
+    pub fn record(&self, subject: Atom) -> Option<Record> {
+        let conforms = self.runs.object_of(subject, self.vocab.conforms_to?);
+        if self.names_construct(conforms, Construct::Bundle) {
+            Some(Record::Bundle(BundleHandle(subject)))
+        } else if self.names_construct(conforms, Construct::Scrap) {
+            Some(Record::Scrap(ScrapHandle(subject)))
+        } else {
+            None
+        }
+    }
+
+    /// The subjects holding `subject`, in atom order: the bundles that
+    /// nest or contain it and the scraps that link to it.
+    pub fn holders(&self, subject: Atom) -> Vec<Atom> {
+        let props = [Prop::NestedBundle, Prop::BundleContent, Prop::ScrapLink]
+            .map(|p| self.vocab.prop(p));
+        let pattern = TriplePattern::default().with_object(Value::Resource(subject));
+        let mut out: Vec<Atom> = self
+            .runs
+            .select(&pattern)
+            .into_iter()
+            .filter(|t| props.contains(&Some(t.property)))
+            .map(|t| t.subject)
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// The scraps carrying `handle` as a mark handle, in atom order.
+    pub fn carriers(&self, handle: Atom) -> Vec<Atom> {
+        self.incoming_links(handle, Prop::ScrapMark)
     }
 
     fn pointing_at(&self, target: Atom, property: Option<Atom>) -> Vec<Atom> {

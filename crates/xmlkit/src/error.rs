@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A 1-based line/column position in the source text, plus the byte offset.
 ///
-/// Positions make parse failures actionable ("mismatched close tag at
+/// Source positions make parse failures actionable ("mismatched close tag at
 /// 14:3") and let callers map errors back into editors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Position {
